@@ -14,8 +14,9 @@ resulting metrical length (syllable count plus the ending adjustment:
 -1 after two, -2 after three) equals the target, 11 for hendecasyllables.
 Among the subsets that fit, a deterministic preference picks the winner:
 
-1. candidates with stress on position 10 (the obligatory hendecasyllable
-   ictus) beat those without;
+1. the obligatory ictus on position 10 needs no tier of its own: metrical
+   length ends one position past the last stress, so every candidate of
+   length 11 is stressed on 10;
 2. candidates matching a classical rhythmic template (stress on 6, or on
    4 and 8) beat those that do not, when any exists;
 3. fewest dieresis, then fewest syneresis, then most synalephas;
@@ -26,12 +27,17 @@ Among the subsets that fit, a deterministic preference picks the winner:
 The last word of the line always counts as stressed (the final-accent
 convention of Spanish metrics), which also guarantees every pattern
 contains at least one '+'.
+
+The search is exact for any number of sites. It is one left-to-right
+dynamic program over the flat syllables whose state is the pattern prefix
+the choices so far commit, at most 2^(target+1) states; its cost grows
+linearly with syllables times states, not with the 2^k subsets of k sites.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .errors import EmptyLine, EmptyAfterNormalization, LengthMismatch, Unfittable
 from .phonology import (
@@ -58,8 +64,6 @@ class ScanConfig:
     figure_preference: tuple[str, ...] = ("synalepha", "syneresis", "dieresis")
     emit_diagnostics: bool = False
     prefer_rhythmic_template: bool = True  # only consulted for target 11
-    max_exhaustive_sites: int = 16
-    beam_width: int = 256
 
     def __post_init__(self):
         if self.target_length < 2:
@@ -262,57 +266,72 @@ def find_figure_sites(words: list[SyllabifiedWord],
 
 # --- candidate evaluation ---------------------------------------------------
 
-def _stress_groups(flat: list[_Flat], split_at: frozenset[int],
-                   merged: frozenset[int]) -> list[bool]:
-    """Stress flags of the metrical syllables for one figure subset."""
-    groups: list[bool] = []
+def _choices(flat: list[_Flat], sites: list[FigureSite]):
+    """Every way the sites can be set, one step at a time.
+
+    A step is a run of flat syllables: one that a site acts on (or the
+    first) and the syllables after it that no site acts on. Each of its
+    choices is ``(bits, units, move)``. ``bits`` are the mask bits of the
+    sites it applies: the merge site before the first syllable and the
+    dieresis on it. ``units`` are the run's pieces as ``(text, stressed,
+    opens_group)``: a merge joins the first piece to the open metrical
+    group, a dieresis splits the syllable in two pieces. ``move`` is what
+    the units do to the groups, see ``_move``. The last choice applies
+    every site, so its bits are the step's bits.
+    """
+    merge_bit = {s.position + 1: 1 << i for i, s in enumerate(sites)
+                 if s.kind != "dieresis"}
+    split_bit = {s.position: 1 << i for i, s in enumerate(sites)
+                 if s.kind == "dieresis"}
+    steps: list[list[tuple[int, list]]] = []
     for i, syl in enumerate(flat):
-        join = i > 0 and (i - 1) in merged
-        if i in split_at:
-            (_, s1), (_, s2) = syl.split
-            if join:
-                groups[-1] = groups[-1] or s1
-            else:
-                groups.append(s1)
-            groups.append(s2)
-        elif join:
-            groups[-1] = groups[-1] or syl.stressed
-        else:
-            groups.append(syl.stressed)
-    return groups
-
-
-def _length_and_pattern(groups: list[bool]) -> tuple[int, str]:
-    last = max(i for i, s in enumerate(groups) if s)
-    length = last + 2
-    return length, "".join("+" if s else "-" for s in groups[:last + 1]) + "-"
-
-
-def _classify_mask(sites: list[FigureSite], mask: int):
-    split_at, merged = [], []
-    counts = {"synalepha": 0, "syneresis": 0, "dieresis": 0}
-    for i, site in enumerate(sites):
-        if not mask >> i & 1:
+        join, split = merge_bit.get(i, 0), split_bit.get(i, 0)
+        whole = (syl.text, syl.stressed, True)
+        if steps and not (join or split):
+            for _, units in steps[-1]:
+                units.append(whole)
             continue
-        counts[site.kind] += 1
-        if site.kind == "dieresis":
-            split_at.append(site.position)
+        choices = [(0, [whole])]
+        if split:
+            (left, left_stressed), (right, right_stressed) = syl.split
+            choices.append((split, [(left, left_stressed, True),
+                                    (right, right_stressed, True)]))
+        if join:
+            choices += [(bits | join, [units[0][:2] + (False,)] + units[1:])
+                        for bits, units in choices]
+        steps.append(choices)
+    return [[(bits, units, _move(units)) for bits, units in choices]
+            for choices in steps]
+
+
+def _move(units) -> tuple[int, int, int]:
+    """What a run of units does to the metrical groups.
+
+    Returns the stress it joins into the open group, the number of groups
+    it opens and their stress bits, the first opened group the most
+    significant. Only the first unit of a step can join the open group.
+    """
+    joined = opened = stresses = 0
+    for _, stressed, opens in units:
+        if opens:
+            opened += 1
+            stresses = stresses << 1 | stressed
         else:
-            merged.append(site.position)
-    return frozenset(split_at), frozenset(merged), counts
+            joined = stressed
+    return joined, opened, stresses
 
 
-def _build_candidate(flat: list[_Flat], sites: list[FigureSite],
+def _build_candidate(steps, sites: list[FigureSite],
                      mask: int) -> ScanCandidate:
-    split_at, merged, _ = _classify_mask(sites, mask)
+    """The metrical syllables of one subset, from ``_choices`` output."""
     groups: list[list[tuple[str, bool]]] = []
-    for i, syl in enumerate(flat):
-        units = list(syl.split) if i in split_at else [(syl.text, syl.stressed)]
-        for j, unit in enumerate(units):
-            if j == 0 and i > 0 and (i - 1) in merged and groups:
-                groups[-1].append(unit)
-            else:
-                groups.append([unit])
+    for choices in steps:
+        picked = mask & choices[-1][0]
+        units = next(units for bits, units, _ in choices if bits == picked)
+        for text, stressed, opens in units:
+            if opens:
+                groups.append([])
+            groups[-1].append((text, stressed))
     mets = tuple(
         MetricalSyllable(tuple(t for t, _ in g), any(s for _, s in g))
         for g in groups)
@@ -334,37 +353,9 @@ def pattern_of(candidate: ScanCandidate, config: ScanConfig | None = None) -> st
         raise LengthMismatch(
             f"candidate has metrical length {candidate.metrical_length}, "
             f"target is {config.target_length}")
-    flags = [m.stressed for m in candidate.metrical_syllables]
-    _, pattern = _length_and_pattern(flags)
+    stressed = candidate.metrical_syllables[:candidate.metrical_length - 1]
+    pattern = "".join("+" if m.stressed else "-" for m in stressed) + "-"
     return check_pattern(pattern, config.target_length)
-
-
-def _enumerate_masks(flat, sites, config) -> Iterable[int]:
-    k = len(sites)
-    if k <= config.max_exhaustive_sites:
-        return range(1 << k)
-    # Beam fallback for pathological lines: grow subsets site by site,
-    # keeping the states closest to the target at each depth. Every mask
-    # ever placed on the beam is returned, not just the last frontier.
-    target = config.target_length
-
-    def distance(mask: int) -> int:
-        split_at, merged, _ = _classify_mask(sites, mask)
-        length, _pat = _length_and_pattern(_stress_groups(flat, split_at, merged))
-        return abs(length - target)
-
-    explored = {0}
-    frontier = [0]
-    for i in range(k):
-        extend = []
-        for mask in frontier:
-            new = mask | (1 << i)
-            if new not in explored:
-                explored.add(new)
-                extend.append(new)
-        frontier = sorted(frontier + extend, key=lambda m: (distance(m), m))
-        frontier = frontier[:config.beam_width]
-    return sorted(explored)
 
 
 def _drop_priority(sites: list[FigureSite]) -> dict[int, int]:
@@ -375,67 +366,160 @@ def _drop_priority(sites: list[FigureSite]) -> dict[int, int]:
     return {site_idx: rank for rank, site_idx in enumerate(first + rest)}
 
 
+def _site_deltas(sites: list[FigureSite],
+                 figure_preference: tuple[str, ...]) -> list[int]:
+    """Per site, what applying it adds to a subset's cost.
+
+    A subset's cost is the sum of these over its sites, plus a constant,
+    and orders subsets as the preference does. Each tier has its own bit
+    field, so no tier carries into the one above; from the most
+    significant down:
+
+    * one count per figure, the last in ``figure_preference`` highest
+      (syneresis and dieresis count when applied, synalepha when left out);
+    * the drop ranks of the released synalephas;
+    * the positions of the applied syneresis sites, then dieresis sites.
+
+    On equal counts the tuples in the last two tiers have equal sizes, and
+    the lexicographically smaller of two sorted tuples of k distinct
+    indices out of n is the one with the larger sum of 2^(n-1-index). So
+    each of those fields sums 2^(n-1-index) over the indices left out of
+    its tuple: the applied synalephas, the syneresis and dieresis sites
+    not applied. Distinct subsets get distinct costs.
+    """
+    drop_rank = _drop_priority(sites)
+    merges = [i for i, s in enumerate(sites) if s.kind == "syneresis"]
+    splits = [i for i, s in enumerate(sites) if s.kind == "dieresis"]
+    index_bit = {}
+    shift = 0
+    for group in (splits, merges):
+        for j, i in enumerate(group):
+            index_bit[i] = 1 << (shift + len(group) - 1 - j)
+        shift += len(group)
+    for i, rank in drop_rank.items():
+        index_bit[i] = 1 << (shift + len(drop_rank) - 1 - rank)
+    shift += len(drop_rank)
+    width = len(sites).bit_length()
+    count_bit = {f: 1 << (shift + width * t)
+                 for t, f in enumerate(figure_preference)}
+    return [index_bit[i] - count_bit[s.kind] if s.kind == "synalepha"
+            else count_bit[s.kind] - index_bit[i]
+            for i, s in enumerate(sites)]
+
+
+def _advance(state: int, move: tuple[int, int, int],
+             full_length: int) -> int | None:
+    """Apply one step's ``move`` to a pattern-prefix state.
+
+    ``state`` is a sentinel 1 bit, the stress bits of the closed groups up
+    to index target-2, then the open group's stress bit. At
+    ``full_length`` bits the prefix is complete and the open group lies
+    past target-2; groups there must stay unstressed and are dropped, and
+    a state that stresses one dies (None).
+    """
+    joined, opened, stresses = move
+    state = (state | joined) << opened | stresses
+    past = state.bit_length() - full_length
+    if past >= 0:
+        if state & ((2 << past) - 1):
+            return None
+        state >>= past
+    return state
+
+
+def _unfittable(steps, sites, target) -> Unfittable:
+    """Every achievable length and the three subsets nearest the target.
+
+    A second DP over (groups so far, index of the last stressed group);
+    each state keeps its three smallest masks, which is enough because the
+    sites still to come add the same bits to every mask in the state.
+    """
+    states = {(0, -1): [0]}
+    for choices in steps:
+        grown: dict[tuple[int, int], list[int]] = {}
+        for (groups, last), masks in states.items():
+            for bits, _, (joined, opened, stresses) in choices:
+                g = groups + opened
+                if stresses:
+                    # the lowest set bit is the last stressed group opened
+                    key = (g, g - (stresses & -stresses).bit_length())
+                else:
+                    key = (g, groups - 1 if joined else last)
+                grown.setdefault(key, []).extend(m | bits for m in masks)
+        states = {key: sorted(masks)[:3] for key, masks in grown.items()}
+
+    achievable = {last + 2 for _, last in states}
+    nearest = sorted((abs(last + 2 - target), mask)
+                     for (_, last), masks in states.items() for mask in masks)
+    previews = []
+    for _, mask in nearest[:3]:
+        cand = _build_candidate(steps, sites, mask)
+        figures = ";".join(str(s) for s in cand.applied) or "none"
+        previews.append((cand.metrical_length, figures))
+    return Unfittable(
+        f"no figure subset reaches length {target} "
+        f"(achievable: {sorted(achievable)})",
+        achievable=achievable, nearest=previews)
+
+
 def fit_to_target(words: list[SyllabifiedWord], sites: list[FigureSite],
                   config: ScanConfig | None = None) -> ScansionResult:
-    """Choose the figure subset that lands the line on the target length."""
+    """Choose the figure subset that lands the line on the target length.
+
+    One left-to-right DP over the flat syllables. Its state is the pattern
+    prefix that the choices so far commit (see ``_advance``); each state
+    keeps the cheapest subset reaching it under ``_site_deltas`` and how
+    many subsets reach it, capped at two.
+    """
     config = config or ScanConfig()
     target = config.target_length
-    flat = _build_flat(words)
-    drop_rank = _drop_priority(sites)
-    count_tiers = tuple(reversed(config.figure_preference))
+    steps = _choices(_build_flat(words), sites)
+    deltas = _site_deltas(sites, config.figure_preference)
+    full = 1 << target
 
-    feasible = []  # (selection key, mask, pattern)
-    achievable = set()
-    nearest: list[tuple[int, int]] = []
-    for mask in _enumerate_masks(flat, sites, config):
-        split_at, merged, counts = _classify_mask(sites, mask)
-        length, pattern = _length_and_pattern(_stress_groups(flat, split_at, merged))
-        achievable.add(length)
-        if length != target:
-            nearest.append((abs(length - target), mask))
-            continue
-        tiers = tuple(-counts[f] if f == "synalepha" else counts[f]
-                      for f in count_tiers)
-        dropped = tuple(sorted(
-            drop_rank[i] for i in drop_rank if not mask >> i & 1))
-        applied_merges = tuple(s.position for i, s in enumerate(sites)
-                               if mask >> i & 1 and s.kind == "syneresis")
-        applied_splits = tuple(s.position for i, s in enumerate(sites)
-                               if mask >> i & 1 and s.kind == "dieresis")
-        key = tiers + (dropped, applied_merges, applied_splits, mask)
-        feasible.append((key, mask, pattern))
+    # state -> (cost, mask, subsets reaching it capped at 2). The initial
+    # state has an empty prefix and a stressed dummy open group, whose
+    # closing by the first syllable lays down the sentinel bit; a final
+    # step opens one unstressed group to close the last one.
+    states = {1: (0, 0, 1)}
+    for choices in steps + [[(0, (), (0, 1, 0))]]:
+        grown: dict[int, tuple[int, int, int]] = {}
+        for bits, _, move in choices:
+            added = sum(d for i, d in enumerate(deltas) if bits >> i & 1)
+            for state, (cost, mask, paths) in states.items():
+                nxt = _advance(state, move, target + 1)
+                if nxt is None:
+                    continue
+                entry = (cost + added, mask | bits, paths)
+                seen = grown.get(nxt)
+                if seen is not None:
+                    best = min(entry, seen)
+                    entry = (best[0], best[1], min(2, paths + seen[2]))
+                grown[nxt] = entry
+        states = grown
 
-    if not feasible:
-        nearest.sort()
-        previews = []
-        for _, mask in nearest[:3]:
-            cand = _build_candidate(flat, sites, mask)
-            figures = ";".join(str(s) for s in cand.applied) or "none"
-            previews.append((cand.metrical_length, figures))
-        raise Unfittable(
-            f"no figure subset reaches length {target} "
-            f"(achievable: {sorted(achievable)})",
-            achievable=achievable, nearest=previews)
+    # pattern -> entry for the feasible states: a full prefix whose last
+    # bit, position target-2, is stressed
+    finals = {bin(state)[3:-1].replace("1", "+").replace("0", "-") + "-": e
+              for state, e in states.items() if state >= full and state & 2}
+    if not finals:
+        raise _unfittable(steps, sites, target)
 
-    pool = feasible
-    on_ictus = [f for f in pool if f[2][target - 2] == "+"]
-    if on_ictus:
-        pool = on_ictus
+    pool = list(finals)
     if target == 11 and config.prefer_rhythmic_template:
-        rhythmic = [f for f in pool
-                    if f[2][5] == "+" or (f[2][3] == "+" and f[2][7] == "+")]
+        rhythmic = [p for p in pool
+                    if p[5] == "+" or (p[3] == "+" and p[7] == "+")]
         if rhythmic:
             pool = rhythmic
-    key, mask, pattern = min(pool)
+    pattern = min(pool, key=lambda p: finals[p][0])
 
-    candidate = _build_candidate(flat, sites, mask)
     diagnostics = ()
     if config.emit_diagnostics:
-        diagnostics = tuple(sorted({p for _, _, p in feasible}))
+        diagnostics = tuple(sorted(finals))
     return ScansionResult(
         pattern=check_pattern(pattern, target),
-        candidate=candidate,
-        ambiguous=len(feasible) > 1,
+        candidate=_build_candidate(steps, sites, finals[pattern][1]),
+        ambiguous=sum(paths for _, _, paths in finals.values()) > 1,
         syllabification=tuple(sw.syllables for sw in words),
         diagnostics=diagnostics,
     )

@@ -11,6 +11,7 @@ from escansion.phonology import default_lexicon
 from escansion.scansion import (
     FigureSite,
     ScanConfig,
+    _site_deltas,
     check_pattern,
     find_figure_sites,
     fit_to_target,
@@ -167,15 +168,17 @@ class TestFitAndScan:
             ScanConfig(figure_preference=("synalepha", "synalepha",
                                           "dieresis"))
 
-    def test_beam_handles_pathological_site_counts(self, lexicon, config):
-        # 9 x "oía" yields 26 sites, far past the exhaustive cutoff
+    def test_exact_search_handles_pathological_site_counts(self, lexicon,
+                                                            config):
+        # 9 x "oía" yields 26 sites: 2^26 subsets, one DP pass
         line = " ".join(["oía"] * 9)
         words = phonological_parse(line, lexicon)
         sites = find_figure_sites(words, config)
-        assert len(sites) > config.max_exhaustive_sites
+        assert len(sites) == 26
         result = fit_to_target(words, sites, config)
         check_pattern(result.pattern)
         assert result.candidate.metrical_length == 11
+        assert pattern_of(result.candidate, config) == result.pattern
 
 
 class TestPatternOf:
@@ -200,6 +203,52 @@ class TestPatternOf:
 
 def _random_sites_subset(rng, sites):
     return [s for s in sites if rng.random() < 0.5]
+
+
+def _check_against_enumeration(lexicon, config):
+    """The fitter's pattern, ambiguity, diagnostics and Unfittable details
+    equal the brute-force oracle's on lines with at most 12 sites."""
+    rng = random.Random(99)
+    texts = [ln.text for ln in wordbank.synthetic_corpus(40, seed=5)]
+    texts += [wordbank.random_raw_line(rng) for _ in range(60)]
+    checked = unfittable = 0
+    for text in texts:
+        words = phonological_parse(text, lexicon)
+        sites = find_figure_sites(words, config)
+        if len(sites) > 12:
+            continue
+        checked += 1
+        results = oracle.enumerate_all(words, sites, config.target_length)
+        preferred = oracle.preferred_patterns(
+            results, sites, config.target_length,
+            config.figure_preference, config.prefer_rhythmic_template)
+        try:
+            result = fit_to_target(words, sites, config)
+        except Unfittable as exc:
+            unfittable += 1
+            assert not preferred
+            assert set(exc.achievable) == {l for _, l, _ in results}
+            assert list(exc.nearest) == _nearest_previews(
+                results, sites, config.target_length), text
+            continue
+        assert preferred, text
+        assert result.pattern == preferred[0], text
+        feasible = [m for m, _, p in results if p is not None]
+        assert result.ambiguous == (len(feasible) > 1)
+        assert set(result.diagnostics) == \
+            {p for _, _, p in results if p is not None}, text
+    assert checked >= 80
+    assert unfittable >= 20
+
+
+def _nearest_previews(results, sites, target):
+    """The three subsets closest to the target length, ties by mask, as
+    (length, applied figures) the way Unfittable reports them."""
+    nearest = sorted((abs(length - target), mask, length)
+                     for mask, length, _ in results)[:3]
+    return [(length, ";".join(str(s) for i, s in enumerate(sites)
+                              if mask >> i & 1) or "none")
+            for _, mask, length in nearest]
 
 
 class TestOracleAgreement:
@@ -238,31 +287,63 @@ class TestOracleAgreement:
                 merged = oracle.apply_subset(words, sites, [site])
                 assert len(merged) == base - 1
 
-    def test_fitter_agrees_with_enumeration(self, lexicon, config):
-        rng = random.Random(99)
-        texts = [ln.text for ln in wordbank.synthetic_corpus(40, seed=5)]
-        texts += [wordbank.random_raw_line(rng) for _ in range(60)]
-        checked = 0
-        for text in texts:
-            words = phonological_parse(text, lexicon)
-            sites = find_figure_sites(words, config)
-            if len(sites) > 12:
-                continue
-            checked += 1
-            results = oracle.enumerate_all(words, sites, config.target_length)
-            preferred = oracle.preferred_patterns(results, sites,
-                                                  config.target_length)
-            try:
-                result = fit_to_target(words, sites, config)
-            except Unfittable as exc:
-                assert not preferred
-                assert set(exc.achievable) == {l for _, l, _ in results}
-                continue
-            assert preferred, text
-            assert result.pattern == preferred[0], text
-            feasible = [m for m, _, p in results if p is not None]
-            assert result.ambiguous == (len(feasible) > 1)
-        assert checked >= 80
+    def test_fitter_agrees_with_enumeration(self, lexicon):
+        _check_against_enumeration(lexicon, ScanConfig(emit_diagnostics=True))
+
+    @pytest.mark.parametrize("config", [
+        ScanConfig(emit_diagnostics=True, prefer_rhythmic_template=False,
+                   figure_preference=("dieresis", "syneresis", "synalepha")),
+        ScanConfig(emit_diagnostics=True,
+                   figure_preference=("syneresis", "dieresis", "synalepha")),
+    ], ids=["dieresis-first-no-rhythm", "syneresis-first"])
+    def test_reordered_preference_agrees_with_enumeration(self, lexicon,
+                                                          config):
+        _check_against_enumeration(lexicon, config)
+
+    # Fixed vowel-contact lines with 17 sites, past the 12 the other oracle
+    # checks stop at; brute force takes a few seconds a line.
+    @pytest.mark.parametrize("text", [
+        "oía oeste aula idea agua oía aire aula",
+        "leía oía aúna área agua agua aire aire",
+    ])
+    def test_exact_beyond_sixteen_sites(self, lexicon, text):
+        config = ScanConfig(emit_diagnostics=True)
+        words = phonological_parse(text, lexicon)
+        sites = find_figure_sites(words, config)
+        assert len(sites) == 17
+        results = oracle.enumerate_all(words, sites, config.target_length)
+        preferred = oracle.preferred_patterns(results, sites,
+                                              config.target_length)
+        result = fit_to_target(words, sites, config)
+        feasible = [p for _, _, p in results if p is not None]
+        assert result.pattern == preferred[0]
+        assert set(result.diagnostics) == set(feasible)
+        assert result.ambiguous == (len(feasible) > 1)
+
+    @pytest.mark.parametrize("preference", [
+        ("synalepha", "syneresis", "dieresis"),
+        ("dieresis", "syneresis", "synalepha"),
+        ("syneresis", "dieresis", "synalepha"),
+    ])
+    def test_site_costs_order_subsets_as_the_preference_key(self, preference):
+        # every tie-break tier, on site lists with up to 10 of one kind
+        rng = random.Random(3)
+        for _ in range(20):
+            sites = []
+            for position in range(rng.randint(1, 10)):
+                kind = rng.choice(("synalepha", "syneresis", "dieresis"))
+                sites.append(FigureSite(
+                    kind=kind, position=position,
+                    span=1 if kind == "dieresis" else 2,
+                    delta=1 if kind == "dieresis" else -1,
+                    involves_stress=rng.random() < 0.3,
+                    through_h=kind == "synalepha" and rng.random() < 0.2))
+            deltas = _site_deltas(sites, preference)
+            masks = range(1 << len(sites))
+            by_cost = sorted(masks, key=lambda m: sum(
+                d for i, d in enumerate(deltas) if m >> i & 1))
+            assert by_cost == sorted(
+                masks, key=oracle.preference_key(sites, preference))
 
     def test_position_ten_preference(self, lexicon, config, mini_gold):
         for line in mini_gold:
