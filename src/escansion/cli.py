@@ -9,6 +9,7 @@ byte-reproducible given the same inputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
@@ -81,28 +82,28 @@ def cmd_scan(args) -> int:
     config = ScanConfig(target_length=args.target_length,
                         h_blocks_synalepha=args.h_blocks_synalepha,
                         emit_diagnostics=args.diagnostics)
-    if args.input and args.input != "-":
-        with open(args.input, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    else:
-        lines = sys.stdin.read().splitlines()
-
     failed = 0
-    out = _open_out(args.output)
-    try:
-        for line in lines:
-            if not line.strip():
-                continue
-            record, ok = _scan_record(line, lexicon, config)
-            if not ok:
-                failed += 1
-            if args.format == "jsonl":
-                out.write(json.dumps(record, ensure_ascii=False) + "\n")
-            else:
-                out.write(_format_tsv(record) + "\n")
-    finally:
+    with contextlib.ExitStack() as stack:
+        if args.input and args.input != "-":
+            src = stack.enter_context(open(args.input, encoding="utf-8"))
+        else:
+            src = sys.stdin
+        out = _open_out(args.output)
         if out is not sys.stdout:
-            out.close()
+            stack.enter_context(out)
+        # line by line as read; splitlines on each chunk cuts the text
+        # exactly where it would cut the whole input
+        for chunk in src:
+            for line in chunk.splitlines():
+                if not line.strip():
+                    continue
+                record, ok = _scan_record(line, lexicon, config)
+                if not ok:
+                    failed += 1
+                if args.format == "jsonl":
+                    out.write(json.dumps(record, ensure_ascii=False) + "\n")
+                else:
+                    out.write(_format_tsv(record) + "\n")
     return 2 if failed else 0
 
 
@@ -201,7 +202,7 @@ def cmd_baseline_predict(args) -> int:
     try:
         try:
             gold = corpus.read_tsv(args.input)
-        except (ValueError, DataError):
+        except DataError:
             gold = None
         if gold is not None:
             for line in gold:

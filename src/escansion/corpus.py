@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .errors import InsufficientData, MalformedXml, UnnormalizableMet
+from .errors import InsufficientData, MalformedTsv, MalformedXml, UnnormalizableMet
 from .scansion import check_pattern
 
 log = logging.getLogger(__name__)
@@ -94,6 +94,8 @@ def normalize_met(raw: str) -> str:
         met = met[:-1]
     else:
         raise UnnormalizableMet(f"met {raw!r} has unhandled shape")
+    if "+" not in met:
+        raise UnnormalizableMet(f"met {raw!r} has no stressed position")
     return check_pattern(met)
 
 
@@ -235,18 +237,28 @@ def write_tsv(lines, path, include_manual: bool = False) -> None:
 
 
 def read_tsv(path) -> list[CorpusLine]:
+    """Read a canonical TSV; a bad row raises MalformedTsv naming path:line."""
     lines = []
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
+        for row, raw in enumerate(fh, 1):
             raw = raw.rstrip("\r\n")
             if not raw:
                 continue
             cols = raw.split("\t")
-            if len(cols) < 4:
-                raise ValueError(f"{path}: expected at least 4 columns, got {cols!r}")
-            manual = len(cols) > 4 and cols[4] == "1"
-            lines.append(CorpusLine(cols[0], int(cols[1]), cols[2],
-                                    normalize_met(cols[3]), manual))
+            try:
+                if len(cols) < 4:
+                    raise MalformedTsv(
+                        f"expected at least 4 columns, got {len(cols)}")
+                try:
+                    line_no = int(cols[1])
+                except ValueError:
+                    raise MalformedTsv(
+                        f"line_no {cols[1]!r} is not an integer") from None
+                manual = len(cols) > 4 and cols[4] == "1"
+                lines.append(CorpusLine(cols[0], line_no, cols[2],
+                                        normalize_met(cols[3]), manual))
+            except ValueError as exc:
+                raise MalformedTsv(f"{path}:{row}: {exc}") from exc
     return lines
 
 

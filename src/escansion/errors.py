@@ -39,6 +39,10 @@ class MalformedXml(DataError):
     """Input file is not well-formed XML."""
 
 
+class MalformedTsv(DataError):
+    """A TSV row has too few columns or a field that does not parse."""
+
+
 class UnnormalizableMet(DataError):
     """Raw met annotation cannot be coerced to 11 positions."""
 

@@ -28,11 +28,15 @@ class EvalReport:
     unmatched: int = 0
 
     def __post_init__(self):
-        assert abs(self.accuracy - 100.0 * self.correct / self.total) < 1e-9
+        if not abs(self.accuracy - 100.0 * self.correct / self.total) < 1e-9:
+            raise ValueError(f"accuracy {self.accuracy} is not "
+                             f"{self.correct}/{self.total}")
         exact = self.correct / self.total
         for frac in self.per_position_accuracy:
-            assert 0.0 <= frac <= 1.0
-            assert exact <= frac + 1e-12, "exact match cannot beat a position"
+            if not 0.0 <= frac <= 1.0:
+                raise ValueError(f"position accuracy {frac} outside [0, 1]")
+            if not exact <= frac + 1e-12:
+                raise ValueError("exact match cannot beat a position")
 
 
 def line_exact_match(pred: str, gold: str) -> bool:

@@ -12,15 +12,26 @@ plus the two stress layers needed for scansion:
   conjunctions/relatives, prenominal possessives) do not, and are listed in a
   plain-text lexicon shipped with the package. Homographs such as el/él,
   mas/más, se/sé are told apart purely by the written accent.
+
+A verse repeats its words, so ``analyze_token`` keeps each token's analysis
+in a cache owned by the lexicon it was stressed with: the syllabified word,
+and per syllable its nucleus, stress and dieresis split, both as the lexicon
+stresses the word and forced tonic as at the end of a line. The cache holds
+at most ``_CACHE_SIZE`` tokens and is emptied when full, so open-ended
+vocabularies cost bounded memory. The lexicon's lists are read-only, so a
+cached stress cannot go stale.
 """
 
 from __future__ import annotations
 
 import re
 import unicodedata
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .errors import EmptyAfterNormalization, NoVowel
 
@@ -50,6 +61,9 @@ _NOT_MENTE_ADVERB = {
     "instrumente", "ornamente", "pavimente", "pigmente", "reglamente",
     "sedimente",
 }
+
+# Tokens whose analyses one lexicon keeps before it empties its cache.
+_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -255,6 +269,19 @@ def nucleus_of(syllable: str) -> str:
     return ""
 
 
+def _split_syllable(text: str, nucleus: str, stressed: bool):
+    """Cut a diphthong syllable after its first vowel letter."""
+    at = text.find(nucleus)
+    first, rest = nucleus[0], nucleus[1:]
+    left_text = text[:at] + first
+    right_text = rest + text[at + len(nucleus):]
+    vowels = [c for c in nucleus if c != "h"]
+    strong = [c for c in vowels if c in _HIATUS_CORE]
+    peak_left = bool(strong) and strong[0] == vowels[0]
+    return ((left_text, stressed and peak_left),
+            (right_text, stressed and not peak_left))
+
+
 def lexical_stress(syllables: list[str] | tuple[str, ...], word: Word | str) -> int:
     """Position of the strong syllable, counted from the end (1-based).
 
@@ -278,9 +305,16 @@ class StressLexicon:
     """Closed-class words treated as prosodically unstressed, plus overrides."""
 
     unstressed_words: frozenset[str] = frozenset()
-    overrides: dict[str, bool] = field(default_factory=dict)
+    overrides: Mapping[str, bool] = field(default_factory=dict)
+    # raw token -> WordAnalysis under this lexicon, see analyze_token
+    _analyses: dict = field(default_factory=dict, init=False,
+                            compare=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "unstressed_words",
+                           frozenset(self.unstressed_words))
+        object.__setattr__(self, "overrides",
+                           MappingProxyType(dict(self.overrides)))
         clash = self.unstressed_words & set(self.overrides)
         if clash:
             raise ValueError(f"words in both lists: {sorted(clash)!r}")
@@ -325,18 +359,6 @@ def is_prosodically_stressed(word: Word | str, lexicon: StressLexicon) -> bool:
     return normalized not in lexicon.unstressed_words
 
 
-def analyze_word(raw: str, lexicon: StressLexicon) -> SyllabifiedWord:
-    """normalize + syllabify + stress in one step."""
-    word = normalize_token(raw)
-    syllables = tuple(syllabify(word))
-    return SyllabifiedWord(
-        word=word,
-        syllables=syllables,
-        stress_from_end=lexical_stress(syllables, word),
-        prosodic=is_prosodically_stressed(word, lexicon),
-    )
-
-
 def _is_mente_adverb(normalized: str, n_syllables: int) -> bool:
     return (normalized.endswith("mente")
             and len(normalized) >= 8  # stem of 3+ letters
@@ -373,3 +395,69 @@ def stressed_syllable_indices(sw: SyllabifiedWord, *, force: bool = False) -> tu
             return (root_idx, mente_idx)
         return (mente_idx,)
     return (sw.stressed_index,)
+
+
+class Syllable(NamedTuple):
+    """One syllable of a word in a line, with what scansion reads of it."""
+
+    text: str
+    stressed: bool
+    nucleus: str
+    # ((left text, stressed), (right text, stressed)) after a dieresis
+    # split, or None for single-vowel nuclei
+    split: tuple[tuple[str, bool], tuple[str, bool]] | None
+
+
+class WordAnalysis(NamedTuple):
+    """A token's analysis under one lexicon, as ``analyze_token`` caches it."""
+
+    word: SyllabifiedWord
+    syllables: tuple[Syllable, ...]  # stressed as the lexicon says
+    tonic: tuple[Syllable, ...]      # forced tonic, as the last word of a line
+
+
+def syllable_shapes(sw: SyllabifiedWord, *,
+                    force: bool = False) -> tuple[Syllable, ...]:
+    """The syllables of a word with their nuclei, stress and splits."""
+    hits = stressed_syllable_indices(sw, force=force)
+    out = []
+    for si, syl in enumerate(sw.syllables):
+        nucleus = nucleus_of(syl)
+        stressed = si in hits
+        n_vowels = sum(1 for c in nucleus if c != "h")
+        split = _split_syllable(syl, nucleus, stressed) if n_vowels >= 2 else None
+        out.append(Syllable(syl, stressed, nucleus, split))
+    return tuple(out)
+
+
+def analyze_token(raw: str, lexicon: StressLexicon) -> WordAnalysis:
+    """normalize + syllabify + stress in one step, cached per lexicon.
+
+    The key is the raw token, which is also the word's ``surface``, so a
+    cached analysis is exactly what a fresh one would be.
+    """
+    cache = lexicon._analyses
+    hit = cache.get(raw)
+    if hit is None:
+        word = normalize_token(raw)
+        syllables = tuple(syllabify(word))
+        sw = SyllabifiedWord(
+            word=word,
+            syllables=syllables,
+            stress_from_end=lexical_stress(syllables, word),
+            prosodic=is_prosodically_stressed(word, lexicon),
+        )
+        shapes = syllable_shapes(sw)
+        tonic = shapes if sw.prosodic else syllable_shapes(sw, force=True)
+        hit = WordAnalysis(sw, shapes, tonic)
+        # unlocked: threads that race here store equal analyses, and can
+        # overshoot the bound only by their number
+        if len(cache) >= _CACHE_SIZE:
+            cache.clear()
+        cache[raw] = hit
+    return hit
+
+
+def analyze_word(raw: str, lexicon: StressLexicon) -> SyllabifiedWord:
+    """normalize + syllabify + stress in one step, cached per lexicon."""
+    return analyze_token(raw, lexicon).word

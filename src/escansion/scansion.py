@@ -1,7 +1,10 @@
 """Metrical analysis of a verse line.
 
 A parsed line is a flat sequence of phonological syllables, each stressed
-or not. Three figures can reshape it:
+or not. ``phonological_parse`` returns it as a ``ParsedLine``: the words,
+plus that sequence built once from the lexicon's cached word analyses, so
+finding sites and fitting do not rebuild it. Both also accept a plain list
+of words and build the sequence themselves. Three figures can reshape it:
 
 * synalepha  - merges the last syllable of a word with the vowel-initial
                first syllable of the next word (-1 per merged boundary);
@@ -43,12 +46,12 @@ from .errors import EmptyLine, EmptyAfterNormalization, LengthMismatch, Unfittab
 from .phonology import (
     VOWEL_CHARS,
     StressLexicon,
+    Syllable,
     SyllabifiedWord,
-    _HIATUS_CORE,
-    analyze_word,
+    WordAnalysis,
+    analyze_token,
     default_lexicon,
-    nucleus_of,
-    stressed_syllable_indices,
+    syllable_shapes,
 )
 
 _FIGURES = ("synalepha", "syneresis", "dieresis")
@@ -144,54 +147,55 @@ def check_pattern(symbols: str, length: int = 11) -> str:
 
 # --- parsing ----------------------------------------------------------------
 
-def phonological_parse(line: str, lexicon: StressLexicon) -> list[SyllabifiedWord]:
+class _Flat(NamedTuple):
+    """The syllables of a line in order, the last word tonic, and the
+    index of each word's first syllable."""
+
+    syllables: list[Syllable]
+    starts: list[int]
+
+
+def _build_flat(word_syllables) -> _Flat:
+    syllables, starts = [], []
+    for group in word_syllables:
+        starts.append(len(syllables))
+        syllables.extend(group)
+    return _Flat(syllables, starts)
+
+
+class ParsedLine(list):
+    """The words of a line as ``SyllabifiedWord``s, plus ``flat``, the
+    line's syllable sequence, built once from the cached word analyses.
+    Read-only: ``flat`` does not follow edits to the list."""
+
+    def __init__(self, analyses: list[WordAnalysis]):
+        super().__init__(a.word for a in analyses)
+        self.flat = _build_flat([a.syllables for a in analyses[:-1]]
+                                + [analyses[-1].tonic])
+
+
+def _flat_of(words: list[SyllabifiedWord]) -> _Flat:
+    """The flat sequence a ``ParsedLine`` carries, or one built for a
+    plain list of words."""
+    flat = getattr(words, "flat", None)
+    if flat is None:
+        last = len(words) - 1
+        flat = _build_flat(syllable_shapes(sw, force=wi == last)
+                           for wi, sw in enumerate(words))
+    return flat
+
+
+def phonological_parse(line: str, lexicon: StressLexicon) -> ParsedLine:
     """Tokenize, syllabify and stress every word of a raw verse line."""
-    words = []
+    analyses = []
     for token in line.split():
         try:
-            words.append(analyze_word(token, lexicon))
+            analyses.append(analyze_token(token, lexicon))
         except EmptyAfterNormalization:
             continue
-    if not words:
+    if not analyses:
         raise EmptyLine(f"nothing scannable in line {line!r}")
-    return words
-
-
-class _Flat(NamedTuple):
-    text: str
-    stressed: bool
-    word_idx: int
-    nucleus: str
-    # ((left text, stressed), (right text, stressed)) after a dieresis
-    # split, or None for single-vowel nuclei
-    split: tuple[tuple[str, bool], tuple[str, bool]] | None
-
-
-def _split_syllable(text: str, nucleus: str, stressed: bool):
-    """Cut a diphthong syllable after its first vowel letter."""
-    at = text.find(nucleus)
-    first, rest = nucleus[0], nucleus[1:]
-    left_text = text[:at] + first
-    right_text = rest + text[at + len(nucleus):]
-    vowels = [c for c in nucleus if c != "h"]
-    strong = [c for c in vowels if c in _HIATUS_CORE]
-    peak_left = bool(strong) and strong[0] == vowels[0]
-    return ((left_text, stressed and peak_left),
-            (right_text, stressed and not peak_left))
-
-
-def _build_flat(words: list[SyllabifiedWord]) -> list[_Flat]:
-    flat = []
-    last = len(words) - 1
-    for wi, sw in enumerate(words):
-        hits = set(stressed_syllable_indices(sw, force=(wi == last)))
-        for si, syl in enumerate(sw.syllables):
-            nucleus = nucleus_of(syl)
-            stressed = si in hits
-            n_vowels = sum(1 for c in nucleus if c != "h")
-            split = _split_syllable(syl, nucleus, stressed) if n_vowels >= 2 else None
-            flat.append(_Flat(syl, stressed, wi, nucleus, split))
-    return flat
+    return ParsedLine(analyses)
 
 
 def _ends_in_vowel_sound(normalized: str) -> bool:
@@ -222,10 +226,7 @@ def find_figure_sites(words: list[SyllabifiedWord],
                       config: ScanConfig | None = None) -> list[FigureSite]:
     """Enumerate every applicable figure, left to right."""
     config = config or ScanConfig()
-    flat = _build_flat(words)
-    word_start = {}
-    for i, syl in enumerate(flat):
-        word_start.setdefault(syl.word_idx, i)
+    flat, starts = _flat_of(words)
 
     sites = []
     for wi in range(len(words) - 1):
@@ -235,23 +236,22 @@ def find_figure_sites(words: list[SyllabifiedWord],
         if not _begins_with_vowel_sound(right.word.normalized,
                                         config.h_blocks_synalepha):
             continue
-        li = word_start[wi + 1] - 1
+        li = starts[wi + 1] - 1
         sites.append(FigureSite(
             kind="synalepha", position=li, span=2, delta=-1,
             involves_stress=flat[li].stressed or flat[li + 1].stressed,
             through_h=(right.word.normalized[0] == "h"
                        or left.word.normalized[-1] == "h")))
 
-    for i in range(len(flat) - 1):
-        a, b = flat[i], flat[i + 1]
-        if a.word_idx != b.word_idx:
-            continue
-        onset_ok = b.text.startswith(b.nucleus) or (
-            b.text.startswith("h") and b.text[1:].startswith(b.nucleus))
-        if a.text.endswith(a.nucleus) and onset_ok:
-            sites.append(FigureSite(
-                kind="syneresis", position=i, span=2, delta=-1,
-                involves_stress=a.stressed or b.stressed))
+    for start, end in zip(starts, starts[1:] + [len(flat)]):
+        for i in range(start, end - 1):
+            a, b = flat[i], flat[i + 1]
+            onset_ok = b.text.startswith(b.nucleus) or (
+                b.text.startswith("h") and b.text[1:].startswith(b.nucleus))
+            if a.text.endswith(a.nucleus) and onset_ok:
+                sites.append(FigureSite(
+                    kind="syneresis", position=i, span=2, delta=-1,
+                    involves_stress=a.stressed or b.stressed))
 
     for i, syl in enumerate(flat):
         if syl.split is not None:
@@ -266,7 +266,7 @@ def find_figure_sites(words: list[SyllabifiedWord],
 
 # --- candidate evaluation ---------------------------------------------------
 
-def _choices(flat: list[_Flat], sites: list[FigureSite]):
+def _choices(flat: list[Syllable], sites: list[FigureSite]):
     """Every way the sites can be set, one step at a time.
 
     A step is a run of flat syllables: one that a site acts on (or the
@@ -324,17 +324,19 @@ def _move(units) -> tuple[int, int, int]:
 def _build_candidate(steps, sites: list[FigureSite],
                      mask: int) -> ScanCandidate:
     """The metrical syllables of one subset, from ``_choices`` output."""
-    groups: list[list[tuple[str, bool]]] = []
+    parts: list[list[str]] = []
+    stress: list[bool] = []
     for choices in steps:
         picked = mask & choices[-1][0]
         units = next(units for bits, units, _ in choices if bits == picked)
         for text, stressed, opens in units:
             if opens:
-                groups.append([])
-            groups[-1].append((text, stressed))
-    mets = tuple(
-        MetricalSyllable(tuple(t for t, _ in g), any(s for _, s in g))
-        for g in groups)
+                parts.append([text])
+                stress.append(stressed)
+            else:
+                parts[-1].append(text)
+                stress[-1] = stress[-1] or stressed
+    mets = tuple(MetricalSyllable(tuple(p), s) for p, s in zip(parts, stress))
     last = max(i for i, m in enumerate(mets) if m.stressed)
     applied = tuple(s for i, s in enumerate(sites) if mask >> i & 1)
     return ScanCandidate(applied=applied, metrical_syllables=mets,
@@ -473,7 +475,7 @@ def fit_to_target(words: list[SyllabifiedWord], sites: list[FigureSite],
     """
     config = config or ScanConfig()
     target = config.target_length
-    steps = _choices(_build_flat(words), sites)
+    steps = _choices(_flat_of(words).syllables, sites)
     deltas = _site_deltas(sites, config.figure_preference)
     full = 1 << target
 

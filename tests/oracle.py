@@ -8,7 +8,7 @@ selection preference, so any disagreement flags a real defect.
 """
 
 from escansion.phonology import stressed_syllable_indices
-from escansion.scansion import _split_syllable  # reuse only the split shape
+from escansion.phonology import _split_syllable  # reuse only the split shape
 from escansion.phonology import nucleus_of
 
 

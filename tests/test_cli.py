@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -70,6 +71,39 @@ class TestScan:
         assert proc.returncode == 0
         assert "+--+---+-+-" in proc.stdout
 
+    def test_stdin_is_read_line_by_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", _LineOnlyStdin(LINE + "\n"))
+        assert main(["scan"]) == 0
+        assert "+--+---+-+-" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("fmt", ["tsv", "jsonl"])
+    def test_crlf_and_blank_lines_split_as_splitlines(self, fmt, capsys,
+                                                      monkeypatch):
+        other = "En tanto que de rosa y azucena"
+        text = (f"{LINE}\r\n\r\n   \n{other}\r{LINE}\x85{other}\n\n"
+                f"{LINE}")
+        monkeypatch.setattr(sys, "stdin", _LineOnlyStdin(text))
+        assert main(["scan", "--format", fmt]) == 0
+        streamed = capsys.readouterr().out
+        assert len(streamed.splitlines()) == 5
+        plain = "".join(line + "\n" for line in text.splitlines())
+        monkeypatch.setattr(sys, "stdin", _LineOnlyStdin(plain))
+        assert main(["scan", "--format", fmt]) == 0
+        assert capsys.readouterr().out == streamed
+
+    def test_crlf_file_matches_lf_file(self, tmp_path):
+        lines = [LINE, "", "En tanto que de rosa y azucena"]
+        crlf, lf = tmp_path / "crlf.txt", tmp_path / "lf.txt"
+        crlf.write_bytes("\r\n".join(lines).encode("utf-8") + b"\r\n")
+        lf.write_bytes("\n".join(lines).encode("utf-8") + b"\n")
+        outs = []
+        for src in (crlf, lf):
+            out = tmp_path / (src.stem + ".tsv")
+            assert main(["scan", str(src), "-o", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        assert outs[0].count(b"\n") == 2
+
     def test_custom_lexicon_env(self, tmp_path, capsys, monkeypatch):
         lex = tmp_path / "lex.txt"
         lex.write_text("", encoding="utf-8")  # nothing atonic
@@ -79,6 +113,17 @@ class TestScan:
         assert main(["scan", str(src)]) == 0
         out = capsys.readouterr().out
         assert "+-++-+-+-+-" in out  # de/la now count as tonic
+
+
+class _LineOnlyStdin(io.StringIO):
+    """Standard input that can be iterated but not read whole. Lines end
+    at "\n" only, as on a POSIX sys.stdin."""
+
+    def __init__(self, text):
+        super().__init__(text, newline="\n")
+
+    def read(self, *args):
+        raise AssertionError("scan read its whole input at once")
 
 
 def _tei_from_corpus(lines) -> str:
@@ -167,6 +212,22 @@ class TestEvaluateAndScore:
         pred.write_text("+--+---+-+-\n", encoding="utf-8")
         assert main(["score", "--gold", str(gold_tsv),
                      "--pred", str(pred)]) == 2
+
+    @pytest.mark.parametrize("row,reason", [
+        ("p1\tfirst\tcubra de nieve\t+--+---+-+-", "not an integer"),
+        ("p1\t1\tcubra de nieve", "4 columns"),
+    ], ids=["non-integer-line-no", "three-columns"])
+    def test_bad_gold_row_is_data_error(self, tmp_path, row, reason):
+        gold = tmp_path / "gold.tsv"
+        gold.write_text(f"p1\t1\t{LINE}\t+--+---+-+-\n{row}\n",
+                        encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "escansion", "evaluate", "--gold",
+             str(gold), "--engine"], capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert f"{gold}:2: " in proc.stderr and reason in proc.stderr
 
     def test_needs_pred_or_engine(self, gold_tsv):
         assert main(["evaluate", "--gold", str(gold_tsv)]) == 2

@@ -18,7 +18,8 @@ from escansion.corpus import (
     write_split,
     write_tsv,
 )
-from escansion.errors import InsufficientData, MalformedXml, UnnormalizableMet
+from escansion.errors import (
+    InsufficientData, MalformedTsv, MalformedXml, UnnormalizableMet)
 
 SONNET_TEI = """<?xml version="1.0" encoding="UTF-8"?>
 <TEI xmlns="http://www.tei-c.org/ns/1.0">
@@ -118,6 +119,10 @@ class TestNormalizeMet:
     def test_rejected_shapes(self, raw):
         with pytest.raises(UnnormalizableMet):
             normalize_met(raw)
+
+    def test_no_stressed_position_is_unnormalizable(self):
+        with pytest.raises(UnnormalizableMet):
+            normalize_met("-" * 11)
 
     @given(st.text(alphabet="+-", min_size=10, max_size=12))
     @settings(max_examples=200)
@@ -239,6 +244,20 @@ class TestRoundTrip:
         back = read_tsv(path)
         assert [(l.poem_id, l.line_no, l.text, l.gold) for l in back] == \
                [(l.poem_id, l.line_no, l.text, l.gold) for l in lines]
+
+    @pytest.mark.parametrize("row,reason", [
+        ("p1\tfirst\tcubra de nieve\t+--+---+-+-", "not an integer"),
+        ("p1\t1\tcubra de nieve", "4 columns"),
+        ("p1\t0\tcubra de nieve\t+--+---+-+-", "starts at 1"),
+        ("p1\t1\tcubra de nieve\t+-+", "unhandled shape"),
+    ])
+    def test_bad_row_names_path_and_line(self, tmp_path, row, reason):
+        path = tmp_path / "bad.tsv"
+        path.write_text("p1\t1\tok\t+--+---+-+-\n\n" + row + "\n",
+                        encoding="utf-8")
+        with pytest.raises(MalformedTsv, match=reason) as info:
+            read_tsv(path)
+        assert str(info.value).startswith(f"{path}:3: ")
 
     def test_split_manifests(self, tmp_path):
         result = split(_toy_corpus(), seed=4)

@@ -94,7 +94,7 @@ class TestEvaluate:
         assert len(evaluate(pairs).error_examples) == 50
 
     def test_report_invariant_enforced(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             EvalReport(total=4, correct=2, accuracy=99.0,
                        per_position_accuracy=(1.0,) * 11, error_examples=())
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from escansion.errors import EmptyAfterNormalization
 from escansion.phonology import (
     StressLexicon,
+    analyze_token,
     analyze_word,
     is_prosodically_stressed,
     lexical_stress,
@@ -220,9 +221,46 @@ class TestProsodicStress:
         path.write_text("# header\n\nla  # article\n", encoding="utf-8")
         assert "la" in StressLexicon.load(path).unstressed_words
 
+    def test_overrides_are_read_only(self):
+        given = {"la": True}
+        lex = StressLexicon(frozenset(), given)
+        with pytest.raises(TypeError):
+            lex.overrides["la"] = False
+        given["la"] = False  # the caller's dict is copied, not shared
+        assert lex.overrides["la"] is True
+
     def test_word_cannot_sit_in_both_lists(self):
         with pytest.raises(ValueError):
             StressLexicon(frozenset({"la"}), {"la": True})
+
+
+class TestWordCache:
+    def test_cached_analysis_equals_a_fresh_one(self, lexicon):
+        first = analyze_word("¡Hermosa,", lexicon)
+        assert analyze_word("¡Hermosa,", lexicon) is first
+        fresh = StressLexicon(lexicon.unstressed_words, lexicon.overrides)
+        assert analyze_word("¡Hermosa,", fresh) == first
+        assert first.word.surface == "¡Hermosa,"
+
+    def test_cache_is_per_lexicon(self, lexicon):
+        tonic_la = StressLexicon(frozenset(), {"la": True})
+        assert analyze_word("la", tonic_la).prosodic
+        assert not analyze_word("la", lexicon).prosodic
+        assert analyze_word("la", tonic_la).prosodic
+
+    def test_syllable_shapes_carry_nucleus_and_split(self, lexicon):
+        shapes = analyze_token("cielo", lexicon).syllables
+        assert [s.text for s in shapes] == ["cie", "lo"]
+        assert [s.nucleus for s in shapes] == ["ie", "o"]
+        assert [s.stressed for s in shapes] == [True, False]
+        # the stress stays on the strong vowel of the split diphthong
+        assert shapes[0].split == (("ci", False), ("e", True))
+        assert shapes[1].split is None
+
+    def test_tonic_shapes_stress_an_atonic_word(self, lexicon):
+        analysis = analyze_token("la", lexicon)
+        assert [s.stressed for s in analysis.syllables] == [False]
+        assert [s.stressed for s in analysis.tonic] == [True]
 
 
 class TestMenteAdverbs:

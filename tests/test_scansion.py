@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 
 import oracle
 import wordbank
-from escansion.errors import EmptyLine, LengthMismatch, Unfittable
-from escansion.phonology import default_lexicon
+from escansion import phonology, scansion
+from escansion.errors import DataError, EmptyLine, LengthMismatch, Unfittable
+from escansion.phonology import StressLexicon, default_lexicon
 from escansion.scansion import (
     FigureSite,
+    ParsedLine,
     ScanConfig,
     _site_deltas,
     check_pattern,
@@ -40,6 +42,97 @@ class TestPhonologicalParse:
     def test_pure_punctuation_line(self, lexicon):
         with pytest.raises(EmptyLine):
             phonological_parse("¡...!", lexicon)
+
+
+def _fresh_default_lexicon() -> StressLexicon:
+    """The default lexicon's lists with an empty word cache of its own."""
+    lexicon = default_lexicon()
+    return StressLexicon(lexicon.unstressed_words, lexicon.overrides)
+
+
+def _outcome(text, lexicon, config):
+    try:
+        result = scan_line(text, lexicon, config)
+    except DataError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "nearest", None)
+    return result
+
+
+class TestParseOnce:
+    """Word analyses are cached per lexicon and the flat syllable sequence
+    is built once per line; neither may change a result."""
+
+    def test_parsed_line_is_a_list_of_words(self, lexicon):
+        words = phonological_parse(GARCILASO_LINE, lexicon)
+        assert isinstance(words, ParsedLine)
+        assert list(words) == [phonology.analyze_word(t, lexicon)
+                               for t in GARCILASO_LINE.split()]
+        assert len(words.flat.syllables) == 11
+        assert words.flat.starts == [0, 2, 3, 5, 6, 9]
+
+    @pytest.mark.parametrize("default_first", [True, False])
+    def test_lexicons_do_not_share_analyses(self, config, default_first):
+        default, tonic_la = (_fresh_default_lexicon(),
+                             StressLexicon(frozenset(), {"la": True}))
+        order = [default, tonic_la] if default_first else [tonic_la, default]
+        patterns = {id(lex): scan_line(GARCILASO_LINE, lex, config).pattern
+                    for lex in order}
+        assert patterns[id(default)] == "+--+---+-+-"
+        assert patterns[id(tonic_la)] == "+-++-+-+-+-"
+
+    def test_cache_stays_within_its_bound(self, config):
+        lines = [text for text, _ in wordbank.scannable_lines(40, seed=5)]
+        expected = [_outcome(t, _fresh_default_lexicon(), config)
+                    for t in lines]
+        lexicon = _fresh_default_lexicon()
+        seen = set()
+        for round_ in range(40):
+            # digits are dropped by normalization: every round brings new
+            # raw tokens with the same analyses
+            for text, want in zip(lines, expected):
+                tagged = " ".join(f"{w}{round_}" for w in text.split())
+                seen.update(tagged.split())
+                assert _outcome(tagged, lexicon, config) == want
+                assert len(lexicon._analyses) <= phonology._CACHE_SIZE
+        assert len(seen) > phonology._CACHE_SIZE
+
+    @pytest.mark.parametrize("config", [
+        ScanConfig(),
+        ScanConfig(emit_diagnostics=True, prefer_rhythmic_template=False,
+                   figure_preference=("dieresis", "syneresis", "synalepha")),
+        ScanConfig(target_length=8, h_blocks_synalepha=True,
+                   emit_diagnostics=True),
+    ], ids=["default", "dieresis-first", "target-8-h-blocks"])
+    def test_plain_list_matches_parsed_line(self, lexicon, mini_gold, config):
+        texts = [ln.text for ln in mini_gold]
+        texts += [t for t, _ in wordbank.scannable_lines(30, seed=11)]
+        for text in texts:
+            parsed = phonological_parse(text, lexicon)
+            plain = list(parsed)
+            sites = find_figure_sites(parsed, config)
+            assert find_figure_sites(plain, config) == sites
+            try:
+                want = fit_to_target(parsed, sites, config)
+            except Unfittable as exc:
+                with pytest.raises(Unfittable) as info:
+                    fit_to_target(plain, sites, config)
+                assert (str(info.value), info.value.achievable,
+                        info.value.nearest) == (str(exc), exc.achievable,
+                                                exc.nearest)
+            else:
+                assert fit_to_target(plain, sites, config) == want
+
+    def test_flat_built_once_per_scan(self, lexicon, config, monkeypatch):
+        calls = []
+        build = scansion._build_flat
+
+        def counting(word_syllables):
+            calls.append(1)
+            return build(word_syllables)
+
+        monkeypatch.setattr(scansion, "_build_flat", counting)
+        scan_line(GARCILASO_LINE, lexicon, config)
+        assert len(calls) == 1
 
 
 class TestFindFigureSites:
