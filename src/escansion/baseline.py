@@ -250,17 +250,19 @@ def _scores_to_pattern(scores: np.ndarray) -> str:
     return "".join("+" if f else "-" for f in fired)
 
 
-def predict_scores(model: PositionalStressModel, line: str) -> np.ndarray:
+def _raw_scores(model: PositionalStressModel, line: str) -> np.ndarray:
+    """The 11 head scores of a line, before the sigmoid."""
     ids = featurize(line, model.vocab)
-    return _sigmoid(model.head_weights @ _hidden(model.embeddings, ids)
-                    + model.head_biases)
+    return model.head_weights @ _hidden(model.embeddings, ids) + model.head_biases
+
+
+def predict_scores(model: PositionalStressModel, line: str) -> np.ndarray:
+    return _sigmoid(_raw_scores(model, line))
 
 
 def predict(model: PositionalStressModel, line: str) -> str:
     """Always an 11-symbol pattern; the best head is forced on if none fire."""
-    ids = featurize(line, model.vocab)
-    scores = model.head_weights @ _hidden(model.embeddings, ids) + model.head_biases
-    return _scores_to_pattern(scores)
+    return _scores_to_pattern(_raw_scores(model, line))
 
 
 # --- serialization ----------------------------------------------------------

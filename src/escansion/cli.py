@@ -3,7 +3,9 @@
 Subcommands: scan, prepare, evaluate, score, baseline train/predict.
 Exit codes: 0 success, 1 environment or I/O problem, 2 bad input data.
 All randomness flows through an explicit --seed flag, so every command is
-byte-reproducible given the same inputs.
+byte-reproducible given the same inputs. Only the baseline subcommands
+import the baseline module, and with it numpy, so scan, evaluate and score
+start without it.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ import os
 import sys
 from pathlib import Path
 
-from . import baseline, corpus, metrics
-from .errors import DataError, Unfittable
+from . import corpus, metrics
+from .errors import DataError, NotUtf8, Unfittable
 from .phonology import StressLexicon, default_lexicon
 from .scansion import ScanConfig, scan_line
 
@@ -93,17 +95,22 @@ def cmd_scan(args) -> int:
             stack.enter_context(out)
         # line by line as read; splitlines on each chunk cuts the text
         # exactly where it would cut the whole input
-        for chunk in src:
-            for line in chunk.splitlines():
-                if not line.strip():
-                    continue
-                record, ok = _scan_record(line, lexicon, config)
-                if not ok:
-                    failed += 1
-                if args.format == "jsonl":
-                    out.write(json.dumps(record, ensure_ascii=False) + "\n")
-                else:
-                    out.write(_format_tsv(record) + "\n")
+        try:
+            for chunk in src:
+                for line in chunk.splitlines():
+                    if not line.strip():
+                        continue
+                    record, ok = _scan_record(line, lexicon, config)
+                    if not ok:
+                        failed += 1
+                    if args.format == "jsonl":
+                        out.write(json.dumps(record, ensure_ascii=False) + "\n")
+                    else:
+                        out.write(_format_tsv(record) + "\n")
+        except UnicodeDecodeError:
+            if src is sys.stdin:
+                raise
+            raise NotUtf8.in_file(args.input) from None
     return 2 if failed else 0
 
 
@@ -174,18 +181,18 @@ def cmd_evaluate(args) -> int:
 
 # --- baseline -------------------------------------------------------------------
 
-def _train_config(args) -> baseline.TrainConfig:
-    return baseline.TrainConfig(
+# baseline, and numpy with it, is imported by these two commands only
+
+def cmd_baseline_train(args) -> int:
+    from . import baseline
+    train_set = corpus.read_tsv(args.train)
+    eval_set = corpus.read_tsv(args.eval) if args.eval else []
+    config = baseline.TrainConfig(
         ngram_min=args.ngram_min, ngram_max=args.ngram_max,
         embedding_dim=args.dim, epochs=args.epochs,
         learning_rate=args.lr, seed=args.seed,
         patience=args.patience, bucket_count=args.buckets)
-
-
-def cmd_baseline_train(args) -> int:
-    train_set = corpus.read_tsv(args.train)
-    eval_set = corpus.read_tsv(args.eval) if args.eval else []
-    model = baseline.train(train_set, eval_set, _train_config(args))
+    model = baseline.train(train_set, eval_set, config)
     for entry in model.train_meta["history"]:
         acc = entry["eval_exact_match"]
         acc_str = "-" if acc is None else f"{acc:.2f}"
@@ -197,6 +204,7 @@ def cmd_baseline_train(args) -> int:
 
 
 def cmd_baseline_predict(args) -> int:
+    from . import baseline
     model = baseline.load_model(args.model)
     out = _open_out(args.output)
     try:
@@ -209,11 +217,10 @@ def cmd_baseline_predict(args) -> int:
                 pattern = baseline.predict(model, line.text)
                 out.write(f"{line.poem_id}\t{line.line_no}\t{pattern}\n")
         else:
-            with open(args.input, encoding="utf-8") as fh:
-                for raw in fh:
-                    raw = raw.strip()
-                    if raw:
-                        out.write(baseline.predict(model, raw) + "\n")
+            for _, raw in corpus.numbered_lines(args.input):
+                raw = raw.strip()
+                if raw:
+                    out.write(baseline.predict(model, raw) + "\n")
     finally:
         if out is not sys.stdout:
             out.close()

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .errors import InsufficientData, MalformedTsv, MalformedXml, UnnormalizableMet
+from .errors import (InsufficientData, MalformedTsv, MalformedXml, NotUtf8,
+                     UnnormalizableMet)
 from .scansion import check_pattern
 
 log = logging.getLogger(__name__)
@@ -236,29 +237,38 @@ def write_tsv(lines, path, include_manual: bool = False) -> None:
             fh.write("\t".join(row) + "\n")
 
 
+def numbered_lines(path):
+    """Yield (line number from 1, line) of a UTF-8 text file; bytes that do
+    not decode raise NotUtf8 naming their line."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from enumerate(fh, 1)
+        except UnicodeDecodeError:
+            raise NotUtf8.in_file(path) from None
+
+
 def read_tsv(path) -> list[CorpusLine]:
     """Read a canonical TSV; a bad row raises MalformedTsv naming path:line."""
     lines = []
-    with open(path, encoding="utf-8") as fh:
-        for row, raw in enumerate(fh, 1):
-            raw = raw.rstrip("\r\n")
-            if not raw:
-                continue
-            cols = raw.split("\t")
+    for row, raw in numbered_lines(path):
+        raw = raw.rstrip("\r\n")
+        if not raw:
+            continue
+        cols = raw.split("\t")
+        try:
+            if len(cols) < 4:
+                raise MalformedTsv(
+                    f"expected at least 4 columns, got {len(cols)}")
             try:
-                if len(cols) < 4:
-                    raise MalformedTsv(
-                        f"expected at least 4 columns, got {len(cols)}")
-                try:
-                    line_no = int(cols[1])
-                except ValueError:
-                    raise MalformedTsv(
-                        f"line_no {cols[1]!r} is not an integer") from None
-                manual = len(cols) > 4 and cols[4] == "1"
-                lines.append(CorpusLine(cols[0], line_no, cols[2],
-                                        normalize_met(cols[3]), manual))
-            except ValueError as exc:
-                raise MalformedTsv(f"{path}:{row}: {exc}") from exc
+                line_no = int(cols[1])
+            except ValueError:
+                raise MalformedTsv(
+                    f"line_no {cols[1]!r} is not an integer") from None
+            manual = len(cols) > 4 and cols[4] == "1"
+            lines.append(CorpusLine(cols[0], line_no, cols[2],
+                                    normalize_met(cols[3]), manual))
+        except ValueError as exc:
+            raise MalformedTsv(f"{path}:{row}: {exc}") from exc
     return lines
 
 

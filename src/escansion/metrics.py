@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import CorpusLine, normalize_met
+from .corpus import CorpusLine, normalize_met, numbered_lines
 from .errors import AlignmentError, EmptyInput, LengthMismatch
 
 PATTERN_LENGTH = 11
@@ -85,19 +85,18 @@ def evaluate(pairs, error_cap: int = ERROR_EXAMPLE_CAP) -> EvalReport:
 def _read_predictions(path) -> list[tuple[str | None, str | None, str]]:
     """Rows of (poem_id, line_no, pattern); ids are None for bare files."""
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            raw = raw.rstrip("\r\n")
-            if not raw or raw.startswith("#"):
-                continue
-            cols = raw.split("\t")
-            if len(cols) == 1:
-                rows.append((None, None, cols[0].strip()))
-            elif len(cols) >= 3:
-                rows.append((cols[0], cols[1], cols[2].strip()))
-            else:
-                raise AlignmentError(
-                    f"{path}: row {raw!r} has neither 1 nor 3+ columns")
+    for row, raw in numbered_lines(path):
+        raw = raw.rstrip("\r\n")
+        if not raw or raw.startswith("#"):
+            continue
+        cols = raw.split("\t")
+        if len(cols) == 1:
+            rows.append((None, None, cols[0].strip()))
+        elif len(cols) >= 3:
+            rows.append((cols[0], cols[1], cols[2].strip()))
+        else:
+            raise AlignmentError(
+                f"{path}:{row}: row {raw!r} has neither 1 nor 3+ columns")
     return rows
 
 

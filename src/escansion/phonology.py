@@ -33,7 +33,8 @@ from importlib import resources
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .errors import EmptyAfterNormalization, NoVowel
+from .errors import (DataError, EmptyAfterNormalization, MalformedLexicon,
+                     NoVowel, NotUtf8)
 
 # Vowel letters. 'ï' is kept because Golden Age editions mark forced
 # dieresis with it (vïola, rüido); it always breaks a diphthong, as does
@@ -323,25 +324,31 @@ class StressLexicon:
     def load(cls, path) -> "StressLexicon":
         unstressed, overrides = set(), {}
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-        for line in text.splitlines():
+            try:
+                text = fh.read()
+            except UnicodeDecodeError:
+                raise NotUtf8.in_file(path) from None
+        for row, line in enumerate(text.splitlines(), 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "\t" in line:
-                word, value = line.split("\t", 1)
-                value = value.strip()
-                if value not in ("stressed", "unstressed"):
-                    raise ValueError(
-                        f"override for {word!r} must be stressed|unstressed, "
-                        f"got {value!r}")
-                word = normalize_token(word).normalized
-                overrides[word] = value == "stressed"
-                unstressed.discard(word)
-            else:
-                word = normalize_token(line).normalized
-                if word not in overrides:
-                    unstressed.add(word)
+            try:
+                if "\t" in line:
+                    word, value = line.split("\t", 1)
+                    value = value.strip()
+                    if value not in ("stressed", "unstressed"):
+                        raise MalformedLexicon(
+                            f"override for {word!r} must be "
+                            f"stressed|unstressed, got {value!r}")
+                    word = normalize_token(word).normalized
+                    overrides[word] = value == "stressed"
+                    unstressed.discard(word)
+                else:
+                    word = normalize_token(line).normalized
+                    if word not in overrides:
+                        unstressed.add(word)
+            except DataError as exc:
+                raise MalformedLexicon(f"{path}:{row}: {exc}") from exc
         return cls(frozenset(unstressed), overrides)
 
 

@@ -10,6 +10,21 @@ from escansion.corpus import bundled_mini_gold, write_tsv
 from test_corpus import SONNET_TEI
 
 LINE = "cubra de nieve la hermosa cumbre"
+NOT_UTF8 = b"caf\xff"  # 0xff starts no UTF-8 sequence
+
+
+def _run_cli(*argv):
+    """``python -m escansion ARGV`` in a fresh interpreter."""
+    return subprocess.run([sys.executable, "-m", "escansion", *map(str, argv)],
+                          capture_output=True, text=True)
+
+
+def _assert_data_error_at(proc, where):
+    """Exit 2 with one stderr line naming ``where`` (path:line), no traceback."""
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert f"{where}: " in proc.stderr
 
 
 @pytest.fixture
@@ -283,3 +298,102 @@ class TestBaselineCommands:
         a, b = models
         assert a.train_meta["epochs_run"] == 2
         assert b.train_meta["epochs_run"] == 5
+
+
+def _tiny_model(tmp_path):
+    import wordbank
+    from escansion.baseline import TrainConfig, save_model, train
+    path = tmp_path / "model.json"
+    config = TrainConfig(embedding_dim=4, epochs=1, bucket_count=8)
+    save_model(train(wordbank.synthetic_corpus(14, seed=3), [], config), path)
+    return path
+
+
+class TestNumpyOnlyForBaseline:
+    """Only the baseline subcommands import numpy. Each case runs in a fresh
+    interpreter, since this one has imported numpy already."""
+
+    _SCRIPT = ("import sys\n"
+               "from escansion.cli import main\n"
+               "code = main(sys.argv[1:])\n"
+               "print(code, 'numpy' in sys.modules)\n")
+
+    def _exit_and_numpy(self, *argv):
+        proc = subprocess.run(
+            [sys.executable, "-c", self._SCRIPT, *map(str, argv)],
+            capture_output=True, text=True)
+        assert proc.stderr == ""
+        return proc.stdout.splitlines()[-1]
+
+    @pytest.mark.parametrize("command", [
+        "scan", "evaluate-engine", "evaluate-pred", "score"])
+    def test_scan_evaluate_score_leave_numpy_out(self, command, gold_tsv,
+                                                 tmp_path):
+        verses = tmp_path / "verses.txt"
+        verses.write_text(LINE + "\n", encoding="utf-8")
+        pred = tmp_path / "pred.txt"
+        pred.write_text("".join(l.gold + "\n"
+                                for l in bundled_mini_gold()[:12]),
+                        encoding="utf-8")
+        argv = {
+            "scan": ["scan", verses, "-o", tmp_path / "out.tsv"],
+            "evaluate-engine": ["evaluate", "--gold", gold_tsv, "--engine"],
+            "evaluate-pred": ["evaluate", "--gold", gold_tsv, "--pred", pred],
+            "score": ["score", "--gold", gold_tsv, "--pred", pred],
+        }[command]
+        assert self._exit_and_numpy(*argv) == "0 False"
+
+    def test_baseline_predict_loads_numpy(self, gold_tsv, tmp_path):
+        argv = ["baseline", "predict", "--model", _tiny_model(tmp_path),
+                "--input", gold_tsv, "-o", tmp_path / "preds.tsv"]
+        assert self._exit_and_numpy(*argv) == "0 True"
+
+
+class TestUnreadableInput:
+    def test_scan_keeps_records_written_before_the_bad_line(self, tmp_path):
+        src = tmp_path / "verses.txt"
+        good = (LINE + "\n").encode("utf-8")
+        src.write_bytes(good * 400 + NOT_UTF8 + b"\n" + good)  # 400 > 1 buffer
+        proc = _run_cli("scan", src)
+        _assert_data_error_at(proc, f"{src}:401")
+        written = proc.stdout.splitlines()
+        assert 0 < len(written) < 400
+        assert len(set(written)) == 1 and "+--+---+-+-" in written[0]
+
+    @pytest.mark.parametrize("reader", [
+        "evaluate-gold", "score-pred", "predict-input", "scan-lexicon"])
+    def test_not_utf8_names_path_and_line(self, reader, gold_tsv, tmp_path):
+        first_line = {
+            "evaluate-gold": f"p1\t1\t{LINE}\t+--+---+-+-",
+            "score-pred": "+--+---+-+-",
+            "predict-input": LINE,
+            "scan-lexicon": "que",
+        }[reader]
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(first_line.encode("utf-8") + b"\n" + NOT_UTF8 + b"\n")
+        verses = tmp_path / "verses.txt"
+        verses.write_text(LINE + "\n", encoding="utf-8")
+        argv = {
+            "evaluate-gold": ["evaluate", "--gold", bad, "--engine"],
+            "score-pred": ["score", "--gold", gold_tsv, "--pred", bad],
+            "predict-input": ["baseline", "predict", "--model",
+                              _tiny_model(tmp_path), "--input", bad],
+            "scan-lexicon": ["scan", "--lexicon", bad, verses],
+        }[reader]
+        proc = _run_cli(*argv)
+        _assert_data_error_at(proc, f"{bad}:2")
+        assert "not UTF-8" in proc.stderr
+
+    @pytest.mark.parametrize("entry,reason", [
+        ("que\tmaybe", "must be stressed|unstressed"),
+        ("...", "nothing left of token"),
+    ], ids=["bad-override", "no-word"])
+    def test_bad_lexicon_line_names_path_and_line(self, entry, reason,
+                                                  tmp_path):
+        lexicon = tmp_path / "lexicon.txt"
+        lexicon.write_text(f"el\n{entry}\n", encoding="utf-8")
+        verses = tmp_path / "verses.txt"
+        verses.write_text(LINE + "\n", encoding="utf-8")
+        proc = _run_cli("scan", "--lexicon", lexicon, verses)
+        _assert_data_error_at(proc, f"{lexicon}:2")
+        assert reason in proc.stderr

@@ -140,6 +140,14 @@ class TestScorePredictionsFile:
         pred.write_text("-+---+---+\n", encoding="utf-8")  # oxytone 10
         assert score_predictions_file(pred, gold).accuracy == 100.0
 
+    def test_bad_row_names_its_line(self, tmp_path):
+        pred = tmp_path / "preds.tsv"
+        pred.write_text(f"p0\t1\t{P}\n# comment\np0\t2\n", encoding="utf-8")
+        with pytest.raises(AlignmentError) as info:
+            score_predictions_file(pred, _gold())
+        assert str(info.value).startswith(f"{pred}:3: ")
+        assert "neither 1 nor 3+ columns" in str(info.value)
+
 
 def test_format_report_two_decimals():
     report = evaluate([(P, P, "a"), ("+" * 11, P, "b"), (P, P, "c")])
