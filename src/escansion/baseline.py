@@ -19,9 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import clean_text
 from .errors import CorruptModelFile, EmptyTrainingSet
 from .metrics import PATTERN_LENGTH
+from .phonology import clean_text
 
 _FORMAT = "escansion-baseline"
 _VERSION = 1
@@ -130,21 +130,28 @@ def _bce(scores: np.ndarray, targets: np.ndarray) -> float:
                         + np.maximum(scores, 0) - scores * targets))
 
 
+def _example_step(embeddings, head_weights, head_biases, ids, targets):
+    """One example's summed BCE, hidden vector and score gradient."""
+    h = _hidden(embeddings, ids)
+    scores = head_weights @ h + head_biases
+    return _bce(scores, targets), h, _sigmoid(scores) - targets
+
+
 def loss_and_grads(embeddings, head_weights, head_biases, examples):
     """Mean summed-BCE loss and its analytic gradients over a batch.
 
     ``examples`` is a list of (feature ids, 11-dim target vector) pairs.
-    Exposed so the gradients can be checked against finite differences.
+    Exposed so the gradients can be checked against finite differences;
+    ``train`` takes its steps from the same ``_example_step``.
     """
     grad_e = np.zeros_like(embeddings)
     grad_w = np.zeros_like(head_weights)
     grad_b = np.zeros_like(head_biases)
     loss = 0.0
     for ids, targets in examples:
-        h = _hidden(embeddings, ids)
-        scores = head_weights @ h + head_biases
-        loss += _bce(scores, targets)
-        g = _sigmoid(scores) - targets
+        example_loss, h, g = _example_step(embeddings, head_weights,
+                                           head_biases, ids, targets)
+        loss += example_loss
         grad_w += np.outer(g, h)
         grad_b += g
         if ids:
@@ -207,10 +214,9 @@ def train(train_set, eval_set, config: TrainConfig | None = None) -> PositionalS
         epoch_loss = 0.0
         for idx in order:
             ids, y = features[idx], targets[idx]
-            h = _hidden(embeddings, ids)
-            scores = head_weights @ h + head_biases
-            epoch_loss += _bce(scores, y)
-            g = _sigmoid(scores) - y
+            loss, h, g = _example_step(embeddings, head_weights, head_biases,
+                                       ids, y)
+            epoch_loss += loss
             grad_h = head_weights.T @ g
             head_weights -= lr * np.outer(g, h)
             head_biases -= lr * g

@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import corpus, metrics
-from .errors import DataError, NotUtf8, Unfittable
+from .errors import DataError, Unfittable
 from .phonology import StressLexicon, default_lexicon
 from .scansion import ScanConfig, scan_line
 
@@ -36,7 +36,7 @@ def _load_lexicon(path: str | None) -> StressLexicon:
 def _open_out(path: str | None):
     if path and path != "-":
         return open(path, "w", encoding="utf-8")
-    return sys.stdout
+    return contextlib.nullcontext(sys.stdout)
 
 
 # --- scan --------------------------------------------------------------------
@@ -85,32 +85,24 @@ def cmd_scan(args) -> int:
                         h_blocks_synalepha=args.h_blocks_synalepha,
                         emit_diagnostics=args.diagnostics)
     failed = 0
-    with contextlib.ExitStack() as stack:
-        if args.input and args.input != "-":
-            src = stack.enter_context(open(args.input, encoding="utf-8"))
-        else:
-            src = sys.stdin
-        out = _open_out(args.output)
-        if out is not sys.stdout:
-            stack.enter_context(out)
+    if args.input and args.input != "-":
+        src = corpus.numbered_lines(args.input)
+    else:
+        src = enumerate(sys.stdin, 1)
+    with _open_out(args.output) as out:
         # line by line as read; splitlines on each chunk cuts the text
         # exactly where it would cut the whole input
-        try:
-            for chunk in src:
-                for line in chunk.splitlines():
-                    if not line.strip():
-                        continue
-                    record, ok = _scan_record(line, lexicon, config)
-                    if not ok:
-                        failed += 1
-                    if args.format == "jsonl":
-                        out.write(json.dumps(record, ensure_ascii=False) + "\n")
-                    else:
-                        out.write(_format_tsv(record) + "\n")
-        except UnicodeDecodeError:
-            if src is sys.stdin:
-                raise
-            raise NotUtf8.in_file(args.input) from None
+        for _, chunk in src:
+            for line in chunk.splitlines():
+                if not line.strip():
+                    continue
+                record, ok = _scan_record(line, lexicon, config)
+                if not ok:
+                    failed += 1
+                if args.format == "jsonl":
+                    out.write(json.dumps(record, ensure_ascii=False) + "\n")
+                else:
+                    out.write(_format_tsv(record) + "\n")
     return 2 if failed else 0
 
 
@@ -206,14 +198,13 @@ def cmd_baseline_train(args) -> int:
 def cmd_baseline_predict(args) -> int:
     from . import baseline
     model = baseline.load_model(args.model)
-    out = _open_out(args.output)
-    try:
-        try:
-            gold = corpus.read_tsv(args.input)
-        except DataError:
-            gold = None
-        if gold is not None:
-            for line in gold:
+    # a tab on the first non-blank line makes the file a canonical TSV,
+    # whose bad rows are errors; otherwise every line is verse
+    first = next((raw for _, raw in corpus.numbered_lines(args.input)
+                  if raw.strip()), "")
+    with _open_out(args.output) as out:
+        if "\t" in first:
+            for line in corpus.read_tsv(args.input):
                 pattern = baseline.predict(model, line.text)
                 out.write(f"{line.poem_id}\t{line.line_no}\t{pattern}\n")
         else:
@@ -221,9 +212,6 @@ def cmd_baseline_predict(args) -> int:
                 raw = raw.strip()
                 if raw:
                     out.write(baseline.predict(model, raw) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 

@@ -15,15 +15,14 @@ from __future__ import annotations
 import json
 import logging
 import random
-import re
-import unicodedata
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .errors import (InsufficientData, MalformedTsv, MalformedXml, NotUtf8,
-                     UnnormalizableMet)
+from .errors import (InsufficientData, MalformedTei, MalformedTsv,
+                     MalformedXml, NotUtf8, UnnormalizableMet)
+from .phonology import clean_text
 from .scansion import check_pattern
 
 log = logging.getLogger(__name__)
@@ -31,10 +30,6 @@ log = logging.getLogger(__name__)
 # Reverse-engineered from the published line counts 6558/2187/1401 of a
 # 10146-line corpus.
 DEFAULT_RATIOS = (6558 / 10146, 2187 / 10146, 1401 / 10146)
-
-_WORD_CHARS = "a-záéíóúüïñ"
-_DROP_RE = re.compile(rf"[^{_WORD_CHARS}'\- ]")
-_TRANSLIT = str.maketrans("çàèìòù", "zaeiou")
 
 
 @dataclass(frozen=True)
@@ -100,13 +95,6 @@ def normalize_met(raw: str) -> str:
     return check_pattern(met)
 
 
-def clean_text(text: str) -> str:
-    """Lowercase and strip punctuation/digits, keeping Spanish letters."""
-    text = unicodedata.normalize("NFC", text).lower().translate(_TRANSLIT)
-    text = _DROP_RE.sub(" ", text)
-    return " ".join(text.split())
-
-
 def _local(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
@@ -119,7 +107,9 @@ def _looks_manual(attrs: dict) -> bool:
 def parse_tei(path) -> list[CorpusLine]:
     """Extract one CorpusLine per annotated verse element, in document order.
 
-    Lines without a met attribute are skipped and counted in a warning.
+    Lines without a met attribute are skipped and counted in a warning; a
+    bad met or a number below 1 raises MalformedTei naming the file, the
+    poem and the line.
     The poem identifier comes from the nearest ancestor div/lg xml:id when
     present, otherwise from the file stem plus a running poem counter.
     """
@@ -154,13 +144,13 @@ def parse_tei(path) -> list[CorpusLine]:
                     number = int(attrs.get("n", ""))
                 except ValueError:
                     number = counter[0]
-                lines.append(CorpusLine(
-                    poem_id=poem_id or path.stem,
-                    line_no=number,
-                    text=text,
-                    gold=normalize_met(met),
-                    manual=child_manual,
-                ))
+                pid = poem_id or path.stem
+                try:
+                    lines.append(CorpusLine(pid, number, text,
+                                            normalize_met(met), child_manual))
+                except ValueError as exc:
+                    raise MalformedTei(
+                        f"{path}: poem {pid}, l {number}: {exc}") from exc
             else:
                 walk(child, poem_id, child_manual, counter)
 
@@ -238,13 +228,18 @@ def write_tsv(lines, path, include_manual: bool = False) -> None:
 
 
 def numbered_lines(path):
-    """Yield (line number from 1, line) of a UTF-8 text file; bytes that do
-    not decode raise NotUtf8 naming their line."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            yield from enumerate(fh, 1)
-        except UnicodeDecodeError:
-            raise NotUtf8.in_file(path) from None
+    """(line number from 1, line) pairs of a UTF-8 text file; bytes that do
+    not decode raise NotUtf8 naming their line. The file opens at the call,
+    so a missing one fails before anything else happens."""
+    fh = open(path, encoding="utf-8")
+
+    def pairs():
+        with fh:
+            try:
+                yield from enumerate(fh, 1)
+            except UnicodeDecodeError:
+                raise NotUtf8.in_file(path) from None
+    return pairs()
 
 
 def read_tsv(path) -> list[CorpusLine]:

@@ -39,6 +39,10 @@ class MalformedXml(DataError):
     """Input file is not well-formed XML."""
 
 
+class MalformedTei(DataError):
+    """A TEI verse line carries a met or a number that does not parse."""
+
+
 class MalformedTsv(DataError):
     """A TSV row has too few columns or a field that does not parse."""
 

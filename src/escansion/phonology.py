@@ -20,6 +20,10 @@ stresses the word and forced tonic as at the end of a line. The cache holds
 at most ``_CACHE_SIZE`` tokens and is emptied when full, so open-ended
 vocabularies cost bounded memory. The lexicon's lists are read-only, so a
 cached stress cannot go stale.
+
+This module also owns text normalization for scan, ``prepare`` and the
+baseline: ``clean_text`` folds a line to lowercase Spanish letters and
+marks, and ``normalize_token`` is the same fold applied to one token.
 """
 
 from __future__ import annotations
@@ -52,6 +56,8 @@ _MARKS = "'-"
 # Old orthography: ç for modern z, grave accents on atonic particles.
 _TRANSLIT = str.maketrans("çàèìòù", "zaeiou")
 _KEEP = VOWEL_CHARS | set("bcdfghjklmnñpqrstvwxyz") | set(_MARKS)
+# anything but a kept character or a space
+_DROP_RE = re.compile("[^" + re.escape("".join(sorted(_KEEP))) + " ]")
 
 # Words ending in "mente" that are not adverbs (nouns, adjectives and
 # -mentar verb forms); adverbs in -mente carry two prosodic stresses.
@@ -107,16 +113,22 @@ class SyllabifiedWord:
         return "-".join(self.syllables)
 
 
+def clean_text(text: str) -> str:
+    """Lowercase and turn all but Spanish letters, ' and - into single
+    spaces, so ``a,b`` is two words."""
+    text = unicodedata.normalize("NFC", text).lower().translate(_TRANSLIT)
+    return " ".join(_DROP_RE.sub(" ", text).split())
+
+
 def normalize_token(raw: str) -> Word:
     """Lowercase a token and strip everything that is not a Spanish letter.
 
-    Diacritics are preserved; word-internal apostrophes and hyphens survive
-    (archaic contractions like d'amor). Raises EmptyAfterNormalization when
-    nothing pronounceable remains.
+    ``clean_text`` with the spaces removed, so characters it drops vanish
+    inside the token. Diacritics are preserved; word-internal apostrophes
+    and hyphens survive (archaic contractions like d'amor). Raises
+    EmptyAfterNormalization when nothing pronounceable remains.
     """
-    text = unicodedata.normalize("NFC", raw).lower().translate(_TRANSLIT)
-    text = "".join(c for c in text if c in _KEEP)
-    text = text.strip(_MARKS)
+    text = clean_text(raw).replace(" ", "").strip(_MARKS)
     text = re.sub(r"['-]{2,}", lambda m: m.group(0)[0], text)
     if not text:
         raise EmptyAfterNormalization(f"nothing left of token {raw!r}")

@@ -3,8 +3,8 @@
 A parsed line is a flat sequence of phonological syllables, each stressed
 or not. ``phonological_parse`` returns it as a ``ParsedLine``: the words,
 plus that sequence built once from the lexicon's cached word analyses, so
-finding sites and fitting do not rebuild it. Both also accept a plain list
-of words and build the sequence themselves. Three figures can reshape it:
+finding sites and fitting read it instead of rebuilding it. Three figures
+can reshape it:
 
 * synalepha  - merges the last syllable of a word with the vowel-initial
                first syllable of the next word (-1 per merged boundary);
@@ -47,11 +47,9 @@ from .phonology import (
     VOWEL_CHARS,
     StressLexicon,
     Syllable,
-    SyllabifiedWord,
     WordAnalysis,
     analyze_token,
     default_lexicon,
-    syllable_shapes,
 )
 
 _FIGURES = ("synalepha", "syneresis", "dieresis")
@@ -174,17 +172,6 @@ class ParsedLine(list):
                                 + [analyses[-1].tonic])
 
 
-def _flat_of(words: list[SyllabifiedWord]) -> _Flat:
-    """The flat sequence a ``ParsedLine`` carries, or one built for a
-    plain list of words."""
-    flat = getattr(words, "flat", None)
-    if flat is None:
-        last = len(words) - 1
-        flat = _build_flat(syllable_shapes(sw, force=wi == last)
-                           for wi, sw in enumerate(words))
-    return flat
-
-
 def phonological_parse(line: str, lexicon: StressLexicon) -> ParsedLine:
     """Tokenize, syllabify and stress every word of a raw verse line."""
     analyses = []
@@ -222,11 +209,11 @@ def _begins_with_vowel_sound(normalized: str, h_blocks: bool) -> bool:
     return False
 
 
-def find_figure_sites(words: list[SyllabifiedWord],
+def find_figure_sites(words: ParsedLine,
                       config: ScanConfig | None = None) -> list[FigureSite]:
     """Enumerate every applicable figure, left to right."""
     config = config or ScanConfig()
-    flat, starts = _flat_of(words)
+    flat, starts = words.flat
 
     sites = []
     for wi in range(len(words) - 1):
@@ -363,9 +350,10 @@ def pattern_of(candidate: ScanCandidate, config: ScanConfig | None = None) -> st
 def _drop_priority(sites: list[FigureSite]) -> dict[int, int]:
     """Rank synalepha sites by how readily they are left unapplied."""
     syna = [i for i, s in enumerate(sites) if s.kind == "synalepha"]
-    first = [i for i in syna if sites[i].involves_stress or sites[i].through_h]
-    rest = [i for i in syna if i not in first]
-    return {site_idx: rank for rank, site_idx in enumerate(first + rest)}
+    # stable: sites touching stress or h first, each group left to right
+    syna.sort(key=lambda i: not (sites[i].involves_stress
+                                 or sites[i].through_h))
+    return {site_idx: rank for rank, site_idx in enumerate(syna)}
 
 
 def _site_deltas(sites: list[FigureSite],
@@ -464,7 +452,7 @@ def _unfittable(steps, sites, target) -> Unfittable:
         achievable=achievable, nearest=previews)
 
 
-def fit_to_target(words: list[SyllabifiedWord], sites: list[FigureSite],
+def fit_to_target(words: ParsedLine, sites: list[FigureSite],
                   config: ScanConfig | None = None) -> ScansionResult:
     """Choose the figure subset that lands the line on the target length.
 
@@ -475,7 +463,7 @@ def fit_to_target(words: list[SyllabifiedWord], sites: list[FigureSite],
     """
     config = config or ScanConfig()
     target = config.target_length
-    steps = _choices(_flat_of(words).syllables, sites)
+    steps = _choices(words.flat.syllables, sites)
     deltas = _site_deltas(sites, config.figure_preference)
     full = 1 << target
 
@@ -487,7 +475,10 @@ def fit_to_target(words: list[SyllabifiedWord], sites: list[FigureSite],
     for choices in steps + [[(0, (), (0, 1, 0))]]:
         grown: dict[int, tuple[int, int, int]] = {}
         for bits, _, move in choices:
-            added = sum(d for i, d in enumerate(deltas) if bits >> i & 1)
+            added, rest = 0, bits
+            while rest:  # a choice sets at most two bits
+                added += deltas[(rest & -rest).bit_length() - 1]
+                rest &= rest - 1
             for state, (cost, mask, paths) in states.items():
                 nxt = _advance(state, move, target + 1)
                 if nxt is None:

@@ -121,6 +121,31 @@ class TestGradients:
 
 
 class TestTrain:
+    def test_steps_follow_the_checked_gradient(self):
+        # one example, so each epoch is one SGD step from the gradient that
+        # loss_and_grads gives and the finite-difference test checks
+        config = _tiny_config(epochs=3)
+        text, pattern = TINY[0]
+        model = train([(text, pattern)], [], config)
+        vocab = build_vocab([text], config)
+        example = [(featurize(text, vocab), _pattern_targets(pattern))]
+        dim, lr = config.embedding_dim, config.learning_rate
+        emb = np.random.default_rng(config.seed).uniform(
+            -0.5 / dim, 0.5 / dim, size=(vocab.size, dim))
+        weights = np.zeros((PATTERN_LENGTH, dim))
+        biases = np.zeros(PATTERN_LENGTH)
+        for entry in model.train_meta["history"]:
+            loss, grad_e, grad_w, grad_b = loss_and_grads(
+                emb, weights, biases, example)
+            assert entry["train_loss"] == pytest.approx(loss, rel=1e-12)
+            emb = emb - lr * grad_e
+            weights = weights - lr * grad_w
+            biases = biases - lr * grad_b
+        assert len(model.train_meta["history"]) == 3
+        assert np.allclose(model.embeddings, emb, rtol=1e-12, atol=1e-15)
+        assert np.allclose(model.head_weights, weights, rtol=1e-12, atol=1e-15)
+        assert np.allclose(model.head_biases, biases, rtol=1e-12, atol=1e-15)
+
     def test_memorizes_single_line(self):
         line = TINY[0]
         config = _tiny_config(epochs=100, embedding_dim=16)

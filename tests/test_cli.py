@@ -79,6 +79,12 @@ class TestScan:
     def test_missing_input_is_io_error(self, tmp_path):
         assert main(["scan", str(tmp_path / "nope.txt")]) == 1
 
+    def test_missing_input_leaves_output_untouched(self, tmp_path):
+        out = tmp_path / "out.tsv"
+        out.write_text("earlier results\n", encoding="utf-8")
+        assert main(["scan", str(tmp_path / "nope.txt"), "-o", str(out)]) == 1
+        assert out.read_text(encoding="utf-8") == "earlier results\n"
+
     def test_stdin_via_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "escansion", "scan"],
@@ -197,6 +203,21 @@ class TestPrepare:
         assert main(["prepare", "--tei", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("element,where,reason", [
+        ('<l n="0" met="+--+---+-+-">', "poem s001, l 0", "line_no starts at 1"),
+        ('<l n="2" met="abc">', "poem s001, l 2", "not over +/- or 1/0"),
+    ], ids=["line-zero", "bad-met"])
+    def test_bad_annotation_is_data_error(self, element, where, reason,
+                                          tmp_path, capsys):
+        tei = tmp_path / "c.xml"
+        tei.write_text(SONNET_TEI.replace('<l n="2" met="-+---+---+-">',
+                                          element), encoding="utf-8")
+        assert main(["prepare", "--tei", str(tei),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert f"{tei}: {where}: " in err and reason in err
+
 
 class TestEvaluateAndScore:
     def test_gold_against_itself(self, gold_tsv, tmp_path, capsys):
@@ -276,6 +297,36 @@ class TestBaselineCommands:
         assert main(["score", "--gold", str(tmp_path / "test.tsv"),
                      "--pred", str(preds)]) == 0
         assert "accuracy" in capsys.readouterr().out
+
+    def test_predict_bad_tsv_row_is_data_error(self, tmp_path, capsys):
+        gold = tmp_path / "gold.tsv"
+        gold.write_text(f"p1\t1\t{LINE}\t+--+---+-+-\n"
+                        f"p1\tx\t{LINE}\t+--+---+-+-\n", encoding="utf-8")
+        model = _tiny_model(tmp_path)
+        assert main(["baseline", "predict", "--model", str(model),
+                     "--input", str(gold)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert f"{gold}:2: " in captured.err
+
+    @pytest.mark.parametrize("text,keyed", [
+        (f"\n{LINE}\nen tanto\tque de rosa\n", False),
+        (f"\n\np1\t1\t{LINE}\t+--+---+-+-\n", True),
+    ], ids=["verse", "tsv-after-blank-lines"])
+    def test_predict_format_from_first_non_blank_line(self, text, keyed,
+                                                      tmp_path, capsys):
+        src = tmp_path / "input.txt"
+        src.write_text(text, encoding="utf-8")
+        model = _tiny_model(tmp_path)
+        assert main(["baseline", "predict", "--model", str(model),
+                     "--input", str(src)]) == 0
+        rows = [row.split("\t") for row in capsys.readouterr().out.splitlines()]
+        if keyed:
+            assert [row[:2] for row in rows] == [["p1", "1"]]
+        else:
+            assert [len(row) for row in rows] == [1, 1]
+        assert all(len(row[-1]) == 11 for row in rows)
 
     def test_predict_missing_model(self, tmp_path):
         assert main(["baseline", "predict",

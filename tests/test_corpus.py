@@ -155,6 +155,7 @@ class TestDedupeAndClean:
     def test_clean_text_examples(self):
         assert clean_text("¡Oh dulces prendas...!") == "oh dulces prendas"
         assert clean_text("  doble   espacio ") == "doble espacio"
+        assert clean_text("Rosa,Azucena") == "rosa azucena"
 
 
 def _toy_corpus(n_poems=12, lines_per_poem=4):

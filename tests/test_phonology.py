@@ -1,3 +1,6 @@
+import re
+import unicodedata
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -7,12 +10,14 @@ from escansion.phonology import (
     StressLexicon,
     analyze_token,
     analyze_word,
+    clean_text,
     is_prosodically_stressed,
     lexical_stress,
     normalize_token,
     nucleus_of,
     stressed_syllable_indices,
     syllabify,
+    Word,
     _group_nuclei,
     _tokenize,
 )
@@ -75,6 +80,7 @@ def words(min_size=1, max_size=12, alphabet=_WORD_ALPHABET):
 class TestNormalizeToken:
     def test_strips_punctuation_and_lowercases(self):
         assert normalize_token("Cumbre,").normalized == "cumbre"
+        assert normalize_token("Rosa,Azucena").normalized == "rosaazucena"
 
     def test_keeps_diacritics(self):
         assert normalize_token("—¿Qué?").normalized == "qué"
@@ -95,6 +101,54 @@ class TestNormalizeToken:
 
     def test_edge_marks_stripped(self):
         assert normalize_token("'cumbre-").normalized == "cumbre"
+
+
+# The two normalizers as they were before they shared one implementation,
+# with the module constants they read written out: the shared one must
+# give the same outputs.
+_TRANSLIT = str.maketrans("çàèìòù", "zaeiou")
+_MARKS = "'-"
+_KEEP = (set("aeiouáéíóúüï") | set("bcdfghjklmnñpqrstvwxyz")
+         | set(_MARKS))
+_WORD_CHARS = "a-záéíóúüïñ"
+_DROP_RE = re.compile(rf"[^{_WORD_CHARS}'\- ]")
+
+
+def _reference_normalize_token(raw: str) -> Word:
+    text = unicodedata.normalize("NFC", raw).lower().translate(_TRANSLIT)
+    text = "".join(c for c in text if c in _KEEP)
+    text = text.strip(_MARKS)
+    text = re.sub(r"['-]{2,}", lambda m: m.group(0)[0], text)
+    if not text:
+        raise EmptyAfterNormalization(f"nothing left of token {raw!r}")
+    return Word(surface=raw, normalized=text)
+
+
+def _reference_clean_text(text: str) -> str:
+    text = unicodedata.normalize("NFC", text).lower().translate(_TRANSLIT)
+    text = _DROP_RE.sub(" ", text)
+    return " ".join(text.split())
+
+
+# characters the fold treats specially, mixed into arbitrary text
+_AWKWARD = st.sampled_from(list(
+    "aAeÉíÍüÜïñÑçÇàÈìÒùßİﬁ'-,.; \t\x85\u0301\u0308\u0327\u00a0"))
+
+
+def _outcome(normalize, raw):
+    try:
+        return normalize(raw)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestOneNormalizer:
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(st.text(), st.lists(_AWKWARD).map("".join)))
+    def test_matches_the_reference(self, raw):
+        assert clean_text(raw) == _reference_clean_text(raw)
+        assert _outcome(normalize_token, raw) == _outcome(
+            _reference_normalize_token, raw)
 
 
 class TestSyllabify:

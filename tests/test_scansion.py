@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -96,32 +97,6 @@ class TestParseOnce:
                 assert len(lexicon._analyses) <= phonology._CACHE_SIZE
         assert len(seen) > phonology._CACHE_SIZE
 
-    @pytest.mark.parametrize("config", [
-        ScanConfig(),
-        ScanConfig(emit_diagnostics=True, prefer_rhythmic_template=False,
-                   figure_preference=("dieresis", "syneresis", "synalepha")),
-        ScanConfig(target_length=8, h_blocks_synalepha=True,
-                   emit_diagnostics=True),
-    ], ids=["default", "dieresis-first", "target-8-h-blocks"])
-    def test_plain_list_matches_parsed_line(self, lexicon, mini_gold, config):
-        texts = [ln.text for ln in mini_gold]
-        texts += [t for t, _ in wordbank.scannable_lines(30, seed=11)]
-        for text in texts:
-            parsed = phonological_parse(text, lexicon)
-            plain = list(parsed)
-            sites = find_figure_sites(parsed, config)
-            assert find_figure_sites(plain, config) == sites
-            try:
-                want = fit_to_target(parsed, sites, config)
-            except Unfittable as exc:
-                with pytest.raises(Unfittable) as info:
-                    fit_to_target(plain, sites, config)
-                assert (str(info.value), info.value.achievable,
-                        info.value.nearest) == (str(exc), exc.achievable,
-                                                exc.nearest)
-            else:
-                assert fit_to_target(plain, sites, config) == want
-
     def test_flat_built_once_per_scan(self, lexicon, config, monkeypatch):
         calls = []
         build = scansion._build_flat
@@ -133,6 +108,21 @@ class TestParseOnce:
         monkeypatch.setattr(scansion, "_build_flat", counting)
         scan_line(GARCILASO_LINE, lexicon, config)
         assert len(calls) == 1
+
+    def test_scan_calls_each_stage_once_through_the_module(
+            self, lexicon, config, monkeypatch):
+        # per-stage timing wraps these module globals, so scan_line must
+        # reach each stage through them, once per line
+        calls = []
+        for name in ("phonological_parse", "find_figure_sites",
+                     "fit_to_target"):
+            def counting(*args, _stage=getattr(scansion, name), _name=name):
+                calls.append(_name)
+                return _stage(*args)
+            monkeypatch.setattr(scansion, name, counting)
+        scan_line(GARCILASO_LINE, lexicon, config)
+        assert calls == ["phonological_parse", "find_figure_sites",
+                         "fit_to_target"]
 
 
 class TestFindFigureSites:
@@ -272,6 +262,15 @@ class TestFitAndScan:
         check_pattern(result.pattern)
         assert result.candidate.metrical_length == 11
         assert pattern_of(result.candidate, config) == result.pattern
+
+    def test_long_vowel_run_scans_in_linear_time(self, lexicon, config):
+        # one syneresis site per letter: the fit must stay linear in sites
+        start = time.perf_counter()
+        try:
+            check_pattern(scan_line("a" * 5000, lexicon, config).pattern)
+        except Unfittable:
+            pass
+        assert time.perf_counter() - start < 1.0
 
 
 class TestPatternOf:
