@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CorruptModelFile, EmptyTrainingSet
+from .errors import CorruptModelFile, DataError, EmptyTrainingSet
 from .metrics import PATTERN_LENGTH
 from .phonology import clean_text
 
@@ -39,10 +39,11 @@ class TrainConfig:
     bucket_count: int = 10000
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
-        if not 1 <= self.ngram_min <= self.ngram_max:
-            raise ValueError("need 1 <= ngram_min <= ngram_max")
+        for name in ("epochs", "embedding_dim", "bucket_count", "ngram_min"):
+            if getattr(self, name) < 1:
+                raise DataError(f"{name} must be at least 1")
+        if self.ngram_min > self.ngram_max:
+            raise DataError("ngram_min must not exceed ngram_max")
 
 
 @dataclass(frozen=True)
@@ -319,6 +320,9 @@ def load_model(path) -> PositionalStressModel:
             {key: i for i, key in enumerate(doc["vocab"])},
             doc["bucket_count"], doc["ngram_min"], doc["ngram_max"])
         dim = doc["embedding_dim"]
+        # a model's sizes are ones training accepts
+        TrainConfig(ngram_min=vocab.ngram_min, ngram_max=vocab.ngram_max,
+                    embedding_dim=dim, bucket_count=vocab.bucket_count)
         model = PositionalStressModel(
             vocab=vocab,
             embeddings=_decode(doc["embeddings"], (vocab.size, dim)),

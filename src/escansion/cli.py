@@ -221,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="escansion",
         description="Scansion of Spanish hendecasyllables and its harness")
-    parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("scan", help="scan verse lines to stress patterns")
@@ -289,9 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.WARNING,
-        format="%(levelname)s %(message)s")
+    logging.basicConfig(level=logging.WARNING,
+                        format="%(levelname)s %(message)s")
     try:
         return args.func(args)
     except DataError as exc:

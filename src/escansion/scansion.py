@@ -32,9 +32,10 @@ convention of Spanish metrics), which also guarantees every pattern
 contains at least one '+'.
 
 The search is exact for any number of sites. It is one left-to-right
-dynamic program over the flat syllables whose state is the pattern prefix
-the choices so far commit, at most 2^(target+1) states; its cost grows
-linearly with syllables times states, not with the 2^k subsets of k sites.
+dynamic program over the flat syllables whose state is the group count,
+capped at the target, and the stresses at position target-1 and, for the
+rhythmic template, at 4, 6 and 8: at most (target+1)*16 states, so its
+cost grows linearly with syllables. Diagnostics keep every position.
 """
 
 from __future__ import annotations
@@ -295,14 +296,14 @@ def _move(units) -> tuple[int, int, int]:
     """What a run of units does to the metrical groups.
 
     Returns the stress it joins into the open group, the number of groups
-    it opens and their stress bits, the first opened group the most
+    it opens and their stress bits, the first opened group the least
     significant. Only the first unit of a step can join the open group.
     """
     joined = opened = stresses = 0
     for _, stressed, opens in units:
         if opens:
+            stresses |= stressed << opened
             opened += 1
-            stresses = stresses << 1 | stressed
         else:
             joined = stressed
     return joined, opened, stresses
@@ -397,50 +398,40 @@ def _site_deltas(sites: list[FigureSite],
             for i, s in enumerate(sites)]
 
 
-def _advance(state: int, move: tuple[int, int, int],
-             full_length: int) -> int | None:
-    """Apply one step's ``move`` to a pattern-prefix state.
+def _advance(state: tuple[int, int],
+             move: tuple[int, int, int]) -> tuple[int, int]:
+    """Apply one step's ``move`` to a state ``(groups, stresses)``.
 
-    ``state`` is a sentinel 1 bit, the stress bits of the closed groups up
-    to index target-2, then the open group's stress bit. At
-    ``full_length`` bits the prefix is complete and the open group lies
-    past target-2; groups there must stay unstressed and are dropped, and
-    a state that stresses one dies (None).
+    ``groups`` counts the metrical groups opened so far, the last of them
+    still open to a join, and bit i of ``stresses`` is the stress of group
+    i. Both passes over the steps advance their states through here.
     """
-    joined, opened, stresses = move
-    state = (state | joined) << opened | stresses
-    past = state.bit_length() - full_length
-    if past >= 0:
-        if state & ((2 << past) - 1):
-            return None
-        state >>= past
-    return state
+    groups, stresses = state
+    joined, opened, new = move
+    return groups + opened, stresses | joined << groups >> 1 | new << groups
 
 
 def _unfittable(steps, sites, target) -> Unfittable:
     """Every achievable length and the three subsets nearest the target.
 
-    A second DP over (groups so far, index of the last stressed group);
-    each state keeps its three smallest masks, which is enough because the
-    sites still to come add the same bits to every mask in the state.
+    The states of ``_advance``, unbounded, each cut to its top stress bit,
+    the last stressed group, whose index plus 2 is the length. Each keeps
+    its three smallest masks, which is enough because the sites still to
+    come add the same bits to every mask in the state.
     """
-    states = {(0, -1): [0]}
+    states = {(0, 0): [0]}
     for choices in steps:
         grown: dict[tuple[int, int], list[int]] = {}
-        for (groups, last), masks in states.items():
-            for bits, _, (joined, opened, stresses) in choices:
-                g = groups + opened
-                if stresses:
-                    # the lowest set bit is the last stressed group opened
-                    key = (g, g - (stresses & -stresses).bit_length())
-                else:
-                    key = (g, groups - 1 if joined else last)
+        for state, masks in states.items():
+            for bits, _, move in choices:
+                groups, stresses = _advance(state, move)
+                key = (groups, 1 << stresses.bit_length() >> 1)
                 grown.setdefault(key, []).extend(m | bits for m in masks)
         states = {key: sorted(masks)[:3] for key, masks in grown.items()}
 
-    achievable = {last + 2 for _, last in states}
-    nearest = sorted((abs(last + 2 - target), mask)
-                     for (_, last), masks in states.items() for mask in masks)
+    achievable = {top.bit_length() + 1 for _, top in states}
+    nearest = sorted((abs(top.bit_length() + 1 - target), mask)
+                     for (_, top), masks in states.items() for mask in masks)
     previews = []
     for _, mask in nearest[:3]:
         cand = _build_candidate(steps, sites, mask)
@@ -456,8 +447,11 @@ def fit_to_target(words: ParsedLine, sites: list[FigureSite],
                   config: ScanConfig | None = None) -> ScansionResult:
     """Choose the figure subset that lands the line on the target length.
 
-    One left-to-right DP over the flat syllables. Its state is the pattern
-    prefix that the choices so far commit (see ``_advance``); each state
+    One left-to-right DP over the flat syllables on the states of
+    ``_advance``: a state that stresses group target-1 or later dies,
+    ``groups`` stops at target, and ``stresses`` keeps bit target-2 and,
+    for the rhythmic template, bits 3, 5 and 7, so there are at most
+    (target+1)*16 states; ``emit_diagnostics`` keeps every bit. Each state
     keeps the cheapest subset reaching it under ``_site_deltas`` and how
     many subsets reach it, capped at two.
     """
@@ -465,53 +459,55 @@ def fit_to_target(words: ParsedLine, sites: list[FigureSite],
     target = config.target_length
     steps = _choices(words.flat.syllables, sites)
     deltas = _site_deltas(sites, config.figure_preference)
-    full = 1 << target
+    rhythmic = target == 11 and config.prefer_rhythmic_template
+    dead = 1 << target - 1  # a stress on any group from target-1 on
+    keep = (dead - 1 if config.emit_diagnostics
+            else 1 << target - 2 | (0b10101000 if rhythmic else 0))
 
-    # state -> (cost, mask, subsets reaching it capped at 2). The initial
-    # state has an empty prefix and a stressed dummy open group, whose
-    # closing by the first syllable lays down the sentinel bit; a final
-    # step opens one unstressed group to close the last one.
-    states = {1: (0, 0, 1)}
+    # state -> (cost, mask, subsets reaching it capped at 2); a final step
+    # opens one unstressed group to close the last one, so every feasible
+    # state has target groups
+    states = {(0, 0): (0, 0, 1)}
     for choices in steps + [[(0, (), (0, 1, 0))]]:
-        grown: dict[int, tuple[int, int, int]] = {}
+        grown: dict[tuple[int, int], tuple[int, int, int]] = {}
         for bits, _, move in choices:
             added, rest = 0, bits
             while rest:  # a choice sets at most two bits
                 added += deltas[(rest & -rest).bit_length() - 1]
                 rest &= rest - 1
             for state, (cost, mask, paths) in states.items():
-                nxt = _advance(state, move, target + 1)
-                if nxt is None:
+                groups, stresses = _advance(state, move)
+                if stresses >= dead:
                     continue
+                key = (groups if groups < target else target, stresses & keep)
                 entry = (cost + added, mask | bits, paths)
-                seen = grown.get(nxt)
+                seen = grown.get(key)
                 if seen is not None:
                     best = min(entry, seen)
                     entry = (best[0], best[1], min(2, paths + seen[2]))
-                grown[nxt] = entry
+                grown[key] = entry
         states = grown
 
-    # pattern -> entry for the feasible states: a full prefix whose last
-    # bit, position target-2, is stressed
-    finals = {bin(state)[3:-1].replace("1", "+").replace("0", "-") + "-": e
-              for state, e in states.items() if state >= full and state & 2}
+    # stresses -> entry for the feasible states: stressed on target-2
+    finals = {stresses: entry for (groups, stresses), entry in states.items()
+              if groups == target and stresses >> target - 2}
     if not finals:
         raise _unfittable(steps, sites, target)
 
-    pool = list(finals)
-    if target == 11 and config.prefer_rhythmic_template:
-        rhythmic = [p for p in pool
-                    if p[5] == "+" or (p[3] == "+" and p[7] == "+")]
-        if rhythmic:
-            pool = rhythmic
-    pattern = min(pool, key=lambda p: finals[p][0])
+    # the rhythmic template: stress on 6, or on 4 and 8
+    hits = [s for s in finals if rhythmic
+            and (s & 0b100000 or s & 0b10001000 == 0b10001000)]
+    _, mask, _ = min(finals[s] for s in hits or finals)
+    candidate = _build_candidate(steps, sites, mask)
 
     diagnostics = ()
     if config.emit_diagnostics:
-        diagnostics = tuple(sorted(finals))
+        diagnostics = tuple(sorted(
+            "".join("-+"[s >> i & 1] for i in range(target - 1)) + "-"
+            for s in finals))
     return ScansionResult(
-        pattern=check_pattern(pattern, target),
-        candidate=_build_candidate(steps, sites, finals[pattern][1]),
+        pattern=pattern_of(candidate, config),
+        candidate=candidate,
         ambiguous=sum(paths for _, _, paths in finals.values()) > 1,
         syllabification=tuple(sw.syllables for sw in words),
         diagnostics=diagnostics,

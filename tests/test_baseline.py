@@ -255,3 +255,18 @@ class TestSaveLoad:
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(CorruptModelFile):
             load_model(path)
+
+    @pytest.mark.parametrize("field,value", [
+        ("ngram_min", 0), ("ngram_max", 2), ("embedding_dim", 0),
+        ("bucket_count", 0)])
+    def test_unusable_size_names_the_path(self, tmp_path, field, value):
+        import json
+        path = tmp_path / "model.json"
+        save_model(train(TINY, [], _tiny_config(epochs=1)), path)
+        doc = json.loads(path.read_text())
+        doc[field] = value
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(CorruptModelFile) as exc:
+            load_model(path)
+        assert str(exc.value).startswith(f"{path}: ")
+        assert field in str(exc.value)

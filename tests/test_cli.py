@@ -199,6 +199,19 @@ class TestPrepare:
                      "--ratios", "1,0,0", "--manual-only"]) == 0
         assert "lines: 7" in capsys.readouterr().out
 
+    def test_skipped_line_warning_needs_no_flag(self, tmp_path):
+        tei = tmp_path / "c.xml"
+        tei.write_text(SONNET_TEI, encoding="utf-8")
+        out = tmp_path / "out"
+        proc = _run_cli("prepare", "--tei", tei, "--out", out,
+                        "--ratios", "1,0,0")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == (f"WARNING {tei}: skipped 1 line(s) "
+                               "without met annotation\n")
+        # no verbosity flag: nothing logs below WARNING
+        assert _run_cli("-v", "prepare", "--tei", tei,
+                        "--out", out).returncode == 2
+
     def test_missing_directory(self, tmp_path):
         assert main(["prepare", "--tei", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "o")]) == 1
@@ -327,6 +340,24 @@ class TestBaselineCommands:
         else:
             assert [len(row) for row in rows] == [1, 1]
         assert all(len(row[-1]) == 11 for row in rows)
+
+    @pytest.mark.parametrize("flag,value,reason", [
+        ("--epochs", "0", "epochs must be at least 1"),
+        ("--dim", "0", "embedding_dim must be at least 1"),
+        ("--buckets", "0", "bucket_count must be at least 1"),
+        ("--ngram-min", "0", "ngram_min must be at least 1"),
+        ("--ngram-min", "7", "ngram_min must not exceed ngram_max"),
+    ], ids=["epochs", "dim", "buckets", "ngram-min-0", "ngram-min-above-max"])
+    def test_unusable_size_flag_is_data_error(self, flag, value, reason,
+                                              gold_tsv, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        assert main(["baseline", "train", "--train", str(gold_tsv),
+                     "--eval", str(gold_tsv), "--model", str(model),
+                     flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and reason in err
+        assert len(err.strip().splitlines()) == 1
+        assert not model.exists()
 
     def test_predict_missing_model(self, tmp_path):
         assert main(["baseline", "predict",

@@ -272,6 +272,24 @@ class TestFitAndScan:
             pass
         assert time.perf_counter() - start < 1.0
 
+    def test_state_stays_bounded_as_target_grows(self, lexicon):
+        # at most (target+1)*16 states: target 23 costs about what 11 does
+        line = "la alma oía a Eva e Inés y Olga " * 3
+
+        def seconds(target):
+            config = ScanConfig(target_length=target)
+            best = float("inf")
+            for _ in range(3):
+                start = time.perf_counter()
+                try:
+                    scan_line(line, lexicon, config)
+                except Unfittable:
+                    pass
+                best = min(best, time.perf_counter() - start)
+            return best
+
+        assert seconds(23) <= 5 * seconds(11)
+
 
 class TestPatternOf:
     def test_matches_scan(self, lexicon, config):
@@ -298,8 +316,9 @@ def _random_sites_subset(rng, sites):
 
 
 def _check_against_enumeration(lexicon, config):
-    """The fitter's pattern, ambiguity, diagnostics and Unfittable details
-    equal the brute-force oracle's on lines with at most 12 sites."""
+    """The fitter's pattern, ambiguity, diagnostics (none when they are off)
+    and Unfittable details equal the brute-force oracle's on lines with at
+    most 12 sites."""
     rng = random.Random(99)
     texts = [ln.text for ln in wordbank.synthetic_corpus(40, seed=5)]
     texts += [wordbank.random_raw_line(rng) for _ in range(60)]
@@ -327,8 +346,9 @@ def _check_against_enumeration(lexicon, config):
         assert result.pattern == preferred[0], text
         feasible = [m for m, _, p in results if p is not None]
         assert result.ambiguous == (len(feasible) > 1)
+        listed = {p for _, _, p in results if p is not None}
         assert set(result.diagnostics) == \
-            {p for _, _, p in results if p is not None}, text
+            (listed if config.emit_diagnostics else set()), text
     assert checked >= 80
     assert unfittable >= 20
 
@@ -387,7 +407,12 @@ class TestOracleAgreement:
                    figure_preference=("dieresis", "syneresis", "synalepha")),
         ScanConfig(emit_diagnostics=True,
                    figure_preference=("syneresis", "dieresis", "synalepha")),
-    ], ids=["dieresis-first-no-rhythm", "syneresis-first"])
+        # the state scan runs by default keeps only the stress bits the
+        # choice reads, and a target other than 11 moves those bits
+        ScanConfig(),
+        ScanConfig(emit_diagnostics=True, target_length=12),
+    ], ids=["dieresis-first-no-rhythm", "syneresis-first",
+            "default-no-diagnostics", "target-12"])
     def test_reordered_preference_agrees_with_enumeration(self, lexicon,
                                                           config):
         _check_against_enumeration(lexicon, config)
