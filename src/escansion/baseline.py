@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -44,6 +45,8 @@ class TrainConfig:
                 raise DataError(f"{name} must be at least 1")
         if self.ngram_min > self.ngram_max:
             raise DataError("ngram_min must not exceed ngram_max")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise DataError("learning_rate must be a finite number above 0")
 
 
 @dataclass(frozen=True)
@@ -172,12 +175,14 @@ def _as_pairs(dataset) -> list[tuple[str, str]]:
     return pairs
 
 
+# numpy's overflow warnings would only precede the divergence error below
+@np.errstate(over="ignore", invalid="ignore")
 def train(train_set, eval_set, config: TrainConfig | None = None) -> PositionalStressModel:
     """Fit the 11-head linear model by per-example SGD.
 
     Deterministic for a fixed seed. Early-stops once eval exact-match has
     not improved for ``patience`` consecutive epochs, and keeps the best
-    epoch's weights.
+    epoch's weights. Raises DataError when those weights are not finite.
     """
     config = config or TrainConfig()
     train_pairs = _as_pairs(train_set)
@@ -239,6 +244,9 @@ def train(train_set, eval_set, config: TrainConfig | None = None) -> PositionalS
 
     if best[1] is not None:
         embeddings, head_weights, head_biases = best[1]
+    if not all(np.isfinite(a).all()
+               for a in (embeddings, head_weights, head_biases)):
+        raise DataError("training diverged to non-finite weights")
     meta = {
         "epochs_requested": config.epochs,
         "epochs_run": len(history),

@@ -81,9 +81,11 @@ def _format_tsv(record: dict) -> str:
 
 def cmd_scan(args) -> int:
     lexicon = _load_lexicon(args.lexicon)
+    # only jsonl prints the diagnostics, and keeping them costs the fitter
     config = ScanConfig(target_length=args.target_length,
                         h_blocks_synalepha=args.h_blocks_synalepha,
-                        emit_diagnostics=args.diagnostics)
+                        emit_diagnostics=args.diagnostics
+                        and args.format == "jsonl")
     failed = 0
     if args.input and args.input != "-":
         src = corpus.numbered_lines(args.input)
@@ -119,7 +121,11 @@ def cmd_prepare(args) -> int:
     lines = corpus.dedupe_and_clean(lines)
     if not lines:
         raise DataError(f"no annotated lines found under {tei}")
-    ratios = tuple(float(r) for r in args.ratios.split(","))
+    try:
+        ratios = tuple(float(r) for r in args.ratios.split(","))
+    except ValueError:
+        raise DataError(f"--ratios must be comma-separated numbers, "
+                        f"got {args.ratios!r}") from None
     result = corpus.split(lines, ratios=ratios, seed=args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

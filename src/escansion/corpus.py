@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .errors import (InsufficientData, MalformedTei, MalformedTsv,
+from .errors import (DataError, InsufficientData, MalformedTei, MalformedTsv,
                      MalformedXml, NotUtf8, UnnormalizableMet)
 from .phonology import clean_text
 from .scansion import check_pattern
@@ -185,10 +185,11 @@ def dedupe_and_clean(lines: list[CorpusLine]) -> list[CorpusLine]:
 
 def split(lines: list[CorpusLine], ratios=DEFAULT_RATIOS, seed: int = 13) -> CorpusSplit:
     """Poem-level shuffle + greedy assignment toward the requested ratios."""
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"ratios {ratios!r} must sum to 1")
-    if len(ratios) != 3 or any(r < 0 for r in ratios):
-        raise ValueError("need three non-negative ratios")
+    # written so that a NaN ratio fails both tests
+    if len(ratios) != 3 or not all(r >= 0 for r in ratios):
+        raise DataError(f"need three non-negative ratios, got {ratios!r}")
+    if not abs(sum(ratios) - 1.0) <= 1e-9:
+        raise DataError(f"ratios {ratios!r} must sum to 1")
 
     poems: dict[str, list[CorpusLine]] = {}
     for ln in lines:

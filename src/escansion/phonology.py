@@ -13,13 +13,18 @@ plus the two stress layers needed for scansion:
   plain-text lexicon shipped with the package. Homographs such as el/él,
   mas/más, se/sé are told apart purely by the written accent.
 
+The syllabifier decides each syllable's onset, nucleus and coda in one
+pass over the word with its contraction marks (' and -) removed, so marks
+decide nothing (nor do they in the stress and synalepha rules); each goes
+back into the syllable text with the letter after it. A ``Syllable`` is built from those parts: its stress, its hiatus flag
+and where a dieresis would split it.
+
 A verse repeats its words, so ``analyze_token`` keeps each token's analysis
-in a cache owned by the lexicon it was stressed with: the syllabified word,
-and per syllable its nucleus, stress and dieresis split, both as the lexicon
-stresses the word and forced tonic as at the end of a line. The cache holds
-at most ``_CACHE_SIZE`` tokens and is emptied when full, so open-ended
-vocabularies cost bounded memory. The lexicon's lists are read-only, so a
-cached stress cannot go stale.
+in a cache owned by the lexicon it was stressed with: the syllabified word
+and its syllables, both as the lexicon stresses the word and forced tonic
+as at the end of a line. The cache holds at most ``_CACHE_SIZE`` tokens and
+is emptied when full, so open-ended vocabularies cost bounded memory. The
+lexicon's lists are read-only, so a cached stress cannot go stale.
 
 This module also owns text normalization for scan, ``prepare`` and the
 baseline: ``clean_text`` folds a line to lowercase Spanish letters and
@@ -34,6 +39,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
+from itertools import accumulate
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -234,65 +240,39 @@ def _coda_count(cons: list[tuple[str, str]]) -> int:
     return m - 1
 
 
-def _syllabify_plain(word: str) -> list[str]:
+def _syllabify_plain(word: str) -> list[tuple[str, str, str]]:
+    """The (onset, nucleus, coda) of each syllable of a mark-free word."""
     units = _group_nuclei(_tokenize(word))
     nuclei = [i for i, (k, _) in enumerate(units) if k == "V"]
     if not nuclei:
         raise NoVowel(f"no syllable nucleus in {word!r}")
-    syllables = []
-    start = 0
-    for j, ni in enumerate(nuclei):
-        if j + 1 == len(nuclei):
-            syllables.append("".join(t for _, t in units[start:]))
-            break
-        cons = units[ni + 1:nuclei[j + 1]]
-        keep = _coda_count(cons)
-        end = ni + 1 + keep
-        syllables.append("".join(t for _, t in units[start:end]))
-        start = end
-    return syllables
+    texts = [t for _, t in units]
+    ends = [ni + 1 + _coda_count(units[ni + 1:nj])
+            for ni, nj in zip(nuclei, nuclei[1:])] + [len(units)]
+    return [("".join(texts[start:ni]), texts[ni], "".join(texts[ni + 1:end]))
+            for start, ni, end in zip([0] + ends, nuclei, ends)]
+
+
+def _cut(text: str, counts) -> list[str]:
+    """``text`` cut after its first n letters, for each n of the ascending
+    ``counts``. Marks are not letters: one stays with the letter after it."""
+    ends = [i + 1 for i, c in enumerate(text) if c not in _MARKS]
+    bounds = [0] + [ends[n - 1] for n in counts] + [len(text)]
+    return [text[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _syllable_parts(normalized: str):
+    """The syllables of a normalized word with its marks, and the (onset,
+    nucleus, coda) of each without them."""
+    parts = _syllabify_plain(normalized.replace("'", "").replace("-", ""))
+    ends = accumulate(len(o) + len(n) + len(c) for o, n, c in parts[:-1])
+    return _cut(normalized, ends), parts
 
 
 def syllabify(word: Word | str) -> list[str]:
     """Split a word into syllables; their concatenation is the input."""
     normalized = word.normalized if isinstance(word, Word) else word
-    plain = normalized.replace("'", "").replace("-", "")
-    syllables = _syllabify_plain(plain)
-    if plain == normalized:
-        return syllables
-    # Re-insert contraction marks at their original offsets.
-    out, buf, consumed, k = [], "", 0, 0
-    for c in normalized:
-        buf += c
-        if c not in _MARKS:
-            consumed += 1
-            if consumed == len(syllables[k]):
-                out.append(buf)
-                buf, consumed, k = "", 0, k + 1
-    if buf:
-        out[-1] += buf
-    return out
-
-
-def nucleus_of(syllable: str) -> str:
-    """The vowel nucleus of a single syllable (includes transparent h)."""
-    for kind, text in _group_nuclei(_tokenize(syllable.strip(_MARKS))):
-        if kind == "V":
-            return text
-    return ""
-
-
-def _split_syllable(text: str, nucleus: str, stressed: bool):
-    """Cut a diphthong syllable after its first vowel letter."""
-    at = text.find(nucleus)
-    first, rest = nucleus[0], nucleus[1:]
-    left_text = text[:at] + first
-    right_text = rest + text[at + len(nucleus):]
-    vowels = [c for c in nucleus if c != "h"]
-    strong = [c for c in vowels if c in _HIATUS_CORE]
-    peak_left = bool(strong) and strong[0] == vowels[0]
-    return ((left_text, stressed and peak_left),
-            (right_text, stressed and not peak_left))
+    return _syllable_parts(normalized)[0]
 
 
 def lexical_stress(syllables: list[str] | tuple[str, ...], word: Word | str) -> int:
@@ -395,7 +375,7 @@ def stressed_syllable_indices(sw: SyllabifiedWord, *, force: bool = False) -> tu
     """
     if not (sw.prosodic or force):
         return ()
-    normalized = sw.word.normalized
+    normalized = sw.word.normalized.replace("'", "").replace("-", "")
     if _is_mente_adverb(normalized, len(sw.syllables)):
         mente_idx = len(sw.syllables) - 2
         stem = sw.syllables[:-2]
@@ -405,7 +385,7 @@ def stressed_syllable_indices(sw: SyllabifiedWord, *, force: bool = False) -> tu
                 root_idx = idx
                 break
         if root_idx is None:
-            stem_last = normalized[:-5].rstrip(_MARKS)[-1]
+            stem_last = normalized[-6]
             if len(stem) >= 2 and (stem_last in VOWEL_CHARS or stem_last in "ns"):
                 root_idx = len(stem) - 2
             else:
@@ -417,11 +397,14 @@ def stressed_syllable_indices(sw: SyllabifiedWord, *, force: bool = False) -> tu
 
 
 class Syllable(NamedTuple):
-    """One syllable of a word in a line, with what scansion reads of it."""
+    """One syllable of a word in a line, with what scansion reads of it,
+    all taken from the syllabifier's onset, nucleus and coda."""
 
     text: str
     stressed: bool
-    nucleus: str
+    # only an h, or nothing, separates it from the previous syllable of its
+    # word: the two can merge by syneresis
+    hiatus: bool
     # ((left text, stressed), (right text, stressed)) after a dieresis
     # split, or None for single-vowel nuclei
     split: tuple[tuple[str, bool], tuple[str, bool]] | None
@@ -435,17 +418,26 @@ class WordAnalysis(NamedTuple):
     tonic: tuple[Syllable, ...]      # forced tonic, as the last word of a line
 
 
-def syllable_shapes(sw: SyllabifiedWord, *,
-                    force: bool = False) -> tuple[Syllable, ...]:
-    """The syllables of a word with their nuclei, stress and splits."""
+def _stressed_syllables(sw: SyllabifiedWord, parts, *,
+                        force: bool = False) -> tuple[Syllable, ...]:
+    """A word's ``Syllable``s from the syllabifier's (onset, nucleus, coda)
+    ``parts``, stressed as ``stressed_syllable_indices`` says."""
     hits = stressed_syllable_indices(sw, force=force)
-    out = []
-    for si, syl in enumerate(sw.syllables):
-        nucleus = nucleus_of(syl)
-        stressed = si in hits
-        n_vowels = sum(1 for c in nucleus if c != "h")
-        split = _split_syllable(syl, nucleus, stressed) if n_vowels >= 2 else None
-        out.append(Syllable(syl, stressed, nucleus, split))
+    out, coda = [], None
+    for i, (text, (onset, nucleus, next_coda)) in enumerate(
+            zip(sw.syllables, parts)):
+        stressed = i in hits
+        vowels = nucleus.replace("h", "")
+        split = None
+        if len(vowels) >= 2:
+            # cut after the first vowel, which keeps the stress if strong
+            left, right = _cut(text, [len(onset) + 1])
+            peak_left = vowels[0] in _HIATUS_CORE
+            split = ((left, stressed and peak_left),
+                     (right, stressed and not peak_left))
+        out.append(Syllable(text, stressed, coda == "" and onset in ("", "h"),
+                            split))
+        coda = next_coda
     return tuple(out)
 
 
@@ -459,15 +451,16 @@ def analyze_token(raw: str, lexicon: StressLexicon) -> WordAnalysis:
     hit = cache.get(raw)
     if hit is None:
         word = normalize_token(raw)
-        syllables = tuple(syllabify(word))
+        texts, parts = _syllable_parts(word.normalized)
         sw = SyllabifiedWord(
             word=word,
-            syllables=syllables,
-            stress_from_end=lexical_stress(syllables, word),
+            syllables=tuple(texts),
+            stress_from_end=lexical_stress(texts, word),
             prosodic=is_prosodically_stressed(word, lexicon),
         )
-        shapes = syllable_shapes(sw)
-        tonic = shapes if sw.prosodic else syllable_shapes(sw, force=True)
+        shapes = _stressed_syllables(sw, parts)
+        tonic = shapes if sw.prosodic else _stressed_syllables(
+            sw, parts, force=True)
         hit = WordAnalysis(sw, shapes, tonic)
         # unlocked: threads that race here store equal analyses, and can
         # overshoot the bound only by their number

@@ -43,8 +43,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import EmptyLine, EmptyAfterNormalization, LengthMismatch, Unfittable
+from .errors import (DataError, EmptyLine, EmptyAfterNormalization,
+                     LengthMismatch, Unfittable)
 from .phonology import (
+    _MARKS,
     VOWEL_CHARS,
     StressLexicon,
     Syllable,
@@ -69,9 +71,9 @@ class ScanConfig:
 
     def __post_init__(self):
         if self.target_length < 2:
-            raise ValueError("target_length must be at least 2")
+            raise DataError("target_length must be at least 2")
         if sorted(self.figure_preference) != sorted(_FIGURES):
-            raise ValueError("figure_preference must order " + ", ".join(_FIGURES))
+            raise DataError("figure_preference must order " + ", ".join(_FIGURES))
 
 
 @dataclass(frozen=True)
@@ -186,11 +188,12 @@ def phonological_parse(line: str, lexicon: StressLexicon) -> ParsedLine:
     return ParsedLine(analyses)
 
 
+# marks decide nothing: one can follow a word's first letter or precede its last
 def _ends_in_vowel_sound(normalized: str) -> bool:
     c = normalized[-1]
     if c in VOWEL_CHARS or c == "y":
         return True
-    return c == "h" and len(normalized) > 1 and normalized[-2] in VOWEL_CHARS
+    return c == "h" and normalized[:-1].rstrip(_MARKS)[-1:] in VOWEL_CHARS
 
 
 def _begins_with_vowel_sound(normalized: str, h_blocks: bool) -> bool:
@@ -199,56 +202,43 @@ def _begins_with_vowel_sound(normalized: str, h_blocks: bool) -> bool:
         return True
     if c == "y":
         # standalone conjunction, or archaic y-for-i before a consonant
-        rest = normalized[1:]
+        rest = normalized[1:].lstrip(_MARKS)
         return not rest or rest[0] not in VOWEL_CHARS
-    if c == "h":
-        if h_blocks or len(normalized) < 2:
-            return False
-        if normalized[1:3] in ("ue", "ie"):  # consonantal glide: hueso, hielo
-            return False
-        return normalized[1] in VOWEL_CHARS
+    if c == "h" and not h_blocks:
+        rest = normalized[1:].lstrip(_MARKS)
+        # not before a consonantal glide: hueso, hielo
+        return rest[:1] in VOWEL_CHARS and rest[:2] not in ("ue", "ie")
     return False
 
 
 def find_figure_sites(words: ParsedLine,
                       config: ScanConfig | None = None) -> list[FigureSite]:
-    """Enumerate every applicable figure, left to right."""
+    """Enumerate every applicable figure, ordered by position and then as
+    in ``_FIGURES``."""
     config = config or ScanConfig()
     flat, starts = words.flat
 
     sites = []
-    for wi in range(len(words) - 1):
-        left, right = words[wi], words[wi + 1]
-        if not _ends_in_vowel_sound(left.word.normalized):
-            continue
-        if not _begins_with_vowel_sound(right.word.normalized,
-                                        config.h_blocks_synalepha):
-            continue
-        li = starts[wi + 1] - 1
-        sites.append(FigureSite(
-            kind="synalepha", position=li, span=2, delta=-1,
-            involves_stress=flat[li].stressed or flat[li + 1].stressed,
-            through_h=(right.word.normalized[0] == "h"
-                       or left.word.normalized[-1] == "h")))
-
-    for start, end in zip(starts, starts[1:] + [len(flat)]):
-        for i in range(start, end - 1):
-            a, b = flat[i], flat[i + 1]
-            onset_ok = b.text.startswith(b.nucleus) or (
-                b.text.startswith("h") and b.text[1:].startswith(b.nucleus))
-            if a.text.endswith(a.nucleus) and onset_ok:
+    for wi, (start, end) in enumerate(zip(starts, starts[1:] + [len(flat)])):
+        for i in range(start, end):
+            if i + 1 < end:
+                if flat[i + 1].hiatus:
+                    sites.append(FigureSite(
+                        kind="syneresis", position=i, span=2, delta=-1,
+                        involves_stress=flat[i].stressed or flat[i + 1].stressed))
+            elif wi + 1 < len(words):
+                left = words[wi].word.normalized
+                right = words[wi + 1].word.normalized
+                if _ends_in_vowel_sound(left) and _begins_with_vowel_sound(
+                        right, config.h_blocks_synalepha):
+                    sites.append(FigureSite(
+                        kind="synalepha", position=i, span=2, delta=-1,
+                        involves_stress=flat[i].stressed or flat[i + 1].stressed,
+                        through_h=right[0] == "h" or left[-1] == "h"))
+            if flat[i].split is not None:
                 sites.append(FigureSite(
-                    kind="syneresis", position=i, span=2, delta=-1,
-                    involves_stress=a.stressed or b.stressed))
-
-    for i, syl in enumerate(flat):
-        if syl.split is not None:
-            sites.append(FigureSite(
-                kind="dieresis", position=i, span=1, delta=+1,
-                involves_stress=syl.stressed))
-
-    order = {k: r for r, k in enumerate(_FIGURES)}
-    sites.sort(key=lambda s: (s.position, order[s.kind]))
+                    kind="dieresis", position=i, span=1, delta=+1,
+                    involves_stress=flat[i].stressed))
     return sites
 
 

@@ -2,14 +2,13 @@
 
 Used to cross-check the fitter: applies a figure subset to the flat
 syllable sequence with plain first-principles code (nothing shared with
-the search in escansion.scansion beyond the public site list), computes
-the metrical length from the last stressed unit and re-derives the
-selection preference, so any disagreement flags a real defect.
+the search in escansion.scansion beyond the public site list and the
+dieresis split each parsed syllable carries), computes the metrical
+length from the last stressed unit and re-derives the selection
+preference, so any disagreement flags a real defect.
 """
 
 from escansion.phonology import stressed_syllable_indices
-from escansion.phonology import _split_syllable  # reuse only the split shape
-from escansion.phonology import nucleus_of
 
 
 def flat_stresses(words):
@@ -31,7 +30,7 @@ def apply_subset(words, sites, chosen):
     bounds = []  # True when the boundary BEFORE this unit is merged
     for i, (text, stressed) in enumerate(flat):
         if i in split_at:
-            pieces = list(_split_syllable(text, nucleus_of(text), stressed))
+            pieces = list(words.flat.syllables[i].split)  # only the shape
         else:
             pieces = [(text, stressed)]
         for j, piece in enumerate(pieces):

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from escansion import cli
 from escansion.cli import main
 from escansion.corpus import bundled_mini_gold, write_tsv
 from test_corpus import SONNET_TEI
@@ -78,6 +79,33 @@ class TestScan:
 
     def test_missing_input_is_io_error(self, tmp_path):
         assert main(["scan", str(tmp_path / "nope.txt")]) == 1
+
+    @pytest.mark.parametrize("value", ["1", "0", "-4"])
+    def test_unusable_target_length_is_data_error(self, value, tmp_path,
+                                                  capsys):
+        src = tmp_path / "verses.txt"
+        src.write_text(LINE + "\n", encoding="utf-8")
+        assert main(["scan", "--target-length", value, str(src)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "target_length" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("fmt,kept", [("tsv", False), ("jsonl", True)])
+    def test_diagnostics_kept_only_where_printed(self, fmt, kept, tmp_path,
+                                                 capsys, monkeypatch):
+        # keeping every candidate slows the fitter; only jsonl prints them
+        src = tmp_path / "verses.txt"
+        src.write_text(LINE + "\n", encoding="utf-8")
+        seen = []
+
+        def spy(line, lexicon, config, _scan=cli.scan_line):
+            seen.append(config.emit_diagnostics)
+            return _scan(line, lexicon, config)
+
+        monkeypatch.setattr(cli, "scan_line", spy)
+        assert main(["scan", "--diagnostics", "--format", fmt, str(src)]) == 0
+        assert seen == [kept]
+        assert ("candidates" in capsys.readouterr().out) is kept
 
     def test_missing_input_leaves_output_untouched(self, tmp_path):
         out = tmp_path / "out.tsv"
@@ -216,6 +244,26 @@ class TestPrepare:
         assert main(["prepare", "--tei", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("ratios,reason", [
+        ("a,b,c", "--ratios must be comma-separated numbers"),
+        ("0.5,0.5", "need three non-negative ratios"),
+        ("nan,0.5,0.5", "need three non-negative ratios"),
+        ("0.9,0.9,0.1", "must sum to 1"),
+    ], ids=["not-numbers", "two", "nan", "sum-above-one"])
+    def test_unusable_ratios_are_data_error(self, ratios, reason, tmp_path,
+                                            capsys):
+        import wordbank
+        tei = tmp_path / "c.xml"
+        tei.write_text(_tei_from_corpus(wordbank.synthetic_corpus(30, seed=6)),
+                       encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["prepare", "--tei", str(tei), "--out", str(out),
+                     "--ratios", ratios]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and reason in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("element,where,reason", [
         ('<l n="0" met="+--+---+-+-">', "poem s001, l 0", "line_no starts at 1"),
         ('<l n="2" met="abc">', "poem s001, l 2", "not over +/- or 1/0"),
@@ -347,7 +395,11 @@ class TestBaselineCommands:
         ("--buckets", "0", "bucket_count must be at least 1"),
         ("--ngram-min", "0", "ngram_min must be at least 1"),
         ("--ngram-min", "7", "ngram_min must not exceed ngram_max"),
-    ], ids=["epochs", "dim", "buckets", "ngram-min-0", "ngram-min-above-max"])
+        ("--lr", "nan", "learning_rate must be a finite number above 0"),
+        ("--lr", "0", "learning_rate must be a finite number above 0"),
+        ("--lr", "1e300", "training diverged to non-finite weights"),
+    ], ids=["epochs", "dim", "buckets", "ngram-min-0", "ngram-min-above-max",
+            "lr-nan", "lr-zero", "lr-diverges"])
     def test_unusable_size_flag_is_data_error(self, flag, value, reason,
                                               gold_tsv, tmp_path, capsys):
         model = tmp_path / "model.json"

@@ -2,7 +2,7 @@ import re
 import unicodedata
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from escansion.errors import EmptyAfterNormalization
@@ -14,13 +14,14 @@ from escansion.phonology import (
     is_prosodically_stressed,
     lexical_stress,
     normalize_token,
-    nucleus_of,
     stressed_syllable_indices,
     syllabify,
     Word,
     _group_nuclei,
+    _syllabify_plain,
     _tokenize,
 )
+from escansion.scansion import find_figure_sites, phonological_parse
 
 # Hand-checked against normative hyphenation references.
 SYLLABLE_TABLE = {
@@ -70,7 +71,12 @@ SYLLABLE_TABLE = {
     "casuística": ["ca", "suís", "ti", "ca"],
 }
 
-_WORD_ALPHABET = "abcdefghijklmnñopqrstuvwxyzáéíóúü"
+# with the contraction marks, which normalization keeps inside a word
+_WORD_ALPHABET = "abcdefghijklmnñopqrstuvwxyzáéíóúü'-"
+
+
+def _unmarked(text: str) -> str:
+    return text.replace("'", "").replace("-", "")
 
 
 def words(min_size=1, max_size=12, alphabet=_WORD_ALPHABET):
@@ -176,20 +182,24 @@ class TestSyllabify:
         except EmptyAfterNormalization:
             assume(False)
         for syl in syllabify(word):
-            groups = [k for k, _ in _group_nuclei(_tokenize(syl)) if k == "V"]
-            assert len(groups) == 1, (word.normalized, syl)
+            units = _group_nuclei(_tokenize(_unmarked(syl)))
+            assert [k for k, _ in units].count("V") == 1, (word.normalized, syl)
 
     @given(words())
+    @example("allla")
     @settings(max_examples=300)
     def test_digraph_integrity(self, raw):
         try:
             word = normalize_token(raw)
         except EmptyAfterNormalization:
             assume(False)
-        syllables = syllabify(word)
+        syllables = [_unmarked(syl) for syl in syllabify(word)]
         for left, right in zip(syllables, syllables[1:]):
             pair = (left[-1], right[0])
-            assert pair not in {("c", "h"), ("l", "l"), ("r", "r")}
+            # in a tripled l or r (allla: all-la) a whole digraph meets a
+            # single letter, so some boundary has the letter on both sides
+            assert (pair not in {("c", "h"), ("l", "l"), ("r", "r")}
+                    or left[-2:] in ("ll", "rr")), (left, right)
             assert not (left[-1] == "q" and right[0] == "u")
             assert not (left[-1] == "g" and right[:2] in ("ue", "ui", "ué", "uí"))
 
@@ -302,14 +312,20 @@ class TestWordCache:
         assert not analyze_word("la", lexicon).prosodic
         assert analyze_word("la", tonic_la).prosodic
 
-    def test_syllable_shapes_carry_nucleus_and_split(self, lexicon):
+    def test_syllables_carry_hiatus_and_split(self, lexicon):
         shapes = analyze_token("cielo", lexicon).syllables
         assert [s.text for s in shapes] == ["cie", "lo"]
-        assert [s.nucleus for s in shapes] == ["ie", "o"]
+        assert [s.hiatus for s in shapes] == [False, False]
         assert [s.stressed for s in shapes] == [True, False]
         # the stress stays on the strong vowel of the split diphthong
         assert shapes[0].split == (("ci", False), ("e", True))
         assert shapes[1].split is None
+        # only nothing or a silent h between two syllables is a hiatus
+        for raw, hiatus in (("poeta", [False, True, False]),
+                            ("búho", [False, True]),
+                            ("anhelo", [False, False, False])):
+            syllables = analyze_token(raw, lexicon).syllables
+            assert [s.hiatus for s in syllables] == hiatus, raw
 
     def test_tonic_shapes_stress_an_atonic_word(self, lexicon):
         analysis = analyze_token("la", lexicon)
@@ -337,11 +353,71 @@ class TestMenteAdverbs:
         assert stressed_syllable_indices(sw, force=True) == (0,)
 
 
-def test_nucleus_of_examples():
-    assert nucleus_of("cum") == "u"
-    assert nucleus_of("buey") == "uey"
-    assert nucleus_of("gue") == "e"
-    assert nucleus_of("ahi") == "ahi"
+def test_syllable_parts_examples():
+    assert _syllabify_plain("cum") == [("c", "u", "m")]
+    assert _syllabify_plain("buey") == [("b", "uey", "")]
+    assert _syllabify_plain("gue") == [("gu", "e", "")]
+    assert _syllabify_plain("ahijado") == [("", "ahi", ""), ("j", "a", ""),
+                                           ("d", "o", "")]
+
+
+class TestMarks:
+    """A contraction mark is kept in the syllable texts but decides
+    nothing: no syllable boundary, hiatus, split, synalepha or stress."""
+
+    @given(words())
+    @settings(max_examples=300)
+    def test_marks_are_transparent(self, lexicon, raw):
+        try:
+            marked = analyze_token(raw, lexicon)
+            plain = analyze_token(_unmarked(raw), lexicon)
+        except EmptyAfterNormalization:
+            assume(False)
+        for form in ("syllables", "tonic"):
+            assert ([(s.hiatus, s.split is not None)
+                     for s in getattr(marked, form)]
+                    == [(s.hiatus, s.split is not None)
+                        for s in getattr(plain, form)]), raw
+
+    @given(words())
+    @settings(max_examples=300)
+    def test_split_pieces_join_to_the_syllable(self, lexicon, raw):
+        try:
+            analysis = analyze_token(raw, lexicon)
+        except EmptyAfterNormalization:
+            assume(False)
+        for syl in analysis.syllables + analysis.tonic:
+            if syl.split is not None:
+                (left, _), (right, _) = syl.split
+                assert left + right == syl.text, raw
+                assert _unmarked(left) and _unmarked(right), raw
+
+    def test_mark_inside_a_diphthong_keeps_its_dieresis(self, lexicon):
+        first = analyze_token("ci-elo", lexicon).syllables[0]
+        assert first.text == "ci-e"
+        assert first.split == (("ci", False), ("-e", True))
+
+    def test_mark_before_a_hiatus_keeps_its_syneresis(self, lexicon):
+        words = phonological_parse("luso-americano", lexicon)
+        sites = [(s.kind, s.position) for s in find_figure_sites(words)]
+        assert [syl.text for syl in words.flat.syllables][1:3] == ["so", "-a"]
+        assert ("syneresis", 1) in sites
+
+    def test_silent_u_after_a_mark_is_not_split(self, lexicon):
+        syllables = analyze_token("porq-ue", lexicon).syllables
+        assert [s.text for s in syllables] == ["por", "q-ue"]
+        assert [s.split for s in syllables] == [None, None]
+
+    @pytest.mark.parametrize("marked", ["la h-ermosa", "vi y-a", "ba-h en"])
+    def test_marks_decide_no_synalepha(self, marked, lexicon):
+        def sites(text):
+            return [str(s) for s in
+                    find_figure_sites(phonological_parse(text, lexicon))]
+        assert sites(marked) == sites(_unmarked(marked))
+
+    def test_marks_decide_no_mente_stress(self, lexicon):
+        assert stressed_syllable_indices(
+            analyze_word("claramen-te", lexicon)) == (0, 2)
 
 
 def test_vowelless_string_raises_no_vowel():
