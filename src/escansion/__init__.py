@@ -14,13 +14,11 @@ from .phonology import (
 )
 from .scansion import (
     FigureSite,
-    MetricalSyllable,
     ScanCandidate,
     ScanConfig,
     ScansionResult,
     find_figure_sites,
     fit_to_target,
-    pattern_of,
     phonological_parse,
     scan_line,
 )
@@ -29,7 +27,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FigureSite",
-    "MetricalSyllable",
     "ScanCandidate",
     "ScanConfig",
     "ScansionResult",
@@ -43,7 +40,6 @@ __all__ = [
     "is_prosodically_stressed",
     "lexical_stress",
     "normalize_token",
-    "pattern_of",
     "phonological_parse",
     "scan_line",
     "syllabify",

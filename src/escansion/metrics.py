@@ -8,7 +8,7 @@ never exceed any of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .corpus import CorpusLine, normalize_met, numbered_lines
@@ -135,11 +135,7 @@ def score_predictions_file(pred_path, gold: list[CorpusLine]) -> EvalReport:
             pairs.append((normalize_met(pattern), line.gold, line.text))
     report = evaluate(pairs)
     if unmatched:
-        report = EvalReport(
-            total=report.total, correct=report.correct,
-            accuracy=report.accuracy,
-            per_position_accuracy=report.per_position_accuracy,
-            error_examples=report.error_examples, unmatched=unmatched)
+        report = replace(report, unmatched=unmatched)
     return report
 
 

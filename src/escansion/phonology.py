@@ -15,9 +15,10 @@ plus the two stress layers needed for scansion:
 
 The syllabifier decides each syllable's onset, nucleus and coda in one
 pass over the word with its contraction marks (' and -) removed, so marks
-decide nothing (nor do they in the stress and synalepha rules); each goes
-back into the syllable text with the letter after it. A ``Syllable`` is built from those parts: its stress, its hiatus flag
-and where a dieresis would split it.
+decide nothing (nor do they in the stress and synalepha rules or the
+lexicon lookup); each goes back into the syllable text with the letter
+after it. A ``Syllable`` is built from those parts: its stress, its hiatus
+flag and where a dieresis would split it.
 
 A verse repeats its words, so ``analyze_token`` keeps each token's analysis
 in a cache owned by the lexicon it was stressed with: the syllabified word
@@ -115,15 +116,17 @@ class SyllabifiedWord:
     def stressed_index(self) -> int:
         return len(self.syllables) - self.stress_from_end
 
-    def hyphenated(self) -> str:
-        return "-".join(self.syllables)
-
 
 def clean_text(text: str) -> str:
     """Lowercase and turn all but Spanish letters, ' and - into single
     spaces, so ``a,b`` is two words."""
     text = unicodedata.normalize("NFC", text).lower().translate(_TRANSLIT)
     return " ".join(_DROP_RE.sub(" ", text).split())
+
+
+def _unmarked(text: str) -> str:
+    """``text`` without its contraction marks, which decide nothing."""
+    return text.replace("'", "").replace("-", "")
 
 
 def normalize_token(raw: str) -> Word:
@@ -264,7 +267,7 @@ def _cut(text: str, counts) -> list[str]:
 def _syllable_parts(normalized: str):
     """The syllables of a normalized word with its marks, and the (onset,
     nucleus, coda) of each without them."""
-    parts = _syllabify_plain(normalized.replace("'", "").replace("-", ""))
+    parts = _syllabify_plain(_unmarked(normalized))
     ends = accumulate(len(o) + len(n) + len(c) for o, n, c in parts[:-1])
     return _cut(normalized, ends), parts
 
@@ -305,9 +308,9 @@ class StressLexicon:
 
     def __post_init__(self):
         object.__setattr__(self, "unstressed_words",
-                           frozenset(self.unstressed_words))
-        object.__setattr__(self, "overrides",
-                           MappingProxyType(dict(self.overrides)))
+                           frozenset(map(_unmarked, self.unstressed_words)))
+        object.__setattr__(self, "overrides", MappingProxyType(
+            {_unmarked(w): v for w, v in self.overrides.items()}))
         clash = self.unstressed_words & set(self.overrides)
         if clash:
             raise ValueError(f"words in both lists: {sorted(clash)!r}")
@@ -332,11 +335,11 @@ class StressLexicon:
                         raise MalformedLexicon(
                             f"override for {word!r} must be "
                             f"stressed|unstressed, got {value!r}")
-                    word = normalize_token(word).normalized
+                    word = _unmarked(normalize_token(word).normalized)
                     overrides[word] = value == "stressed"
                     unstressed.discard(word)
                 else:
-                    word = normalize_token(line).normalized
+                    word = _unmarked(normalize_token(line).normalized)
                     if word not in overrides:
                         unstressed.add(word)
             except DataError as exc:
@@ -352,10 +355,12 @@ def default_lexicon() -> StressLexicon:
 
 
 def is_prosodically_stressed(word: Word | str, lexicon: StressLexicon) -> bool:
-    normalized = word.normalized if isinstance(word, Word) else word
-    if normalized in lexicon.overrides:
-        return lexicon.overrides[normalized]
-    return normalized not in lexicon.unstressed_words
+    """Whether the word keeps its stress; lexicon entries match it with
+    its marks removed, so ``d'el`` is ``del``."""
+    key = _unmarked(word.normalized if isinstance(word, Word) else word)
+    if key in lexicon.overrides:
+        return lexicon.overrides[key]
+    return key not in lexicon.unstressed_words
 
 
 def _is_mente_adverb(normalized: str, n_syllables: int) -> bool:
@@ -375,7 +380,7 @@ def stressed_syllable_indices(sw: SyllabifiedWord, *, force: bool = False) -> tu
     """
     if not (sw.prosodic or force):
         return ()
-    normalized = sw.word.normalized.replace("'", "").replace("-", "")
+    normalized = _unmarked(sw.word.normalized)
     if _is_mente_adverb(normalized, len(sw.syllables)):
         mente_idx = len(sw.syllables) - 2
         stem = sw.syllables[:-2]

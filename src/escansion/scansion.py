@@ -36,6 +36,10 @@ dynamic program over the flat syllables whose state is the group count,
 capped at the target, and the stresses at position target-1 and, for the
 rhythmic template, at 4, 6 and 8: at most (target+1)*16 states, so its
 cost grows linearly with syllables. Diagnostics keep every position.
+Each step of the program is a move on the metrical groups, and
+``_advance`` is the one routine that folds a move into groups: the DP,
+the unfittable report and the winner, whose pattern and length come from
+replaying its subset's moves, all go through it.
 """
 
 from __future__ import annotations
@@ -87,39 +91,26 @@ class FigureSite:
 
     kind: str
     position: int
-    span: int
-    delta: int
     involves_stress: bool = False
     through_h: bool = False
 
     def __post_init__(self):
         if self.kind not in _FIGURES:
             raise ValueError(f"unknown figure kind {self.kind!r}")
-        if self.delta != _DELTAS[self.kind]:
-            raise ValueError(f"{self.kind} must have delta {_DELTAS[self.kind]}")
+
+    @property
+    def delta(self) -> int:
+        """What applying the figure does to the syllable count."""
+        return _DELTAS[self.kind]
 
     def __str__(self):
         return f"{self.kind}@{self.position}"
 
 
 @dataclass(frozen=True)
-class MetricalSyllable:
-    parts: tuple[str, ...]
-    stressed: bool
-
-    def display(self) -> str:
-        return "".join(self.parts)
-
-
-@dataclass(frozen=True)
 class ScanCandidate:
     applied: tuple[FigureSite, ...]
-    metrical_syllables: tuple[MetricalSyllable, ...]
     metrical_length: int
-
-    @property
-    def ending_adjust(self) -> int:
-        return self.metrical_length - len(self.metrical_syllables)
 
 
 @dataclass(frozen=True)
@@ -224,7 +215,7 @@ def find_figure_sites(words: ParsedLine,
             if i + 1 < end:
                 if flat[i + 1].hiatus:
                     sites.append(FigureSite(
-                        kind="syneresis", position=i, span=2, delta=-1,
+                        kind="syneresis", position=i,
                         involves_stress=flat[i].stressed or flat[i + 1].stressed))
             elif wi + 1 < len(words):
                 left = words[wi].word.normalized
@@ -232,12 +223,12 @@ def find_figure_sites(words: ParsedLine,
                 if _ends_in_vowel_sound(left) and _begins_with_vowel_sound(
                         right, config.h_blocks_synalepha):
                     sites.append(FigureSite(
-                        kind="synalepha", position=i, span=2, delta=-1,
+                        kind="synalepha", position=i,
                         involves_stress=flat[i].stressed or flat[i + 1].stressed,
                         through_h=right[0] == "h" or left[-1] == "h"))
             if flat[i].split is not None:
                 sites.append(FigureSite(
-                    kind="dieresis", position=i, span=1, delta=+1,
+                    kind="dieresis", position=i,
                     involves_stress=flat[i].stressed))
     return sites
 
@@ -249,93 +240,38 @@ def _choices(flat: list[Syllable], sites: list[FigureSite]):
 
     A step is a run of flat syllables: one that a site acts on (or the
     first) and the syllables after it that no site acts on. Each of its
-    choices is ``(bits, units, move)``. ``bits`` are the mask bits of the
-    sites it applies: the merge site before the first syllable and the
-    dieresis on it. ``units`` are the run's pieces as ``(text, stressed,
-    opens_group)``: a merge joins the first piece to the open metrical
-    group, a dieresis splits the syllable in two pieces. ``move`` is what
-    the units do to the groups, see ``_move``. The last choice applies
-    every site, so its bits are the step's bits.
+    choices is ``(bits, move)``. ``bits`` are the mask bits of the sites
+    it applies: the merge site before the first syllable and the dieresis
+    on it. ``move`` is ``(joined, opened, stresses)``, what the run does to
+    the metrical groups: the stress a merge joins into the open group, the
+    number of groups the run opens and their stress bits, the first opened
+    group the least significant. Only ``_advance`` folds a move into a
+    state. The last choice applies every site, so its bits are the step's
+    bits.
     """
     merge_bit = {s.position + 1: 1 << i for i, s in enumerate(sites)
                  if s.kind != "dieresis"}
     split_bit = {s.position: 1 << i for i, s in enumerate(sites)
                  if s.kind == "dieresis"}
-    steps: list[list[tuple[int, list]]] = []
+    steps: list[list[tuple[int, tuple[int, int, int]]]] = []
     for i, syl in enumerate(flat):
         join, split = merge_bit.get(i, 0), split_bit.get(i, 0)
-        whole = (syl.text, syl.stressed, True)
         if steps and not (join or split):
-            for _, units in steps[-1]:
-                units.append(whole)
+            # a site-free syllable opens one more group in every choice
+            steps[-1] = [(bits, (joined, opened + 1,
+                                 stresses | syl.stressed << opened))
+                         for bits, (joined, opened, stresses) in steps[-1]]
             continue
-        choices = [(0, [whole])]
+        choices = [(0, (0, 1, syl.stressed))]
         if split:
-            (left, left_stressed), (right, right_stressed) = syl.split
-            choices.append((split, [(left, left_stressed, True),
-                                    (right, right_stressed, True)]))
+            (_, left), (_, right) = syl.split
+            choices.append((split, (0, 2, left | right << 1)))
         if join:
-            choices += [(bits | join, [units[0][:2] + (False,)] + units[1:])
-                        for bits, units in choices]
+            # the first group the choice would open joins the open one
+            choices += [(bits | join, (stresses & 1, opened - 1, stresses >> 1))
+                        for bits, (_, opened, stresses) in choices]
         steps.append(choices)
-    return [[(bits, units, _move(units)) for bits, units in choices]
-            for choices in steps]
-
-
-def _move(units) -> tuple[int, int, int]:
-    """What a run of units does to the metrical groups.
-
-    Returns the stress it joins into the open group, the number of groups
-    it opens and their stress bits, the first opened group the least
-    significant. Only the first unit of a step can join the open group.
-    """
-    joined = opened = stresses = 0
-    for _, stressed, opens in units:
-        if opens:
-            stresses |= stressed << opened
-            opened += 1
-        else:
-            joined = stressed
-    return joined, opened, stresses
-
-
-def _build_candidate(steps, sites: list[FigureSite],
-                     mask: int) -> ScanCandidate:
-    """The metrical syllables of one subset, from ``_choices`` output."""
-    parts: list[list[str]] = []
-    stress: list[bool] = []
-    for choices in steps:
-        picked = mask & choices[-1][0]
-        units = next(units for bits, units, _ in choices if bits == picked)
-        for text, stressed, opens in units:
-            if opens:
-                parts.append([text])
-                stress.append(stressed)
-            else:
-                parts[-1].append(text)
-                stress[-1] = stress[-1] or stressed
-    mets = tuple(MetricalSyllable(tuple(p), s) for p, s in zip(parts, stress))
-    last = max(i for i, m in enumerate(mets) if m.stressed)
-    applied = tuple(s for i, s in enumerate(sites) if mask >> i & 1)
-    return ScanCandidate(applied=applied, metrical_syllables=mets,
-                         metrical_length=last + 2)
-
-
-def pattern_of(candidate: ScanCandidate, config: ScanConfig | None = None) -> str:
-    """Render a fitted candidate as its +/- pattern.
-
-    A final stressed syllable pads one trailing '-' position; everything
-    after the last stress collapses into that single final position, so the
-    pattern always has exactly ``metrical_length`` symbols.
-    """
-    config = config or ScanConfig()
-    if candidate.metrical_length != config.target_length:
-        raise LengthMismatch(
-            f"candidate has metrical length {candidate.metrical_length}, "
-            f"target is {config.target_length}")
-    stressed = candidate.metrical_syllables[:candidate.metrical_length - 1]
-    pattern = "".join("+" if m.stressed else "-" for m in stressed) + "-"
-    return check_pattern(pattern, config.target_length)
+    return steps
 
 
 def _drop_priority(sites: list[FigureSite]) -> dict[int, int]:
@@ -394,11 +330,33 @@ def _advance(state: tuple[int, int],
 
     ``groups`` counts the metrical groups opened so far, the last of them
     still open to a join, and bit i of ``stresses`` is the stress of group
-    i. Both passes over the steps advance their states through here.
+    i. This is the only place a move is folded into groups: both passes
+    over the steps advance their states through here, and ``_replay``
+    advances the winner's moves.
     """
     groups, stresses = state
     joined, opened, new = move
     return groups + opened, stresses | joined << groups >> 1 | new << groups
+
+
+def _replay(steps, mask: int) -> tuple[int, int]:
+    """The state ``(groups, stresses)`` that the subset ``mask`` reaches,
+    advanced through its moves with no cap and no mask."""
+    state = (0, 0)
+    for choices in steps:
+        picked = mask & choices[-1][0]
+        state = _advance(state, next(m for bits, m in choices if bits == picked))
+    return state
+
+
+def _render(stresses: int, length: int) -> str:
+    """The pattern of a state's ``stresses``: groups 0..length-2, then the
+    one final position everything after the last stress collapses into."""
+    return "".join("-+"[stresses >> i & 1] for i in range(length - 1)) + "-"
+
+
+def _applied(sites: list[FigureSite], mask: int) -> tuple[FigureSite, ...]:
+    return tuple(s for i, s in enumerate(sites) if mask >> i & 1)
 
 
 def _unfittable(steps, sites, target) -> Unfittable:
@@ -413,20 +371,19 @@ def _unfittable(steps, sites, target) -> Unfittable:
     for choices in steps:
         grown: dict[tuple[int, int], list[int]] = {}
         for state, masks in states.items():
-            for bits, _, move in choices:
+            for bits, move in choices:
                 groups, stresses = _advance(state, move)
                 key = (groups, 1 << stresses.bit_length() >> 1)
                 grown.setdefault(key, []).extend(m | bits for m in masks)
         states = {key: sorted(masks)[:3] for key, masks in grown.items()}
 
     achievable = {top.bit_length() + 1 for _, top in states}
-    nearest = sorted((abs(top.bit_length() + 1 - target), mask)
-                     for (_, top), masks in states.items() for mask in masks)
-    previews = []
-    for _, mask in nearest[:3]:
-        cand = _build_candidate(steps, sites, mask)
-        figures = ";".join(str(s) for s in cand.applied) or "none"
-        previews.append((cand.metrical_length, figures))
+    # a mask reaches one state, so its length never decides the order
+    nearest = sorted((abs(length - target), mask, length)
+                     for (_, top), masks in states.items()
+                     for length in [top.bit_length() + 1] for mask in masks)
+    previews = [(length, ";".join(map(str, _applied(sites, mask))) or "none")
+                for _, mask, length in nearest[:3]]
     return Unfittable(
         f"no figure subset reaches length {target} "
         f"(achievable: {sorted(achievable)})",
@@ -443,7 +400,8 @@ def fit_to_target(words: ParsedLine, sites: list[FigureSite],
     for the rhythmic template, bits 3, 5 and 7, so there are at most
     (target+1)*16 states; ``emit_diagnostics`` keeps every bit. Each state
     keeps the cheapest subset reaching it under ``_site_deltas`` and how
-    many subsets reach it, capped at two.
+    many subsets reach it, capped at two. The winner's pattern and length
+    come from replaying its mask through ``_advance`` (``_replay``).
     """
     config = config or ScanConfig()
     target = config.target_length
@@ -458,9 +416,9 @@ def fit_to_target(words: ParsedLine, sites: list[FigureSite],
     # opens one unstressed group to close the last one, so every feasible
     # state has target groups
     states = {(0, 0): (0, 0, 1)}
-    for choices in steps + [[(0, (), (0, 1, 0))]]:
+    for choices in steps + [[(0, (0, 1, 0))]]:
         grown: dict[tuple[int, int], tuple[int, int, int]] = {}
-        for bits, _, move in choices:
+        for bits, move in choices:
             added, rest = 0, bits
             while rest:  # a choice sets at most two bits
                 added += deltas[(rest & -rest).bit_length() - 1]
@@ -488,16 +446,15 @@ def fit_to_target(words: ParsedLine, sites: list[FigureSite],
     hits = [s for s in finals if rhythmic
             and (s & 0b100000 or s & 0b10001000 == 0b10001000)]
     _, mask, _ = min(finals[s] for s in hits or finals)
-    candidate = _build_candidate(steps, sites, mask)
+    _, stresses = _replay(steps, mask)
 
     diagnostics = ()
     if config.emit_diagnostics:
-        diagnostics = tuple(sorted(
-            "".join("-+"[s >> i & 1] for i in range(target - 1)) + "-"
-            for s in finals))
+        diagnostics = tuple(sorted(_render(s, target) for s in finals))
     return ScansionResult(
-        pattern=pattern_of(candidate, config),
-        candidate=candidate,
+        pattern=check_pattern(_render(stresses, target), target),
+        candidate=ScanCandidate(_applied(sites, mask),
+                                stresses.bit_length() + 1),
         ambiguous=sum(paths for _, _, paths in finals.values()) > 1,
         syllabification=tuple(sw.syllables for sw in words),
         diagnostics=diagnostics,

@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,7 @@ from escansion.corpus import bundled_mini_gold, write_tsv
 from test_corpus import SONNET_TEI
 
 LINE = "cubra de nieve la hermosa cumbre"
+DATA = Path(__file__).parent / "data"
 NOT_UTF8 = b"caf\xff"  # 0xff starts no UTF-8 sequence
 
 
@@ -36,6 +38,19 @@ def gold_tsv(tmp_path):
 
 
 class TestScan:
+    def test_output_is_byte_identical_to_the_recorded_one(self, tmp_path,
+                                                          capsys):
+        # scan_guard.txt: the mini gold texts, then sol, sol x 11, a line
+        # of punctuation and an unfittable vowel-contact line
+        for recorded, argv in (("scan_guard.tsv", []),
+                               ("scan_guard.jsonl",
+                                ["--format", "jsonl", "--diagnostics"])):
+            out = tmp_path / recorded
+            assert main(["scan", *argv, str(DATA / "scan_guard.txt"),
+                         "-o", str(out)]) == 2
+            assert out.read_bytes() == (DATA / recorded).read_bytes()
+            assert capsys.readouterr() == ("", "")
+
     def test_example_line(self, tmp_path, capsys):
         src = tmp_path / "verses.txt"
         src.write_text(LINE + "\n", encoding="utf-8")

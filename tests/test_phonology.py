@@ -268,6 +268,10 @@ class TestProsodicStress:
         ("no", True),
         ("otro", True),
         ("este", True),   # demonstratives are tonic
+        # contraction marks are transparent to the lexicon too
+        ("porq-ue", False),
+        ("d'el", False),
+        ("pa-ra", False),
     ])
     def test_homographs_and_function_words(self, word, stressed, lexicon):
         assert is_prosodically_stressed(normalize_token(word), lexicon) is stressed
@@ -296,6 +300,17 @@ class TestProsodicStress:
     def test_word_cannot_sit_in_both_lists(self):
         with pytest.raises(ValueError):
             StressLexicon(frozenset({"la"}), {"la": True})
+        with pytest.raises(ValueError):
+            StressLexicon(frozenset({"d'el"}), {"del": True})
+
+    def test_entries_match_without_their_marks(self, tmp_path):
+        path = tmp_path / "lex.txt"
+        path.write_text("d'el\ndel\tstressed\npa-ra\n", encoding="utf-8")
+        lex = StressLexicon.load(path)
+        assert lex.overrides == {"del": True}
+        assert lex.unstressed_words == {"para"}
+        assert is_prosodically_stressed(normalize_token("d-el"), lex)
+        assert not is_prosodically_stressed(normalize_token("para"), lex)
 
 
 class TestWordCache:
@@ -363,7 +378,8 @@ def test_syllable_parts_examples():
 
 class TestMarks:
     """A contraction mark is kept in the syllable texts but decides
-    nothing: no syllable boundary, hiatus, split, synalepha or stress."""
+    nothing: no syllable boundary, hiatus, split, synalepha, stress or
+    lexicon entry."""
 
     @given(words())
     @settings(max_examples=300)
@@ -374,9 +390,9 @@ class TestMarks:
         except EmptyAfterNormalization:
             assume(False)
         for form in ("syllables", "tonic"):
-            assert ([(s.hiatus, s.split is not None)
+            assert ([(s.hiatus, s.split is not None, s.stressed)
                      for s in getattr(marked, form)]
-                    == [(s.hiatus, s.split is not None)
+                    == [(s.hiatus, s.split is not None, s.stressed)
                         for s in getattr(plain, form)]), raw
 
     @given(words())

@@ -18,7 +18,6 @@ from escansion.scansion import (
     check_pattern,
     find_figure_sites,
     fit_to_target,
-    pattern_of,
     phonological_parse,
     scan_line,
 )
@@ -160,12 +159,6 @@ class TestFindFigureSites:
         kinds = [s.kind for s in find_figure_sites(words, config)]
         assert "synalepha" not in kinds
 
-    def test_delta_conventions(self):
-        with pytest.raises(ValueError):
-            FigureSite(kind="dieresis", position=0, span=1, delta=-1)
-        with pytest.raises(ValueError):
-            FigureSite(kind="synalepha", position=0, span=2, delta=+1)
-
 
 class TestFitAndScan:
     def test_worked_example(self, lexicon, config):
@@ -190,7 +183,6 @@ class TestFitAndScan:
     def test_ten_stressed_monosyllables_fit(self, lexicon, config):
         result = scan_line(" ".join(["sol"] * 10), lexicon, config)
         assert result.pattern == "++++++++++-"
-        assert result.candidate.ending_adjust == 1
 
     def test_eleven_monosyllables_unfittable(self, lexicon, config):
         with pytest.raises(Unfittable) as exc:
@@ -200,14 +192,10 @@ class TestFitAndScan:
     def test_oxytone_padding(self, lexicon, config):
         result = scan_line("el corazón me duele sin razón", lexicon, config)
         assert result.pattern == "---+-+---+-"
-        assert len(result.candidate.metrical_syllables) == 10
-        assert result.candidate.ending_adjust == 1
 
     def test_proparoxytone_collapse(self, lexicon, config):
         result = scan_line("la cándida paloma vuela rápido", lexicon, config)
         assert result.pattern == "-+---+-+-+-"
-        assert len(result.candidate.metrical_syllables) == 12
-        assert result.candidate.ending_adjust == -1
 
     def test_deterministic(self, lexicon, config):
         a = scan_line(GARCILASO_LINE, lexicon, config)
@@ -219,7 +207,6 @@ class TestFitAndScan:
         # 10-syllable line ends like an oxytone verse
         result = scan_line("canta la paloma blanca de la", lexicon, config)
         assert result.pattern == "+---+-+--+-"
-        assert result.candidate.ending_adjust == 1
 
     def test_alternate_target_length(self, lexicon):
         config = ScanConfig(target_length=8)
@@ -261,7 +248,6 @@ class TestFitAndScan:
         result = fit_to_target(words, sites, config)
         check_pattern(result.pattern)
         assert result.candidate.metrical_length == 11
-        assert pattern_of(result.candidate, config) == result.pattern
 
     def test_long_vowel_run_scans_in_linear_time(self, lexicon, config):
         # one syneresis site per letter: the fit must stay linear in sites
@@ -292,15 +278,6 @@ class TestFitAndScan:
 
 
 class TestPatternOf:
-    def test_matches_scan(self, lexicon, config):
-        result = scan_line(GARCILASO_LINE, lexicon, config)
-        assert pattern_of(result.candidate, config) == result.pattern
-
-    def test_length_mismatch(self, lexicon, config):
-        result = scan_line(GARCILASO_LINE, lexicon, config)
-        with pytest.raises(LengthMismatch):
-            pattern_of(result.candidate, ScanConfig(target_length=12))
-
     def test_check_pattern_rules(self):
         assert check_pattern("+--+---+-+-") == "+--+---+-+-"
         with pytest.raises(LengthMismatch):
@@ -451,8 +428,6 @@ class TestOracleAgreement:
                 kind = rng.choice(("synalepha", "syneresis", "dieresis"))
                 sites.append(FigureSite(
                     kind=kind, position=position,
-                    span=1 if kind == "dieresis" else 2,
-                    delta=1 if kind == "dieresis" else -1,
                     involves_stress=rng.random() < 0.3,
                     through_h=kind == "synalepha" and rng.random() < 0.2))
             deltas = _site_deltas(sites, preference)
@@ -476,16 +451,23 @@ class TestOracleAgreement:
                 assert result.pattern[9] == "+", line.text
 
 
-@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
-@settings(max_examples=60, deadline=None)
-def test_every_scan_output_is_a_valid_pattern(seed):
-    rng = random.Random(seed)
-    text = wordbank.random_raw_line(rng)
+# letters, accents, dieresis marks, h, y, contraction marks, punctuation
+_FUZZ_ALPHABET = ("abcdefghijklmnñopqrstuvwxyz" + "áéíóú" + "üï" + "hhyy"
+                  + "'-" + "    " + ",.;:¡!¿?()«»")
+
+
+@given(st.one_of(
+    st.integers(min_value=0, max_value=2 ** 32 - 1).map(
+        lambda seed: wordbank.random_raw_line(random.Random(seed))),
+    st.text(alphabet=_FUZZ_ALPHABET, max_size=80)))
+@settings(max_examples=1000, deadline=None)
+def test_every_scan_output_is_a_valid_pattern(text):
     try:
         result = scan_line(text)
-    except Unfittable:
-        return
-    except EmptyLine:
+    except (Unfittable, EmptyLine):
         return
     check_pattern(result.pattern)
     assert result.candidate.metrical_length == 11
+    full = scan_line(text, config=ScanConfig(emit_diagnostics=True))
+    assert full.pattern == result.pattern
+    assert full.pattern in full.diagnostics
