@@ -287,6 +287,9 @@ def _encode(arr: np.ndarray) -> str:
 
 
 def _decode(blob: str, shape: tuple[int, ...]) -> np.ndarray:
+    if not isinstance(blob, str):
+        raise CorruptModelFile(f"weight blob is {type(blob).__name__}, "
+                               "not base64 text")
     raw = base64.b64decode(blob.encode())
     expected = 8 * int(np.prod(shape))
     if len(raw) != expected:
@@ -317,7 +320,8 @@ def load_model(path) -> PositionalStressModel:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested past what json follows
         raise CorruptModelFile(f"{path}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
         raise CorruptModelFile(f"{path}: not a {_FORMAT} file")

@@ -5,7 +5,8 @@ Exit codes: 0 success, 1 environment or I/O problem, 2 bad input data.
 All randomness flows through an explicit --seed flag, so every command is
 byte-reproducible given the same inputs. Only the baseline subcommands
 import the baseline module, and with it numpy, so scan, evaluate and score
-start without it.
+start without it; only evaluate and score import metrics, and only prepare
+sets up logging, so scan loads neither.
 """
 
 from __future__ import annotations
@@ -13,12 +14,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import logging
 import os
 import sys
 from pathlib import Path
 
-from . import corpus, metrics
+from . import corpus
 from .errors import DataError, Unfittable
 from .phonology import StressLexicon, default_lexicon
 from .scansion import ScanConfig, scan_line
@@ -111,6 +111,10 @@ def cmd_scan(args) -> int:
 # --- prepare ------------------------------------------------------------------
 
 def cmd_prepare(args) -> int:
+    import logging
+    # the one command that logs: parse_tei warns about skipped lines
+    logging.basicConfig(level=logging.WARNING,
+                        format="%(levelname)s %(message)s")
     tei = Path(args.tei)
     if tei.is_dir():
         lines = corpus.parse_tei_dir(tei)
@@ -138,7 +142,8 @@ def cmd_prepare(args) -> int:
 
 # --- evaluate / score ----------------------------------------------------------
 
-def _print_report(report: metrics.EvalReport, as_json: bool) -> None:
+def _print_report(report, as_json: bool) -> None:
+    from . import metrics
     if as_json:
         doc = {
             "total": report.total,
@@ -155,6 +160,7 @@ def _print_report(report: metrics.EvalReport, as_json: bool) -> None:
 
 
 def cmd_evaluate(args) -> int:
+    from . import metrics
     if args.engine and args.pred:
         raise DataError("--engine and a predictions file are mutually exclusive")
     gold = corpus.read_tsv(args.gold)
@@ -294,8 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(level=logging.WARNING,
-                        format="%(levelname)s %(message)s")
     try:
         return args.func(args)
     except DataError as exc:

@@ -13,9 +13,6 @@ Canonical on-disk form is a UTF-8 TSV: poem_id, line_no, text, pattern
 from __future__ import annotations
 
 import json
-import logging
-import random
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -24,8 +21,6 @@ from .errors import (DataError, InsufficientData, MalformedTei, MalformedTsv,
                      MalformedXml, NotUtf8, UnnormalizableMet)
 from .phonology import clean_text
 from .scansion import check_pattern
-
-log = logging.getLogger(__name__)
 
 # Reverse-engineered from the published line counts 6558/2187/1401 of a
 # 10146-line corpus.
@@ -113,51 +108,61 @@ def parse_tei(path) -> list[CorpusLine]:
     The poem identifier comes from the nearest ancestor div/lg xml:id when
     present, otherwise from the file stem plus a running poem counter.
     """
+    # the XML stack loads here, so commands that read no TEI skip it
+    import xml.etree.ElementTree as ET
+
     path = Path(path)
     try:
         root = ET.parse(path).getroot()
-    except ET.ParseError as exc:
+    except (ET.ParseError, LookupError, ValueError) as exc:
+        # LookupError and ValueError: an encoding expat does not know or
+        # cannot read, as declared by the file
         raise MalformedXml(f"{path}: {exc}") from exc
 
     lines: list[CorpusLine] = []
     skipped = 0
     poem_counter = 0
-
-    def walk(node, poem_id: str | None, manual: bool, counter: list[int]):
-        nonlocal skipped, poem_counter
-        for child in node:
-            tag = _local(child.tag)
-            attrs = {_local(k): v for k, v in child.attrib.items()}
-            child_manual = manual or _looks_manual(attrs)
-            if tag in ("div", "lg") and poem_id is None:
-                poem_counter += 1
-                new_id = attrs.get("id") or f"{path.stem}-{poem_counter:04d}"
-                walk(child, new_id, child_manual, [0])
-            elif tag == "l":
-                met = attrs.get("met")
-                text = " ".join("".join(child.itertext()).split())
-                if not met or not text:
-                    skipped += 1
-                    continue
-                counter[0] += 1
-                try:
-                    number = int(attrs.get("n", ""))
-                except ValueError:
-                    number = counter[0]
-                pid = poem_id or path.stem
-                try:
-                    lines.append(CorpusLine(pid, number, text,
-                                            normalize_met(met), child_manual))
-                except ValueError as exc:
-                    raise MalformedTei(
-                        f"{path}: poem {pid}, l {number}: {exc}") from exc
-            else:
-                walk(child, poem_id, child_manual, counter)
-
-    walk(root, None, _looks_manual(
-        {_local(k): v for k, v in root.attrib.items()}), [0])
+    # depth first in document order, one entry per open element: its
+    # children still to visit, its poem, manual flag and line counter
+    stack = [(iter(root), None, _looks_manual(
+        {_local(k): v for k, v in root.attrib.items()}), [0])]
+    while stack:
+        children, poem_id, manual, counter = stack[-1]
+        child = next(children, None)
+        if child is None:
+            stack.pop()
+            continue
+        tag = _local(child.tag)
+        attrs = {_local(k): v for k, v in child.attrib.items()}
+        child_manual = manual or _looks_manual(attrs)
+        if tag in ("div", "lg") and poem_id is None:
+            poem_counter += 1
+            new_id = attrs.get("id") or f"{path.stem}-{poem_counter:04d}"
+            stack.append((iter(child), new_id, child_manual, [0]))
+        elif tag == "l":
+            met = attrs.get("met")
+            text = " ".join("".join(child.itertext()).split())
+            if not met or not text:
+                skipped += 1
+                continue
+            counter[0] += 1
+            try:
+                number = int(attrs.get("n", ""))
+            except ValueError:
+                number = counter[0]
+            pid = poem_id or path.stem
+            try:
+                lines.append(CorpusLine(pid, number, text,
+                                        normalize_met(met), child_manual))
+            except ValueError as exc:
+                raise MalformedTei(
+                    f"{path}: poem {pid}, l {number}: {exc}") from exc
+        else:
+            stack.append((iter(child), poem_id, child_manual, counter))
     if skipped:
-        log.warning("%s: skipped %d line(s) without met annotation", path, skipped)
+        import logging
+        logging.getLogger(__name__).warning(
+            "%s: skipped %d line(s) without met annotation", path, skipped)
     return lines
 
 
@@ -200,6 +205,7 @@ def split(lines: list[CorpusLine], ratios=DEFAULT_RATIOS, seed: int = 13) -> Cor
         raise InsufficientData(
             f"{len(poem_ids)} poem(s) cannot fill {wanted_sets} split(s)")
 
+    import random
     rng = random.Random(seed)
     rng.shuffle(poem_ids)
     total = len(lines)

@@ -18,14 +18,19 @@ pass over the word with its contraction marks (' and -) removed, so marks
 decide nothing (nor do they in the stress and synalepha rules or the
 lexicon lookup); each goes back into the syllable text with the letter
 after it. A ``Syllable`` is built from those parts: its stress, its hiatus
-flag and where a dieresis would split it.
+flag and, for a two-vowel nucleus, which half keeps the stress if a
+dieresis splits it. Syllables live only while their word's frame is built.
 
 A verse repeats its words, so ``analyze_token`` keeps each token's analysis
 in a cache owned by the lexicon it was stressed with: the syllabified word
-and its syllables, both as the lexicon stresses the word and forced tonic
-as at the end of a line. The cache holds at most ``_CACHE_SIZE`` tokens and
-is emptied when full, so open-ended vocabularies cost bounded memory. The
-lexicon's lists are read-only, so a cached stress cannot go stale.
+and its ``Frame``, both as the lexicon stresses the word and forced tonic
+as at the end of a line. A frame is what scansion reads of
+the word: its own syneresis and dieresis sites, its fitter steps with
+word-local site bits, and the vowel sounds, ``h`` and stresses at its
+edges, so a line is stitched word by word instead of walked syllable by
+syllable. The cache holds at most ``_CACHE_SIZE`` tokens and is emptied
+when full, so open-ended vocabularies cost bounded memory. The lexicon's
+lists are read-only, so a cached stress cannot go stale.
 
 This module also owns text normalization for scan, ``prepare`` and the
 baseline: ``clean_text`` folds a line to lowercase Spanish letters and
@@ -402,25 +407,57 @@ def stressed_syllable_indices(sw: SyllabifiedWord, *, force: bool = False) -> tu
 
 
 class Syllable(NamedTuple):
-    """One syllable of a word in a line, with what scansion reads of it,
-    all taken from the syllabifier's onset, nucleus and coda."""
+    """What a word's frame is built from, for one of its syllables, all
+    taken from the syllabifier's onset, nucleus and coda."""
 
-    text: str
     stressed: bool
     # only an h, or nothing, separates it from the previous syllable of its
     # word: the two can merge by syneresis
     hiatus: bool
-    # ((left text, stressed), (right text, stressed)) after a dieresis
-    # split, or None for single-vowel nuclei
-    split: tuple[tuple[str, bool], tuple[str, bool]] | None
+    # (left stressed, right stressed) after a dieresis split, or None for
+    # single-vowel nuclei
+    split: tuple[bool, bool] | None
+
+
+class Frame(NamedTuple):
+    """What one form of a word brings to a line: its figure sites and its
+    fitter steps at word-local positions and bits, and the facts at its
+    edges that decide a synalepha with a neighbour.
+
+    A local bit is the index of a site among the word's own sites in
+    emission order. The dieresis on the last syllable, ``tail``, comes last
+    of them: in a line it follows the synalepha out of the word, if any.
+    A step is a run of syllables, one that a site acts on (or the first)
+    and the site-free ones after it; each of its choices is ``(bits,
+    move)``, a move ``(joined, opened, stresses)`` as ``scansion._advance``
+    folds it.
+    """
+
+    size: int  # syllables
+    # (kind, position, involves_stress) of each syneresis and dieresis but
+    # the tail, in emission order
+    sites: tuple[tuple[str, int, bool], ...]
+    tail: bool  # the last syllable can split by dieresis
+    ends_vowel: bool
+    begins_vowel: tuple[bool, bool]  # indexed by h_blocks_synalepha
+    h_first: bool
+    h_last: bool
+    first_stressed: bool
+    last_stressed: bool
+    head: tuple  # the first step's choices
+    joined: tuple  # the head's choices with a synalepha into it, join bit aside
+    free: bool  # the head is free of sites: one choice, (0, (0, k, b))
+    rest: tuple  # the other steps
 
 
 class WordAnalysis(NamedTuple):
-    """A token's analysis under one lexicon, as ``analyze_token`` caches it."""
+    """A token's analysis under one lexicon, as ``analyze_token`` caches it:
+    the syllabified word and its frame in both stress forms (the same
+    object when the word is tonic anyway)."""
 
     word: SyllabifiedWord
-    syllables: tuple[Syllable, ...]  # stressed as the lexicon says
-    tonic: tuple[Syllable, ...]      # forced tonic, as the last word of a line
+    frame: Frame        # stressed as the lexicon says
+    tonic_frame: Frame  # forced tonic, as the last word of a line
 
 
 def _stressed_syllables(sw: SyllabifiedWord, parts, *,
@@ -429,21 +466,84 @@ def _stressed_syllables(sw: SyllabifiedWord, parts, *,
     ``parts``, stressed as ``stressed_syllable_indices`` says."""
     hits = stressed_syllable_indices(sw, force=force)
     out, coda = [], None
-    for i, (text, (onset, nucleus, next_coda)) in enumerate(
-            zip(sw.syllables, parts)):
+    for i, (onset, nucleus, next_coda) in enumerate(parts):
         stressed = i in hits
         vowels = nucleus.replace("h", "")
         split = None
         if len(vowels) >= 2:
-            # cut after the first vowel, which keeps the stress if strong
-            left, right = _cut(text, [len(onset) + 1])
+            # the first vowel keeps the stress if it is strong
             peak_left = vowels[0] in _HIATUS_CORE
-            split = ((left, stressed and peak_left),
-                     (right, stressed and not peak_left))
-        out.append(Syllable(text, stressed, coda == "" and onset in ("", "h"),
-                            split))
+            split = (stressed and peak_left, stressed and not peak_left)
+        out.append(Syllable(stressed, coda == "" and onset in ("", "h"), split))
         coda = next_coda
     return tuple(out)
+
+
+# marks decide nothing: one can follow a word's first letter or precede its last
+def _ends_in_vowel_sound(normalized: str) -> bool:
+    c = normalized[-1]
+    if c in VOWEL_CHARS or c == "y":
+        return True
+    return c == "h" and normalized[:-1].rstrip(_MARKS)[-1:] in VOWEL_CHARS
+
+
+def _begins_with_vowel_sound(normalized: str, h_blocks: bool) -> bool:
+    c = normalized[0]
+    if c in VOWEL_CHARS:
+        return True
+    if c == "y":
+        # standalone conjunction, or archaic y-for-i before a consonant
+        rest = normalized[1:].lstrip(_MARKS)
+        return not rest or rest[0] not in VOWEL_CHARS
+    if c == "h" and not h_blocks:
+        rest = normalized[1:].lstrip(_MARKS)
+        # not before a consonantal glide: hueso, hielo
+        return rest[:1] in VOWEL_CHARS and rest[:2] not in ("ue", "ie")
+    return False
+
+
+def _frame(syllables: tuple[Syllable, ...], edges: tuple) -> Frame:
+    """The ``Frame`` of one stress form of a word; ``edges`` are its
+    (ends_vowel, begins_vowel, h_first, h_last)."""
+    sites, steps = [], []
+    last = len(syllables) - 1
+    join = 0  # the bit of the syneresis into the next syllable
+    for i, syl in enumerate(syllables):
+        merge, join = join, 0
+        stressed, split = syl.stressed, syl.split
+        if i < last and syllables[i + 1].hiatus:
+            join = 1 << len(sites)
+            sites.append(("syneresis", i,
+                          stressed or syllables[i + 1].stressed))
+        if split is not None:
+            bit = 1 << len(sites)
+            if i < last:
+                sites.append(("dieresis", i, stressed))
+        elif steps and not merge:
+            # a site-free syllable opens one more group in every choice
+            steps[-1] = [(bits, (joined, opened + 1,
+                                 stresses | stressed << opened))
+                         for bits, (joined, opened, stresses) in steps[-1]]
+            continue
+        choices = [(0, (0, 1, stressed))]
+        if split is not None:
+            left, right = split
+            choices.append((bit, (0, 2, left | right << 1)))
+        if merge:
+            choices += _joined(choices, merge)
+        steps.append(choices)
+    head = steps[0]
+    return Frame(last + 1, tuple(sites), split is not None, *edges,
+                 syllables[0].stressed, stressed, tuple(head),
+                 tuple(_joined(head, 0)), len(head) == 1,
+                 tuple([tuple(step) for step in steps[1:]]))
+
+
+def _joined(choices, bit: int) -> list:
+    """``choices`` with the first group each would open joined into the
+    open one, and ``bit`` set."""
+    return [(bits | bit, (stresses & 1, opened - 1, stresses >> 1))
+            for bits, (_, opened, stresses) in choices]
 
 
 def analyze_token(raw: str, lexicon: StressLexicon) -> WordAnalysis:
@@ -456,17 +556,22 @@ def analyze_token(raw: str, lexicon: StressLexicon) -> WordAnalysis:
     hit = cache.get(raw)
     if hit is None:
         word = normalize_token(raw)
-        texts, parts = _syllable_parts(word.normalized)
+        normalized = word.normalized
+        texts, parts = _syllable_parts(normalized)
         sw = SyllabifiedWord(
             word=word,
             syllables=tuple(texts),
             stress_from_end=lexical_stress(texts, word),
             prosodic=is_prosodically_stressed(word, lexicon),
         )
-        shapes = _stressed_syllables(sw, parts)
-        tonic = shapes if sw.prosodic else _stressed_syllables(
-            sw, parts, force=True)
-        hit = WordAnalysis(sw, shapes, tonic)
+        edges = (_ends_in_vowel_sound(normalized),
+                 (_begins_with_vowel_sound(normalized, False),
+                  _begins_with_vowel_sound(normalized, True)),
+                 normalized[0] == "h", normalized[-1] == "h")
+        frame = _frame(_stressed_syllables(sw, parts), edges)
+        tonic_frame = frame if sw.prosodic else _frame(
+            _stressed_syllables(sw, parts, force=True), edges)
+        hit = WordAnalysis(sw, frame, tonic_frame)
         # unlocked: threads that race here store equal analyses, and can
         # overshoot the bound only by their number
         if len(cache) >= _CACHE_SIZE:

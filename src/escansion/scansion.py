@@ -2,9 +2,13 @@
 
 A parsed line is a flat sequence of phonological syllables, each stressed
 or not. ``phonological_parse`` returns it as a ``ParsedLine``: the words,
-plus that sequence built once from the lexicon's cached word analyses, so
-finding sites and fitting read it instead of rebuilding it. Three figures
-can reshape it:
+plus their frames from the lexicon's cached word analyses (``Frame`` in
+``phonology``). Each frame holds what is fixed for its word: its own
+syneresis and dieresis sites, the vowel sounds at its edges and its
+fitter steps. Finding sites offsets each word's cached sites and tests
+only the word boundaries; fitting stitches the words' cached steps. No
+stage walks the line syllable by syllable. Three figures can reshape the
+sequence:
 
 * synalepha  - merges the last syllable of a word with the vowel-initial
                first syllable of the next word (-1 per merged boundary);
@@ -50,10 +54,8 @@ from typing import NamedTuple
 from .errors import (DataError, EmptyLine, EmptyAfterNormalization,
                      LengthMismatch, Unfittable)
 from .phonology import (
-    _MARKS,
-    VOWEL_CHARS,
+    Frame,
     StressLexicon,
-    Syllable,
     WordAnalysis,
     analyze_token,
     default_lexicon,
@@ -140,30 +142,30 @@ def check_pattern(symbols: str, length: int = 11) -> str:
 # --- parsing ----------------------------------------------------------------
 
 class _Flat(NamedTuple):
-    """The syllables of a line in order, the last word tonic, and the
-    index of each word's first syllable."""
+    """The frames of a line's words in order, the last word's tonic, and
+    the index of each word's first syllable in the line."""
 
-    syllables: list[Syllable]
+    frames: list[Frame]
     starts: list[int]
 
 
-def _build_flat(word_syllables) -> _Flat:
-    syllables, starts = [], []
-    for group in word_syllables:
-        starts.append(len(syllables))
-        syllables.extend(group)
-    return _Flat(syllables, starts)
+def _build_flat(frames: list[Frame]) -> _Flat:
+    starts, at = [], 0
+    for frame in frames:
+        starts.append(at)
+        at += frame.size
+    return _Flat(frames, starts)
 
 
 class ParsedLine(list):
     """The words of a line as ``SyllabifiedWord``s, plus ``flat``, the
-    line's syllable sequence, built once from the cached word analyses.
+    line's word frames, taken once from the cached word analyses.
     Read-only: ``flat`` does not follow edits to the list."""
 
     def __init__(self, analyses: list[WordAnalysis]):
         super().__init__(a.word for a in analyses)
-        self.flat = _build_flat([a.syllables for a in analyses[:-1]]
-                                + [analyses[-1].tonic])
+        self.flat = _build_flat([a.frame for a in analyses[:-1]]
+                                + [analyses[-1].tonic_frame])
 
 
 def phonological_parse(line: str, lexicon: StressLexicon) -> ParsedLine:
@@ -179,99 +181,99 @@ def phonological_parse(line: str, lexicon: StressLexicon) -> ParsedLine:
     return ParsedLine(analyses)
 
 
-# marks decide nothing: one can follow a word's first letter or precede its last
-def _ends_in_vowel_sound(normalized: str) -> bool:
-    c = normalized[-1]
-    if c in VOWEL_CHARS or c == "y":
-        return True
-    return c == "h" and normalized[:-1].rstrip(_MARKS)[-1:] in VOWEL_CHARS
-
-
-def _begins_with_vowel_sound(normalized: str, h_blocks: bool) -> bool:
-    c = normalized[0]
-    if c in VOWEL_CHARS:
-        return True
-    if c == "y":
-        # standalone conjunction, or archaic y-for-i before a consonant
-        rest = normalized[1:].lstrip(_MARKS)
-        return not rest or rest[0] not in VOWEL_CHARS
-    if c == "h" and not h_blocks:
-        rest = normalized[1:].lstrip(_MARKS)
-        # not before a consonantal glide: hueso, hielo
-        return rest[:1] in VOWEL_CHARS and rest[:2] not in ("ue", "ie")
-    return False
-
-
 def find_figure_sites(words: ParsedLine,
                       config: ScanConfig | None = None) -> list[FigureSite]:
     """Enumerate every applicable figure, ordered by position and then as
-    in ``_FIGURES``."""
-    config = config or ScanConfig()
-    flat, starts = words.flat
+    in ``_FIGURES``.
 
+    Each word's syneresis and dieresis sites are cached in its frame at
+    word-local positions; here they are offset to the line, and only the
+    word boundaries are tested for a synalepha, from the vowel sounds the
+    frames cache at their edges.
+    """
+    config = config or ScanConfig()
+    h_blocks = bool(config.h_blocks_synalepha)
+    frames, starts = words.flat
     sites = []
-    for wi, (start, end) in enumerate(zip(starts, starts[1:] + [len(flat)])):
-        for i in range(start, end):
-            if i + 1 < end:
-                if flat[i + 1].hiatus:
-                    sites.append(FigureSite(
-                        kind="syneresis", position=i,
-                        involves_stress=flat[i].stressed or flat[i + 1].stressed))
-            elif wi + 1 < len(words):
-                left = words[wi].word.normalized
-                right = words[wi + 1].word.normalized
-                if _ends_in_vowel_sound(left) and _begins_with_vowel_sound(
-                        right, config.h_blocks_synalepha):
-                    sites.append(FigureSite(
-                        kind="synalepha", position=i,
-                        involves_stress=flat[i].stressed or flat[i + 1].stressed,
-                        through_h=right[0] == "h" or left[-1] == "h"))
-            if flat[i].split is not None:
-                sites.append(FigureSite(
-                    kind="dieresis", position=i,
-                    involves_stress=flat[i].stressed))
+    for frame, start, after in zip(frames, starts, frames[1:] + [None]):
+        for kind, position, stress in frame.sites:
+            sites.append(FigureSite(kind, start + position, stress))
+        end = start + frame.size - 1
+        if (after is not None and frame.ends_vowel
+                and after.begins_vowel[h_blocks]):
+            sites.append(FigureSite(
+                "synalepha", end, frame.last_stressed or after.first_stressed,
+                frame.h_last or after.h_first))
+        if frame.tail:
+            sites.append(FigureSite("dieresis", end, frame.last_stressed))
     return sites
 
 
 # --- candidate evaluation ---------------------------------------------------
 
-def _choices(flat: list[Syllable], sites: list[FigureSite]):
+def _choices(flat: _Flat, sites: list[FigureSite]):
     """Every way the sites can be set, one step at a time.
 
-    A step is a run of flat syllables: one that a site acts on (or the
-    first) and the syllables after it that no site acts on. Each of its
-    choices is ``(bits, move)``. ``bits`` are the mask bits of the sites
-    it applies: the merge site before the first syllable and the dieresis
-    on it. ``move`` is ``(joined, opened, stresses)``, what the run does to
-    the metrical groups: the stress a merge joins into the open group, the
-    number of groups the run opens and their stress bits, the first opened
-    group the least significant. Only ``_advance`` folds a move into a
-    state. The last choice applies every site, so its bits are the step's
-    bits.
+    A step is a run of the line's syllables: one that a site acts on (or
+    the first) and the syllables after it that no site acts on. Each of
+    its choices is ``(bits, move)``. ``bits`` are the mask bits of the
+    sites it applies: the merge site before the first syllable and the
+    dieresis on it. ``move`` is ``(joined, opened, stresses)``, what the
+    run does to the metrical groups: the stress a merge joins into the
+    open group, the number of groups the run opens and their stress bits,
+    the first opened group the least significant. Only ``_advance`` folds
+    a move into a state. The last choice applies every site, so its bits
+    are the step's bits.
+
+    The steps are the words' cached frame steps, their word-local bits
+    moved to the bits of the sites in the line; the synalepha into a word
+    joins its head, and a head free of sites folds into the open step, a
+    whole run of syllables at once. Which boundaries carry a synalepha is
+    read from ``sites``; the other sites are the frames'. A list whose
+    size the frames and those synalephas do not account for raises
+    ``ValueError``.
     """
-    merge_bit = {s.position + 1: 1 << i for i, s in enumerate(sites)
-                 if s.kind != "dieresis"}
-    split_bit = {s.position: 1 << i for i, s in enumerate(sites)
-                 if s.kind == "dieresis"}
-    steps: list[list[tuple[int, tuple[int, int, int]]]] = []
-    for i, syl in enumerate(flat):
-        join, split = merge_bit.get(i, 0), split_bit.get(i, 0)
-        if steps and not (join or split):
-            # a site-free syllable opens one more group in every choice
-            steps[-1] = [(bits, (joined, opened + 1,
-                                 stresses | syl.stressed << opened))
-                         for bits, (joined, opened, stresses) in steps[-1]]
-            continue
-        choices = [(0, (0, 1, syl.stressed))]
-        if split:
-            (_, left), (_, right) = syl.split
-            choices.append((split, (0, 2, left | right << 1)))
+    frames, starts = flat
+    synalephas = {s.position: 1 << i for i, s in enumerate(sites)
+                  if s.kind == "synalepha"}
+    steps: list = []
+    first = 0  # the index in ``sites`` of the word's first own site
+    join = 0   # the bit of the synalepha into the word
+    for frame, start in zip(frames, starts):
+        out = synalephas.get(start + frame.size - 1, 0)
+        # local bit b is site first + b, but the tail follows the synalepha out
+        low = (1 << len(frame.sites)) - 1 if out and frame.tail else -1
+        lift = first or low != -1
         if join:
-            # the first group the choice would open joins the open one
-            choices += [(bits | join, (stresses & 1, opened - 1, stresses >> 1))
-                        for bits, (_, opened, stresses) in choices]
-        steps.append(choices)
+            steps.append(_lifted(frame.head, first, low) + [
+                (bits | join, move)
+                for bits, move in _lifted(frame.joined, first, low)])
+        elif frame.free and steps:
+            # a site-free run opens its groups in every choice
+            _, (_, run, run_stresses) = frame.head[0]
+            steps[-1] = [(bits, (joined, opened + run,
+                                 stresses | run_stresses << opened))
+                         for bits, (joined, opened, stresses) in steps[-1]]
+        else:
+            steps.append(_lifted(frame.head, first, low) if lift
+                         else frame.head)
+        if frame.rest:
+            steps.extend([_lifted(step, first, low) for step in frame.rest]
+                         if lift else frame.rest)
+        first += len(frame.sites) + (out != 0) + frame.tail
+        join = out
+    if first != len(sites):
+        # bits are indices into ``sites``: another list would name the
+        # wrong figures
+        raise ValueError(f"{len(sites)} sites given, the words have {first}")
     return steps
+
+
+def _lifted(step, first: int, low: int) -> list:
+    """``step`` with its word-local bits moved to the line: up by
+    ``first``, and the bits above ``low`` one further."""
+    return [((bits & low) << first | (bits & ~low) << first + 1, move)
+            for bits, move in step]
 
 
 def _drop_priority(sites: list[FigureSite]) -> dict[int, int]:
@@ -394,6 +396,11 @@ def fit_to_target(words: ParsedLine, sites: list[FigureSite],
                   config: ScanConfig | None = None) -> ScansionResult:
     """Choose the figure subset that lands the line on the target length.
 
+    ``sites`` is ``find_figure_sites``' list for ``words``: which word
+    boundaries carry a synalepha is read from it, and the syneresis and
+    dieresis sites in it are taken to be the word frames' own. A list
+    with any of those left out raises ``ValueError``.
+
     One left-to-right DP over the flat syllables on the states of
     ``_advance``: a state that stresses group target-1 or later dies,
     ``groups`` stops at target, and ``stresses`` keeps bit target-2 and,
@@ -405,7 +412,7 @@ def fit_to_target(words: ParsedLine, sites: list[FigureSite],
     """
     config = config or ScanConfig()
     target = config.target_length
-    steps = _choices(words.flat.syllables, sites)
+    steps = _choices(words.flat, sites)
     deltas = _site_deltas(sites, config.figure_preference)
     rhythmic = target == 11 and config.prefer_rhythmic_template
     dead = 1 << target - 1  # a stress on any group from target-1 on

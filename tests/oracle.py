@@ -1,48 +1,81 @@
 """Independent brute-force re-implementation of candidate semantics.
 
-Used to cross-check the fitter: applies a figure subset to the flat
-syllable sequence with plain first-principles code (nothing shared with
-the search in escansion.scansion beyond the public site list and the
-dieresis split each parsed syllable carries), computes the metrical
-length from the last stressed unit and re-derives the selection
-preference, so any disagreement flags a real defect.
+Used to cross-check the fitter: applies a figure subset to the line's
+syllables with plain first-principles code (nothing shared with the
+search in escansion.scansion beyond the public site list), computes the
+metrical length from the last stressed unit and re-derives the selection
+preference, so any disagreement flags a real defect. The syllables,
+with their stress, hiatus and dieresis flags, are rebuilt here from each
+word's syllabifier parts, not read from the engine's word frames.
+
+``reference_sites`` is the per-syllable site finder the engine used
+before it cached each word's sites in the word's frame: one ordered walk
+over the line's syllables, testing every word boundary from the words'
+spelling with the engine's vowel-sound rules.
 """
 
-from escansion.phonology import stressed_syllable_indices
+from escansion.phonology import (_begins_with_vowel_sound,
+                                 _ends_in_vowel_sound, _stressed_syllables,
+                                 _syllabify_plain, _unmarked)
 
 
-def flat_stresses(words):
-    """(syllable text, stressed) pairs with the final word forced tonic."""
+def line_syllables(words):
+    """The ``Syllable``s of a parsed line in order, the last word tonic."""
     out = []
     for wi, sw in enumerate(words):
-        hits = set(stressed_syllable_indices(sw, force=(wi == len(words) - 1)))
-        for si, syl in enumerate(sw.syllables):
-            out.append((syl, si in hits))
+        parts = _syllabify_plain(_unmarked(sw.word.normalized))
+        out.extend(_stressed_syllables(sw, parts, force=wi == len(words) - 1))
     return out
 
 
 def apply_subset(words, sites, chosen):
     """Metrical units for one subset of sites, computed naively."""
-    flat = flat_stresses(words)
+    flat = line_syllables(words)
     split_at = {s.position for s in chosen if s.kind == "dieresis"}
     merged = {s.position for s in chosen if s.kind != "dieresis"}
-    units = []
+    units = []  # the stress of each unit
     bounds = []  # True when the boundary BEFORE this unit is merged
-    for i, (text, stressed) in enumerate(flat):
-        if i in split_at:
-            pieces = list(words.flat.syllables[i].split)  # only the shape
-        else:
-            pieces = [(text, stressed)]
-        for j, piece in enumerate(pieces):
+    for i, syl in enumerate(flat):
+        # a split syllable is two units, each with its stress flag
+        pieces = syl.split if i in split_at else (syl.stressed,)
+        for j, stressed in enumerate(pieces):
             bounds.append(j == 0 and i > 0 and (i - 1) in merged)
-            units.append(piece)
+            units.append(stressed)
     groups = []
-    for unit, joined in zip(units, bounds):
+    for stressed, joined in zip(units, bounds):
         if joined and groups:
-            groups[-1] = groups[-1] or unit[1]
+            groups[-1] = groups[-1] or stressed
         else:
-            groups.append(unit[1])
+            groups.append(stressed)
     return groups
+
+
+def reference_sites(words, h_blocks):
+    """Every applicable figure as (kind, position, involves_stress,
+    through_h), ordered by position and then synalepha/syneresis before
+    dieresis, found syllable by syllable."""
+    flat = line_syllables(words)
+    starts = [0]
+    for sw in words:
+        starts.append(starts[-1] + len(sw.syllables))
+    sites = []
+    for wi, (start, end) in enumerate(zip(starts, starts[1:])):
+        for i in range(start, end):
+            if i + 1 < end:
+                if flat[i + 1].hiatus:
+                    sites.append(("syneresis", i, flat[i].stressed
+                                  or flat[i + 1].stressed, False))
+            elif wi + 1 < len(words):
+                left = words[wi].word.normalized
+                right = words[wi + 1].word.normalized
+                if _ends_in_vowel_sound(left) and _begins_with_vowel_sound(
+                        right, h_blocks):
+                    sites.append(("synalepha", i, flat[i].stressed
+                                  or flat[i + 1].stressed,
+                                  right[0] == "h" or left[-1] == "h"))
+            if flat[i].split is not None:
+                sites.append(("dieresis", i, flat[i].stressed, False))
+    return sites
 
 
 def length_and_pattern(groups):

@@ -492,6 +492,23 @@ class TestNumpyOnlyForBaseline:
         }[command]
         assert self._exit_and_numpy(*argv) == "0 False"
 
+    def test_scan_leaves_the_harness_modules_out(self, tmp_path):
+        # scan's start-up: no metrics, no logging, no XML, no random,
+        # beyond what the interpreter had loaded before escansion
+        verses = tmp_path / "verses.txt"
+        verses.write_text(LINE + "\n", encoding="utf-8")
+        script = ("import sys\n"
+                  "before = set(sys.modules)\n" + self._SCRIPT
+                  + "print(sorted(m for m in ('escansion.metrics', 'logging',"
+                  " 'xml.etree.ElementTree', 'random')"
+                  " if m in sys.modules and m not in before))\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "scan", str(verses),
+             "-o", str(tmp_path / "out.tsv")],
+            capture_output=True, text=True)
+        assert proc.stderr == ""
+        assert proc.stdout.splitlines()[-2:] == ["0 False", "[]"]
+
     def test_baseline_predict_loads_numpy(self, gold_tsv, tmp_path):
         argv = ["baseline", "predict", "--model", _tiny_model(tmp_path),
                 "--input", gold_tsv, "-o", tmp_path / "preds.tsv"]

@@ -18,6 +18,7 @@ from escansion.phonology import (
     syllabify,
     Word,
     _group_nuclei,
+    _stressed_syllables,
     _syllabify_plain,
     _tokenize,
 )
@@ -77,6 +78,13 @@ _WORD_ALPHABET = "abcdefghijklmnñopqrstuvwxyzáéíóúü'-"
 
 def _unmarked(text: str) -> str:
     return text.replace("'", "").replace("-", "")
+
+
+def _syllables(raw, lexicon, *, tonic=False):
+    """A token's ``Syllable``s, rebuilt as its frame is built from them."""
+    sw = analyze_word(raw, lexicon)
+    parts = _syllabify_plain(_unmarked(sw.word.normalized))
+    return _stressed_syllables(sw, parts, force=tonic)
 
 
 def words(min_size=1, max_size=12, alphabet=_WORD_ALPHABET):
@@ -328,24 +336,27 @@ class TestWordCache:
         assert analyze_word("la", tonic_la).prosodic
 
     def test_syllables_carry_hiatus_and_split(self, lexicon):
-        shapes = analyze_token("cielo", lexicon).syllables
-        assert [s.text for s in shapes] == ["cie", "lo"]
+        shapes = _syllables("cielo", lexicon)
+        assert analyze_word("cielo", lexicon).syllables == ("cie", "lo")
         assert [s.hiatus for s in shapes] == [False, False]
         assert [s.stressed for s in shapes] == [True, False]
         # the stress stays on the strong vowel of the split diphthong
-        assert shapes[0].split == (("ci", False), ("e", True))
+        assert shapes[0].split == (False, True)
         assert shapes[1].split is None
         # only nothing or a silent h between two syllables is a hiatus
         for raw, hiatus in (("poeta", [False, True, False]),
                             ("búho", [False, True]),
                             ("anhelo", [False, False, False])):
-            syllables = analyze_token(raw, lexicon).syllables
+            syllables = _syllables(raw, lexicon)
             assert [s.hiatus for s in syllables] == hiatus, raw
 
     def test_tonic_shapes_stress_an_atonic_word(self, lexicon):
         analysis = analyze_token("la", lexicon)
-        assert [s.stressed for s in analysis.syllables] == [False]
-        assert [s.stressed for s in analysis.tonic] == [True]
+        assert not analysis.frame.last_stressed
+        assert analysis.tonic_frame.last_stressed
+        # a word that is tonic anyway shares one frame between its forms
+        analysis = analyze_token("sol", lexicon)
+        assert analysis.tonic_frame is analysis.frame
 
 
 class TestMenteAdverbs:
@@ -389,39 +400,23 @@ class TestMarks:
             plain = analyze_token(_unmarked(raw), lexicon)
         except EmptyAfterNormalization:
             assume(False)
-        for form in ("syllables", "tonic"):
-            assert ([(s.hiatus, s.split is not None, s.stressed)
-                     for s in getattr(marked, form)]
-                    == [(s.hiatus, s.split is not None, s.stressed)
-                        for s in getattr(plain, form)]), raw
-
-    @given(words())
-    @settings(max_examples=300)
-    def test_split_pieces_join_to_the_syllable(self, lexicon, raw):
-        try:
-            analysis = analyze_token(raw, lexicon)
-        except EmptyAfterNormalization:
-            assume(False)
-        for syl in analysis.syllables + analysis.tonic:
-            if syl.split is not None:
-                (left, _), (right, _) = syl.split
-                assert left + right == syl.text, raw
-                assert _unmarked(left) and _unmarked(right), raw
+        assert marked.frame == plain.frame, raw
+        assert marked.tonic_frame == plain.tonic_frame, raw
 
     def test_mark_inside_a_diphthong_keeps_its_dieresis(self, lexicon):
-        first = analyze_token("ci-elo", lexicon).syllables[0]
-        assert first.text == "ci-e"
-        assert first.split == (("ci", False), ("-e", True))
+        first = _syllables("ci-elo", lexicon)[0]
+        assert analyze_word("ci-elo", lexicon).syllables[0] == "ci-e"
+        assert first.split == (False, True)
 
     def test_mark_before_a_hiatus_keeps_its_syneresis(self, lexicon):
         words = phonological_parse("luso-americano", lexicon)
         sites = [(s.kind, s.position) for s in find_figure_sites(words)]
-        assert [syl.text for syl in words.flat.syllables][1:3] == ["so", "-a"]
+        assert [t for sw in words for t in sw.syllables][1:3] == ["so", "-a"]
         assert ("syneresis", 1) in sites
 
     def test_silent_u_after_a_mark_is_not_split(self, lexicon):
-        syllables = analyze_token("porq-ue", lexicon).syllables
-        assert [s.text for s in syllables] == ["por", "q-ue"]
+        syllables = _syllables("porq-ue", lexicon)
+        assert analyze_word("porq-ue", lexicon).syllables == ("por", "q-ue")
         assert [s.split for s in syllables] == [None, None]
 
     @pytest.mark.parametrize("marked", ["la h-ermosa", "vi y-a", "ba-h en"])

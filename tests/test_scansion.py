@@ -2,7 +2,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -67,7 +67,7 @@ class TestParseOnce:
         assert isinstance(words, ParsedLine)
         assert list(words) == [phonology.analyze_word(t, lexicon)
                                for t in GARCILASO_LINE.split()]
-        assert len(words.flat.syllables) == 11
+        assert sum(frame.size for frame in words.flat.frames) == 11
         assert words.flat.starts == [0, 2, 3, 5, 6, 9]
 
     @pytest.mark.parametrize("default_first", [True, False])
@@ -248,6 +248,22 @@ class TestFitAndScan:
         result = fit_to_target(words, sites, config)
         check_pattern(result.pattern)
         assert result.candidate.metrical_length == 11
+
+    def test_fit_rejects_sites_that_are_not_the_words_own(self, lexicon,
+                                                          config):
+        # the fitter's mask bits index ``sites``: a list with sites left
+        # out would name the wrong figures, so it must not fit at all
+        words = phonological_parse("el poeta suave en la aurora canta", lexicon)
+        sites = find_figure_sites(words, config)
+        kinds = {s.kind for s in sites}
+        assert kinds == {"synalepha", "syneresis", "dieresis"}
+        for kind in sorted(kinds):
+            kept = [s for s in sites if s.kind != kind]
+            with pytest.raises(ValueError):
+                fit_to_target(words, kept, config)
+        with pytest.raises(ValueError):
+            fit_to_target(words, sites + sites[:1], config)
+        fit_to_target(words, sites, config)
 
     def test_long_vowel_run_scans_in_linear_time(self, lexicon, config):
         # one syneresis site per letter: the fit must stay linear in sites
@@ -471,3 +487,24 @@ def test_every_scan_output_is_a_valid_pattern(text):
     full = scan_line(text, config=ScanConfig(emit_diagnostics=True))
     assert full.pattern == result.pattern
     assert full.pattern in full.diagnostics
+
+
+@given(st.one_of(
+    st.integers(min_value=0, max_value=2 ** 32 - 1).map(
+        lambda seed: wordbank.random_raw_line(random.Random(seed))),
+    st.text(alphabet=_FUZZ_ALPHABET, max_size=80)))
+# an h at either edge of a contact, y, and a diphthong on a last syllable
+# before a synalepha, alone and after a syneresis
+@example("¡oh alma! ah, hermosa y hielo; bah en muy alto, leí agua a oía")
+@settings(max_examples=500, deadline=None)
+def test_sites_equal_the_per_syllable_reference(text):
+    # the sites stitched from the word frames are the ones a walk over the
+    # line's syllables finds, in the same order, with the same flags
+    try:
+        words = phonological_parse(text, default_lexicon())
+    except EmptyLine:
+        return
+    for h_blocks in (False, True):
+        sites = find_figure_sites(words, ScanConfig(h_blocks_synalepha=h_blocks))
+        assert [(s.kind, s.position, s.involves_stress, s.through_h)
+                for s in sites] == oracle.reference_sites(words, h_blocks)
