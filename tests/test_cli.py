@@ -41,10 +41,15 @@ class TestScan:
     def test_output_is_byte_identical_to_the_recorded_one(self, tmp_path,
                                                           capsys):
         # scan_guard.txt: the mini gold texts, then sol, sol x 11, a line
-        # of punctuation and an unfittable vowel-contact line
+        # of punctuation, an unfittable vowel-contact line, lines with
+        # contraction marks, and lines where a word's last syllable can
+        # split by dieresis right after a synalepha out of it (muy alto)
         for recorded, argv in (("scan_guard.tsv", []),
                                ("scan_guard.jsonl",
-                                ["--format", "jsonl", "--diagnostics"])):
+                                ["--format", "jsonl", "--diagnostics"]),
+                               ("scan_guard_8h.jsonl",
+                                ["--format", "jsonl", "--target-length", "8",
+                                 "--h-blocks-synalepha"])):
             out = tmp_path / recorded
             assert main(["scan", *argv, str(DATA / "scan_guard.txt"),
                          "-o", str(out)]) == 2
