@@ -25,10 +25,11 @@ A verse repeats its words, so ``analyze_token`` keeps each token's analysis
 in a cache owned by the lexicon it was stressed with: the syllabified word
 and its ``Frame``, both as the lexicon stresses the word and forced tonic
 as at the end of a line. A frame is what scansion reads of
-the word: its own syneresis and dieresis sites, its fitter steps with
-word-local site bits, and the vowel sounds, ``h`` and stresses at its
-edges, so a line is stitched word by word instead of walked syllable by
-syllable. The cache holds at most ``_CACHE_SIZE`` tokens and is emptied
+the word: its own syneresis and dieresis sites, two ints of per-syllable
+bits (stressed; keeps the stress in its left half if a dieresis splits
+it), and the vowel sounds, ``h`` and stresses at its edges, so a line's
+sites and stresses are stitched word by word instead of walked syllable
+by syllable. The cache holds at most ``_CACHE_SIZE`` tokens and is emptied
 when full, so open-ended vocabularies cost bounded memory. The lexicon's
 lists are read-only, so a cached stress cannot go stale.
 
@@ -420,18 +421,9 @@ class Syllable(NamedTuple):
 
 
 class Frame(NamedTuple):
-    """What one form of a word brings to a line: its figure sites and its
-    fitter steps at word-local positions and bits, and the facts at its
-    edges that decide a synalepha with a neighbour.
-
-    A local bit is the index of a site among the word's own sites in
-    emission order. The dieresis on the last syllable, ``tail``, comes last
-    of them: in a line it follows the synalepha out of the word, if any.
-    A step is a run of syllables, one that a site acts on (or the first)
-    and the site-free ones after it; each of its choices is ``(bits,
-    move)``, a move ``(joined, opened, stresses)`` as ``scansion._advance``
-    folds it.
-    """
+    """What one form of a word brings to a line: its figure sites at
+    word-local positions, its stress bits, and the facts at its edges that
+    decide a synalepha with a neighbour. Bit i of an int is syllable i."""
 
     size: int  # syllables
     # (kind, position, involves_stress) of each syneresis and dieresis but
@@ -444,10 +436,8 @@ class Frame(NamedTuple):
     h_last: bool
     first_stressed: bool
     last_stressed: bool
-    head: tuple  # the first step's choices
-    joined: tuple  # the head's choices with a synalepha into it, join bit aside
-    free: bool  # the head is free of sites: one choice, (0, (0, k, b))
-    rest: tuple  # the other steps
+    stresses: int  # the stressed syllables
+    lefts: int  # the syllables whose left half keeps the stress if split
 
 
 class WordAnalysis(NamedTuple):
@@ -505,45 +495,21 @@ def _begins_with_vowel_sound(normalized: str, h_blocks: bool) -> bool:
 def _frame(syllables: tuple[Syllable, ...], edges: tuple) -> Frame:
     """The ``Frame`` of one stress form of a word; ``edges`` are its
     (ends_vowel, begins_vowel, h_first, h_last)."""
-    sites, steps = [], []
+    sites = []
     last = len(syllables) - 1
-    join = 0  # the bit of the syneresis into the next syllable
+    stresses = lefts = 0
     for i, syl in enumerate(syllables):
-        merge, join = join, 0
         stressed, split = syl.stressed, syl.split
+        stresses |= stressed << i
         if i < last and syllables[i + 1].hiatus:
-            join = 1 << len(sites)
             sites.append(("syneresis", i,
                           stressed or syllables[i + 1].stressed))
         if split is not None:
-            bit = 1 << len(sites)
+            lefts |= split[0] << i
             if i < last:
                 sites.append(("dieresis", i, stressed))
-        elif steps and not merge:
-            # a site-free syllable opens one more group in every choice
-            steps[-1] = [(bits, (joined, opened + 1,
-                                 stresses | stressed << opened))
-                         for bits, (joined, opened, stresses) in steps[-1]]
-            continue
-        choices = [(0, (0, 1, stressed))]
-        if split is not None:
-            left, right = split
-            choices.append((bit, (0, 2, left | right << 1)))
-        if merge:
-            choices += _joined(choices, merge)
-        steps.append(choices)
-    head = steps[0]
     return Frame(last + 1, tuple(sites), split is not None, *edges,
-                 syllables[0].stressed, stressed, tuple(head),
-                 tuple(_joined(head, 0)), len(head) == 1,
-                 tuple([tuple(step) for step in steps[1:]]))
-
-
-def _joined(choices, bit: int) -> list:
-    """``choices`` with the first group each would open joined into the
-    open one, and ``bit`` set."""
-    return [(bits | bit, (stresses & 1, opened - 1, stresses >> 1))
-            for bits, (_, opened, stresses) in choices]
+                 syllables[0].stressed, stressed, stresses, lefts)
 
 
 def analyze_token(raw: str, lexicon: StressLexicon) -> WordAnalysis:

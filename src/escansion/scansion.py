@@ -4,11 +4,11 @@ A parsed line is a flat sequence of phonological syllables, each stressed
 or not. ``phonological_parse`` returns it as a ``ParsedLine``: the words,
 plus their frames from the lexicon's cached word analyses (``Frame`` in
 ``phonology``). Each frame holds what is fixed for its word: its own
-syneresis and dieresis sites, the vowel sounds at its edges and its
-fitter steps. Finding sites offsets each word's cached sites and tests
-only the word boundaries; fitting stitches the words' cached steps. No
-stage walks the line syllable by syllable. Three figures can reshape the
-sequence:
+syneresis and dieresis sites, its stress bits and the vowel sounds at its
+edges. Finding sites offsets each word's cached sites and tests only the
+word boundaries; fitting cuts the line's stress bits into steps at the
+syllables the sites act on. No stage walks the line syllable by syllable.
+Three figures can reshape the sequence:
 
 * synalepha  - merges the last syllable of a word with the vowel-initial
                first syllable of the next word (-1 per merged boundary);
@@ -142,19 +142,25 @@ def check_pattern(symbols: str, length: int = 11) -> str:
 # --- parsing ----------------------------------------------------------------
 
 class _Flat(NamedTuple):
-    """The frames of a line's words in order, the last word's tonic, and
-    the index of each word's first syllable in the line."""
+    """The frames of a line's words in order, the last word's tonic, the
+    index of each word's first syllable in the line, and the line's
+    syllable count and ``Frame`` bits, bit i for syllable i."""
 
     frames: list[Frame]
     starts: list[int]
+    size: int
+    stresses: int
+    lefts: int
 
 
 def _build_flat(frames: list[Frame]) -> _Flat:
-    starts, at = [], 0
+    starts, at, stresses, lefts = [], 0, 0, 0
     for frame in frames:
         starts.append(at)
+        stresses |= frame.stresses << at
+        lefts |= frame.lefts << at
         at += frame.size
-    return _Flat(frames, starts)
+    return _Flat(frames, starts, at, stresses, lefts)
 
 
 class ParsedLine(list):
@@ -193,7 +199,7 @@ def find_figure_sites(words: ParsedLine,
     """
     config = config or ScanConfig()
     h_blocks = bool(config.h_blocks_synalepha)
-    frames, starts = words.flat
+    frames, starts, *_ = words.flat
     sites = []
     for frame, start, after in zip(frames, starts, frames[1:] + [None]):
         for kind, position, stress in frame.sites:
@@ -215,65 +221,44 @@ def _choices(flat: _Flat, sites: list[FigureSite]):
     """Every way the sites can be set, one step at a time.
 
     A step is a run of the line's syllables: one that a site acts on (or
-    the first) and the syllables after it that no site acts on. Each of
-    its choices is ``(bits, move)``. ``bits`` are the mask bits of the
-    sites it applies: the merge site before the first syllable and the
-    dieresis on it. ``move`` is ``(joined, opened, stresses)``, what the
-    run does to the metrical groups: the stress a merge joins into the
-    open group, the number of groups the run opens and their stress bits,
-    the first opened group the least significant. Only ``_advance`` folds
-    a move into a state. The last choice applies every site, so its bits
-    are the step's bits.
-
-    The steps are the words' cached frame steps, their word-local bits
-    moved to the bits of the sites in the line; the synalepha into a word
-    joins its head, and a head free of sites folds into the open step, a
-    whole run of syllables at once. Which boundaries carry a synalepha is
-    read from ``sites``; the other sites are the frames'. A list whose
-    size the frames and those synalephas do not account for raises
-    ``ValueError``.
+    the first) and the syllables after it that no site acts on. A merge
+    at p acts on syllable p+1, a dieresis at p on p. Each of the step's
+    choices is ``(bits, move)``. ``bits`` are the mask bits of the sites
+    it applies: the merge before the first syllable and the dieresis on
+    it. ``move`` is ``(joined, opened, stresses)``, what the run does to
+    the metrical groups: the stress a merge joins into the open group, the
+    number of groups the run opens and their stress bits, the first opened
+    group the least significant. Only ``_advance`` folds a move into a
+    state. The last choice applies every site, so its bits are the step's
+    bits. The moves are cut from the line's stress bits, so any sub-list
+    of ``find_figure_sites``' list gives the steps of its own sites.
     """
-    frames, starts = flat
-    synalephas = {s.position: 1 << i for i, s in enumerate(sites)
-                  if s.kind == "synalepha"}
-    steps: list = []
-    first = 0  # the index in ``sites`` of the word's first own site
-    join = 0   # the bit of the synalepha into the word
-    for frame, start in zip(frames, starts):
-        out = synalephas.get(start + frame.size - 1, 0)
-        # local bit b is site first + b, but the tail follows the synalepha out
-        low = (1 << len(frame.sites)) - 1 if out and frame.tail else -1
-        lift = first or low != -1
-        if join:
-            steps.append(_lifted(frame.head, first, low) + [
-                (bits | join, move)
-                for bits, move in _lifted(frame.joined, first, low)])
-        elif frame.free and steps:
-            # a site-free run opens its groups in every choice
-            _, (_, run, run_stresses) = frame.head[0]
-            steps[-1] = [(bits, (joined, opened + run,
-                                 stresses | run_stresses << opened))
-                         for bits, (joined, opened, stresses) in steps[-1]]
+    _, _, size, stresses, lefts = flat
+    joins, splits = {}, {}
+    for i, site in enumerate(sites):
+        if site.kind == "dieresis":
+            splits[site.position] = 1 << i
         else:
-            steps.append(_lifted(frame.head, first, low) if lift
-                         else frame.head)
-        if frame.rest:
-            steps.extend([_lifted(step, first, low) for step in frame.rest]
-                         if lift else frame.rest)
-        first += len(frame.sites) + (out != 0) + frame.tail
-        join = out
-    if first != len(sites):
-        # bits are indices into ``sites``: another list would name the
-        # wrong figures
-        raise ValueError(f"{len(sites)} sites given, the words have {first}")
+            joins[site.position + 1] = 1 << i
+    cuts = sorted({0, *joins, *splits})
+    steps = []
+    for start, end in zip(cuts, cuts[1:] + [size]):
+        run = end - start
+        stressed = stresses >> start & (1 << run) - 1
+        choices = [(0, (0, run, stressed))]
+        split = splits.get(start)
+        if split:
+            # the syllable opens two groups, its stress on the left or right
+            left = lefts >> start & 1
+            choices.append((split, (0, run + 1,
+                                    left | (stressed ^ left) << 1)))
+        join = joins.get(start)
+        if join:
+            # the first group the choice would open joins the open one
+            choices += [(bits | join, (new & 1, opened - 1, new >> 1))
+                        for bits, (_, opened, new) in choices]
+        steps.append(choices)
     return steps
-
-
-def _lifted(step, first: int, low: int) -> list:
-    """``step`` with its word-local bits moved to the line: up by
-    ``first``, and the bits above ``low`` one further."""
-    return [((bits & low) << first | (bits & ~low) << first + 1, move)
-            for bits, move in step]
 
 
 def _drop_priority(sites: list[FigureSite]) -> dict[int, int]:
@@ -396,10 +381,9 @@ def fit_to_target(words: ParsedLine, sites: list[FigureSite],
                   config: ScanConfig | None = None) -> ScansionResult:
     """Choose the figure subset that lands the line on the target length.
 
-    ``sites`` is ``find_figure_sites``' list for ``words``: which word
-    boundaries carry a synalepha is read from it, and the syneresis and
-    dieresis sites in it are taken to be the word frames' own. A list
-    with any of those left out raises ``ValueError``.
+    ``sites`` is ``find_figure_sites``' list for ``words`` or any sub-list
+    of it, in order: the fit chooses among the sites given, and the others
+    stay unapplied. Mask bit i is ``sites[i]``.
 
     One left-to-right DP over the flat syllables on the states of
     ``_advance``: a state that stresses group target-1 or later dies,

@@ -249,22 +249,6 @@ class TestFitAndScan:
         check_pattern(result.pattern)
         assert result.candidate.metrical_length == 11
 
-    def test_fit_rejects_sites_that_are_not_the_words_own(self, lexicon,
-                                                          config):
-        # the fitter's mask bits index ``sites``: a list with sites left
-        # out would name the wrong figures, so it must not fit at all
-        words = phonological_parse("el poeta suave en la aurora canta", lexicon)
-        sites = find_figure_sites(words, config)
-        kinds = {s.kind for s in sites}
-        assert kinds == {"synalepha", "syneresis", "dieresis"}
-        for kind in sorted(kinds):
-            kept = [s for s in sites if s.kind != kind]
-            with pytest.raises(ValueError):
-                fit_to_target(words, kept, config)
-        with pytest.raises(ValueError):
-            fit_to_target(words, sites + sites[:1], config)
-        fit_to_target(words, sites, config)
-
     def test_long_vowel_run_scans_in_linear_time(self, lexicon, config):
         # one syneresis site per letter: the fit must stay linear in sites
         start = time.perf_counter()
@@ -311,8 +295,10 @@ def _random_sites_subset(rng, sites):
 def _check_against_enumeration(lexicon, config):
     """The fitter's pattern, ambiguity, diagnostics (none when they are off)
     and Unfittable details equal the brute-force oracle's on lines with at
-    most 12 sites."""
+    most 12 sites, for each line's sites and for a random sub-list of
+    them."""
     rng = random.Random(99)
+    pick = random.Random(3)
     texts = [ln.text for ln in wordbank.synthetic_corpus(40, seed=5)]
     texts += [wordbank.random_raw_line(rng) for _ in range(60)]
     checked = unfittable = 0
@@ -322,28 +308,36 @@ def _check_against_enumeration(lexicon, config):
         if len(sites) > 12:
             continue
         checked += 1
-        results = oracle.enumerate_all(words, sites, config.target_length)
-        preferred = oracle.preferred_patterns(
-            results, sites, config.target_length,
-            config.figure_preference, config.prefer_rhythmic_template)
-        try:
-            result = fit_to_target(words, sites, config)
-        except Unfittable as exc:
-            unfittable += 1
-            assert not preferred
-            assert set(exc.achievable) == {l for _, l, _ in results}
-            assert list(exc.nearest) == _nearest_previews(
-                results, sites, config.target_length), text
-            continue
-        assert preferred, text
-        assert result.pattern == preferred[0], text
-        feasible = [m for m, _, p in results if p is not None]
-        assert result.ambiguous == (len(feasible) > 1)
-        listed = {p for _, _, p in results if p is not None}
-        assert set(result.diagnostics) == \
-            (listed if config.emit_diagnostics else set()), text
+        unfittable += _agrees_with_enumeration(words, sites, config, text)
+        _agrees_with_enumeration(words, _random_sites_subset(pick, sites),
+                                 config, text)
     assert checked >= 80
     assert unfittable >= 20
+
+
+def _agrees_with_enumeration(words, sites, config, text) -> bool:
+    """Check one fit against the oracle over ``sites``; whether the line
+    is unfittable with them."""
+    results = oracle.enumerate_all(words, sites, config.target_length)
+    preferred = oracle.preferred_patterns(
+        results, sites, config.target_length,
+        config.figure_preference, config.prefer_rhythmic_template)
+    try:
+        result = fit_to_target(words, sites, config)
+    except Unfittable as exc:
+        assert not preferred
+        assert set(exc.achievable) == {l for _, l, _ in results}
+        assert list(exc.nearest) == _nearest_previews(
+            results, sites, config.target_length), text
+        return True
+    assert preferred, text
+    assert result.pattern == preferred[0], text
+    feasible = [m for m, _, p in results if p is not None]
+    assert result.ambiguous == (len(feasible) > 1)
+    listed = {p for _, _, p in results if p is not None}
+    assert set(result.diagnostics) == \
+        (listed if config.emit_diagnostics else set()), text
+    return False
 
 
 def _nearest_previews(results, sites, target):
@@ -499,11 +493,20 @@ def test_every_scan_output_is_a_valid_pattern(text):
 @settings(max_examples=500, deadline=None)
 def test_sites_equal_the_per_syllable_reference(text):
     # the sites stitched from the word frames are the ones a walk over the
-    # line's syllables finds, in the same order, with the same flags
+    # line's syllables finds, in the same order, with the same flags, and
+    # the line's stress bits, which the fitter's steps are cut from, are
+    # the syllables' own
     try:
         words = phonological_parse(text, default_lexicon())
     except EmptyLine:
         return
+    syllables = oracle.line_syllables(words)
+    assert words.flat.size == len(syllables)
+    assert words.flat.stresses == sum(
+        syl.stressed << i for i, syl in enumerate(syllables))
+    assert words.flat.lefts == sum(
+        syl.split[0] << i for i, syl in enumerate(syllables)
+        if syl.split is not None)
     for h_blocks in (False, True):
         sites = find_figure_sites(words, ScanConfig(h_blocks_synalepha=h_blocks))
         assert [(s.kind, s.position, s.involves_stress, s.through_h)
