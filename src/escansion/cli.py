@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import corpus
-from .errors import DataError, Unfittable
+from .errors import DataError, NotUtf8, Unfittable
 from .phonology import StressLexicon, default_lexicon
 from .scansion import ScanConfig, scan_line
 
@@ -79,6 +79,22 @@ def _format_tsv(record: dict) -> str:
     ])
 
 
+def _stdin_lines():
+    """(line number from 1, line) pairs of stdin, decoded as UTF-8 one line
+    at a time whatever the locale, as a file is; bytes that do not decode
+    raise NotUtf8 naming their line. A text stream with no bytes under it
+    is read as it is."""
+    stream = getattr(sys.stdin, "buffer", None)
+    if stream is None:
+        yield from enumerate(sys.stdin, 1)
+        return
+    for row, raw in enumerate(stream, 1):
+        try:
+            yield row, raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise NotUtf8(f"<stdin>:{row}: not UTF-8 text") from None
+
+
 def cmd_scan(args) -> int:
     lexicon = _load_lexicon(args.lexicon)
     # only jsonl prints the diagnostics, and keeping them costs the fitter
@@ -90,7 +106,7 @@ def cmd_scan(args) -> int:
     if args.input and args.input != "-":
         src = corpus.numbered_lines(args.input)
     else:
-        src = enumerate(sys.stdin, 1)
+        src = _stdin_lines()
     with _open_out(args.output) as out:
         # line by line as read; splitlines on each chunk cuts the text
         # exactly where it would cut the whole input
@@ -300,6 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # output files are UTF-8, so stdout is too, whatever the locale
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(encoding="utf-8")
     try:
         return args.func(args)
     except DataError as exc:

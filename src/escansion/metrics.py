@@ -12,7 +12,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .corpus import CorpusLine, normalize_met, numbered_lines
-from .errors import AlignmentError, EmptyInput, LengthMismatch
+from .errors import (AlignmentError, EmptyInput, LengthMismatch,
+                     UnnormalizableMet)
 
 PATTERN_LENGTH = 11
 ERROR_EXAMPLE_CAP = 50
@@ -82,8 +83,9 @@ def evaluate(pairs, error_cap: int = ERROR_EXAMPLE_CAP) -> EvalReport:
     )
 
 
-def _read_predictions(path) -> list[tuple[str | None, str | None, str]]:
-    """Rows of (poem_id, line_no, pattern); ids are None for bare files."""
+def _read_predictions(path) -> list[tuple[int, str | None, str | None, str]]:
+    """Rows of (line number, poem_id, line_no, normalized pattern); ids
+    are None for bare rows. A malformed row raises naming path:line."""
     rows = []
     for row, raw in numbered_lines(path):
         raw = raw.rstrip("\r\n")
@@ -91,12 +93,16 @@ def _read_predictions(path) -> list[tuple[str | None, str | None, str]]:
             continue
         cols = raw.split("\t")
         if len(cols) == 1:
-            rows.append((None, None, cols[0].strip()))
+            pid, lno, pattern = None, None, cols[0]
         elif len(cols) >= 3:
-            rows.append((cols[0], cols[1], cols[2].strip()))
+            pid, lno, pattern = cols[:3]
         else:
             raise AlignmentError(
                 f"{path}:{row}: row {raw!r} has neither 1 nor 3+ columns")
+        try:
+            rows.append((row, pid, lno, normalize_met(pattern)))
+        except UnnormalizableMet as exc:
+            raise UnnormalizableMet(f"{path}:{row}: {exc}") from None
     return rows
 
 
@@ -104,25 +110,30 @@ def score_predictions_file(pred_path, gold: list[CorpusLine]) -> EvalReport:
     """Join a predictions TSV to gold lines and evaluate.
 
     Accepts either id-keyed rows (poem_id, line_no, pattern) or one bare
-    pattern per line aligned with the gold order. Predictions that match
-    no gold line are reported in ``unmatched``.
+    pattern per line aligned with the gold order, not both in one file.
+    Predictions that match no gold line are reported in ``unmatched``.
     """
     rows = _read_predictions(Path(pred_path))
     if not rows:
         raise EmptyInput(f"{pred_path}: no predictions")
-    keyed = all(r[0] is not None for r in rows)
+    keyed = rows[0][1] is not None
+    for row, pid, _, _ in rows:
+        if (pid is not None) != keyed:
+            raise AlignmentError(
+                f"{pred_path}:{row}: a {'bare' if keyed else 'keyed'} row "
+                f"in a file of {'keyed' if keyed else 'bare'} rows")
     pairs = []
     unmatched = 0
     if keyed:
         by_key = {(ln.poem_id, str(ln.line_no)): ln for ln in gold}
         covered = set()
-        for pid, lno, pattern in rows:
+        for _, pid, lno, pattern in rows:
             line = by_key.get((pid, lno))
             if line is None:
                 unmatched += 1
                 continue
             covered.add((pid, lno))
-            pairs.append((normalize_met(pattern), line.gold, line.text))
+            pairs.append((pattern, line.gold, line.text))
         for key, line in by_key.items():
             if key not in covered:
                 pairs.append((None, line.gold, line.text))
@@ -131,8 +142,8 @@ def score_predictions_file(pred_path, gold: list[CorpusLine]) -> EvalReport:
             raise AlignmentError(
                 f"{len(rows)} bare predictions cannot align with "
                 f"{len(gold)} gold lines; add poem_id/line_no columns")
-        for (_, _, pattern), line in zip(rows, gold):
-            pairs.append((normalize_met(pattern), line.gold, line.text))
+        for (_, _, _, pattern), line in zip(rows, gold):
+            pairs.append((pattern, line.gold, line.text))
     report = evaluate(pairs)
     if unmatched:
         report = replace(report, unmatched=unmatched)

@@ -17,9 +17,10 @@ The syllabifier decides each syllable's onset, nucleus and coda in one
 pass over the word with its contraction marks (' and -) removed, so marks
 decide nothing (nor do they in the stress and synalepha rules or the
 lexicon lookup); each goes back into the syllable text with the letter
-after it. A ``Syllable`` is built from those parts: its stress, its hiatus
-flag and, for a two-vowel nucleus, which half keeps the stress if a
-dieresis splits it. Syllables live only while their word's frame is built.
+after it. A word's stress-free shape is read once from those parts:
+three ints of syllable bits (hiatus with the syllable before; a
+two-vowel nucleus; its first vowel strong), which each stress form's
+frame then combines with its stressed syllables.
 
 A verse repeats its words, so ``analyze_token`` keeps each token's analysis
 in a cache owned by the lexicon it was stressed with: the syllabified word
@@ -407,19 +408,6 @@ def stressed_syllable_indices(sw: SyllabifiedWord, *, force: bool = False) -> tu
     return (sw.stressed_index,)
 
 
-class Syllable(NamedTuple):
-    """What a word's frame is built from, for one of its syllables, all
-    taken from the syllabifier's onset, nucleus and coda."""
-
-    stressed: bool
-    # only an h, or nothing, separates it from the previous syllable of its
-    # word: the two can merge by syneresis
-    hiatus: bool
-    # (left stressed, right stressed) after a dieresis split, or None for
-    # single-vowel nuclei
-    split: tuple[bool, bool] | None
-
-
 class Frame(NamedTuple):
     """What one form of a word brings to a line: its figure sites at
     word-local positions, its stress bits, and the facts at its edges that
@@ -450,23 +438,24 @@ class WordAnalysis(NamedTuple):
     tonic_frame: Frame  # forced tonic, as the last word of a line
 
 
-def _stressed_syllables(sw: SyllabifiedWord, parts, *,
-                        force: bool = False) -> tuple[Syllable, ...]:
-    """A word's ``Syllable``s from the syllabifier's (onset, nucleus, coda)
-    ``parts``, stressed as ``stressed_syllable_indices`` says."""
-    hits = stressed_syllable_indices(sw, force=force)
-    out, coda = [], None
+def _shape(parts) -> tuple[int, int, int, int]:
+    """A word's stress-free shape, read from the syllabifier's (onset,
+    nucleus, coda) ``parts``: its size and three ints of syllable bits,
+    bit i for syllable i. ``hiatus``: only an h, or nothing, separates it
+    from the syllable before, so the two can merge by syneresis.
+    ``splits``: its nucleus has two vowels, so a dieresis can split it.
+    ``peaks``: of those, the first vowel is strong and keeps the stress."""
+    hiatus = splits = peaks = 0
+    coda = None
     for i, (onset, nucleus, next_coda) in enumerate(parts):
-        stressed = i in hits
+        if coda == "" and onset in ("", "h"):
+            hiatus |= 1 << i
         vowels = nucleus.replace("h", "")
-        split = None
         if len(vowels) >= 2:
-            # the first vowel keeps the stress if it is strong
-            peak_left = vowels[0] in _HIATUS_CORE
-            split = (stressed and peak_left, stressed and not peak_left)
-        out.append(Syllable(stressed, coda == "" and onset in ("", "h"), split))
+            splits |= 1 << i
+            peaks |= (vowels[0] in _HIATUS_CORE) << i
         coda = next_coda
-    return tuple(out)
+    return len(parts), hiatus, splits, peaks
 
 
 # marks decide nothing: one can follow a word's first letter or precede its last
@@ -492,24 +481,23 @@ def _begins_with_vowel_sound(normalized: str, h_blocks: bool) -> bool:
     return False
 
 
-def _frame(syllables: tuple[Syllable, ...], edges: tuple) -> Frame:
-    """The ``Frame`` of one stress form of a word; ``edges`` are its
+def _frame(shape: tuple[int, int, int, int], stressed: tuple[int, ...],
+           edges: tuple) -> Frame:
+    """The ``Frame`` of one stress form of a word: its ``_shape``, the
+    indices of its ``stressed`` syllables and its ``edges``, the
     (ends_vowel, begins_vowel, h_first, h_last)."""
+    size, hiatus, splits, peaks = shape
+    stresses = sum(1 << i for i in stressed)
+    last = size - 1
     sites = []
-    last = len(syllables) - 1
-    stresses = lefts = 0
-    for i, syl in enumerate(syllables):
-        stressed, split = syl.stressed, syl.split
-        stresses |= stressed << i
-        if i < last and syllables[i + 1].hiatus:
-            sites.append(("syneresis", i,
-                          stressed or syllables[i + 1].stressed))
-        if split is not None:
-            lefts |= split[0] << i
-            if i < last:
-                sites.append(("dieresis", i, stressed))
-    return Frame(last + 1, tuple(sites), split is not None, *edges,
-                 syllables[0].stressed, stressed, stresses, lefts)
+    for i in range(last):
+        if hiatus >> i + 1 & 1:
+            sites.append(("syneresis", i, bool(stresses >> i & 3)))
+        if splits >> i & 1:
+            sites.append(("dieresis", i, bool(stresses >> i & 1)))
+    return Frame(size, tuple(sites), bool(splits >> last & 1), *edges,
+                 bool(stresses & 1), bool(stresses >> last & 1), stresses,
+                 stresses & peaks)
 
 
 def analyze_token(raw: str, lexicon: StressLexicon) -> WordAnalysis:
@@ -534,9 +522,10 @@ def analyze_token(raw: str, lexicon: StressLexicon) -> WordAnalysis:
                  (_begins_with_vowel_sound(normalized, False),
                   _begins_with_vowel_sound(normalized, True)),
                  normalized[0] == "h", normalized[-1] == "h")
-        frame = _frame(_stressed_syllables(sw, parts), edges)
+        shape = _shape(parts)
+        frame = _frame(shape, stressed_syllable_indices(sw), edges)
         tonic_frame = frame if sw.prosodic else _frame(
-            _stressed_syllables(sw, parts, force=True), edges)
+            shape, stressed_syllable_indices(sw, force=True), edges)
         hit = WordAnalysis(sw, frame, tonic_frame)
         # unlocked: threads that race here store equal analyses, and can
         # overshoot the bound only by their number

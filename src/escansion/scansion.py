@@ -5,9 +5,10 @@ or not. ``phonological_parse`` returns it as a ``ParsedLine``: the words,
 plus their frames from the lexicon's cached word analyses (``Frame`` in
 ``phonology``). Each frame holds what is fixed for its word: its own
 syneresis and dieresis sites, its stress bits and the vowel sounds at its
-edges. Finding sites offsets each word's cached sites and tests only the
-word boundaries; fitting cuts the line's stress bits into steps at the
-syllables the sites act on. No stage walks the line syllable by syllable.
+edges, built once per word from its syllabifier parts. Finding sites
+offsets each word's cached sites and tests only the word boundaries;
+fitting cuts the line's stress bits into steps at the syllables the
+sites act on. No stage walks the line syllable by syllable.
 Three figures can reshape the sequence:
 
 * synalepha  - merges the last syllable of a word with the vowel-initial
@@ -41,9 +42,11 @@ capped at the target, and the stresses at position target-1 and, for the
 rhythmic template, at 4, 6 and 8: at most (target+1)*16 states, so its
 cost grows linearly with syllables. Diagnostics keep every position.
 Each step of the program is a move on the metrical groups, and
-``_advance`` is the one routine that folds a move into groups: the DP,
-the unfittable report and the winner, whose pattern and length come from
-replaying its subset's moves, all go through it.
+``_advance`` is the one routine that folds a move into groups: the DP
+and the unfittable report both go through it. Each choice of a step
+carries its cost, so the DP adds one number per choice, and each DP
+entry carries its subset's own stresses, so the winner's pattern is
+read from its entry, and its metrical length is the target.
 """
 
 from __future__ import annotations
@@ -63,6 +66,11 @@ from .phonology import (
 
 _FIGURES = ("synalepha", "syneresis", "dieresis")
 _DELTAS = {"synalepha": -1, "syneresis": -1, "dieresis": +1}
+# The longest target that diagnostics may be kept for. They keep every
+# stress position, so the fit's states, time and memory double with each
+# step of the target: vowel-contact lines of ~30 words take up to ~25 ms at
+# 16, ~0.3 s at 19 and ~2 s at 22. Spanish metres of common use stop at 16.
+DIAGNOSTICS_MAX_TARGET = 16
 
 
 @dataclass(frozen=True)
@@ -78,6 +86,10 @@ class ScanConfig:
     def __post_init__(self):
         if self.target_length < 2:
             raise DataError("target_length must be at least 2")
+        if (self.emit_diagnostics
+                and self.target_length > DIAGNOSTICS_MAX_TARGET):
+            raise DataError(f"target_length must be at most "
+                            f"{DIAGNOSTICS_MAX_TARGET} with diagnostics")
         if sorted(self.figure_preference) != sorted(_FIGURES):
             raise DataError("figure_preference must order " + ", ".join(_FIGURES))
 
@@ -217,57 +229,48 @@ def find_figure_sites(words: ParsedLine,
 
 # --- candidate evaluation ---------------------------------------------------
 
-def _choices(flat: _Flat, sites: list[FigureSite]):
+def _choices(flat: _Flat, sites: list[FigureSite], deltas: list[int]):
     """Every way the sites can be set, one step at a time.
 
     A step is a run of the line's syllables: one that a site acts on (or
     the first) and the syllables after it that no site acts on. A merge
     at p acts on syllable p+1, a dieresis at p on p. Each of the step's
-    choices is ``(bits, move)``. ``bits`` are the mask bits of the sites
-    it applies: the merge before the first syllable and the dieresis on
-    it. ``move`` is ``(joined, opened, stresses)``, what the run does to
-    the metrical groups: the stress a merge joins into the open group, the
-    number of groups the run opens and their stress bits, the first opened
-    group the least significant. Only ``_advance`` folds a move into a
-    state. The last choice applies every site, so its bits are the step's
-    bits. The moves are cut from the line's stress bits, so any sub-list
-    of ``find_figure_sites``' list gives the steps of its own sites.
+    choices is ``(cost, bits, move)``. ``bits`` are the mask bits of the
+    sites it applies: the merge before the first syllable and the
+    dieresis on it, and ``cost`` is the sum of their ``deltas``. ``move``
+    is ``(joined, opened, stresses)``, what the run does to the metrical
+    groups: the stress a merge joins into the open group, the number of
+    groups the run opens and their stress bits, the first opened group
+    the least significant. Only ``_advance`` folds a move into a state.
+    The moves are cut from the line's stress bits, so any sub-list of
+    ``find_figure_sites``' list gives the steps of its own sites.
     """
     _, _, size, stresses, lefts = flat
     joins, splits = {}, {}
     for i, site in enumerate(sites):
         if site.kind == "dieresis":
-            splits[site.position] = 1 << i
+            splits[site.position] = i
         else:
-            joins[site.position + 1] = 1 << i
+            joins[site.position + 1] = i
     cuts = sorted({0, *joins, *splits})
     steps = []
     for start, end in zip(cuts, cuts[1:] + [size]):
         run = end - start
         stressed = stresses >> start & (1 << run) - 1
-        choices = [(0, (0, run, stressed))]
-        split = splits.get(start)
-        if split:
+        choices = [(0, 0, (0, run, stressed))]
+        if start in splits:
             # the syllable opens two groups, its stress on the left or right
-            left = lefts >> start & 1
-            choices.append((split, (0, run + 1,
-                                    left | (stressed ^ left) << 1)))
-        join = joins.get(start)
-        if join:
+            i, left = splits[start], lefts >> start & 1
+            choices.append((deltas[i], 1 << i,
+                            (0, run + 1, left | (stressed ^ left) << 1)))
+        if start in joins:
             # the first group the choice would open joins the open one
-            choices += [(bits | join, (new & 1, opened - 1, new >> 1))
-                        for bits, (_, opened, new) in choices]
+            i = joins[start]
+            choices += [(cost + deltas[i], bits | 1 << i,
+                         (new & 1, opened - 1, new >> 1))
+                        for cost, bits, (_, opened, new) in choices]
         steps.append(choices)
     return steps
-
-
-def _drop_priority(sites: list[FigureSite]) -> dict[int, int]:
-    """Rank synalepha sites by how readily they are left unapplied."""
-    syna = [i for i, s in enumerate(sites) if s.kind == "synalepha"]
-    # stable: sites touching stress or h first, each group left to right
-    syna.sort(key=lambda i: not (sites[i].involves_stress
-                                 or sites[i].through_h))
-    return {site_idx: rank for rank, site_idx in enumerate(syna)}
 
 
 def _site_deltas(sites: list[FigureSite],
@@ -281,7 +284,8 @@ def _site_deltas(sites: list[FigureSite],
 
     * one count per figure, the last in ``figure_preference`` highest
       (syneresis and dieresis count when applied, synalepha when left out);
-    * the drop ranks of the released synalephas;
+    * the drop ranks of the released synalephas: those touching a stress
+      or an h first, each group left to right;
     * the positions of the applied syneresis sites, then dieresis sites.
 
     On equal counts the tuples in the last two tiers have equal sizes, and
@@ -289,26 +293,23 @@ def _site_deltas(sites: list[FigureSite],
     indices out of n is the one with the larger sum of 2^(n-1-index). So
     each of those fields sums 2^(n-1-index) over the indices left out of
     its tuple: the applied synalephas, the syneresis and dieresis sites
-    not applied. Distinct subsets get distinct costs.
+    not applied. Ranked in one order, synalephas by drop rank, then
+    syneresis, then dieresis sites, the site of rank k owns bit n-1-k of
+    the n tie bits, and distinct subsets get distinct costs.
     """
-    drop_rank = _drop_priority(sites)
-    merges = [i for i, s in enumerate(sites) if s.kind == "syneresis"]
-    splits = [i for i, s in enumerate(sites) if s.kind == "dieresis"]
-    index_bit = {}
-    shift = 0
-    for group in (splits, merges):
-        for j, i in enumerate(group):
-            index_bit[i] = 1 << (shift + len(group) - 1 - j)
-        shift += len(group)
-    for i, rank in drop_rank.items():
-        index_bit[i] = 1 << (shift + len(drop_rank) - 1 - rank)
-    shift += len(drop_rank)
-    width = len(sites).bit_length()
-    count_bit = {f: 1 << (shift + width * t)
+    n = len(sites)
+    ranked = sorted(range(n), key=lambda i: (
+        _FIGURES.index(sites[i].kind), sites[i].kind == "synalepha"
+        and not (sites[i].involves_stress or sites[i].through_h), i))
+    width = n.bit_length()
+    count_bit = {f: 1 << (n + width * t)
                  for t, f in enumerate(figure_preference)}
-    return [index_bit[i] - count_bit[s.kind] if s.kind == "synalepha"
-            else count_bit[s.kind] - index_bit[i]
-            for i, s in enumerate(sites)]
+    deltas = [0] * n
+    for rank, i in enumerate(ranked):
+        kind, tie = sites[i].kind, 1 << (n - 1 - rank)
+        deltas[i] = (tie - count_bit[kind] if kind == "synalepha"
+                     else count_bit[kind] - tie)
+    return deltas
 
 
 def _advance(state: tuple[int, int],
@@ -318,22 +319,11 @@ def _advance(state: tuple[int, int],
     ``groups`` counts the metrical groups opened so far, the last of them
     still open to a join, and bit i of ``stresses`` is the stress of group
     i. This is the only place a move is folded into groups: both passes
-    over the steps advance their states through here, and ``_replay``
-    advances the winner's moves.
+    over the steps advance their states through here.
     """
     groups, stresses = state
     joined, opened, new = move
     return groups + opened, stresses | joined << groups >> 1 | new << groups
-
-
-def _replay(steps, mask: int) -> tuple[int, int]:
-    """The state ``(groups, stresses)`` that the subset ``mask`` reaches,
-    advanced through its moves with no cap and no mask."""
-    state = (0, 0)
-    for choices in steps:
-        picked = mask & choices[-1][0]
-        state = _advance(state, next(m for bits, m in choices if bits == picked))
-    return state
 
 
 def _render(stresses: int, length: int) -> str:
@@ -358,7 +348,7 @@ def _unfittable(steps, sites, target) -> Unfittable:
     for choices in steps:
         grown: dict[tuple[int, int], list[int]] = {}
         for state, masks in states.items():
-            for bits, move in choices:
+            for _, bits, move in choices:
                 groups, stresses = _advance(state, move)
                 key = (groups, 1 << stresses.bit_length() >> 1)
                 grown.setdefault(key, []).extend(m | bits for m in masks)
@@ -390,41 +380,42 @@ def fit_to_target(words: ParsedLine, sites: list[FigureSite],
     ``groups`` stops at target, and ``stresses`` keeps bit target-2 and,
     for the rhythmic template, bits 3, 5 and 7, so there are at most
     (target+1)*16 states; ``emit_diagnostics`` keeps every bit. Each state
-    keeps the cheapest subset reaching it under ``_site_deltas`` and how
-    many subsets reach it, capped at two. The winner's pattern and length
-    come from replaying its mask through ``_advance`` (``_replay``).
+    keeps the cheapest subset reaching it under ``_site_deltas``, that
+    subset's own state with every stress bit (the state's kept bits are a
+    subset of them), and how many subsets reach it, capped at two. The
+    winner's pattern is read from its own stresses, with no second pass,
+    and its metrical length is the target: a feasible state is stressed
+    on group target-2 and on none after it.
     """
     config = config or ScanConfig()
     target = config.target_length
-    steps = _choices(words.flat, sites)
-    deltas = _site_deltas(sites, config.figure_preference)
+    steps = _choices(words.flat, sites,
+                     _site_deltas(sites, config.figure_preference))
     rhythmic = target == 11 and config.prefer_rhythmic_template
     dead = 1 << target - 1  # a stress on any group from target-1 on
     keep = (dead - 1 if config.emit_diagnostics
             else 1 << target - 2 | (0b10101000 if rhythmic else 0))
 
-    # state -> (cost, mask, subsets reaching it capped at 2); a final step
-    # opens one unstressed group to close the last one, so every feasible
-    # state has target groups
-    states = {(0, 0): (0, 0, 1)}
-    for choices in steps + [[(0, (0, 1, 0))]]:
-        grown: dict[tuple[int, int], tuple[int, int, int]] = {}
-        for bits, move in choices:
-            added, rest = 0, bits
-            while rest:  # a choice sets at most two bits
-                added += deltas[(rest & -rest).bit_length() - 1]
-                rest &= rest - 1
-            for state, (cost, mask, paths) in states.items():
-                groups, stresses = _advance(state, move)
+    # state -> [cost, mask, the mask's own state, subsets reaching it
+    # capped at 2], updated in place as subsets meet; a final step opens
+    # one unstressed group to close the last one, so every feasible state
+    # has target groups
+    states = {(0, 0): [0, 0, (0, 0), 1]}
+    for choices in steps + [[(0, 0, (0, 1, 0))]]:
+        grown: dict[tuple[int, int], list] = {}
+        for added, bits, move in choices:
+            for cost, mask, full, paths in states.values():
+                full = groups, stresses = _advance(full, move)
                 if stresses >= dead:
                     continue
                 key = (groups if groups < target else target, stresses & keep)
-                entry = (cost + added, mask | bits, paths)
                 seen = grown.get(key)
-                if seen is not None:
-                    best = min(entry, seen)
-                    entry = (best[0], best[1], min(2, paths + seen[2]))
-                grown[key] = entry
+                if seen is None:
+                    grown[key] = [cost + added, mask | bits, full, paths]
+                    continue
+                if cost + added < seen[0]:
+                    seen[:3] = cost + added, mask | bits, full
+                seen[3] = min(2, seen[3] + paths)
         states = grown
 
     # stresses -> entry for the feasible states: stressed on target-2
@@ -436,17 +427,15 @@ def fit_to_target(words: ParsedLine, sites: list[FigureSite],
     # the rhythmic template: stress on 6, or on 4 and 8
     hits = [s for s in finals if rhythmic
             and (s & 0b100000 or s & 0b10001000 == 0b10001000)]
-    _, mask, _ = min(finals[s] for s in hits or finals)
-    _, stresses = _replay(steps, mask)
+    _, mask, (_, stresses), _ = min(finals[s] for s in hits or finals)
 
     diagnostics = ()
     if config.emit_diagnostics:
         diagnostics = tuple(sorted(_render(s, target) for s in finals))
     return ScansionResult(
         pattern=check_pattern(_render(stresses, target), target),
-        candidate=ScanCandidate(_applied(sites, mask),
-                                stresses.bit_length() + 1),
-        ambiguous=sum(paths for _, _, paths in finals.values()) > 1,
+        candidate=ScanCandidate(_applied(sites, mask), target),
+        ambiguous=sum(entry[3] for entry in finals.values()) > 1,
         syllabification=tuple(sw.syllables for sw in words),
         diagnostics=diagnostics,
     )

@@ -5,8 +5,11 @@ syllables with plain first-principles code (nothing shared with the
 search in escansion.scansion beyond the public site list), computes the
 metrical length from the last stressed unit and re-derives the selection
 preference, so any disagreement flags a real defect. The syllables,
-with their stress, hiatus and dieresis flags, are rebuilt here from each
-word's syllabifier parts, not read from the engine's word frames.
+with their stress, hiatus and dieresis flags, are rebuilt here one by
+one from what the engine's word analysis starts from: each word's
+syllabifier parts (``_syllabify_plain``) and its stressed syllables
+(``stressed_syllable_indices``). Nothing of the engine's shape bits,
+frames or line stitching is used, so the reference checks them.
 
 ``reference_sites`` is the per-syllable site finder the engine used
 before it cached each word's sites in the word's frame: one ordered walk
@@ -14,17 +17,50 @@ over the line's syllables, testing every word boundary from the words'
 spelling with the engine's vowel-sound rules.
 """
 
+from typing import NamedTuple
+
 from escansion.phonology import (_begins_with_vowel_sound,
-                                 _ends_in_vowel_sound, _stressed_syllables,
-                                 _syllabify_plain, _unmarked)
+                                 _ends_in_vowel_sound, _syllabify_plain,
+                                 stressed_syllable_indices)
+
+# a vowel that keeps the stress when a dieresis splits its nucleus: an
+# open vowel or an accented closed one
+_STRONG = set("aeoáéóíú")
+
+
+class Syllable(NamedTuple):
+    stressed: bool
+    # only an h, or nothing, separates it from the previous syllable of its
+    # word: the two can merge by syneresis
+    hiatus: bool
+    # (left stressed, right stressed) after a dieresis split, or None for
+    # single-vowel nuclei
+    split: tuple[bool, bool] | None
+
+
+def word_syllables(sw, *, tonic=False):
+    """The ``Syllable``s of one word, forced tonic if ``tonic``."""
+    hits = stressed_syllable_indices(sw, force=tonic)
+    plain = sw.word.normalized.replace("'", "").replace("-", "")
+    parts = _syllabify_plain(plain)
+    out = []
+    for i, (onset, nucleus, _) in enumerate(parts):
+        stressed = i in hits
+        hiatus = i > 0 and parts[i - 1][2] == "" and onset in ("", "h")
+        vowels = [c for c in nucleus if c != "h"]
+        split = None
+        if len(vowels) > 1:
+            left = stressed and vowels[0] in _STRONG
+            split = (left, stressed and not left)
+        out.append(Syllable(stressed, hiatus, split))
+    return out
 
 
 def line_syllables(words):
     """The ``Syllable``s of a parsed line in order, the last word tonic."""
     out = []
     for wi, sw in enumerate(words):
-        parts = _syllabify_plain(_unmarked(sw.word.normalized))
-        out.extend(_stressed_syllables(sw, parts, force=wi == len(words) - 1))
+        out.extend(word_syllables(sw, tonic=wi == len(words) - 1))
     return out
 
 

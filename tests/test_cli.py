@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -100,12 +101,17 @@ class TestScan:
     def test_missing_input_is_io_error(self, tmp_path):
         assert main(["scan", str(tmp_path / "nope.txt")]) == 1
 
-    @pytest.mark.parametrize("value", ["1", "0", "-4"])
+    @pytest.mark.parametrize("value", [
+        "1", "0", "-4",
+        # diagnostics double their cost with each step of the target
+        pytest.param("17 --format jsonl --diagnostics",
+                     id="diagnostics-above-ceiling")])
     def test_unusable_target_length_is_data_error(self, value, tmp_path,
                                                   capsys):
         src = tmp_path / "verses.txt"
         src.write_text(LINE + "\n", encoding="utf-8")
-        assert main(["scan", "--target-length", value, str(src)]) == 2
+        assert main(["scan", "--target-length", *value.split(),
+                     str(src)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "target_length" in err
         assert len(err.strip().splitlines()) == 1
@@ -139,6 +145,32 @@ class TestScan:
             input=LINE + "\n", capture_output=True, text=True)
         assert proc.returncode == 0
         assert "+--+---+-+-" in proc.stdout
+
+    @pytest.mark.parametrize("fmt", ["tsv", "jsonl"])
+    def test_stdio_is_utf8_whatever_the_locale(self, fmt, tmp_path):
+        # an ASCII locale neither drops the accents read from stdin nor
+        # fails to write them to stdout
+        src = tmp_path / "verses.txt"
+        src.write_text("no sólo en plata o vïola troncada\n",
+                       encoding="utf-8")
+        out = tmp_path / "out.txt"
+        assert main(["scan", "--format", fmt, str(src), "-o", str(out)]) == 0
+        env = {**os.environ, "PYTHONIOENCODING": "ascii"}
+        for argv, stdin in ((["-"], src.read_bytes()), ([str(src)], b"")):
+            proc = subprocess.run(
+                [sys.executable, "-m", "escansion", "scan", "--format", fmt,
+                 *argv], input=stdin, capture_output=True, env=env)
+            assert (proc.returncode, proc.stderr) == (0, b"")
+            assert proc.stdout == out.read_bytes()
+
+    def test_stdin_line_that_is_not_utf8_is_named(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "escansion", "scan"],
+            input=(LINE + "\n").encode("utf-8") + NOT_UTF8 + b"\n",
+            capture_output=True)
+        proc.stderr = proc.stderr.decode("utf-8")
+        _assert_data_error_at(proc, "<stdin>:2")
+        assert b"+--+---+-+-" in proc.stdout
 
     def test_stdin_is_read_line_by_line(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", _LineOnlyStdin(LINE + "\n"))

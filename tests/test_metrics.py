@@ -3,7 +3,8 @@ import random
 import pytest
 
 from escansion.corpus import CorpusLine
-from escansion.errors import AlignmentError, EmptyInput, LengthMismatch
+from escansion.errors import (AlignmentError, EmptyInput, LengthMismatch,
+                              UnnormalizableMet)
 from escansion.metrics import (
     EvalReport,
     evaluate,
@@ -147,6 +148,27 @@ class TestScorePredictionsFile:
             score_predictions_file(pred, _gold())
         assert str(info.value).startswith(f"{pred}:3: ")
         assert "neither 1 nor 3+ columns" in str(info.value)
+        # a pattern that does not normalize, in a keyed and in a bare row
+        for rows in (f"p0\t1\t{P}\n\np0\t2\t+++\n", f"{P}\n\n+x+\n"):
+            pred.write_text(rows, encoding="utf-8")
+            with pytest.raises(UnnormalizableMet) as info:
+                score_predictions_file(pred, _gold())
+            assert str(info.value).startswith(f"{pred}:3: ")
+
+    @pytest.mark.parametrize("first", ["keyed", "bare"])
+    def test_mixed_rows_name_the_first_odd_row(self, tmp_path, first):
+        # one bare row among keyed ones must not turn the ids off and
+        # pair every row with gold by order, nor the other way round
+        gold = _gold()
+        keyed = [f"{l.poem_id}\t{l.line_no}\t{l.gold}\n" for l in gold]
+        bare = [l.gold + "\n" for l in gold]
+        rows = (keyed[::-1][:3] + bare[3:] if first == "keyed"
+                else bare[:3] + keyed[3:])
+        pred = tmp_path / "preds.tsv"
+        pred.write_text("# header\n" + "".join(rows), encoding="utf-8")
+        with pytest.raises(AlignmentError) as info:
+            score_predictions_file(pred, gold)
+        assert str(info.value).startswith(f"{pred}:5: ")
 
 
 def test_format_report_two_decimals():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import oracle
 from escansion.errors import EmptyAfterNormalization
 from escansion.phonology import (
     StressLexicon,
@@ -18,7 +19,6 @@ from escansion.phonology import (
     syllabify,
     Word,
     _group_nuclei,
-    _stressed_syllables,
     _syllabify_plain,
     _tokenize,
 )
@@ -81,10 +81,8 @@ def _unmarked(text: str) -> str:
 
 
 def _syllables(raw, lexicon, *, tonic=False):
-    """A token's ``Syllable``s, rebuilt as its frame is built from them."""
-    sw = analyze_word(raw, lexicon)
-    parts = _syllabify_plain(_unmarked(sw.word.normalized))
-    return _stressed_syllables(sw, parts, force=tonic)
+    """A token's per-syllable reference, as the oracle rebuilds it."""
+    return oracle.word_syllables(analyze_word(raw, lexicon), tonic=tonic)
 
 
 def words(min_size=1, max_size=12, alphabet=_WORD_ALPHABET):
