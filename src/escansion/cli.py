@@ -81,14 +81,16 @@ def _format_tsv(record: dict) -> str:
 
 def _stdin_lines():
     """(line number from 1, line) pairs of stdin, decoded as UTF-8 one line
-    at a time whatever the locale, as a file is; bytes that do not decode
-    raise NotUtf8 naming their line. A text stream with no bytes under it
-    is read as it is."""
+    at a time whatever the locale, as a file is; lines end at \n, \r or
+    \r\n, as in a file read with universal newlines. Bytes that do not
+    decode raise NotUtf8 naming their line. A text stream with no bytes
+    under it is read as it is."""
     stream = getattr(sys.stdin, "buffer", None)
     if stream is None:
         yield from enumerate(sys.stdin, 1)
         return
-    for row, raw in enumerate(stream, 1):
+    lines = (line for chunk in stream for line in chunk.splitlines(True))
+    for row, raw in enumerate(lines, 1):
         try:
             yield row, raw.decode("utf-8")
         except UnicodeDecodeError:

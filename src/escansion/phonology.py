@@ -14,13 +14,18 @@ plus the two stress layers needed for scansion:
   mas/más, se/sé are told apart purely by the written accent.
 
 The syllabifier decides each syllable's onset, nucleus and coda in one
-pass over the word with its contraction marks (' and -) removed, so marks
-decide nothing (nor do they in the stress and synalepha rules or the
-lexicon lookup); each goes back into the syllable text with the letter
-after it. A word's stress-free shape is read once from those parts:
-three ints of syllable bits (hiatus with the syllable before; a
-two-vowel nucleus; its first vowel strong), which each stress form's
-frame then combines with its stressed syllables.
+table-driven pass over the word with its contraction marks (' and -)
+removed, so marks decide nothing (nor do they in the stress and synalepha
+rules or the lexicon lookup); each goes back into the syllable text with
+the letter after it. One regex cuts the word into classed units
+(consonant, closed vowel, open or accented vowel, a vowel that always
+stands alone, h), a second finds the nuclei in the string of classes, and
+the consonant units between two nuclei go to the next onset: the last,
+or the last two when they form an inseparable cluster. A word's
+stress-free shape is read once from those parts: three ints of syllable
+bits (hiatus with the syllable before; a two-vowel nucleus; its first
+vowel strong), which each stress form's frame then combines with its
+stressed syllables.
 
 A verse repeats its words, so ``analyze_token`` keeps each token's analysis
 in a cache owned by the lexicon it was stressed with: the syllabified word
@@ -56,7 +61,7 @@ from .errors import (DataError, EmptyAfterNormalization, MalformedLexicon,
 
 # Vowel letters. 'ï' is kept because Golden Age editions mark forced
 # dieresis with it (vïola, rüido); it always breaks a diphthong, as does
-# 'ü' anywhere except in the güe/güi digraph context.
+# 'ü' anywhere but after g (güe, güi).
 VOWEL_CHARS = set("aeiouáéíóúüï")
 ACCENTED = set("áéíóú")
 # A vowel pair is a hiatus iff both members are in this set (open vowels
@@ -153,114 +158,41 @@ def normalize_token(raw: str) -> Word:
 
 # --- syllabification -------------------------------------------------------
 
-def _is_vowel_char(c: str, nxt: str) -> bool:
-    if c in VOWEL_CHARS:
-        return True
-    # y: vowel word-finally / before a consonant / standalone; consonant
-    # when it opens a syllable before a vowel (ya, cuyo).
-    return c == "y" and not (nxt and nxt in VOWEL_CHARS)
-
-
-def _tokenize(word: str) -> list[tuple[str, str]]:
-    """Split a mark-free word into (kind, text) units.
-
-    Kinds: V vowel, C consonant (digraphs are single units), H silent h.
-    The silent u of que/qui/gue/gui is folded into the consonant unit.
-    """
-    units = []
-    i, n = 0, len(word)
-    while i < n:
-        c = word[i]
-        nxt = word[i + 1] if i + 1 < n else ""
-        third = word[i + 2] if i + 2 < n else ""
-        if c in ("c", "l", "r") and c + nxt in ("ch", "ll", "rr"):
-            units.append(("C", c + nxt))
-            i += 2
-        elif c in ("q", "g") and nxt == "u" and third in ("e", "é", "i", "í"):
-            units.append(("C", c + "u"))
-            i += 2
-        elif c == "h":
-            units.append(("H", c))
-            i += 1
-        elif _is_vowel_char(c, nxt):
-            units.append(("V", c))
-            i += 1
-        else:
-            units.append(("C", c))
-            i += 1
-    return units
-
-
-def _as_weak_or_strong(c: str) -> str:
-    return "i" if c == "y" else c
-
-
-def _forces_hiatus(c: str, prev_unit_text: str) -> bool:
-    # Dieresis spelling: ï always, ü unless it is the güe/güi vowel.
-    if c == "ï":
-        return True
-    if c == "ü":
-        return prev_unit_text != "g"
-    return False
-
-
-def _group_nuclei(units: list[tuple[str, str]]) -> list[tuple[str, str]]:
-    """Merge adjacent vowels (optionally through silent h) into nuclei."""
-    out: list[tuple[str, str]] = []
-    i = 0
-    while i < len(units):
-        kind, text = units[i]
-        if kind != "V":
-            out.append(units[i])
-            i += 1
-            continue
-        nucleus = text
-        last = _as_weak_or_strong(text)
-        prev_text = out[-1][1] if out else ""
-        forced = _forces_hiatus(text, prev_text)
-        i += 1
-        while i < len(units):
-            j = i
-            h = ""
-            if units[j][0] == "H" and j + 1 < len(units):
-                h = units[j][1]
-                j += 1
-            if units[j][0] != "V":
-                break
-            nxt = units[j][1]
-            n_ws = _as_weak_or_strong(nxt)
-            if forced or _forces_hiatus(nxt, "") or (
-                    last in _HIATUS_CORE and n_ws in _HIATUS_CORE):
-                break
-            nucleus += h + nxt
-            last = n_ws
-            i = j + 1
-        out.append(("V", nucleus))
-    return out
-
-
-def _coda_count(cons: list[tuple[str, str]]) -> int:
-    """How many of the consonant units between two nuclei stay as coda."""
-    m = len(cons)
-    if m <= 1:
-        return 0
-    a, b = cons[-2][1], cons[-1][1]
-    if len(a) == 1 and len(b) == 1 and a + b in _CLUSTERS:
-        return m - 2
-    return m - 1
+# A word's units, one per match, classed by the group that matched:
+# 1 consonant: ch, ll, rr, the qu/gu of que/qui/gue/gui, a y before a
+# vowel; 2 closed vowel: i, u, y elsewhere, a ü after g (güe, güi);
+# 3 open or accented vowel; 4 a vowel that always stands alone: ï, and ü
+# elsewhere; 5 h; none: any other character, a consonant.
+_VOWELS, _OPEN = ("".join(sorted(s)) for s in (VOWEL_CHARS, _HIATUS_CORE))
+_CLOSED = "".join(sorted(VOWEL_CHARS - _HIATUS_CORE - set("üï")))
+_UNIT_RE = re.compile(
+    f"(ch|ll|rr|[qg]u(?=[eéií])|y(?=[{_VOWELS}]))|([{_CLOSED}y]|(?<=g)ü)"
+    f"|([{_OPEN}])|([üï])|(h)|.", re.DOTALL)
+_CLASSES = "cciaxh"  # a unit's class letter, by group number (0: none)
+# A nucleus: a stand-alone vowel, or closed and open vowels with an
+# optional h between any two, never two open vowels in a row.
+_NUCLEUS_RE = re.compile("x|[ia](?:h?i|(?<!a)h?a)*")
 
 
 def _syllabify_plain(word: str) -> list[tuple[str, str, str]]:
-    """The (onset, nucleus, coda) of each syllable of a mark-free word."""
-    units = _group_nuclei(_tokenize(word))
-    nuclei = [i for i, (k, _) in enumerate(units) if k == "V"]
+    """The (onset, nucleus, coda) of each syllable of a mark-free word.
+
+    Of the consonant units between two nuclei the next onset takes the
+    last, or the last two when they form an inseparable cluster."""
+    units = list(_UNIT_RE.finditer(word))
+    nuclei = [m.span() for m in _NUCLEUS_RE.finditer(
+        "".join(_CLASSES[m.lastindex or 0] for m in units))]
     if not nuclei:
         raise NoVowel(f"no syllable nucleus in {word!r}")
-    texts = [t for _, t in units]
-    ends = [ni + 1 + _coda_count(units[ni + 1:nj])
-            for ni, nj in zip(nuclei, nuclei[1:])] + [len(units)]
-    return [("".join(texts[start:ni]), texts[ni], "".join(texts[ni + 1:end]))
-            for start, ni, end in zip([0] + ends, nuclei, ends)]
+    texts = [m.group() for m in units]
+    cuts = [0]
+    for (_, end), (start, _) in zip(nuclei, nuclei[1:]):
+        cons = texts[end:start]
+        cuts.append(start - bool(cons) - ("".join(cons[-2:]) in _CLUSTERS))
+    cuts.append(len(texts))
+    return [("".join(texts[a:start]), "".join(texts[start:end]),
+             "".join(texts[end:b]))
+            for a, (start, end), b in zip(cuts, nuclei, cuts[1:])]
 
 
 def _cut(text: str, counts) -> list[str]:
@@ -391,17 +323,7 @@ def stressed_syllable_indices(sw: SyllabifiedWord, *, force: bool = False) -> tu
     if _is_mente_adverb(normalized, len(sw.syllables)):
         mente_idx = len(sw.syllables) - 2
         stem = sw.syllables[:-2]
-        root_idx = None
-        for idx, syl in enumerate(stem):
-            if any(c in ACCENTED for c in syl):
-                root_idx = idx
-                break
-        if root_idx is None:
-            stem_last = normalized[-6]
-            if len(stem) >= 2 and (stem_last in VOWEL_CHARS or stem_last in "ns"):
-                root_idx = len(stem) - 2
-            else:
-                root_idx = len(stem) - 1
+        root_idx = len(stem) - lexical_stress(stem, normalized[:-5])
         if root_idx != mente_idx:
             return (root_idx, mente_idx)
         return (mente_idx,)

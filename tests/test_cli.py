@@ -172,6 +172,17 @@ class TestScan:
         _assert_data_error_at(proc, "<stdin>:2")
         assert b"+--+---+-+-" in proc.stdout
 
+    def test_stdin_lines_are_numbered_as_file_lines(self, tmp_path):
+        # a lone \r ends a line in a file read with universal newlines
+        data = b"uno\rdos\n" + NOT_UTF8 + b"\n"
+        path = tmp_path / "cr.txt"
+        path.write_bytes(data)
+        _assert_data_error_at(_run_cli("scan", path), f"{path}:3")
+        proc = subprocess.run([sys.executable, "-m", "escansion", "scan"],
+                              input=data, capture_output=True)
+        proc.stderr = proc.stderr.decode("utf-8")
+        _assert_data_error_at(proc, "<stdin>:3")
+
     def test_stdin_is_read_line_by_line(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", _LineOnlyStdin(LINE + "\n"))
         assert main(["scan"]) == 0

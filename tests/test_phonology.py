@@ -18,9 +18,7 @@ from escansion.phonology import (
     stressed_syllable_indices,
     syllabify,
     Word,
-    _group_nuclei,
     _syllabify_plain,
-    _tokenize,
 )
 from escansion.scansion import find_figure_sites, phonological_parse
 
@@ -188,8 +186,8 @@ class TestSyllabify:
         except EmptyAfterNormalization:
             assume(False)
         for syl in syllabify(word):
-            units = _group_nuclei(_tokenize(_unmarked(syl)))
-            assert [k for k, _ in units].count("V") == 1, (word.normalized, syl)
+            assert len(_syllabify_plain(_unmarked(syl))) == 1, (
+                word.normalized, syl)
 
     @given(words())
     @example("allla")
