@@ -6,7 +6,8 @@ All randomness flows through an explicit --seed flag, so every command is
 byte-reproducible given the same inputs. Only the baseline subcommands
 import the baseline module, and with it numpy, so scan, evaluate and score
 start without it; only evaluate and score import metrics, and only prepare
-sets up logging, so scan loads neither.
+sets up logging, so scan loads neither. Every text input is read through
+``corpus.numbered_lines``; only scan reads stdin, elsewhere ``-`` is a file.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import corpus
-from .errors import DataError, NotUtf8, Unfittable
+from .errors import DataError, Unfittable
 from .phonology import StressLexicon, default_lexicon
 from .scansion import ScanConfig, scan_line
 
@@ -79,24 +80,6 @@ def _format_tsv(record: dict) -> str:
     ])
 
 
-def _stdin_lines():
-    """(line number from 1, line) pairs of stdin, decoded as UTF-8 one line
-    at a time whatever the locale, as a file is; lines end at \n, \r or
-    \r\n, as in a file read with universal newlines. Bytes that do not
-    decode raise NotUtf8 naming their line. A text stream with no bytes
-    under it is read as it is."""
-    stream = getattr(sys.stdin, "buffer", None)
-    if stream is None:
-        yield from enumerate(sys.stdin, 1)
-        return
-    lines = (line for chunk in stream for line in chunk.splitlines(True))
-    for row, raw in enumerate(lines, 1):
-        try:
-            yield row, raw.decode("utf-8")
-        except UnicodeDecodeError:
-            raise NotUtf8(f"<stdin>:{row}: not UTF-8 text") from None
-
-
 def cmd_scan(args) -> int:
     lexicon = _load_lexicon(args.lexicon)
     # only jsonl prints the diagnostics, and keeping them costs the fitter
@@ -108,12 +91,12 @@ def cmd_scan(args) -> int:
     if args.input and args.input != "-":
         src = corpus.numbered_lines(args.input)
     else:
-        src = _stdin_lines()
+        src = corpus.numbered_lines("<stdin>", sys.stdin.buffer)
     with _open_out(args.output) as out:
-        # line by line as read; splitlines on each chunk cuts the text
-        # exactly where it would cut the whole input
-        for _, chunk in src:
-            for line in chunk.splitlines():
+        # line by line as read; str.splitlines also parts a line at \x85,
+        # \u2028 and the like, as it would part the whole input
+        for _, text in src:
+            for line in text.splitlines():
                 if not line.strip():
                     continue
                 record, ok = _scan_record(line, lexicon, config)

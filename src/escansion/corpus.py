@@ -12,6 +12,7 @@ Canonical on-disk form is a UTF-8 TSV: poem_id, line_no, text, pattern
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -234,18 +235,25 @@ def write_tsv(lines, path, include_manual: bool = False) -> None:
             fh.write("\t".join(row) + "\n")
 
 
-def numbered_lines(path):
-    """(line number from 1, line) pairs of a UTF-8 text file; bytes that do
-    not decode raise NotUtf8 naming their line. The file opens at the call,
+def numbered_lines(path, stream=None):
+    r"""(line number from 1, line) pairs of a UTF-8 file, or of ``stream``'s
+    bytes named ``path``, decoded one line at a time whatever the locale.
+    Lines end at \n, \r or \r\n and come without their end; one that does
+    not decode raises NotUtf8 naming its line. A file opens at the call,
     so a missing one fails before anything else happens."""
-    fh = open(path, encoding="utf-8")
+    fh = open(path, "rb") if stream is None else contextlib.nullcontext(stream)
 
     def pairs():
-        with fh:
+        row = 0
+        with fh as lines:
             try:
-                yield from enumerate(fh, 1)
+                # a binary read cuts at \n, so no \r\n straddles two chunks
+                for chunk in lines:
+                    for raw in chunk.splitlines():
+                        row += 1
+                        yield row, raw.decode("utf-8")
             except UnicodeDecodeError:
-                raise NotUtf8.in_file(path) from None
+                raise NotUtf8(f"{path}:{row}: not UTF-8 text") from None
     return pairs()
 
 
@@ -253,7 +261,6 @@ def read_tsv(path) -> list[CorpusLine]:
     """Read a canonical TSV; a bad row raises MalformedTsv naming path:line."""
     lines = []
     for row, raw in numbered_lines(path):
-        raw = raw.rstrip("\r\n")
         if not raw:
             continue
         cols = raw.split("\t")

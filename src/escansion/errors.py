@@ -52,21 +52,7 @@ class MalformedLexicon(DataError):
 
 
 class NotUtf8(DataError):
-    """A text file holds bytes that do not decode as UTF-8."""
-
-    @classmethod
-    def in_file(cls, path) -> "NotUtf8":
-        """The error naming the first line of ``path`` that does not decode.
-
-        Readers call this once a strict read has failed; undecodable bytes
-        come back from a surrogateescape read as U+DC80..U+DCFF.
-        """
-        row = 0
-        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-            for row, line in enumerate(fh, 1):
-                if any("\udc80" <= c <= "\udcff" for c in line):
-                    break
-        return cls(f"{path}:{row}: not UTF-8 text")
+    """An input line holds bytes that do not decode as UTF-8."""
 
 
 class UnnormalizableMet(DataError):

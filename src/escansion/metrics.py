@@ -16,7 +16,9 @@ from .errors import (AlignmentError, EmptyInput, LengthMismatch,
                      UnnormalizableMet)
 
 PATTERN_LENGTH = 11
+# misses an EvalReport keeps, and the first of them a text report prints
 ERROR_EXAMPLE_CAP = 50
+REPORTED_ERRORS = 5
 
 
 @dataclass(frozen=True)
@@ -48,7 +50,7 @@ def line_exact_match(pred: str, gold: str) -> bool:
     return pred == gold
 
 
-def evaluate(pairs, error_cap: int = ERROR_EXAMPLE_CAP) -> EvalReport:
+def evaluate(pairs) -> EvalReport:
     """Score (pred, gold, text) triples.
 
     ``pred`` may be None for lines the engine could not scan; those count
@@ -79,7 +81,7 @@ def evaluate(pairs, error_cap: int = ERROR_EXAMPLE_CAP) -> EvalReport:
         correct=correct,
         accuracy=100.0 * correct / total,
         per_position_accuracy=tuple(h / total for h in position_hits),
-        error_examples=tuple(errors[:error_cap]),
+        error_examples=tuple(errors[:ERROR_EXAMPLE_CAP]),
     )
 
 
@@ -88,7 +90,6 @@ def _read_predictions(path) -> list[tuple[int, str | None, str | None, str]]:
     are None for bare rows. A malformed row raises naming path:line."""
     rows = []
     for row, raw in numbered_lines(path):
-        raw = raw.rstrip("\r\n")
         if not raw or raw.startswith("#"):
             continue
         cols = raw.split("\t")
@@ -150,7 +151,7 @@ def score_predictions_file(pred_path, gold: list[CorpusLine]) -> EvalReport:
     return report
 
 
-def format_report(report: EvalReport, show_errors: int = 5) -> str:
+def format_report(report: EvalReport) -> str:
     lines = [
         f"lines scored      {report.total}",
         f"exact matches     {report.correct}",
@@ -160,6 +161,6 @@ def format_report(report: EvalReport, show_errors: int = 5) -> str:
     ]
     if report.unmatched:
         lines.append(f"unmatched preds   {report.unmatched}")
-    for text, gold, pred in report.error_examples[:show_errors]:
+    for text, gold, pred in report.error_examples[:REPORTED_ERRORS]:
         lines.append(f"  miss: {text!r} gold={gold} pred={pred}")
     return "\n".join(lines)

@@ -56,8 +56,7 @@ from itertools import accumulate
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .errors import (DataError, EmptyAfterNormalization, MalformedLexicon,
-                     NoVowel, NotUtf8)
+from .errors import DataError, EmptyAfterNormalization, MalformedLexicon, NoVowel
 
 # Vowel letters. 'ï' is kept because Golden Age editions mark forced
 # dieresis with it (vïola, rüido); it always breaks a diphthong, as does
@@ -256,13 +255,13 @@ class StressLexicon:
 
     @classmethod
     def load(cls, path) -> "StressLexicon":
+        # corpus imports this module, so its reader is imported here
+        from .corpus import numbered_lines
         unstressed, overrides = set(), {}
-        with open(path, encoding="utf-8") as fh:
-            try:
-                text = fh.read()
-            except UnicodeDecodeError:
-                raise NotUtf8.in_file(path) from None
-        for row, line in enumerate(text.splitlines(), 1):
+        # \x85, \x0c and the like part entries, as in scan, but end no row
+        entries = ((row, line) for row, text in numbered_lines(path)
+                   for line in text.splitlines())
+        for row, line in entries:
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue

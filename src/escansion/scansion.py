@@ -20,13 +20,13 @@ Fitting a line means choosing the subset of applicable figures whose
 resulting metrical length (syllable count plus the ending adjustment:
 +1 after a final stressed syllable, 0 after one trailing weak syllable,
 -1 after two, -2 after three) equals the target, 11 for hendecasyllables.
-Among the subsets that fit, a deterministic preference picks the winner:
+Among the subsets that fit, a fixed preference picks the winner:
 
 1. the obligatory ictus on position 10 needs no tier of its own: metrical
    length ends one position past the last stress, so every candidate of
    length 11 is stressed on 10;
 2. candidates matching a classical rhythmic template (stress on 6, or on
-   4 and 8) beat those that do not, when any exists;
+   4 and 8) beat those that do not, when any exists (target 11 only);
 3. fewest dieresis, then fewest syneresis, then most synalephas;
 4. when synalephas must be left unapplied, boundaries that touch a
    stressed vowel or a silent h are released first, left to right;
@@ -75,13 +75,12 @@ DIAGNOSTICS_MAX_TARGET = 16
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Knobs for the fitting search; defaults reproduce hendecasyllables."""
+    """The target, h blocking and diagnostics of a scan; defaults reproduce
+    hendecasyllables. The fitting preference is fixed, not a setting."""
 
     target_length: int = 11
     h_blocks_synalepha: bool = False
-    figure_preference: tuple[str, ...] = ("synalepha", "syneresis", "dieresis")
     emit_diagnostics: bool = False
-    prefer_rhythmic_template: bool = True  # only consulted for target 11
 
     def __post_init__(self):
         if self.target_length < 2:
@@ -90,27 +89,21 @@ class ScanConfig:
                 and self.target_length > DIAGNOSTICS_MAX_TARGET):
             raise DataError(f"target_length must be at most "
                             f"{DIAGNOSTICS_MAX_TARGET} with diagnostics")
-        if sorted(self.figure_preference) != sorted(_FIGURES):
-            raise DataError("figure_preference must order " + ", ".join(_FIGURES))
 
 
-@dataclass(frozen=True)
-class FigureSite:
+class FigureSite(NamedTuple):
     """One place where a figure could apply.
 
     ``position`` indexes the flat phonological syllable sequence: for the
     merging figures it names the left syllable of the merged pair, for
-    dieresis the syllable being split.
+    dieresis the syllable being split. A tuple: it equals the plain tuple
+    of its fields.
     """
 
     kind: str
     position: int
     involves_stress: bool = False
     through_h: bool = False
-
-    def __post_init__(self):
-        if self.kind not in _FIGURES:
-            raise ValueError(f"unknown figure kind {self.kind!r}")
 
     @property
     def delta(self) -> int:
@@ -273,8 +266,7 @@ def _choices(flat: _Flat, sites: list[FigureSite], deltas: list[int]):
     return steps
 
 
-def _site_deltas(sites: list[FigureSite],
-                 figure_preference: tuple[str, ...]) -> list[int]:
+def _site_deltas(sites: list[FigureSite]) -> list[int]:
     """Per site, what applying it adds to a subset's cost.
 
     A subset's cost is the sum of these over its sites, plus a constant,
@@ -282,7 +274,7 @@ def _site_deltas(sites: list[FigureSite],
     field, so no tier carries into the one above; from the most
     significant down:
 
-    * one count per figure, the last in ``figure_preference`` highest
+    * one count per figure, in ``_FIGURES`` order with the last highest
       (syneresis and dieresis count when applied, synalepha when left out);
     * the drop ranks of the released synalephas: those touching a stress
       or an h first, each group left to right;
@@ -302,8 +294,7 @@ def _site_deltas(sites: list[FigureSite],
         _FIGURES.index(sites[i].kind), sites[i].kind == "synalepha"
         and not (sites[i].involves_stress or sites[i].through_h), i))
     width = n.bit_length()
-    count_bit = {f: 1 << (n + width * t)
-                 for t, f in enumerate(figure_preference)}
+    count_bit = {f: 1 << (n + width * t) for t, f in enumerate(_FIGURES)}
     deltas = [0] * n
     for rank, i in enumerate(ranked):
         kind, tie = sites[i].kind, 1 << (n - 1 - rank)
@@ -373,7 +364,8 @@ def fit_to_target(words: ParsedLine, sites: list[FigureSite],
 
     ``sites`` is ``find_figure_sites``' list for ``words`` or any sub-list
     of it, in order: the fit chooses among the sites given, and the others
-    stay unapplied. Mask bit i is ``sites[i]``.
+    stay unapplied. Mask bit i is ``sites[i]``. A site of a kind not in
+    ``_FIGURES`` raises ValueError.
 
     One left-to-right DP over the flat syllables on the states of
     ``_advance``: a state that stresses group target-1 or later dies,
@@ -388,10 +380,12 @@ def fit_to_target(words: ParsedLine, sites: list[FigureSite],
     on group target-2 and on none after it.
     """
     config = config or ScanConfig()
+    for site in sites:
+        if site.kind not in _DELTAS:
+            raise ValueError(f"unknown figure kind {site.kind!r}")
     target = config.target_length
-    steps = _choices(words.flat, sites,
-                     _site_deltas(sites, config.figure_preference))
-    rhythmic = target == 11 and config.prefer_rhythmic_template
+    steps = _choices(words.flat, sites, _site_deltas(sites))
+    rhythmic = target == 11
     dead = 1 << target - 1  # a stress on any group from target-1 on
     keep = (dead - 1 if config.emit_diagnostics
             else 1 << target - 2 | (0b10101000 if rhythmic else 0))

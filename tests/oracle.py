@@ -132,12 +132,7 @@ def enumerate_all(words, sites, target):
     return results
 
 
-DEFAULT_PREFERENCE = ("synalepha", "syneresis", "dieresis")
-
-
-def preferred_patterns(results, sites, target,
-                       figure_preference=DEFAULT_PREFERENCE,
-                       rhythmic_template=True):
+def preferred_patterns(results, sites, target):
     """Patterns surviving the documented preference tiers, best first."""
     feasible = [(m, p) for m, _l, p in results if p is not None]
     if not feasible:
@@ -146,21 +141,18 @@ def preferred_patterns(results, sites, target,
     hits = [fp for fp in pool if fp[1][target - 2] == "+"]
     if hits:
         pool = hits
-    if target == 11 and rhythmic_template:
+    if target == 11:
         rhythmic = [fp for fp in pool
                     if fp[1][5] == "+" or (fp[1][3] == "+" and fp[1][7] == "+")]
         if rhythmic:
             pool = rhythmic
-    key = preference_key(sites, figure_preference)
+    key = preference_key(sites)
     return [p for _, p in sorted(pool, key=lambda item: key(item[0]))]
 
 
-def preference_key(sites, figure_preference=DEFAULT_PREFERENCE):
-    """The sort key of a subset (mask) under the count and tie-break tiers.
-
-    The count tiers run over ``figure_preference`` from its last entry to
-    its first; each takes the fewest of its figure, or for synalepha the
-    most."""
+def preference_key(sites):
+    """The sort key of a subset (mask) under the count and tie-break tiers:
+    fewest dieresis, then fewest syneresis, then most synalephas."""
     syna = [i for i, s in enumerate(sites) if s.kind == "synalepha"]
     early = [i for i in syna if sites[i].involves_stress or sites[i].through_h]
     ranks = {idx: r for r, idx in enumerate(
@@ -176,8 +168,7 @@ def preference_key(sites, figure_preference=DEFAULT_PREFERENCE):
                        if mask >> i & 1 and s.kind == "syneresis")
         splits = tuple(s.position for i, s in enumerate(sites)
                        if mask >> i & 1 and s.kind == "dieresis")
-        tiers = tuple(-n[f] if f == "synalepha" else n[f]
-                      for f in reversed(figure_preference))
-        return tiers + (dropped, merges, splits, mask)
+        return (n["dieresis"], n["syneresis"], -n["synalepha"],
+                dropped, merges, splits, mask)
 
     return key

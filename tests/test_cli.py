@@ -188,6 +188,16 @@ class TestScan:
         assert main(["scan"]) == 0
         assert "+--+---+-+-" in capsys.readouterr().out
 
+    def test_only_scan_reads_stdin(self, gold_tsv, capsys, monkeypatch,
+                                   tmp_path):
+        # to every other reader "-" names a file, here a missing one
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sys, "stdin", _LineOnlyStdin(
+            gold_tsv.read_text(encoding="utf-8")))
+        assert main(["evaluate", "--gold", "-", "--engine"]) == 1
+        assert main(["score", "--gold", str(gold_tsv), "--pred", "-"]) == 1
+        assert capsys.readouterr().err.count("No such file") == 2
+
     @pytest.mark.parametrize("fmt", ["tsv", "jsonl"])
     def test_crlf_and_blank_lines_split_as_splitlines(self, fmt, capsys,
                                                       monkeypatch):
@@ -227,15 +237,21 @@ class TestScan:
         assert "+-++-+-+-+-" in out  # de/la now count as tonic
 
 
-class _LineOnlyStdin(io.StringIO):
-    """Standard input that can be iterated but not read whole. Lines end
-    at "\n" only, as on a POSIX sys.stdin."""
-
-    def __init__(self, text):
-        super().__init__(text, newline="\n")
+class _LineOnlyBytes(io.BytesIO):
+    """Bytes that can be iterated but not read whole."""
 
     def read(self, *args):
         raise AssertionError("scan read its whole input at once")
+
+    readlines = read
+
+
+class _LineOnlyStdin:
+    """Standard input whose bytes, the text in UTF-8, can be iterated but
+    not read whole."""
+
+    def __init__(self, text):
+        self.buffer = _LineOnlyBytes(text.encode("utf-8"))
 
 
 def _tei_from_corpus(lines) -> str:
@@ -565,14 +581,21 @@ class TestNumpyOnlyForBaseline:
 
 class TestUnreadableInput:
     def test_scan_keeps_records_written_before_the_bad_line(self, tmp_path):
+        # every record before the bad line is written, from a file as
+        # from stdin
         src = tmp_path / "verses.txt"
         good = (LINE + "\n").encode("utf-8")
         src.write_bytes(good * 400 + NOT_UTF8 + b"\n" + good)  # 400 > 1 buffer
-        proc = _run_cli("scan", src)
-        _assert_data_error_at(proc, f"{src}:401")
-        written = proc.stdout.splitlines()
-        assert 0 < len(written) < 400
-        assert len(set(written)) == 1 and "+--+---+-+-" in written[0]
+        for where, argv, stdin in ((f"{src}:401", [src], b""),
+                                   ("<stdin>:401", [], src.read_bytes())):
+            proc = subprocess.run(
+                [sys.executable, "-m", "escansion", "scan", *map(str, argv)],
+                input=stdin, capture_output=True)
+            proc.stderr = proc.stderr.decode("utf-8")
+            _assert_data_error_at(proc, where)
+            written = proc.stdout.decode("utf-8").splitlines()
+            assert len(written) == 400
+            assert len(set(written)) == 1 and "+--+---+-+-" in written[0]
 
     @pytest.mark.parametrize("reader", [
         "evaluate-gold", "score-pred", "predict-input", "scan-lexicon"])

@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from escansion.errors import EmptyAfterNormalization
+from escansion.errors import EmptyAfterNormalization, MalformedLexicon
 from escansion.phonology import (
     StressLexicon,
     analyze_token,
@@ -315,6 +315,19 @@ class TestProsodicStress:
         assert lex.unstressed_words == {"para"}
         assert is_prosodically_stressed(normalize_token("d-el"), lex)
         assert not is_prosodically_stressed(normalize_token("para"), lex)
+
+    def test_rows_are_numbered_as_every_reader_numbers_them(self, tmp_path):
+        # \x85 and \x0c part entries, as they part scan's lines, but only
+        # \n, \r and \r\n end a row
+        path = tmp_path / "lex.txt"
+        path.write_bytes("el\x85la\x0clos\rque\tstressed\n".encode("utf-8"))
+        lex = StressLexicon.load(path)
+        assert lex.unstressed_words == {"el", "la", "los"}
+        assert lex.overrides == {"que": True}
+        path.write_bytes("el\x85la\x0clos\rque\tmaybe\n".encode("utf-8"))
+        with pytest.raises(MalformedLexicon) as exc:
+            StressLexicon.load(path)
+        assert str(exc.value).startswith(f"{path}:2: ")
 
 
 class TestWordCache:

@@ -202,6 +202,16 @@ class TestFitAndScan:
         b = scan_line(GARCILASO_LINE, lexicon, config)
         assert a == b
 
+    def test_unknown_figure_kind_is_rejected(self, lexicon, config):
+        # a site is a plain tuple, so sites from outside the finder are
+        # checked where they enter the fit
+        words = phonological_parse(GARCILASO_LINE, lexicon)
+        site = FigureSite("elision", 3)
+        assert site == ("elision", 3, False, False)
+        assert str(site) == "elision@3"
+        with pytest.raises(ValueError, match="unknown figure kind 'elision'"):
+            fit_to_target(words, [site], config)
+
     def test_final_atonic_word_still_yields_a_stress(self, lexicon, config):
         # final-accent rule: the line-final word counts as tonic, so this
         # 10-syllable line ends like an oxytone verse
@@ -218,25 +228,6 @@ class TestFitAndScan:
         result = scan_line(GARCILASO_LINE, lexicon, config)
         assert result.pattern in result.diagnostics
         assert len(result.diagnostics) >= 2
-
-    def test_figure_preference_reorders_tiers(self, lexicon):
-        # with the rhythmic filter off, favoring dieresis flips Example 1
-        # to the synalepha+dieresis reading
-        config = ScanConfig(prefer_rhythmic_template=False,
-                            figure_preference=("dieresis", "syneresis",
-                                               "synalepha"))
-        result = scan_line(GARCILASO_LINE, lexicon, config)
-        assert result.pattern == "+---+--+-+-"
-        assert {s.kind for s in result.candidate.applied} == \
-               {"dieresis", "synalepha"}
-        default = scan_line(GARCILASO_LINE, lexicon,
-                            ScanConfig(prefer_rhythmic_template=False))
-        assert default.pattern == "+--+---+-+-"
-
-    def test_figure_preference_validated(self):
-        with pytest.raises(ValueError):
-            ScanConfig(figure_preference=("synalepha", "synalepha",
-                                          "dieresis"))
 
     def test_exact_search_handles_pathological_site_counts(self, lexicon,
                                                             config):
@@ -319,9 +310,8 @@ def _agrees_with_enumeration(words, sites, config, text) -> bool:
     """Check one fit against the oracle over ``sites``; whether the line
     is unfittable with them."""
     results = oracle.enumerate_all(words, sites, config.target_length)
-    preferred = oracle.preferred_patterns(
-        results, sites, config.target_length,
-        config.figure_preference, config.prefer_rhythmic_template)
+    preferred = oracle.preferred_patterns(results, sites,
+                                          config.target_length)
     try:
         result = fit_to_target(words, sites, config)
     except Unfittable as exc:
@@ -390,16 +380,11 @@ class TestOracleAgreement:
         _check_against_enumeration(lexicon, ScanConfig(emit_diagnostics=True))
 
     @pytest.mark.parametrize("config", [
-        ScanConfig(emit_diagnostics=True, prefer_rhythmic_template=False,
-                   figure_preference=("dieresis", "syneresis", "synalepha")),
-        ScanConfig(emit_diagnostics=True,
-                   figure_preference=("syneresis", "dieresis", "synalepha")),
         # the state scan runs by default keeps only the stress bits the
         # choice reads, and a target other than 11 moves those bits
         ScanConfig(),
         ScanConfig(emit_diagnostics=True, target_length=12),
-    ], ids=["dieresis-first-no-rhythm", "syneresis-first",
-            "default-no-diagnostics", "target-12"])
+    ], ids=["default-no-diagnostics", "target-12"])
     def test_reordered_preference_agrees_with_enumeration(self, lexicon,
                                                           config):
         _check_against_enumeration(lexicon, config)
@@ -424,12 +409,7 @@ class TestOracleAgreement:
         assert set(result.diagnostics) == set(feasible)
         assert result.ambiguous == (len(feasible) > 1)
 
-    @pytest.mark.parametrize("preference", [
-        ("synalepha", "syneresis", "dieresis"),
-        ("dieresis", "syneresis", "synalepha"),
-        ("syneresis", "dieresis", "synalepha"),
-    ])
-    def test_site_costs_order_subsets_as_the_preference_key(self, preference):
+    def test_site_costs_order_subsets_as_the_preference_key(self):
         # every tie-break tier, on site lists with up to 10 of one kind
         rng = random.Random(3)
         for _ in range(20):
@@ -440,12 +420,12 @@ class TestOracleAgreement:
                     kind=kind, position=position,
                     involves_stress=rng.random() < 0.3,
                     through_h=kind == "synalepha" and rng.random() < 0.2))
-            deltas = _site_deltas(sites, preference)
+            deltas = _site_deltas(sites)
             masks = range(1 << len(sites))
             by_cost = sorted(masks, key=lambda m: sum(
                 d for i, d in enumerate(deltas) if m >> i & 1))
             assert by_cost == sorted(
-                masks, key=oracle.preference_key(sites, preference))
+                masks, key=oracle.preference_key(sites))
 
     def test_position_ten_preference(self, lexicon, config, mini_gold):
         for line in mini_gold:
