@@ -6,8 +6,8 @@ All randomness flows through an explicit --seed flag, so every command is
 byte-reproducible given the same inputs. Only the baseline subcommands
 import the baseline module, and with it numpy, so scan, evaluate and score
 start without it; only evaluate and score import metrics, and only prepare
-sets up logging, so scan loads neither. Every text input is read through
-``corpus.numbered_lines``; only scan reads stdin, elsewhere ``-`` is a file.
+sets up logging, so scan loads neither. Every text input goes through
+``phonology.numbered_lines``; only scan reads stdin, elsewhere ``-`` is a file.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import corpus
 from .errors import DataError, Unfittable
-from .phonology import StressLexicon, default_lexicon
+from .phonology import StressLexicon, default_lexicon, numbered_lines
 from .scansion import ScanConfig, scan_line
 
 ENV_LEXICON = "ESCANSION_LEXICON"
@@ -89,9 +89,9 @@ def cmd_scan(args) -> int:
                         and args.format == "jsonl")
     failed = 0
     if args.input and args.input != "-":
-        src = corpus.numbered_lines(args.input)
+        src = numbered_lines(args.input)
     else:
-        src = corpus.numbered_lines("<stdin>", sys.stdin.buffer)
+        src = numbered_lines("<stdin>", sys.stdin.buffer)
     with _open_out(args.output) as out:
         # line by line as read; str.splitlines also parts a line at \x85,
         # \u2028 and the like, as it would part the whole input
@@ -213,7 +213,7 @@ def cmd_baseline_predict(args) -> int:
     model = baseline.load_model(args.model)
     # a tab on the first non-blank line makes the file a canonical TSV,
     # whose bad rows are errors; otherwise every line is verse
-    first = next((raw for _, raw in corpus.numbered_lines(args.input)
+    first = next((raw for _, raw in numbered_lines(args.input)
                   if raw.strip()), "")
     with _open_out(args.output) as out:
         if "\t" in first:
@@ -221,7 +221,7 @@ def cmd_baseline_predict(args) -> int:
                 pattern = baseline.predict(model, line.text)
                 out.write(f"{line.poem_id}\t{line.line_no}\t{pattern}\n")
         else:
-            for _, raw in corpus.numbered_lines(args.input):
+            for _, raw in numbered_lines(args.input):
                 raw = raw.strip()
                 if raw:
                     out.write(baseline.predict(model, raw) + "\n")

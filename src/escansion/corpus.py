@@ -12,15 +12,14 @@ Canonical on-disk form is a UTF-8 TSV: poem_id, line_no, text, pattern
 
 from __future__ import annotations
 
-import contextlib
 import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 from .errors import (DataError, InsufficientData, MalformedTei, MalformedTsv,
-                     MalformedXml, NotUtf8, UnnormalizableMet)
-from .phonology import clean_text
+                     MalformedXml, UnnormalizableMet)
+from .phonology import clean_text, numbered_lines
 from .scansion import check_pattern
 
 # Reverse-engineered from the published line counts 6558/2187/1401 of a
@@ -233,28 +232,6 @@ def write_tsv(lines, path, include_manual: bool = False) -> None:
             if include_manual:
                 row.append("1" if ln.manual else "0")
             fh.write("\t".join(row) + "\n")
-
-
-def numbered_lines(path, stream=None):
-    r"""(line number from 1, line) pairs of a UTF-8 file, or of ``stream``'s
-    bytes named ``path``, decoded one line at a time whatever the locale.
-    Lines end at \n, \r or \r\n and come without their end; one that does
-    not decode raises NotUtf8 naming its line. A file opens at the call,
-    so a missing one fails before anything else happens."""
-    fh = open(path, "rb") if stream is None else contextlib.nullcontext(stream)
-
-    def pairs():
-        row = 0
-        with fh as lines:
-            try:
-                # a binary read cuts at \n, so no \r\n straddles two chunks
-                for chunk in lines:
-                    for raw in chunk.splitlines():
-                        row += 1
-                        yield row, raw.decode("utf-8")
-            except UnicodeDecodeError:
-                raise NotUtf8(f"{path}:{row}: not UTF-8 text") from None
-    return pairs()
 
 
 def read_tsv(path) -> list[CorpusLine]:

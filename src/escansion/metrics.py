@@ -11,9 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .corpus import CorpusLine, normalize_met, numbered_lines
+from .corpus import CorpusLine, normalize_met
 from .errors import (AlignmentError, EmptyInput, LengthMismatch,
                      UnnormalizableMet)
+from .phonology import numbered_lines
 
 PATTERN_LENGTH = 11
 # misses an EvalReport keeps, and the first of them a text report prints

@@ -42,10 +42,13 @@ lists are read-only, so a cached stress cannot go stale.
 This module also owns text normalization for scan, ``prepare`` and the
 baseline: ``clean_text`` folds a line to lowercase Spanish letters and
 marks, and ``normalize_token`` is the same fold applied to one token.
+Every text input, the lexicon's included, is cut into numbered lines by
+its one reader, ``numbered_lines``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import re
 import unicodedata
 from collections.abc import Mapping
@@ -56,7 +59,8 @@ from itertools import accumulate
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .errors import DataError, EmptyAfterNormalization, MalformedLexicon, NoVowel
+from .errors import (DataError, EmptyAfterNormalization, MalformedLexicon,
+                     NotUtf8, NoVowel)
 
 # Vowel letters. 'ï' is kept because Golden Age editions mark forced
 # dieresis with it (vïola, rüido); it always breaks a diphthong, as does
@@ -234,6 +238,41 @@ def lexical_stress(syllables: list[str] | tuple[str, ...], word: Word | str) -> 
     return 2 if (last in VOWEL_CHARS or last in "ns") else 1
 
 
+def numbered_lines(path, stream=None):
+    r"""(line number from 1, line) pairs of a UTF-8 file, or of ``stream``'s
+    bytes named ``path``, decoded one line at a time whatever the locale.
+    Lines end at \n, \r or \r\n and come without their end; one that does
+    not decode raises NotUtf8 naming its line. The bytes are read as they
+    arrive, never whole: a line comes once its end is read, or, ended by
+    a lone \r, once the byte after it is. A file opens at the call, so a
+    missing one fails before anything else happens."""
+    fh = open(path, "rb") if stream is None else contextlib.nullcontext(stream)
+
+    def pairs():
+        row, held = 0, bytearray()  # a line whose end is not yet read
+        with fh as data:
+            try:
+                while True:
+                    # what has come; a line held at a \r ends there, or
+                    # at the \n that may come next
+                    block, ended = data.read1(1 << 16), held[-1:] == b"\r"
+                    held += block
+                    if block and not (ended or b"\n" in block
+                                      or b"\r" in block):
+                        continue
+                    lines = held.splitlines(True)
+                    held = (lines.pop() if block and not
+                            lines[-1].endswith(b"\n") else bytearray())
+                    for raw in lines:
+                        row += 1
+                        yield row, raw.rstrip(b"\r\n").decode("utf-8")
+                    if not block:
+                        return
+            except UnicodeDecodeError:
+                raise NotUtf8(f"{path}:{row}: not UTF-8 text") from None
+    return pairs()
+
+
 @dataclass(frozen=True)
 class StressLexicon:
     """Closed-class words treated as prosodically unstressed, plus overrides."""
@@ -255,8 +294,6 @@ class StressLexicon:
 
     @classmethod
     def load(cls, path) -> "StressLexicon":
-        # corpus imports this module, so its reader is imported here
-        from .corpus import numbered_lines
         unstressed, overrides = set(), {}
         # \x85, \x0c and the like part entries, as in scan, but end no row
         entries = ((row, line) for row, text in numbered_lines(path)

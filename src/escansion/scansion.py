@@ -36,17 +36,18 @@ The last word of the line always counts as stressed (the final-accent
 convention of Spanish metrics), which also guarantees every pattern
 contains at least one '+'.
 
-The search is exact for any number of sites. It is one left-to-right
-dynamic program over the flat syllables whose state is the group count,
-capped at the target, and the stresses at position target-1 and, for the
-rhythmic template, at 4, 6 and 8: at most (target+1)*16 states, so its
-cost grows linearly with syllables. Diagnostics keep every position.
-Each step of the program is a move on the metrical groups, and
-``_advance`` is the one routine that folds a move into groups: the DP
-and the unfittable report both go through it. Each choice of a step
-carries its cost, so the DP adds one number per choice, and each DP
-entry carries its subset's own stresses, so the winner's pattern is
-read from its entry, and its metrical length is the target.
+Whether a line fits is arithmetic: a subset's metrical length is the
+group of the last stressed syllable q, plus 2, and each site shifts that
+group by a fixed -1 (a merge at p < q), +1 (a dieresis at p < q, or at q
+when the stress goes to the right half) or 0, so the reachable lengths
+are one range and a target outside it is reported at once. A line that
+fits is ranked by one left-to-right dynamic program over the flat
+syllables whose state is the group count, capped at the target, and the
+stresses at position target-1 and, for the rhythmic template, at 4, 6
+and 8: at most (target+1)*16 states, so its cost grows linearly with
+syllables; diagnostics keep every position. Each choice of a step
+carries its cost, and each DP entry its subset's own stresses, so the
+winner's pattern is read from its entry.
 """
 
 from __future__ import annotations
@@ -234,7 +235,7 @@ def _choices(flat: _Flat, sites: list[FigureSite], deltas: list[int]):
     is ``(joined, opened, stresses)``, what the run does to the metrical
     groups: the stress a merge joins into the open group, the number of
     groups the run opens and their stress bits, the first opened group
-    the least significant. Only ``_advance`` folds a move into a state.
+    the least significant. Only ``fit_to_target`` folds a move into groups.
     The moves are cut from the line's stress bits, so any sub-list of
     ``find_figure_sites``' list gives the steps of its own sites.
     """
@@ -303,20 +304,6 @@ def _site_deltas(sites: list[FigureSite]) -> list[int]:
     return deltas
 
 
-def _advance(state: tuple[int, int],
-             move: tuple[int, int, int]) -> tuple[int, int]:
-    """Apply one step's ``move`` to a state ``(groups, stresses)``.
-
-    ``groups`` counts the metrical groups opened so far, the last of them
-    still open to a join, and bit i of ``stresses`` is the stress of group
-    i. This is the only place a move is folded into groups: both passes
-    over the steps advance their states through here.
-    """
-    groups, stresses = state
-    joined, opened, new = move
-    return groups + opened, stresses | joined << groups >> 1 | new << groups
-
-
 def _render(stresses: int, length: int) -> str:
     """The pattern of a state's ``stresses``: groups 0..length-2, then the
     one final position everything after the last stress collapses into."""
@@ -327,35 +314,25 @@ def _applied(sites: list[FigureSite], mask: int) -> tuple[FigureSite, ...]:
     return tuple(s for i, s in enumerate(sites) if mask >> i & 1)
 
 
-def _unfittable(steps, sites, target) -> Unfittable:
-    """Every achievable length and the three subsets nearest the target.
-
-    The states of ``_advance``, unbounded, each cut to its top stress bit,
-    the last stressed group, whose index plus 2 is the length. Each keeps
-    its three smallest masks, which is enough because the sites still to
-    come add the same bits to every mask in the state.
-    """
-    states = {(0, 0): [0]}
-    for choices in steps:
-        grown: dict[tuple[int, int], list[int]] = {}
-        for state, masks in states.items():
-            for _, bits, move in choices:
-                groups, stresses = _advance(state, move)
-                key = (groups, 1 << stresses.bit_length() >> 1)
-                grown.setdefault(key, []).extend(m | bits for m in masks)
-        states = {key: sorted(masks)[:3] for key, masks in grown.items()}
-
-    achievable = {top.bit_length() + 1 for _, top in states}
-    # a mask reaches one state, so its length never decides the order
-    nearest = sorted((abs(length - target), mask, length)
-                     for (_, top), masks in states.items()
-                     for length in [top.bit_length() + 1] for mask in masks)
-    previews = [(length, ";".join(map(str, _applied(sites, mask))) or "none")
-                for _, mask, length in nearest[:3]]
+def _unfittable(sites, shifts, low, high, target) -> Unfittable:
+    """Every achievable length, ``low`` to ``high``, and the three subsets
+    nearest the target, ties by mask: the one applying every site whose
+    shift is toward the target, that one plus its lowest free sites (shift
+    0), then that one with one shifting site flipped, a step further."""
+    toward = 1 if target > high else -1
+    end = high if target > high else low
+    best = sum(1 << i for i, shift in enumerate(shifts) if shift == toward)
+    free = [1 << i for i, shift in enumerate(shifts) if not shift]
+    flipped = sorted(best ^ 1 << i for i, shift in enumerate(shifts) if shift)
+    nearest = ([(end, best)] + [(end, best | bit) for bit in free[:2]]
+               + [(end - toward, mask) for mask in flipped[:2]])[:3]
+    achievable = range(low, high + 1)
     return Unfittable(
         f"no figure subset reaches length {target} "
-        f"(achievable: {sorted(achievable)})",
-        achievable=achievable, nearest=previews)
+        f"(achievable: {list(achievable)})",
+        achievable=achievable,
+        nearest=[(length, ";".join(map(str, _applied(sites, mask))) or "none")
+                 for length, mask in nearest])
 
 
 def fit_to_target(words: ParsedLine, sites: list[FigureSite],
@@ -367,16 +344,19 @@ def fit_to_target(words: ParsedLine, sites: list[FigureSite],
     stay unapplied. Mask bit i is ``sites[i]``. A site of a kind not in
     ``_FIGURES`` raises ValueError.
 
-    One left-to-right DP over the flat syllables on the states of
-    ``_advance``: a state that stresses group target-1 or later dies,
-    ``groups`` stops at target, and ``stresses`` keeps bit target-2 and,
-    for the rhythmic template, bits 3, 5 and 7, so there are at most
-    (target+1)*16 states; ``emit_diagnostics`` keeps every bit. Each state
-    keeps the cheapest subset reaching it under ``_site_deltas``, that
-    subset's own state with every stress bit (the state's kept bits are a
-    subset of them), and how many subsets reach it, capped at two. The
-    winner's pattern is read from its own stresses, with no second pass,
-    and its metrical length is the target: a feasible state is stressed
+    The reachable lengths are read from each site's shift, as the module
+    docstring tells: a target out of their range raises Unfittable, and
+    more than one subset fits when a site shifts nothing or the target is
+    strictly inside it. A line that fits is ranked by one left-to-right DP
+    over the flat syllables on states ``(groups, stresses)``: the groups
+    opened so far, the last still open to a join, and bit i the stress of
+    group i. A state that stresses group target-1 or later dies, ``groups``
+    stops at target, and ``stresses`` keeps bit target-2 and, for the
+    rhythmic template, bits 3, 5 and 7, so there are at most (target+1)*16
+    states; ``emit_diagnostics`` keeps every bit. Each state keeps the
+    cheapest subset reaching it under ``_site_deltas`` with its own groups
+    and every stress bit. The winner's pattern is read from those, with no
+    second pass, and its length is the target: a feasible state is stressed
     on group target-2 and on none after it.
     """
     config = config or ScanConfig()
@@ -384,44 +364,46 @@ def fit_to_target(words: ParsedLine, sites: list[FigureSite],
         if site.kind not in _DELTAS:
             raise ValueError(f"unknown figure kind {site.kind!r}")
     target = config.target_length
+    _, _, _, stresses, lefts = words.flat
+    top = stresses.bit_length() - 1  # the last stressed syllable
+    shifts = [site.delta if site.position < top or site.position == top
+              and site.kind == "dieresis" and not lefts >> top & 1 else 0
+              for site in sites]
+    low, high = top + 2 - shifts.count(-1), top + 2 + shifts.count(1)
+    if not low <= target <= high:
+        raise _unfittable(sites, shifts, low, high, target)
+
     steps = _choices(words.flat, sites, _site_deltas(sites))
     rhythmic = target == 11
     dead = 1 << target - 1  # a stress on any group from target-1 on
     keep = (dead - 1 if config.emit_diagnostics
             else 1 << target - 2 | (0b10101000 if rhythmic else 0))
 
-    # state -> [cost, mask, the mask's own state, subsets reaching it
-    # capped at 2], updated in place as subsets meet; a final step opens
-    # one unstressed group to close the last one, so every feasible state
-    # has target groups
-    states = {(0, 0): [0, 0, (0, 0), 1]}
+    # (groups, kept stresses) -> (cost, mask, the mask's own groups and
+    # stresses); a final step opens one unstressed group to close the last
+    # one, so every feasible state has target groups
+    states = {(0, 0): (0, 0, 0, 0)}
     for choices in steps + [[(0, 0, (0, 1, 0))]]:
-        grown: dict[tuple[int, int], list] = {}
-        for added, bits, move in choices:
-            for cost, mask, full, paths in states.values():
-                full = groups, stresses = _advance(full, move)
+        grown: dict[tuple[int, int], tuple[int, int, int, int]] = {}
+        for added, bits, (joined, opened, new) in choices:
+            for cost, mask, groups, stresses in states.values():
+                stresses |= joined << groups >> 1 | new << groups
                 if stresses >= dead:
                     continue
+                groups += opened
                 key = (groups if groups < target else target, stresses & keep)
                 seen = grown.get(key)
-                if seen is None:
-                    grown[key] = [cost + added, mask | bits, full, paths]
-                    continue
-                if cost + added < seen[0]:
-                    seen[:3] = cost + added, mask | bits, full
-                seen[3] = min(2, seen[3] + paths)
+                if seen is None or cost + added < seen[0]:
+                    grown[key] = (cost + added, mask | bits, groups, stresses)
         states = grown
 
     # stresses -> entry for the feasible states: stressed on target-2
     finals = {stresses: entry for (groups, stresses), entry in states.items()
               if groups == target and stresses >> target - 2}
-    if not finals:
-        raise _unfittable(steps, sites, target)
-
     # the rhythmic template: stress on 6, or on 4 and 8
     hits = [s for s in finals if rhythmic
             and (s & 0b100000 or s & 0b10001000 == 0b10001000)]
-    _, mask, (_, stresses), _ = min(finals[s] for s in hits or finals)
+    _, mask, _, stresses = min(finals[s] for s in hits or finals)
 
     diagnostics = ()
     if config.emit_diagnostics:
@@ -429,7 +411,7 @@ def fit_to_target(words: ParsedLine, sites: list[FigureSite],
     return ScansionResult(
         pattern=check_pattern(_render(stresses, target), target),
         candidate=ScanCandidate(_applied(sites, mask), target),
-        ambiguous=sum(entry[3] for entry in finals.values()) > 1,
+        ambiguous=0 in shifts or low < target < high,
         syllabification=tuple(sw.syllables for sw in words),
         diagnostics=diagnostics,
     )

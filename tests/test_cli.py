@@ -1,8 +1,10 @@
 import io
 import json
 import os
+import select
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -188,6 +190,26 @@ class TestScan:
         assert main(["scan"]) == 0
         assert "+--+---+-+-" in capsys.readouterr().out
 
+    def test_stdin_lines_ended_by_cr_stream(self):
+        # a line ended by a lone \r is scanned once the next byte comes,
+        # before the input ends
+        with subprocess.Popen(
+                [sys.executable, "-u", "-m", "escansion", "scan"],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE) as proc:
+            proc.stdin.write((LINE + "\r").encode("utf-8") * 3)
+            proc.stdin.flush()
+            early, deadline = b"", time.monotonic() + 20
+            while early.count(b"\n") < 2 and time.monotonic() < deadline:
+                if select.select([proc.stdout], [], [], 0.1)[0]:
+                    chunk = os.read(proc.stdout.fileno(), 1 << 16)
+                    if not chunk:
+                        break
+                    early += chunk
+            rest, err = proc.communicate(timeout=20)
+        assert early.count(b"\n") >= 2
+        assert ((early + rest).count(b"+--+---+-+-"), err) == (3, b"")
+
     def test_only_scan_reads_stdin(self, gold_tsv, capsys, monkeypatch,
                                    tmp_path):
         # to every other reader "-" names a file, here a missing one
@@ -238,17 +260,23 @@ class TestScan:
 
 
 class _LineOnlyBytes(io.BytesIO):
-    """Bytes that can be iterated but not read whole."""
+    """Bytes that come a few at a time, as a pipe may give them, and
+    cannot be read whole."""
 
     def read(self, *args):
         raise AssertionError("scan read its whole input at once")
 
     readlines = read
 
+    def read1(self, size=-1):
+        if size < 0:
+            raise AssertionError("scan read its whole input at once")
+        return super().read1(min(size, 5))
+
 
 class _LineOnlyStdin:
-    """Standard input whose bytes, the text in UTF-8, can be iterated but
-    not read whole."""
+    """Standard input whose bytes, the text in UTF-8, come a few at a time
+    and cannot be read whole."""
 
     def __init__(self, text):
         self.buffer = _LineOnlyBytes(text.encode("utf-8"))
@@ -555,6 +583,15 @@ class TestNumpyOnlyForBaseline:
             "score": ["score", "--gold", gold_tsv, "--pred", pred],
         }[command]
         assert self._exit_and_numpy(*argv) == "0 False"
+
+    def test_default_lexicon_leaves_corpus_and_json_out(self):
+        script = ("import sys, escansion\n"
+                  "escansion.default_lexicon()\n"
+                  "print([m for m in ('escansion.corpus', 'json')"
+                  " if m in sys.modules])\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert (proc.stderr, proc.stdout) == ("", "[]\n")
 
     def test_scan_leaves_the_harness_modules_out(self, tmp_path):
         # scan's start-up: no metrics, no logging, no XML, no random,

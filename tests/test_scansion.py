@@ -180,6 +180,14 @@ class TestFitAndScan:
             scan_line("sol", lexicon, config)
         assert exc.value.achievable == (2,)
 
+    def test_long_unfittable_line_takes_bounded_time(self, lexicon, config):
+        # the reachable lengths are read from the sites, with no search
+        start = time.perf_counter()
+        with pytest.raises(Unfittable) as exc:
+            scan_line("casa oscura " * 2000, lexicon, config)
+        assert time.perf_counter() - start < 2
+        assert len(exc.value.achievable) == 2001
+
     def test_ten_stressed_monosyllables_fit(self, lexicon, config):
         result = scan_line(" ".join(["sol"] * 10), lexicon, config)
         assert result.pattern == "++++++++++-"
@@ -408,6 +416,15 @@ class TestOracleAgreement:
         assert result.pattern == preferred[0]
         assert set(result.diagnostics) == set(feasible)
         assert result.ambiguous == (len(feasible) > 1)
+        # a subset's length does not depend on the target, so the same
+        # enumeration checks the report of targets out of reach
+        for target in (6, 24):
+            with pytest.raises(Unfittable) as exc:
+                fit_to_target(words, sites, ScanConfig(target_length=target))
+            assert exc.value.achievable == tuple(range(7, 24))
+            assert set(exc.value.achievable) == {l for _, l, _ in results}
+            assert list(exc.value.nearest) == _nearest_previews(
+                results, sites, target), text
 
     def test_site_costs_order_subsets_as_the_preference_key(self):
         # every tie-break tier, on site lists with up to 10 of one kind
