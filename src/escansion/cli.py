@@ -88,11 +88,12 @@ def cmd_scan(args) -> int:
                         emit_diagnostics=args.diagnostics
                         and args.format == "jsonl")
     failed = 0
-    if args.input and args.input != "-":
-        src = numbered_lines(args.input)
-    else:
-        src = numbered_lines("<stdin>", sys.stdin.buffer)
+    from_stdin = not args.input or args.input == "-"
+    src = (numbered_lines("<stdin>", sys.stdin.buffer) if from_stdin
+           else numbered_lines(args.input))
     with _open_out(args.output) as out:
+        # stdin to stdout is a pipe: each record goes on as it is written
+        stream = from_stdin and out is sys.stdout
         # line by line as read; str.splitlines also parts a line at \x85,
         # \u2028 and the like, as it would part the whole input
         for _, text in src:
@@ -106,6 +107,8 @@ def cmd_scan(args) -> int:
                     out.write(json.dumps(record, ensure_ascii=False) + "\n")
                 else:
                     out.write(_format_tsv(record) + "\n")
+                if stream:
+                    out.flush()
     return 2 if failed else 0
 
 

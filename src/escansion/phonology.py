@@ -21,34 +21,32 @@ the letter after it. One regex cuts the word into classed units
 (consonant, closed vowel, open or accented vowel, a vowel that always
 stands alone, h), a second finds the nuclei in the string of classes, and
 the consonant units between two nuclei go to the next onset: the last,
-or the last two when they form an inseparable cluster. A word's
-stress-free shape is read once from those parts: three ints of syllable
-bits (hiatus with the syllable before; a two-vowel nucleus; its first
-vowel strong), which each stress form's frame then combines with its
-stressed syllables.
+or the last two when they form an inseparable cluster.
 
 A verse repeats its words, so ``analyze_token`` keeps each token's analysis
 in a cache owned by the lexicon it was stressed with: the syllabified word
-and its ``Frame``, both as the lexicon stresses the word and forced tonic
-as at the end of a line. A frame is what scansion reads of
-the word: its own syneresis and dieresis sites, two ints of per-syllable
-bits (stressed; keeps the stress in its left half if a dieresis splits
-it), and the vowel sounds, ``h`` and stresses at its edges, so a line's
-sites and stresses are stitched word by word instead of walked syllable
-by syllable. The cache holds at most ``_CACHE_SIZE`` tokens and is emptied
-when full, so open-ended vocabularies cost bounded memory. The lexicon's
-lists are read-only, so a cached stress cannot go stale.
+and its one ``Frame``, read from the syllabifier's parts. A frame is what
+scansion reads of the word, whatever its place in a line: its own
+syneresis and dieresis sites, the vowel sounds and ``h`` at its edges, and
+three ints of per-syllable bits (splits keeping the stress in its left
+half; stressed as the lexicon says; stressed when forced tonic, as at the
+end of a line), so a line's sites and stresses are stitched word by word
+instead of walked syllable by syllable. The cache holds at most
+``_CACHE_SIZE`` tokens and is emptied when full, so open-ended
+vocabularies cost bounded memory. The lexicon's lists are read-only, so a
+cached stress cannot go stale.
 
 This module also owns text normalization for scan, ``prepare`` and the
 baseline: ``clean_text`` folds a line to lowercase Spanish letters and
 marks, and ``normalize_token`` is the same fold applied to one token.
 Every text input, the lexicon's included, is cut into numbered lines by
-its one reader, ``numbered_lines``.
+its one reader, ``numbered_lines``, the standard library's UTF-8 text
+layer with universal newlines.
 """
 
 from __future__ import annotations
 
-import contextlib
+import io
 import re
 import unicodedata
 from collections.abc import Mapping
@@ -238,6 +236,10 @@ def lexical_stress(syllables: list[str] | tuple[str, ...], word: Word | str) -> 
     return 2 if (last in VOWEL_CHARS or last in "ns") else 1
 
 
+# what an undecodable byte decodes to under errors="surrogateescape"
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
+
+
 def numbered_lines(path, stream=None):
     r"""(line number from 1, line) pairs of a UTF-8 file, or of ``stream``'s
     bytes named ``path``, decoded one line at a time whatever the locale.
@@ -245,32 +247,28 @@ def numbered_lines(path, stream=None):
     not decode raises NotUtf8 naming its line. The bytes are read as they
     arrive, never whole: a line comes once its end is read, or, ended by
     a lone \r, once the byte after it is. A file opens at the call, so a
-    missing one fails before anything else happens."""
-    fh = open(path, "rb") if stream is None else contextlib.nullcontext(stream)
+    missing one fails before anything else happens, and closes when the
+    pairs end, raise or are dropped, read or not; ``stream`` is left
+    open."""
+    data = open(path, "rb") if stream is None else stream
 
     def pairs():
-        row, held = 0, bytearray()  # a line whose end is not yet read
-        with fh as data:
-            try:
-                while True:
-                    # what has come; a line held at a \r ends there, or
-                    # at the \n that may come next
-                    block, ended = data.read1(1 << 16), held[-1:] == b"\r"
-                    held += block
-                    if block and not (ended or b"\n" in block
-                                      or b"\r" in block):
-                        continue
-                    lines = held.splitlines(True)
-                    held = (lines.pop() if block and not
-                            lines[-1].endswith(b"\n") else bytearray())
-                    for raw in lines:
-                        row += 1
-                        yield row, raw.rstrip(b"\r\n").decode("utf-8")
-                    if not block:
-                        return
-            except UnicodeDecodeError:
-                raise NotUtf8(f"{path}:{row}: not UTF-8 text") from None
-    return pairs()
+        text = io.TextIOWrapper(data, encoding="utf-8",
+                                errors="surrogateescape", newline=None)
+        try:
+            yield  # reached at the call, so that the finally always runs
+            for row, line in enumerate(text, 1):
+                if _SURROGATE_RE.search(line):
+                    raise NotUtf8(f"{path}:{row}: not UTF-8 text")
+                yield row, line.removesuffix("\n")
+        finally:
+            if stream is None:
+                text.close()
+            else:
+                text.detach()
+    rows = pairs()
+    next(rows)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -295,30 +293,30 @@ class StressLexicon:
     @classmethod
     def load(cls, path) -> "StressLexicon":
         unstressed, overrides = set(), {}
-        # \x85, \x0c and the like part entries, as in scan, but end no row
-        entries = ((row, line) for row, text in numbered_lines(path)
-                   for line in text.splitlines())
-        for row, line in entries:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                if "\t" in line:
-                    word, value = line.split("\t", 1)
-                    value = value.strip()
-                    if value not in ("stressed", "unstressed"):
-                        raise MalformedLexicon(
-                            f"override for {word!r} must be "
-                            f"stressed|unstressed, got {value!r}")
-                    word = _unmarked(normalize_token(word).normalized)
-                    overrides[word] = value == "stressed"
-                    unstressed.discard(word)
-                else:
-                    word = _unmarked(normalize_token(line).normalized)
-                    if word not in overrides:
-                        unstressed.add(word)
-            except DataError as exc:
-                raise MalformedLexicon(f"{path}:{row}: {exc}") from exc
+        # unnamed, so an error here drops the reader and closes the file
+        for row, text in numbered_lines(path):
+            # \x85, \x0c and the like part entries, as in scan, but end no row
+            for line in text.splitlines():
+                line = line.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                try:
+                    if "\t" in line:
+                        word, value = line.split("\t", 1)
+                        value = value.strip()
+                        if value not in ("stressed", "unstressed"):
+                            raise MalformedLexicon(
+                                f"override for {word!r} must be "
+                                f"stressed|unstressed, got {value!r}")
+                        word = _unmarked(normalize_token(word).normalized)
+                        overrides[word] = value == "stressed"
+                        unstressed.discard(word)
+                    else:
+                        word = _unmarked(normalize_token(line).normalized)
+                        if word not in overrides:
+                            unstressed.add(word)
+                except DataError as exc:
+                    raise MalformedLexicon(f"{path}:{row}: {exc}") from exc
         return cls(frozenset(unstressed), overrides)
 
 
@@ -367,95 +365,67 @@ def stressed_syllable_indices(sw: SyllabifiedWord, *, force: bool = False) -> tu
 
 
 class Frame(NamedTuple):
-    """What one form of a word brings to a line: its figure sites at
-    word-local positions, its stress bits, and the facts at its edges that
-    decide a synalepha with a neighbour. Bit i of an int is syllable i."""
+    """What a word brings to a line, read once from its syllabifier parts:
+    its figure sites at word-local positions, the facts at its edges that
+    decide a synalepha with a neighbour, and three ints of syllable bits,
+    bit i for syllable i. Nothing in it depends on where the word stands:
+    the line ORs in the last word's ``tonic`` bits and reads each site's
+    stress from its own."""
 
     size: int  # syllables
-    # (kind, position, involves_stress) of each syneresis and dieresis but
-    # the tail, in emission order
-    sites: tuple[tuple[str, int, bool], ...]
+    # (kind, position) of each syneresis and dieresis but the tail, in
+    # emission order
+    sites: tuple[tuple[str, int], ...]
     tail: bool  # the last syllable can split by dieresis
     ends_vowel: bool
     begins_vowel: tuple[bool, bool]  # indexed by h_blocks_synalepha
     h_first: bool
     h_last: bool
-    first_stressed: bool
-    last_stressed: bool
-    stresses: int  # the stressed syllables
-    lefts: int  # the syllables whose left half keeps the stress if split
+    # a two-vowel nucleus led by a strong vowel, which keeps the stress
+    # when a dieresis splits it
+    peaks: int
+    stresses: int  # stressed as the lexicon says
+    tonic: int  # stressed when forced tonic, as the last word of a line
 
 
 class WordAnalysis(NamedTuple):
-    """A token's analysis under one lexicon, as ``analyze_token`` caches it:
-    the syllabified word and its frame in both stress forms (the same
-    object when the word is tonic anyway)."""
+    """A token's analysis under one lexicon, as ``analyze_token`` caches it."""
 
     word: SyllabifiedWord
-    frame: Frame        # stressed as the lexicon says
-    tonic_frame: Frame  # forced tonic, as the last word of a line
+    frame: Frame
 
 
-def _shape(parts) -> tuple[int, int, int, int]:
-    """A word's stress-free shape, read from the syllabifier's (onset,
-    nucleus, coda) ``parts``: its size and three ints of syllable bits,
-    bit i for syllable i. ``hiatus``: only an h, or nothing, separates it
-    from the syllable before, so the two can merge by syneresis.
-    ``splits``: its nucleus has two vowels, so a dieresis can split it.
-    ``peaks``: of those, the first vowel is strong and keeps the stress."""
-    hiatus = splits = peaks = 0
-    coda = None
-    for i, (onset, nucleus, next_coda) in enumerate(parts):
-        if coda == "" and onset in ("", "h"):
-            hiatus |= 1 << i
+def _frame(parts, stresses: int, tonic: int) -> Frame:
+    """The ``Frame`` of a word from its syllabifier's (onset, nucleus, coda)
+    ``parts`` and its ``stresses`` and ``tonic`` bits.
+
+    A syllable merges with the next by syneresis when only an h, or
+    nothing, separates them; it splits by dieresis when its nucleus has two
+    vowels, and is a peak when the first of them is strong. A word begins
+    in a vowel sound when its onset is empty, or is an h (unless an h
+    blocks synalepha) before a vowel that is not a consonantal glide: y,
+    ue, ie (hydra, hueso, hielo); it ends in one when its coda is empty, or
+    is an h after a vowel other than y."""
+    last = len(parts) - 1
+    sites, peaks = [], 0
+    for i, (_, nucleus, coda) in enumerate(parts):
+        if i < last and coda == "" and parts[i + 1][0] in ("", "h"):
+            sites.append(("syneresis", i))
         vowels = nucleus.replace("h", "")
         if len(vowels) >= 2:
-            splits |= 1 << i
+            sites.append(("dieresis", i))
             peaks |= (vowels[0] in _HIATUS_CORE) << i
-        coda = next_coda
-    return len(parts), hiatus, splits, peaks
-
-
-# marks decide nothing: one can follow a word's first letter or precede its last
-def _ends_in_vowel_sound(normalized: str) -> bool:
-    c = normalized[-1]
-    if c in VOWEL_CHARS or c == "y":
-        return True
-    return c == "h" and normalized[:-1].rstrip(_MARKS)[-1:] in VOWEL_CHARS
-
-
-def _begins_with_vowel_sound(normalized: str, h_blocks: bool) -> bool:
-    c = normalized[0]
-    if c in VOWEL_CHARS:
-        return True
-    if c == "y":
-        # standalone conjunction, or archaic y-for-i before a consonant
-        rest = normalized[1:].lstrip(_MARKS)
-        return not rest or rest[0] not in VOWEL_CHARS
-    if c == "h" and not h_blocks:
-        rest = normalized[1:].lstrip(_MARKS)
-        # not before a consonantal glide: hueso, hielo
-        return rest[:1] in VOWEL_CHARS and rest[:2] not in ("ue", "ie")
-    return False
-
-
-def _frame(shape: tuple[int, int, int, int], stressed: tuple[int, ...],
-           edges: tuple) -> Frame:
-    """The ``Frame`` of one stress form of a word: its ``_shape``, the
-    indices of its ``stressed`` syllables and its ``edges``, the
-    (ends_vowel, begins_vowel, h_first, h_last)."""
-    size, hiatus, splits, peaks = shape
-    stresses = sum(1 << i for i in stressed)
-    last = size - 1
-    sites = []
-    for i in range(last):
-        if hiatus >> i + 1 & 1:
-            sites.append(("syneresis", i, bool(stresses >> i & 3)))
-        if splits >> i & 1:
-            sites.append(("dieresis", i, bool(stresses >> i & 1)))
-    return Frame(size, tuple(sites), bool(splits >> last & 1), *edges,
-                 bool(stresses & 1), bool(stresses >> last & 1), stresses,
-                 stresses & peaks)
+    tail = sites[-1:] == [("dieresis", last)]
+    if tail:
+        sites.pop()
+    onset, nucleus, _ = parts[0]
+    _, final, coda = parts[-1]
+    h_begins = (onset == "h" and nucleus[0] != "y"
+                and nucleus[:2] not in ("ue", "ie"))
+    return Frame(last + 1, tuple(sites), tail,
+                 coda == "" or coda == "h" and final[-1] != "y",
+                 (onset == "" or h_begins, onset == ""),
+                 onset[:1] == "h", coda[-1:] == "h", peaks, stresses, tonic)
 
 
 def analyze_token(raw: str, lexicon: StressLexicon) -> WordAnalysis:
@@ -468,23 +438,16 @@ def analyze_token(raw: str, lexicon: StressLexicon) -> WordAnalysis:
     hit = cache.get(raw)
     if hit is None:
         word = normalize_token(raw)
-        normalized = word.normalized
-        texts, parts = _syllable_parts(normalized)
+        texts, parts = _syllable_parts(word.normalized)
         sw = SyllabifiedWord(
             word=word,
             syllables=tuple(texts),
             stress_from_end=lexical_stress(texts, word),
             prosodic=is_prosodically_stressed(word, lexicon),
         )
-        edges = (_ends_in_vowel_sound(normalized),
-                 (_begins_with_vowel_sound(normalized, False),
-                  _begins_with_vowel_sound(normalized, True)),
-                 normalized[0] == "h", normalized[-1] == "h")
-        shape = _shape(parts)
-        frame = _frame(shape, stressed_syllable_indices(sw), edges)
-        tonic_frame = frame if sw.prosodic else _frame(
-            shape, stressed_syllable_indices(sw, force=True), edges)
-        hit = WordAnalysis(sw, frame, tonic_frame)
+        tonic = sum(1 << i for i in stressed_syllable_indices(sw, force=True))
+        hit = WordAnalysis(sw, _frame(parts, tonic if sw.prosodic else 0,
+                                      tonic))
         # unlocked: threads that race here store equal analyses, and can
         # overshoot the bound only by their number
         if len(cache) >= _CACHE_SIZE:

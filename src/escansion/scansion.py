@@ -3,12 +3,15 @@
 A parsed line is a flat sequence of phonological syllables, each stressed
 or not. ``phonological_parse`` returns it as a ``ParsedLine``: the words,
 plus their frames from the lexicon's cached word analyses (``Frame`` in
-``phonology``). Each frame holds what is fixed for its word: its own
-syneresis and dieresis sites, its stress bits and the vowel sounds at its
-edges, built once per word from its syllabifier parts. Finding sites
-offsets each word's cached sites and tests only the word boundaries;
-fitting cuts the line's stress bits into steps at the syllables the
-sites act on. No stage walks the line syllable by syllable.
+``phonology``). Each frame holds what is fixed for its word wherever it
+stands: its own syneresis and dieresis sites, the vowel sounds at its
+edges and its stress bits in both forms, built once per word from its
+syllabifier parts. The line brings the stresses: it ORs in the last
+word's tonic bits, and a site involves a stress when the line stresses
+a syllable it acts on. Finding sites offsets each word's cached sites
+and tests only the word boundaries; fitting cuts the line's stress bits
+into steps at the syllables the sites act on. No stage walks the line
+syllable by syllable.
 Three figures can reshape the sequence:
 
 * synalepha  - merges the last syllable of a word with the vowel-initial
@@ -148,9 +151,11 @@ def check_pattern(symbols: str, length: int = 11) -> str:
 # --- parsing ----------------------------------------------------------------
 
 class _Flat(NamedTuple):
-    """The frames of a line's words in order, the last word's tonic, the
-    index of each word's first syllable in the line, and the line's
-    syllable count and ``Frame`` bits, bit i for syllable i."""
+    """The frames of a line's words in order, the index of each word's
+    first syllable in the line, and the line's syllable count and bits,
+    bit i for syllable i: the stressed syllables, the last word's tonic
+    ones included, and those of them whose left half keeps the stress if
+    a dieresis splits them."""
 
     frames: list[Frame]
     starts: list[int]
@@ -160,13 +165,14 @@ class _Flat(NamedTuple):
 
 
 def _build_flat(frames: list[Frame]) -> _Flat:
-    starts, at, stresses, lefts = [], 0, 0, 0
+    starts, at, stresses, peaks = [], 0, 0, 0
     for frame in frames:
         starts.append(at)
         stresses |= frame.stresses << at
-        lefts |= frame.lefts << at
+        peaks |= frame.peaks << at
         at += frame.size
-    return _Flat(frames, starts, at, stresses, lefts)
+    stresses |= frame.tonic << starts[-1]
+    return _Flat(frames, starts, at, stresses, stresses & peaks)
 
 
 class ParsedLine(list):
@@ -176,8 +182,7 @@ class ParsedLine(list):
 
     def __init__(self, analyses: list[WordAnalysis]):
         super().__init__(a.word for a in analyses)
-        self.flat = _build_flat([a.frame for a in analyses[:-1]]
-                                + [analyses[-1].tonic_frame])
+        self.flat = _build_flat([a.frame for a in analyses])
 
 
 def phonological_parse(line: str, lexicon: StressLexicon) -> ParsedLine:
@@ -201,23 +206,26 @@ def find_figure_sites(words: ParsedLine,
     Each word's syneresis and dieresis sites are cached in its frame at
     word-local positions; here they are offset to the line, and only the
     word boundaries are tested for a synalepha, from the vowel sounds the
-    frames cache at their edges.
+    frames cache at their edges. A site involves a stress when the line
+    stresses a syllable it acts on: p or p+1 for a merge at p, p for a
+    dieresis.
     """
     config = config or ScanConfig()
     h_blocks = bool(config.h_blocks_synalepha)
-    frames, starts, *_ = words.flat
+    frames, starts, _, stresses, _ = words.flat
     sites = []
     for frame, start, after in zip(frames, starts, frames[1:] + [None]):
-        for kind, position, stress in frame.sites:
-            sites.append(FigureSite(kind, start + position, stress))
+        for kind, position in frame.sites:
+            at = start + position
+            sites.append(FigureSite(kind, at, bool(
+                stresses >> at & (1 if kind == "dieresis" else 3))))
         end = start + frame.size - 1
         if (after is not None and frame.ends_vowel
                 and after.begins_vowel[h_blocks]):
-            sites.append(FigureSite(
-                "synalepha", end, frame.last_stressed or after.first_stressed,
-                frame.h_last or after.h_first))
+            sites.append(FigureSite("synalepha", end, bool(stresses >> end & 3),
+                                    frame.h_last or after.h_first))
         if frame.tail:
-            sites.append(FigureSite("dieresis", end, frame.last_stressed))
+            sites.append(FigureSite("dieresis", end, bool(stresses >> end & 1)))
     return sites
 
 

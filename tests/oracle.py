@@ -8,24 +8,49 @@ preference, so any disagreement flags a real defect. The syllables,
 with their stress, hiatus and dieresis flags, are rebuilt here one by
 one from what the engine's word analysis starts from: each word's
 syllabifier parts (``_syllabify_plain``) and its stressed syllables
-(``stressed_syllable_indices``). Nothing of the engine's shape bits,
-frames or line stitching is used, so the reference checks them.
+(``stressed_syllable_indices``). Nothing of the engine's frames or line
+stitching is used, so the reference checks them.
 
 ``reference_sites`` is the per-syllable site finder the engine used
 before it cached each word's sites in the word's frame: one ordered walk
 over the line's syllables, testing every word boundary from the words'
-spelling with the engine's vowel-sound rules.
+spelling. The vowel-sound rules it tests them with live here, read from
+the letters at either edge, while the engine reads its word edges from
+the syllabifier's parts, so each checks the other.
 """
 
 from typing import NamedTuple
 
-from escansion.phonology import (_begins_with_vowel_sound,
-                                 _ends_in_vowel_sound, _syllabify_plain,
-                                 stressed_syllable_indices)
+from escansion.phonology import _syllabify_plain, stressed_syllable_indices
 
+_VOWELS = set("aeiouáéíóúüï")
 # a vowel that keeps the stress when a dieresis splits its nucleus: an
 # open vowel or an accented closed one
 _STRONG = set("aeoáéóíú")
+
+
+def _plain(sw) -> str:
+    """A word's normalized spelling without its contraction marks."""
+    return sw.word.normalized.replace("'", "").replace("-", "")
+
+
+def ends_in_vowel_sound(plain: str) -> bool:
+    """A vowel or y last, or an h after a vowel (not after y: ayh)."""
+    c = plain[-1]
+    return c in _VOWELS or c == "y" or c == "h" and plain[-2] in _VOWELS
+
+
+def begins_with_vowel_sound(plain: str, h_blocks: bool) -> bool:
+    """A vowel first; a y alone or before a consonant (y, ytal); or, unless
+    an h blocks synalepha, an h before a vowel that is no consonantal
+    glide (not hydra, hueso, hielo)."""
+    c, rest = plain[0], plain[1:]
+    if c in _VOWELS:
+        return True
+    if c == "y":
+        return rest[:1] not in _VOWELS
+    return (c == "h" and not h_blocks and rest[:1] in _VOWELS
+            and rest[:2] not in ("ue", "ie"))
 
 
 class Syllable(NamedTuple):
@@ -41,8 +66,7 @@ class Syllable(NamedTuple):
 def word_syllables(sw, *, tonic=False):
     """The ``Syllable``s of one word, forced tonic if ``tonic``."""
     hits = stressed_syllable_indices(sw, force=tonic)
-    plain = sw.word.normalized.replace("'", "").replace("-", "")
-    parts = _syllabify_plain(plain)
+    parts = _syllabify_plain(_plain(sw))
     out = []
     for i, (onset, nucleus, _) in enumerate(parts):
         stressed = i in hits
@@ -102,9 +126,8 @@ def reference_sites(words, h_blocks):
                     sites.append(("syneresis", i, flat[i].stressed
                                   or flat[i + 1].stressed, False))
             elif wi + 1 < len(words):
-                left = words[wi].word.normalized
-                right = words[wi + 1].word.normalized
-                if _ends_in_vowel_sound(left) and _begins_with_vowel_sound(
+                left, right = _plain(words[wi]), _plain(words[wi + 1])
+                if ends_in_vowel_sound(left) and begins_with_vowel_sound(
                         right, h_blocks):
                     sites.append(("synalepha", i, flat[i].stressed
                                   or flat[i + 1].stressed,

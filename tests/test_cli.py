@@ -135,6 +135,15 @@ class TestScan:
         assert seen == [kept]
         assert ("candidates" in capsys.readouterr().out) is kept
 
+    def test_output_that_cannot_open_leaves_no_input_open(self, tmp_path):
+        # the input opens first, so a missing one is named first; then it
+        # is closed, not left to the garbage collector, whose
+        # ResourceWarning the pytest filters turn into a failure
+        src = tmp_path / "verses.txt"
+        src.write_text(LINE + "\n", encoding="utf-8")
+        out = tmp_path / "no" / "out.tsv"
+        assert main(["scan", str(src), "-o", str(out)]) == 1
+
     def test_missing_input_leaves_output_untouched(self, tmp_path):
         out = tmp_path / "out.tsv"
         out.write_text("earlier results\n", encoding="utf-8")
@@ -189,14 +198,17 @@ class TestScan:
         monkeypatch.setattr(sys, "stdin", _LineOnlyStdin(LINE + "\n"))
         assert main(["scan"]) == 0
         assert "+--+---+-+-" in capsys.readouterr().out
+        assert not sys.stdin.buffer.closed  # the caller's stream stays open
 
     def test_stdin_lines_ended_by_cr_stream(self):
         # a line ended by a lone \r is scanned once the next byte comes,
-        # before the input ends
+        # and its record written out, before the input ends; stdout is
+        # left as buffered as Python makes a pipe
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         with subprocess.Popen(
-                [sys.executable, "-u", "-m", "escansion", "scan"],
+                [sys.executable, "-m", "escansion", "scan"],
                 stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE) as proc:
+                stderr=subprocess.PIPE, env=env) as proc:
             proc.stdin.write((LINE + "\r").encode("utf-8") * 3)
             proc.stdin.flush()
             early, deadline = b"", time.monotonic() + 20

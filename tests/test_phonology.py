@@ -360,12 +360,11 @@ class TestWordCache:
             assert [s.hiatus for s in syllables] == hiatus, raw
 
     def test_tonic_shapes_stress_an_atonic_word(self, lexicon):
-        analysis = analyze_token("la", lexicon)
-        assert not analysis.frame.last_stressed
-        assert analysis.tonic_frame.last_stressed
-        # a word that is tonic anyway shares one frame between its forms
-        analysis = analyze_token("sol", lexicon)
-        assert analysis.tonic_frame is analysis.frame
+        frame = analyze_token("la", lexicon).frame
+        assert (frame.stresses, frame.tonic) == (0, 0b1)
+        # a word that is tonic anyway is stressed alike in either form
+        frame = analyze_token("sol", lexicon).frame
+        assert frame.tonic == frame.stresses == 0b1
 
 
 class TestMenteAdverbs:
@@ -409,8 +408,8 @@ class TestMarks:
             plain = analyze_token(_unmarked(raw), lexicon)
         except EmptyAfterNormalization:
             assume(False)
+        # the one frame holds both stress forms, stresses and tonic
         assert marked.frame == plain.frame, raw
-        assert marked.tonic_frame == plain.tonic_frame, raw
 
     def test_mark_inside_a_diphthong_keeps_its_dieresis(self, lexicon):
         first = _syllables("ci-elo", lexicon)[0]
@@ -428,7 +427,8 @@ class TestMarks:
         assert analyze_word("porq-ue", lexicon).syllables == ("por", "q-ue")
         assert [s.split for s in syllables] == [None, None]
 
-    @pytest.mark.parametrize("marked", ["la h-ermosa", "vi y-a", "ba-h en"])
+    @pytest.mark.parametrize("marked", ["la h-ermosa", "vi y-a", "ba-h en",
+                                        "la hi-elo", "la hu-eso"])
     def test_marks_decide_no_synalepha(self, marked, lexicon):
         def sites(text):
             return [str(s) for s in

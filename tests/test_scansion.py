@@ -487,6 +487,11 @@ def test_every_scan_output_is_a_valid_pattern(text):
 # an h at either edge of a contact, y, and a diphthong on a last syllable
 # before a synalepha, alone and after a syneresis
 @example("¡oh alma! ah, hermosa y hielo; bah en muy alto, leí agua a oía")
+# each vowel-sound rule at an edge: an h before y or a glide (hydra,
+# hueso, hielo) or not (huir), y alone and before a consonant, an h after
+# y (ayh) or a vowel (ah, oh), and an h behind a mark
+@example("la hydra ayh alma hueso hielo huir la y ytal ah otro oh isla "
+         "a h'alma")
 @settings(max_examples=500, deadline=None)
 def test_sites_equal_the_per_syllable_reference(text):
     # the sites stitched from the word frames are the ones a walk over the
