@@ -5,8 +5,9 @@ Exit codes: 0 success, 1 environment or I/O problem, 2 bad input data.
 All randomness flows through an explicit --seed flag, so every command is
 byte-reproducible given the same inputs. Only the baseline subcommands
 import the baseline module, and with it numpy, so scan, evaluate and score
-start without it; only evaluate and score import metrics, and only prepare
-sets up logging, so scan loads neither. Every text input goes through
+start without it; only evaluate and score import metrics, only prepare,
+evaluate, score and the baseline commands import corpus, and only prepare
+sets up logging, so scan loads none of them. Every text input goes through
 ``phonology.numbered_lines``; only scan reads stdin, elsewhere ``-`` is a file.
 """
 
@@ -19,7 +20,6 @@ import os
 import sys
 from pathlib import Path
 
-from . import corpus
 from .errors import DataError, Unfittable
 from .phonology import StressLexicon, default_lexicon, numbered_lines
 from .scansion import ScanConfig, scan_line
@@ -116,6 +116,7 @@ def cmd_scan(args) -> int:
 
 def cmd_prepare(args) -> int:
     import logging
+    from . import corpus
     # the one command that logs: parse_tei warns about skipped lines
     logging.basicConfig(level=logging.WARNING,
                         format="%(levelname)s %(message)s")
@@ -129,11 +130,13 @@ def cmd_prepare(args) -> int:
     lines = corpus.dedupe_and_clean(lines)
     if not lines:
         raise DataError(f"no annotated lines found under {tei}")
-    try:
-        ratios = tuple(float(r) for r in args.ratios.split(","))
-    except ValueError:
-        raise DataError(f"--ratios must be comma-separated numbers, "
-                        f"got {args.ratios!r}") from None
+    ratios = corpus.DEFAULT_RATIOS
+    if args.ratios is not None:
+        try:
+            ratios = tuple(float(r) for r in args.ratios.split(","))
+        except ValueError:
+            raise DataError(f"--ratios must be comma-separated numbers, "
+                            f"got {args.ratios!r}") from None
     result = corpus.split(lines, ratios=ratios, seed=args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -164,7 +167,7 @@ def _print_report(report, as_json: bool) -> None:
 
 
 def cmd_evaluate(args) -> int:
-    from . import metrics
+    from . import corpus, metrics
     if args.engine and args.pred:
         raise DataError("--engine and a predictions file are mutually exclusive")
     gold = corpus.read_tsv(args.gold)
@@ -192,7 +195,7 @@ def cmd_evaluate(args) -> int:
 # baseline, and numpy with it, is imported by these two commands only
 
 def cmd_baseline_train(args) -> int:
-    from . import baseline
+    from . import baseline, corpus
     train_set = corpus.read_tsv(args.train)
     eval_set = corpus.read_tsv(args.eval) if args.eval else []
     config = baseline.TrainConfig(
@@ -212,7 +215,7 @@ def cmd_baseline_train(args) -> int:
 
 
 def cmd_baseline_predict(args) -> int:
-    from . import baseline
+    from . import baseline, corpus
     model = baseline.load_model(args.model)
     # a tab on the first non-blank line makes the file a canonical TSV,
     # whose bad rows are errors; otherwise every line is verse
@@ -254,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prepare", help="TEI corpus to canonical TSV splits")
     p.add_argument("--tei", required=True, help="TEI file or directory")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--ratios", default=",".join(str(r) for r in corpus.DEFAULT_RATIOS))
+    p.add_argument("--ratios")
     p.add_argument("--seed", type=int, default=13)
     p.add_argument("--manual-only", action="store_true",
                    help="keep only lines flagged as manually annotated")

@@ -10,8 +10,8 @@ syllabifier parts. The line brings the stresses: it ORs in the last
 word's tonic bits, and a site involves a stress when the line stresses
 a syllable it acts on. Finding sites offsets each word's cached sites
 and tests only the word boundaries; fitting cuts the line's stress bits
-into steps at the syllables the sites act on. No stage walks the line
-syllable by syllable.
+at the syllables the sites move. No stage walks the line syllable by
+syllable.
 Three figures can reshape the sequence:
 
 * synalepha  - merges the last syllable of a word with the vowel-initial
@@ -39,18 +39,20 @@ The last word of the line always counts as stressed (the final-accent
 convention of Spanish metrics), which also guarantees every pattern
 contains at least one '+'.
 
-Whether a line fits is arithmetic: a subset's metrical length is the
-group of the last stressed syllable q, plus 2, and each site shifts that
-group by a fixed -1 (a merge at p < q), +1 (a dieresis at p < q, or at q
-when the stress goes to the right half) or 0, so the reachable lengths
-are one range and a target outside it is reported at once. A line that
-fits is ranked by one left-to-right dynamic program over the flat
-syllables whose state is the group count, capped at the target, and the
-stresses at position target-1 and, for the rhythmic template, at 4, 6
-and 8: at most (target+1)*16 states, so its cost grows linearly with
-syllables; diagnostics keep every position. Each choice of a step
-carries its cost, and each DP entry its subset's own stresses, so the
-winner's pattern is read from its entry.
+One rule places every stressed syllable: each site has a cut, the first
+syllable whose group it moves (p+1 for a merge at p or for a dieresis at
+p whose stress stays on the left half, p for any other dieresis), and
+syllable s lands in group s plus the shifts of the applied sites cut at
+or before it, -1 per merge and +1 per dieresis. A subset's metrical
+length is the group of the last stressed syllable q, plus 2, so a site
+cut after q shifts it by 0, the reachable lengths are one range, and a
+target outside it is reported at once. A line that fits is ranked by
+one dynamic program over the sites in cut order whose state is the
+shift so far and the stresses of positions 4, 6 and 8 for the rhythmic
+template: at most 8 states per shift whatever the target, so its cost
+grows linearly with the sites; diagnostics keep every position. Each
+DP entry carries its subset's cost and own stresses, so the winner's
+pattern is read from its entry.
 """
 
 from __future__ import annotations
@@ -72,8 +74,9 @@ _FIGURES = ("synalepha", "syneresis", "dieresis")
 _DELTAS = {"synalepha": -1, "syneresis": -1, "dieresis": +1}
 # The longest target that diagnostics may be kept for. They keep every
 # stress position, so the fit's states, time and memory double with each
-# step of the target: vowel-contact lines of ~30 words take up to ~25 ms at
-# 16, ~0.3 s at 19 and ~2 s at 22. Spanish metres of common use stop at 16.
+# step of the target: lines of 15 to 18 vowel-contact words take up to
+# ~70 ms at 16, ~0.7 s at 19 and ~7 s at 22 (one core of a 2-vCPU VM).
+# Spanish metres of common use stop at 16.
 DIAGNOSTICS_MAX_TARGET = 16
 
 
@@ -231,50 +234,6 @@ def find_figure_sites(words: ParsedLine,
 
 # --- candidate evaluation ---------------------------------------------------
 
-def _choices(flat: _Flat, sites: list[FigureSite], deltas: list[int]):
-    """Every way the sites can be set, one step at a time.
-
-    A step is a run of the line's syllables: one that a site acts on (or
-    the first) and the syllables after it that no site acts on. A merge
-    at p acts on syllable p+1, a dieresis at p on p. Each of the step's
-    choices is ``(cost, bits, move)``. ``bits`` are the mask bits of the
-    sites it applies: the merge before the first syllable and the
-    dieresis on it, and ``cost`` is the sum of their ``deltas``. ``move``
-    is ``(joined, opened, stresses)``, what the run does to the metrical
-    groups: the stress a merge joins into the open group, the number of
-    groups the run opens and their stress bits, the first opened group
-    the least significant. Only ``fit_to_target`` folds a move into groups.
-    The moves are cut from the line's stress bits, so any sub-list of
-    ``find_figure_sites``' list gives the steps of its own sites.
-    """
-    _, _, size, stresses, lefts = flat
-    joins, splits = {}, {}
-    for i, site in enumerate(sites):
-        if site.kind == "dieresis":
-            splits[site.position] = i
-        else:
-            joins[site.position + 1] = i
-    cuts = sorted({0, *joins, *splits})
-    steps = []
-    for start, end in zip(cuts, cuts[1:] + [size]):
-        run = end - start
-        stressed = stresses >> start & (1 << run) - 1
-        choices = [(0, 0, (0, run, stressed))]
-        if start in splits:
-            # the syllable opens two groups, its stress on the left or right
-            i, left = splits[start], lefts >> start & 1
-            choices.append((deltas[i], 1 << i,
-                            (0, run + 1, left | (stressed ^ left) << 1)))
-        if start in joins:
-            # the first group the choice would open joins the open one
-            i = joins[start]
-            choices += [(cost + deltas[i], bits | 1 << i,
-                         (new & 1, opened - 1, new >> 1))
-                        for cost, bits, (_, opened, new) in choices]
-        steps.append(choices)
-    return steps
-
-
 def _site_deltas(sites: list[FigureSite]) -> list[int]:
     """Per site, what applying it adds to a subset's cost.
 
@@ -355,17 +314,21 @@ def fit_to_target(words: ParsedLine, sites: list[FigureSite],
     The reachable lengths are read from each site's shift, as the module
     docstring tells: a target out of their range raises Unfittable, and
     more than one subset fits when a site shifts nothing or the target is
-    strictly inside it. A line that fits is ranked by one left-to-right DP
-    over the flat syllables on states ``(groups, stresses)``: the groups
-    opened so far, the last still open to a join, and bit i the stress of
-    group i. A state that stresses group target-1 or later dies, ``groups``
-    stops at target, and ``stresses`` keeps bit target-2 and, for the
-    rhythmic template, bits 3, 5 and 7, so there are at most (target+1)*16
-    states; ``emit_diagnostics`` keeps every bit. Each state keeps the
-    cheapest subset reaching it under ``_site_deltas`` with its own groups
-    and every stress bit. The winner's pattern is read from those, with no
-    second pass, and its length is the target: a feasible state is stressed
-    on group target-2 and on none after it.
+    strictly inside it. A site that shifts nothing is cut after the last
+    stress, so it is a syneresis or dieresis, whose cost is positive, and
+    is never applied. A line that fits is ranked by one DP over the other
+    sites in cut order, on states ``(shift, stresses)``: the sum of the
+    applied shifts so far, and bit i the stress of group i. Before each
+    cut, the line's stresses since the last cut are ORed in, moved by the
+    state's shift; then the site is applied or not. A state that the sites
+    still to come cannot bring to the shift that puts the last stress on
+    group target-2 is dropped, so every state left after the last step, at
+    top+1, is final, and its length is the target. ``stresses`` keeps bits
+    3, 5 and 7 for the rhythmic template and none at another target, so
+    there are at most 8 states per shift; ``emit_diagnostics`` keeps every
+    bit. Each state keeps the cheapest subset reaching it under
+    ``_site_deltas`` with its own stress bits, so the winner's pattern is
+    read from them with no second pass.
     """
     config = config or ScanConfig()
     for site in sites:
@@ -374,44 +337,50 @@ def fit_to_target(words: ParsedLine, sites: list[FigureSite],
     target = config.target_length
     _, _, _, stresses, lefts = words.flat
     top = stresses.bit_length() - 1  # the last stressed syllable
-    shifts = [site.delta if site.position < top or site.position == top
-              and site.kind == "dieresis" and not lefts >> top & 1 else 0
-              for site in sites]
-    low, high = top + 2 - shifts.count(-1), top + 2 + shifts.count(1)
+    # the first syllable each site moves: p+1 for a merge at p or a split
+    # of p that keeps its stress on the left, p for any other split
+    cuts = [site.position + (site.kind != "dieresis"
+                             or lefts >> site.position & 1) for site in sites]
+    shifts = [site.delta if cut <= top else 0
+              for site, cut in zip(sites, cuts)]
+    down, up = shifts.count(-1), shifts.count(1)
+    low, high = top + 2 - down, top + 2 + up
     if not low <= target <= high:
         raise _unfittable(sites, shifts, low, high, target)
 
-    steps = _choices(words.flat, sites, _site_deltas(sites))
+    deltas = _site_deltas(sites)
     rhythmic = target == 11
-    dead = 1 << target - 1  # a stress on any group from target-1 on
-    keep = (dead - 1 if config.emit_diagnostics
-            else 1 << target - 2 | (0b10101000 if rhythmic else 0))
-
-    # (groups, kept stresses) -> (cost, mask, the mask's own groups and
-    # stresses); a final step opens one unstressed group to close the last
-    # one, so every feasible state has target groups
-    states = {(0, 0): (0, 0, 0, 0)}
-    for choices in steps + [[(0, 0, (0, 1, 0))]]:
-        grown: dict[tuple[int, int], tuple[int, int, int, int]] = {}
-        for added, bits, (joined, opened, new) in choices:
-            for cost, mask, groups, stresses in states.values():
-                stresses |= joined << groups >> 1 | new << groups
-                if stresses >= dead:
+    keep = -1 if config.emit_diagnostics else 0b10101000 if rhythmic else 0
+    need = target - top - 2  # the shift that puts the last stress on target-2
+    # (shift so far, kept stresses) -> (cost, mask, the mask's own stresses)
+    states = {(0, 0): (0, 0, 0)}
+    at = 0
+    # the shifting sites in cut order, then a last step at top+1 that
+    # brings in the stresses after the last cut and applies nothing
+    steps = sorted((cuts[i], shift, deltas[i], 1 << i)
+                   for i, shift in enumerate(shifts) if shift)
+    for cut, shift, added, bit in steps + [(top + 1, 0, 0, 0)]:
+        down, up = down - (shift < 0), up - (shift > 0)
+        run = stresses >> at & (1 << cut - at) - 1
+        grown: dict[tuple[int, int], tuple[int, int, int]] = {}
+        for (moved, _), (cost, mask, own) in states.items():
+            own |= run << at + moved
+            for step, plus, also in ((0, 0, 0), (shift, added, bit)):
+                # the sites still to come must be able to close the gap
+                if not -down <= need - moved - step <= up:
                     continue
-                groups += opened
-                key = (groups if groups < target else target, stresses & keep)
+                key = (moved + step, own & keep)
                 seen = grown.get(key)
-                if seen is None or cost + added < seen[0]:
-                    grown[key] = (cost + added, mask | bits, groups, stresses)
-        states = grown
+                if seen is None or cost + plus < seen[0]:
+                    grown[key] = (cost + plus, mask | also, own)
+        states, at = grown, cut
 
-    # stresses -> entry for the feasible states: stressed on target-2
-    finals = {stresses: entry for (groups, stresses), entry in states.items()
-              if groups == target and stresses >> target - 2}
+    # every state left is final: its last stress is on group target-2
+    finals = {kept: entry for (_, kept), entry in states.items()}
     # the rhythmic template: stress on 6, or on 4 and 8
     hits = [s for s in finals if rhythmic
             and (s & 0b100000 or s & 0b10001000 == 0b10001000)]
-    _, mask, _, stresses = min(finals[s] for s in hits or finals)
+    _, mask, stresses = min(finals[s] for s in hits or finals)
 
     diagnostics = ()
     if config.emit_diagnostics:

@@ -145,18 +145,25 @@ def length_and_pattern(groups):
     return last + 2, "".join("+" if s else "-" for s in groups[:last + 1]) + "-"
 
 
+def chosen(sites, mask):
+    """The sites of a subset, in order: mask bit i is ``sites[i]``."""
+    return tuple(s for i, s in enumerate(sites) if mask >> i & 1)
+
+
 def enumerate_all(words, sites, target):
     """Every subset with its length; feasible ones carry their pattern."""
     results = []
     for mask in range(1 << len(sites)):
-        chosen = [s for i, s in enumerate(sites) if mask >> i & 1]
-        length, pattern = length_and_pattern(apply_subset(words, sites, chosen))
+        groups = apply_subset(words, sites, chosen(sites, mask))
+        length, pattern = length_and_pattern(groups)
         results.append((mask, length, pattern if length == target else None))
     return results
 
 
-def preferred_patterns(results, sites, target):
-    """Patterns surviving the documented preference tiers, best first."""
+def preferred(results, sites, target):
+    """(mask, pattern) of the subsets surviving the documented preference
+    tiers, best first: the first mask is the winner, whose sites the
+    fitter applies."""
     feasible = [(m, p) for m, _l, p in results if p is not None]
     if not feasible:
         return []
@@ -170,7 +177,7 @@ def preferred_patterns(results, sites, target):
         if rhythmic:
             pool = rhythmic
     key = preference_key(sites)
-    return [p for _, p in sorted(pool, key=lambda item: key(item[0]))]
+    return sorted(pool, key=lambda item: key(item[0]))
 
 
 def preference_key(sites):

@@ -146,8 +146,7 @@ def test_criterion_5_fitting_oracle_equivalence():
             continue
         checked += 1
         results = oracle.enumerate_all(words, sites, config.target_length)
-        preferred = oracle.preferred_patterns(results, sites,
-                                              config.target_length)
+        preferred = oracle.preferred(results, sites, config.target_length)
         try:
             fitted = fit_to_target(words, sites, config)
         except Unfittable:
@@ -160,7 +159,7 @@ def test_criterion_5_fitting_oracle_equivalence():
             continue
         if fitted.candidate.metrical_length == config.target_length:
             agree_length += 1
-        if preferred and fitted.pattern == preferred[0]:
+        if preferred and fitted.pattern == preferred[0][1]:
             agree_preference += 1
     ok = agree_feasibility == agree_length == agree_preference == 500
     _verdict("5 fitting-oracle-equivalence", ok,

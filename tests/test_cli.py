@@ -606,13 +606,14 @@ class TestNumpyOnlyForBaseline:
         assert (proc.stderr, proc.stdout) == ("", "[]\n")
 
     def test_scan_leaves_the_harness_modules_out(self, tmp_path):
-        # scan's start-up: no metrics, no logging, no XML, no random,
-        # beyond what the interpreter had loaded before escansion
+        # scan's start-up: no corpus, no metrics, no logging, no XML, no
+        # random, beyond what the interpreter had loaded before escansion
         verses = tmp_path / "verses.txt"
         verses.write_text(LINE + "\n", encoding="utf-8")
         script = ("import sys\n"
                   "before = set(sys.modules)\n" + self._SCRIPT
-                  + "print(sorted(m for m in ('escansion.metrics', 'logging',"
+                  + "print(sorted(m for m in ('escansion.corpus',"
+                  " 'escansion.metrics', 'logging',"
                   " 'xml.etree.ElementTree', 'random')"
                   " if m in sys.modules and m not in before))\n")
         proc = subprocess.run(

@@ -258,7 +258,8 @@ class TestFitAndScan:
         assert time.perf_counter() - start < 1.0
 
     def test_state_stays_bounded_as_target_grows(self, lexicon):
-        # at most (target+1)*16 states: target 23 costs about what 11 does
+        # at most 8 states per shift whatever the target: target 23 costs
+        # about what 11 does
         line = "la alma oía a Eva e Inés y Olga " * 3
 
         def seconds(target):
@@ -318,8 +319,7 @@ def _agrees_with_enumeration(words, sites, config, text) -> bool:
     """Check one fit against the oracle over ``sites``; whether the line
     is unfittable with them."""
     results = oracle.enumerate_all(words, sites, config.target_length)
-    preferred = oracle.preferred_patterns(results, sites,
-                                          config.target_length)
+    preferred = oracle.preferred(results, sites, config.target_length)
     try:
         result = fit_to_target(words, sites, config)
     except Unfittable as exc:
@@ -329,7 +329,9 @@ def _agrees_with_enumeration(words, sites, config, text) -> bool:
             results, sites, config.target_length), text
         return True
     assert preferred, text
-    assert result.pattern == preferred[0], text
+    mask, pattern = preferred[0]
+    assert result.pattern == pattern, text
+    assert result.candidate.applied == oracle.chosen(sites, mask), text
     feasible = [m for m, _, p in results if p is not None]
     assert result.ambiguous == (len(feasible) > 1)
     listed = {p for _, _, p in results if p is not None}
@@ -389,7 +391,7 @@ class TestOracleAgreement:
 
     @pytest.mark.parametrize("config", [
         # the state scan runs by default keeps only the stress bits the
-        # choice reads, and a target other than 11 moves those bits
+        # rhythmic template reads; at another target the template is off
         ScanConfig(),
         ScanConfig(emit_diagnostics=True, target_length=12),
     ], ids=["default-no-diagnostics", "target-12"])
@@ -409,11 +411,12 @@ class TestOracleAgreement:
         sites = find_figure_sites(words, config)
         assert len(sites) == 17
         results = oracle.enumerate_all(words, sites, config.target_length)
-        preferred = oracle.preferred_patterns(results, sites,
-                                              config.target_length)
+        mask, pattern = oracle.preferred(results, sites,
+                                         config.target_length)[0]
         result = fit_to_target(words, sites, config)
         feasible = [p for _, _, p in results if p is not None]
-        assert result.pattern == preferred[0]
+        assert result.pattern == pattern
+        assert result.candidate.applied == oracle.chosen(sites, mask)
         assert set(result.diagnostics) == set(feasible)
         assert result.ambiguous == (len(feasible) > 1)
         # a subset's length does not depend on the target, so the same
