@@ -173,7 +173,7 @@ def cmd_evaluate(args) -> int:
     gold = corpus.read_tsv(args.gold)
     if args.engine:
         lexicon = _load_lexicon(args.lexicon)
-        config = ScanConfig(emit_diagnostics=False)
+        config = ScanConfig()
         pairs = []
         for line in gold:
             try:

@@ -33,8 +33,10 @@ half; stressed as the lexicon says; stressed when forced tonic, as at the
 end of a line), so a line's sites and stresses are stitched word by word
 instead of walked syllable by syllable. The cache holds at most
 ``_CACHE_SIZE`` tokens and is emptied when full, so open-ended
-vocabularies cost bounded memory. The lexicon's lists are read-only, so a
-cached stress cannot go stale.
+vocabularies cost bounded memory. The lexicon's lists are a frozenset
+and a read-only mapping, so a cached stress cannot go stale. ``Word`` and
+``SyllabifiedWord`` are named tuples with no checks of their own: text
+is checked where it enters, in ``normalize_token``.
 
 This module also owns text normalization for scan, ``prepare`` and the
 baseline: ``clean_text`` folds a line to lowercase Spanish letters and
@@ -49,8 +51,6 @@ from __future__ import annotations
 import io
 import re
 import unicodedata
-from collections.abc import Mapping
-from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 from itertools import accumulate
@@ -93,37 +93,20 @@ _NOT_MENTE_ADVERB = {
 _CACHE_SIZE = 1024
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(NamedTuple):
     """A verse token: the raw surface form and its normalized shape."""
 
     surface: str
     normalized: str
 
-    def __post_init__(self):
-        if not self.normalized:
-            raise EmptyAfterNormalization(f"empty word from {self.surface!r}")
-        bad = set(self.normalized) - _KEEP
-        if bad:
-            raise ValueError(f"disallowed characters {bad!r} in {self.normalized!r}")
-        if not any(c in VOWEL_CHARS or c == "y" for c in self.normalized):
-            raise EmptyAfterNormalization(f"no vowel in {self.normalized!r}")
 
-
-@dataclass(frozen=True)
-class SyllabifiedWord:
+class SyllabifiedWord(NamedTuple):
     """A word cut into syllables, with both stress layers resolved."""
 
     word: Word
     syllables: tuple[str, ...]
     stress_from_end: int  # 1 aguda, 2 llana, 3 esdrujula, 4 sobresdrujula
     prosodic: bool
-
-    def __post_init__(self):
-        if not 1 <= self.stress_from_end <= len(self.syllables):
-            raise ValueError(
-                f"stress_from_end {self.stress_from_end} out of range for "
-                f"{self.syllables!r}")
 
     @property
     def stressed_index(self) -> int:
@@ -148,13 +131,15 @@ def normalize_token(raw: str) -> Word:
     ``clean_text`` with the spaces removed, so characters it drops vanish
     inside the token. Diacritics are preserved; word-internal apostrophes
     and hyphens survive (archaic contractions like d'amor). Raises
-    EmptyAfterNormalization when nothing pronounceable remains.
+    EmptyAfterNormalization when nothing remains, or no vowel (y counts).
     """
     text = clean_text(raw).replace(" ", "").strip(_MARKS)
     text = re.sub(r"['-]{2,}", lambda m: m.group(0)[0], text)
     if not text:
         raise EmptyAfterNormalization(f"nothing left of token {raw!r}")
-    return Word(surface=raw, normalized=text)
+    if VOWEL_CHARS.isdisjoint(text) and "y" not in text:
+        raise EmptyAfterNormalization(f"no vowel in {text!r}")
+    return Word(raw, text)
 
 
 # --- syllabification -------------------------------------------------------
@@ -271,24 +256,23 @@ def numbered_lines(path, stream=None):
     return rows
 
 
-@dataclass(frozen=True)
 class StressLexicon:
-    """Closed-class words treated as prosodically unstressed, plus overrides."""
+    """Closed-class words treated as prosodically unstressed, plus overrides:
+    a frozenset and a read-only copy of the caller's mapping, both without
+    contraction marks. A word may not sit in both."""
 
-    unstressed_words: frozenset[str] = frozenset()
-    overrides: Mapping[str, bool] = field(default_factory=dict)
-    # raw token -> WordAnalysis under this lexicon, see analyze_token
-    _analyses: dict = field(default_factory=dict, init=False,
-                            compare=False, repr=False)
+    __slots__ = ("unstressed_words", "overrides", "_analyses")
 
-    def __post_init__(self):
-        object.__setattr__(self, "unstressed_words",
-                           frozenset(map(_unmarked, self.unstressed_words)))
-        object.__setattr__(self, "overrides", MappingProxyType(
-            {_unmarked(w): v for w, v in self.overrides.items()}))
+    def __init__(self, unstressed_words=frozenset(),
+                 overrides=MappingProxyType({})):
+        self.unstressed_words = frozenset(map(_unmarked, unstressed_words))
+        self.overrides = MappingProxyType(
+            {_unmarked(w): v for w, v in overrides.items()})
         clash = self.unstressed_words & set(self.overrides)
         if clash:
             raise ValueError(f"words in both lists: {sorted(clash)!r}")
+        # raw token -> WordAnalysis under this lexicon, see analyze_token
+        self._analyses = {}
 
     @classmethod
     def load(cls, path) -> "StressLexicon":
@@ -439,12 +423,8 @@ def analyze_token(raw: str, lexicon: StressLexicon) -> WordAnalysis:
     if hit is None:
         word = normalize_token(raw)
         texts, parts = _syllable_parts(word.normalized)
-        sw = SyllabifiedWord(
-            word=word,
-            syllables=tuple(texts),
-            stress_from_end=lexical_stress(texts, word),
-            prosodic=is_prosodically_stressed(word, lexicon),
-        )
+        sw = SyllabifiedWord(word, tuple(texts), lexical_stress(texts, word),
+                             is_prosodically_stressed(word, lexicon))
         tonic = sum(1 << i for i in stressed_syllable_indices(sw, force=True))
         hit = WordAnalysis(sw, _frame(parts, tonic if sw.prosodic else 0,
                                       tonic))

@@ -53,11 +53,14 @@ template: at most 8 states per shift whatever the target, so its cost
 grows linearly with the sites; diagnostics keep every position. Each
 DP entry carries its subset's cost and own stresses, so the winner's
 pattern is read from its entry.
+
+The records a scan takes and gives, ``ScanConfig``, ``FigureSite``,
+``ScanCandidate`` and ``ScansionResult``, are named tuples: each equals
+the plain tuple of its fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import (DataError, EmptyLine, EmptyAfterNormalization,
@@ -80,22 +83,34 @@ _DELTAS = {"synalepha": -1, "syneresis": -1, "dieresis": +1}
 DIAGNOSTICS_MAX_TARGET = 16
 
 
-@dataclass(frozen=True)
-class ScanConfig:
-    """The target, h blocking and diagnostics of a scan; defaults reproduce
-    hendecasyllables. The fitting preference is fixed, not a setting."""
-
+class _ScanSettings(NamedTuple):
     target_length: int = 11
     h_blocks_synalepha: bool = False
     emit_diagnostics: bool = False
 
-    def __post_init__(self):
+
+class ScanConfig(_ScanSettings):
+    """The target, h blocking and diagnostics of a scan; defaults reproduce
+    hendecasyllables. The fitting preference is fixed, not a setting. A
+    target below 2, or above ``DIAGNOSTICS_MAX_TARGET`` with diagnostics,
+    raises DataError here, for library callers as for the CLI."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.target_length < 2:
             raise DataError("target_length must be at least 2")
         if (self.emit_diagnostics
                 and self.target_length > DIAGNOSTICS_MAX_TARGET):
             raise DataError(f"target_length must be at most "
                             f"{DIAGNOSTICS_MAX_TARGET} with diagnostics")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through here: check its result too
+        return cls(*iterable)
 
 
 class FigureSite(NamedTuple):
@@ -121,14 +136,17 @@ class FigureSite(NamedTuple):
         return f"{self.kind}@{self.position}"
 
 
-@dataclass(frozen=True)
-class ScanCandidate:
+class ScanCandidate(NamedTuple):
+    """The applied figures of a fitted line and its metrical length."""
+
     applied: tuple[FigureSite, ...]
     metrical_length: int
 
 
-@dataclass(frozen=True)
-class ScansionResult:
+class ScansionResult(NamedTuple):
+    """A scanned line; ``diagnostics`` lists every fitting pattern when
+    the config asks for them."""
+
     pattern: str
     candidate: ScanCandidate
     ambiguous: bool

@@ -599,7 +599,8 @@ class TestNumpyOnlyForBaseline:
     def test_default_lexicon_leaves_corpus_and_json_out(self):
         script = ("import sys, escansion\n"
                   "escansion.default_lexicon()\n"
-                  "print([m for m in ('escansion.corpus', 'json')"
+                  "print([m for m in ('escansion.corpus', 'json',"
+                  " 'dataclasses')"
                   " if m in sys.modules])\n")
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True)
@@ -607,14 +608,16 @@ class TestNumpyOnlyForBaseline:
 
     def test_scan_leaves_the_harness_modules_out(self, tmp_path):
         # scan's start-up: no corpus, no metrics, no logging, no XML, no
-        # random, beyond what the interpreter had loaded before escansion
+        # random, no dataclasses or its inspect, beyond what the
+        # interpreter had loaded before escansion
         verses = tmp_path / "verses.txt"
         verses.write_text(LINE + "\n", encoding="utf-8")
         script = ("import sys\n"
                   "before = set(sys.modules)\n" + self._SCRIPT
                   + "print(sorted(m for m in ('escansion.corpus',"
                   " 'escansion.metrics', 'logging',"
-                  " 'xml.etree.ElementTree', 'random')"
+                  " 'xml.etree.ElementTree', 'random', 'dataclasses',"
+                  " 'inspect')"
                   " if m in sys.modules and m not in before))\n")
         proc = subprocess.run(
             [sys.executable, "-c", script, "scan", str(verses),

@@ -98,6 +98,11 @@ class TestNormalizeToken:
     def test_pure_punctuation_rejected(self):
         with pytest.raises(EmptyAfterNormalization):
             normalize_token("...")
+        # and tokens that keep letters but no vowel
+        for raw, left in (("brr", "brr"), ("h'", "h")):
+            with pytest.raises(EmptyAfterNormalization,
+                               match=f"^no vowel in '{left}'$"):
+                normalize_token(raw)
 
     def test_digits_rejected(self):
         with pytest.raises(EmptyAfterNormalization):
@@ -131,6 +136,8 @@ def _reference_normalize_token(raw: str) -> Word:
     text = re.sub(r"['-]{2,}", lambda m: m.group(0)[0], text)
     if not text:
         raise EmptyAfterNormalization(f"nothing left of token {raw!r}")
+    if not any(c in "aeiouáéíóúüïy" for c in text):
+        raise EmptyAfterNormalization(f"no vowel in {text!r}")
     return Word(surface=raw, normalized=text)
 
 

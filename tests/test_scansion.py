@@ -175,6 +175,19 @@ class TestFitAndScan:
         applied = [s.kind for s in result.candidate.applied]
         assert applied.count("synalepha") == 1
 
+    def test_config_bounds_hold_for_library_callers(self, lexicon):
+        for kwargs in ({"target_length": 1},
+                       {"target_length": 17, "emit_diagnostics": True}):
+            with pytest.raises(DataError, match="target_length"):
+                ScanConfig(**kwargs)
+            with pytest.raises(DataError, match="target_length"):
+                ScanConfig()._replace(**kwargs)
+        assert ScanConfig(target_length=17).target_length == 17
+        # the records are tuples: they equal the plain tuples of their fields
+        assert ScanConfig() == (11, False, False)
+        result = scan_line("En tanto que de rosa y azucena", lexicon)
+        assert result.candidate == ((("synalepha", 7, False, False),), 11)
+
     def test_monosyllable_unfittable(self, lexicon, config):
         with pytest.raises(Unfittable) as exc:
             scan_line("sol", lexicon, config)
