@@ -24,19 +24,20 @@ the consonant units between two nuclei go to the next onset: the last,
 or the last two when they form an inseparable cluster.
 
 A verse repeats its words, so ``analyze_token`` keeps each token's analysis
-in a cache owned by the lexicon it was stressed with: the syllabified word
-and its one ``Frame``, read from the syllabifier's parts. A frame is what
-scansion reads of the word, whatever its place in a line: its own
-syneresis and dieresis sites, the vowel sounds and ``h`` at its edges, and
-three ints of per-syllable bits (splits keeping the stress in its left
-half; stressed as the lexicon says; stressed when forced tonic, as at the
-end of a line), so a line's sites and stresses are stitched word by word
-instead of walked syllable by syllable. The cache holds at most
-``_CACHE_SIZE`` tokens and is emptied when full, so open-ended
-vocabularies cost bounded memory. The lexicon's lists are a frozenset
-and a read-only mapping, so a cached stress cannot go stale. ``Word`` and
-``SyllabifiedWord`` are named tuples with no checks of their own: text
-is checked where it enters, in ``normalize_token``.
+in an ``lru_cache`` keyed by the token and the lexicon it was stressed with:
+the syllabified word and its one ``Frame``, read from the syllabifier's
+parts. A frame is what scansion reads of the word, whatever its place in a
+line: its own syneresis and dieresis sites, the vowel sounds and ``h`` at
+its edges, and three ints of per-syllable bits (splits keeping the stress in
+its left half; stressed as the lexicon says; stressed when forced tonic, as
+at the end of a line), so a line's sites and stresses are stitched word by
+word instead of walked syllable by syllable. The cache holds at most
+``_CACHE_SIZE`` analyses across all lexicons and evicts the least recently
+used first, so open-ended vocabularies cost bounded memory. A lexicon is
+hashed by identity and holds only a frozenset and a read-only mapping, so a
+cached stress cannot go stale. ``Word`` and ``SyllabifiedWord`` are named
+tuples with no checks of their own: text is checked where it enters, in
+``normalize_token``.
 
 This module also owns text normalization for scan, ``prepare`` and the
 baseline: ``clean_text`` folds a line to lowercase Spanish letters and
@@ -89,7 +90,8 @@ _NOT_MENTE_ADVERB = {
     "sedimente",
 }
 
-# Tokens whose analyses one lexicon keeps before it empties its cache.
+# Analyses the word cache keeps, across all lexicons; the least recently
+# used goes first.
 _CACHE_SIZE = 1024
 
 
@@ -261,7 +263,7 @@ class StressLexicon:
     a frozenset and a read-only copy of the caller's mapping, both without
     contraction marks. A word may not sit in both."""
 
-    __slots__ = ("unstressed_words", "overrides", "_analyses")
+    __slots__ = ("unstressed_words", "overrides")
 
     def __init__(self, unstressed_words=frozenset(),
                  overrides=MappingProxyType({})):
@@ -271,8 +273,6 @@ class StressLexicon:
         clash = self.unstressed_words & set(self.overrides)
         if clash:
             raise ValueError(f"words in both lists: {sorted(clash)!r}")
-        # raw token -> WordAnalysis under this lexicon, see analyze_token
-        self._analyses = {}
 
     @classmethod
     def load(cls, path) -> "StressLexicon":
@@ -341,10 +341,7 @@ def stressed_syllable_indices(sw: SyllabifiedWord, *, force: bool = False) -> tu
     if _is_mente_adverb(normalized, len(sw.syllables)):
         mente_idx = len(sw.syllables) - 2
         stem = sw.syllables[:-2]
-        root_idx = len(stem) - lexical_stress(stem, normalized[:-5])
-        if root_idx != mente_idx:
-            return (root_idx, mente_idx)
-        return (mente_idx,)
+        return (len(stem) - lexical_stress(stem, normalized[:-5]), mente_idx)
     return (sw.stressed_index,)
 
 
@@ -412,28 +409,21 @@ def _frame(parts, stresses: int, tonic: int) -> Frame:
                  onset[:1] == "h", coda[-1:] == "h", peaks, stresses, tonic)
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def analyze_token(raw: str, lexicon: StressLexicon) -> WordAnalysis:
-    """normalize + syllabify + stress in one step, cached per lexicon.
+    """normalize + syllabify + stress in one step, cached per token and
+    lexicon.
 
-    The key is the raw token, which is also the word's ``surface``, so a
-    cached analysis is exactly what a fresh one would be.
+    The key is the raw token, which is also the word's ``surface``, and
+    the lexicon by identity, so a cached analysis is exactly what a fresh
+    one would be.
     """
-    cache = lexicon._analyses
-    hit = cache.get(raw)
-    if hit is None:
-        word = normalize_token(raw)
-        texts, parts = _syllable_parts(word.normalized)
-        sw = SyllabifiedWord(word, tuple(texts), lexical_stress(texts, word),
-                             is_prosodically_stressed(word, lexicon))
-        tonic = sum(1 << i for i in stressed_syllable_indices(sw, force=True))
-        hit = WordAnalysis(sw, _frame(parts, tonic if sw.prosodic else 0,
-                                      tonic))
-        # unlocked: threads that race here store equal analyses, and can
-        # overshoot the bound only by their number
-        if len(cache) >= _CACHE_SIZE:
-            cache.clear()
-        cache[raw] = hit
-    return hit
+    word = normalize_token(raw)
+    texts, parts = _syllable_parts(word.normalized)
+    sw = SyllabifiedWord(word, tuple(texts), lexical_stress(texts, word),
+                         is_prosodically_stressed(word, lexicon))
+    tonic = sum(1 << i for i in stressed_syllable_indices(sw, force=True))
+    return WordAnalysis(sw, _frame(parts, tonic if sw.prosodic else 0, tonic))
 
 
 def analyze_word(raw: str, lexicon: StressLexicon) -> SyllabifiedWord:

@@ -1,7 +1,10 @@
+import base64
 import io
 import json
+import math
 import os
 import select
+import struct
 import subprocess
 import sys
 import time
@@ -359,6 +362,32 @@ class TestPrepare:
         assert _run_cli("-v", "prepare", "--tei", tei,
                         "--out", out).returncode == 2
 
+    def test_directory_is_read_in_sorted_path_order(self, tmp_path, capsys):
+        tei = tmp_path / "tei"
+        (tei / "sub").mkdir(parents=True)
+        for path, pid, text in (
+                (tei / "z.xml", "z", "en tanto que de rosa y azucena"),
+                (tei / "sub" / "a.xml", "a", "cubra de nieve la hermosa cumbre")):
+            path.write_text(f'<TEI><div xml:id="{pid}"><l n="1" '
+                            f'met="+--+---+-+-">{text}</l></div></TEI>',
+                            encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["prepare", "--tei", str(tei), "--out", str(out),
+                     "--ratios", "1,0,0"]) == 0
+        rows = (out / "corpus.tsv").read_text(encoding="utf-8").splitlines()
+        assert [row.split("\t")[0] for row in rows] == ["a", "z"]
+        assert "poems: 2  lines: 2" in capsys.readouterr().out
+
+    def test_no_annotated_line_is_data_error(self, tmp_path, capsys):
+        tei = tmp_path / "c.xml"
+        tei.write_text(f"<TEI><div><l n=\"1\">{LINE}</l></div></TEI>",
+                       encoding="utf-8")
+        assert main(["prepare", "--tei", str(tei),
+                     "--out", str(tmp_path / "out")]) == 2
+        # the warning for the skipped line goes to logging's handlers
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == f"error: no annotated lines found under {tei}"
+
     def test_missing_directory(self, tmp_path):
         assert main(["prepare", "--tei", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "o")]) == 1
@@ -413,6 +442,18 @@ class TestEvaluateAndScore:
         assert main(["evaluate", "--gold", str(gold_tsv), "--engine"]) == 0
         assert "accuracy" in capsys.readouterr().out
 
+    def test_engine_counts_an_unscannable_line_as_a_miss(self, tmp_path,
+                                                          capsys):
+        gold = tmp_path / "gold.tsv"
+        gold.write_text(f"p1\t1\t{LINE}\t+--+---+-+-\n"
+                        "p1\t2\t¡...!\t+--+---+-+-\n", encoding="utf-8")
+        assert main(["evaluate", "--gold", str(gold), "--engine",
+                     "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["total"], doc["correct"]) == (2, 1)
+        assert doc["error_examples"] == [["¡...!", "+--+---+-+-",
+                                          "<unscanned>"]]
+
     def test_score_alias_json(self, gold_tsv, tmp_path, capsys):
         pred = tmp_path / "pred.txt"
         pred.write_text("".join(l.gold + "\n"
@@ -444,6 +485,25 @@ class TestEvaluateAndScore:
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
         assert f"{gold}:2: " in proc.stderr and reason in proc.stderr
+
+    def test_comments_and_blank_lines_are_no_predictions(self, gold_tsv,
+                                                          tmp_path, capsys):
+        pred = tmp_path / "pred.txt"
+        pred.write_text("# nothing yet\n\n#\n", encoding="utf-8")
+        assert main(["score", "--gold", str(gold_tsv),
+                     "--pred", str(pred)]) == 2
+        assert capsys.readouterr().err == f"error: {pred}: no predictions\n"
+
+    def test_text_report_counts_unmatched_predictions(self, gold_tsv,
+                                                      tmp_path, capsys):
+        pred = tmp_path / "pred.tsv"
+        pred.write_text(
+            "".join(f"{l.poem_id}\t{l.line_no}\t{l.gold}\n"
+                    for l in bundled_mini_gold()[:12])
+            + "nowhere\t1\t+--+---+-+-\n", encoding="utf-8")
+        assert main(["score", "--gold", str(gold_tsv),
+                     "--pred", str(pred)]) == 0
+        assert "unmatched preds   1" in capsys.readouterr().out.splitlines()
 
     def test_needs_pred_or_engine(self, gold_tsv):
         assert main(["evaluate", "--gold", str(gold_tsv)]) == 2
@@ -529,6 +589,28 @@ class TestBaselineCommands:
         assert err.startswith("error: ") and reason in err
         assert len(err.strip().splitlines()) == 1
         assert not model.exists()
+
+    @pytest.mark.parametrize("field,value,reason", [
+        ("version", 2, "unsupported version 2"),
+        ("head_biases",
+         base64.b64encode(struct.pack("<11d", *[math.nan] * 11)).decode(),
+         "non-finite weights"),
+    ], ids=["version", "nan-weights"])
+    def test_predict_unusable_model_is_data_error(self, field, value, reason,
+                                                  tmp_path, capsys):
+        model = _tiny_model(tmp_path)
+        doc = json.loads(model.read_text(encoding="utf-8"))
+        doc[field] = value
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        src = tmp_path / "input.txt"
+        src.write_text(LINE + "\n", encoding="utf-8")
+        assert main(["baseline", "predict", "--model", str(model),
+                     "--input", str(src)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {model}: ")
+        assert reason in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
 
     def test_predict_missing_model(self, tmp_path):
         assert main(["baseline", "predict",

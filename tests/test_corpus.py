@@ -85,6 +85,16 @@ class TestParseTei:
         assert by_no[("s001", 4)].gold == "-+---+---+-"
         assert by_no[("s001", 7)].gold == "+---+----+-"
 
+    def test_unusable_number_takes_the_running_line_number(self, tmp_path):
+        path = tmp_path / "c.xml"
+        path.write_text(
+            '<TEI><text><body><div xml:id="p"><lg>'
+            '<l n="7" met="+--+---+-+-">cubra de nieve la hermosa cumbre</l>'
+            '<l met="-+---+---+-">en tanto que de rosa y azucena</l>'
+            '<l n="tres" met="+-+--+-+-+-">goza cuello cabello labio y frente</l>'
+            "</lg></div></body></text></TEI>", encoding="utf-8")
+        assert [ln.line_no for ln in parse_tei(path)] == [7, 2, 3]
+
     def test_malformed_xml(self, tmp_path):
         bad = tmp_path / "bad.xml"
         bad.write_text("<TEI><l met='+'>oops", encoding="utf-8")
@@ -221,6 +231,12 @@ class TestSplit:
                 for ln in part]
         assert len(keys) == len(lines)
         assert len(set(keys)) == len(lines)
+
+    def test_poems_sharing_a_text_are_rejected(self):
+        lines = [CorpusLine(pid, 1, "el mismo verso", "+--+---+-+-")
+                 for pid in ("p1", "p2")]
+        with pytest.raises(ValueError, match="duplicate texts across splits"):
+            split(lines, ratios=(0.5, 0.5, 0.0), seed=1)
 
     def test_split_invariant_rejects_leak(self):
         line = CorpusLine("p", 1, "texto", "+--+---+-+-")

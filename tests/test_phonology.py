@@ -18,6 +18,7 @@ from escansion.phonology import (
     stressed_syllable_indices,
     syllabify,
     Word,
+    _CACHE_SIZE,
     _syllabify_plain,
 )
 from escansion.scansion import find_figure_sites, phonological_parse
@@ -350,6 +351,16 @@ class TestWordCache:
         assert analyze_word("la", tonic_la).prosodic
         assert not analyze_word("la", lexicon).prosodic
         assert analyze_word("la", tonic_la).prosodic
+
+    def test_a_token_in_use_stays_cached(self):
+        lexicon = StressLexicon(frozenset(), {})
+        first = analyze_token("la", lexicon)
+        for i in range(3 * _CACHE_SIZE):
+            # normalization drops the digits, but each raw token is a new key
+            analyze_token(f"casa{i}", lexicon)
+            if i % 100 == 0:
+                analyze_token("la", lexicon)
+        assert analyze_token("la", lexicon).word is first.word
 
     def test_syllables_carry_hiatus_and_split(self, lexicon):
         shapes = _syllables("cielo", lexicon)

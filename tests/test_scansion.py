@@ -45,7 +45,8 @@ class TestPhonologicalParse:
 
 
 def _fresh_default_lexicon() -> StressLexicon:
-    """The default lexicon's lists with an empty word cache of its own."""
+    """The default lexicon's lists in a new lexicon, one that no cached
+    word analysis is keyed by."""
     lexicon = default_lexicon()
     return StressLexicon(lexicon.unstressed_words, lexicon.overrides)
 
@@ -59,8 +60,9 @@ def _outcome(text, lexicon, config):
 
 
 class TestParseOnce:
-    """Word analyses are cached per lexicon and the flat syllable sequence
-    is built once per line; neither may change a result."""
+    """Word analyses are cached per token and lexicon, and the flat
+    syllable sequence is built once per line; neither may change a result.
+    A fresh lexicon is one that no cached analysis is keyed by."""
 
     def test_parsed_line_is_a_list_of_words(self, lexicon):
         words = phonological_parse(GARCILASO_LINE, lexicon)
@@ -93,7 +95,8 @@ class TestParseOnce:
                 tagged = " ".join(f"{w}{round_}" for w in text.split())
                 seen.update(tagged.split())
                 assert _outcome(tagged, lexicon, config) == want
-                assert len(lexicon._analyses) <= phonology._CACHE_SIZE
+                assert (phonology.analyze_token.cache_info().currsize
+                        <= phonology._CACHE_SIZE)
         assert len(seen) > phonology._CACHE_SIZE
 
     def test_flat_built_once_per_scan(self, lexicon, config, monkeypatch):
