@@ -73,7 +73,6 @@ from .phonology import (
     default_lexicon,
 )
 
-_FIGURES = ("synalepha", "syneresis", "dieresis")
 _DELTAS = {"synalepha": -1, "syneresis": -1, "dieresis": +1}
 # The longest target that diagnostics may be kept for. They keep every
 # stress position, so the fit's states, time and memory double with each
@@ -111,6 +110,10 @@ class ScanConfig(_ScanSettings):
     def _make(cls, iterable):
         # _replace builds through here: check its result too
         return cls(*iterable)
+
+
+# the config of a call given none: built once, since each build re-checks
+_DEFAULT_CONFIG = ScanConfig()
 
 
 class FigureSite(NamedTuple):
@@ -221,8 +224,8 @@ def phonological_parse(line: str, lexicon: StressLexicon) -> ParsedLine:
 
 def find_figure_sites(words: ParsedLine,
                       config: ScanConfig | None = None) -> list[FigureSite]:
-    """Enumerate every applicable figure, ordered by position and then as
-    in ``_FIGURES``.
+    """Enumerate every applicable figure, ordered by position and then
+    synalepha, syneresis, dieresis.
 
     Each word's syneresis and dieresis sites are cached in its frame at
     word-local positions; here they are offset to the line, and only the
@@ -231,7 +234,7 @@ def find_figure_sites(words: ParsedLine,
     stresses a syllable it acts on: p or p+1 for a merge at p, p for a
     dieresis.
     """
-    config = config or ScanConfig()
+    config = config or _DEFAULT_CONFIG
     h_blocks = bool(config.h_blocks_synalepha)
     frames, starts, _, stresses, _ = words.flat
     sites = []
@@ -260,7 +263,7 @@ def _site_deltas(sites: list[FigureSite]) -> list[int]:
     field, so no tier carries into the one above; from the most
     significant down:
 
-    * one count per figure, in ``_FIGURES`` order with the last highest
+    * one count per figure, dieresis highest, then syneresis, synalepha
       (syneresis and dieresis count when applied, synalepha when left out);
     * the drop ranks of the released synalephas: those touching a stress
       or an h first, each group left to right;
@@ -274,25 +277,45 @@ def _site_deltas(sites: list[FigureSite]) -> list[int]:
     not applied. Ranked in one order, synalephas by drop rank, then
     syneresis, then dieresis sites, the site of rank k owns bit n-1-k of
     the n tie bits, and distinct subsets get distinct costs.
+
+    Every tier compares sites by kind, flags and list order alone, so the
+    costs of a sub-list order its subsets as the whole list's costs do:
+    the fit passes only the sites that can shift the line.
     """
     n = len(sites)
-    ranked = sorted(range(n), key=lambda i: (
-        _FIGURES.index(sites[i].kind), sites[i].kind == "synalepha"
-        and not (sites[i].involves_stress or sites[i].through_h), i))
+    released, held, syneresis, dieresis = [], [], [], []
+    for i, (kind, _, stress, h) in enumerate(sites):
+        if kind == "synalepha":
+            (released if stress or h else held).append(i)
+        elif kind == "syneresis":
+            syneresis.append(i)
+        else:
+            dieresis.append(i)
     width = n.bit_length()
-    count_bit = {f: 1 << (n + width * t) for t, f in enumerate(_FIGURES)}
     deltas = [0] * n
-    for rank, i in enumerate(ranked):
-        kind, tie = sites[i].kind, 1 << (n - 1 - rank)
-        deltas[i] = (tie - count_bit[kind] if kind == "synalepha"
-                     else count_bit[kind] - tie)
+    tie = 1 << n  # halved before each rank, so rank k gets bit n-1-k
+    for i in released + held:
+        tie >>= 1
+        deltas[i] = tie - (1 << n)
+    count = 1 << n + width
+    for i in syneresis:
+        tie >>= 1
+        deltas[i] = count - tie
+    count <<= width
+    for i in dieresis:
+        tie >>= 1
+        deltas[i] = count - tie
     return deltas
+
+
+_SYMBOLS = str.maketrans("01", "-+")
 
 
 def _render(stresses: int, length: int) -> str:
     """The pattern of a state's ``stresses``: groups 0..length-2, then the
     one final position everything after the last stress collapses into."""
-    return "".join("-+"[stresses >> i & 1] for i in range(length - 1)) + "-"
+    bits = stresses & (1 << length - 1) - 1
+    return format(bits, f"0{length - 1}b")[::-1].translate(_SYMBOLS) + "-"
 
 
 def _applied(sites: list[FigureSite], mask: int) -> tuple[FigureSite, ...]:
@@ -326,8 +349,9 @@ def fit_to_target(words: ParsedLine, sites: list[FigureSite],
 
     ``sites`` is ``find_figure_sites``' list for ``words`` or any sub-list
     of it, in order: the fit chooses among the sites given, and the others
-    stay unapplied. Mask bit i is ``sites[i]``. A site of a kind not in
-    ``_FIGURES`` raises ValueError.
+    stay unapplied. Mask bit i is ``sites[i]``. A site of a kind other than
+    synalepha, syneresis and dieresis raises ValueError, ahead of any
+    Unfittable.
 
     The reachable lengths are read from each site's shift, as the module
     docstring tells: a target out of their range raises Unfittable, and
@@ -340,61 +364,83 @@ def fit_to_target(words: ParsedLine, sites: list[FigureSite],
     cut, the line's stresses since the last cut are ORed in, moved by the
     state's shift; then the site is applied or not. A state that the sites
     still to come cannot bring to the shift that puts the last stress on
-    group target-2 is dropped, so every state left after the last step, at
-    top+1, is final, and its length is the target. ``stresses`` keeps bits
-    3, 5 and 7 for the rhythmic template and none at another target, so
-    there are at most 8 states per shift; ``emit_diagnostics`` keeps every
-    bit. Each state keeps the cheapest subset reaching it under
-    ``_site_deltas`` with its own stress bits, so the winner's pattern is
-    read from them with no second pass.
+    group target-2 is dropped, so every state left after the last site is
+    final once the stresses after its cut are ORed in, and its length is
+    the target. ``stresses`` keeps bits 3, 5 and 7 for the rhythmic
+    template and none at another target, so there are at most 8 states per
+    shift; ``emit_diagnostics`` keeps every bit. Each state keeps the
+    cheapest subset reaching it with its own stress bits, so the winner's
+    pattern is read from them with no second pass. The costs are
+    ``_site_deltas`` of the shifting sites alone: every subset the DP
+    compares is made of them, and a sub-list's costs order its subsets as
+    the whole list's do, so leaving the others out changes no winner.
     """
-    config = config or ScanConfig()
-    for site in sites:
-        if site.kind not in _DELTAS:
-            raise ValueError(f"unknown figure kind {site.kind!r}")
+    config = config or _DEFAULT_CONFIG
     target = config.target_length
     _, _, _, stresses, lefts = words.flat
     top = stresses.bit_length() - 1  # the last stressed syllable
-    # the first syllable each site moves: p+1 for a merge at p or a split
-    # of p that keeps its stress on the left, p for any other split
-    cuts = [site.position + (site.kind != "dieresis"
-                             or lefts >> site.position & 1) for site in sites]
-    shifts = [site.delta if cut <= top else 0
-              for site, cut in zip(sites, cuts)]
-    down, up = shifts.count(-1), shifts.count(1)
+    # one pass: check each kind, cut each site where it moves the line (p+1
+    # for a merge at p or a split of p that keeps its stress on the left,
+    # p for any other split) and keep the sites that shift the last stress
+    shifting, down, up, ambiguous = [], 0, 0, False
+    for i, (kind, position, _, _) in enumerate(sites):
+        shift = _DELTAS.get(kind)
+        if shift is None:
+            raise ValueError(f"unknown figure kind {kind!r}")
+        cut = position + (shift < 0 or lefts >> position & 1)
+        if cut > top:
+            ambiguous = True  # it shifts nothing
+            continue
+        shifting.append((cut, shift, i))
+        if shift < 0:
+            down += 1
+        else:
+            up += 1
     low, high = top + 2 - down, top + 2 + up
     if not low <= target <= high:
+        shifts = [0] * len(sites)
+        for _, shift, i in shifting:
+            shifts[i] = shift
         raise _unfittable(sites, shifts, low, high, target)
 
-    deltas = _site_deltas(sites)
     rhythmic = target == 11
     keep = -1 if config.emit_diagnostics else 0b10101000 if rhythmic else 0
     need = target - top - 2  # the shift that puts the last stress on target-2
     # (shift so far, kept stresses) -> (cost, mask, the mask's own stresses)
     states = {(0, 0): (0, 0, 0)}
     at = 0
-    # the shifting sites in cut order, then a last step at top+1 that
-    # brings in the stresses after the last cut and applies nothing
-    steps = sorted((cuts[i], shift, deltas[i], 1 << i)
-                   for i, shift in enumerate(shifts) if shift)
-    for cut, shift, added, bit in steps + [(top + 1, 0, 0, 0)]:
+    # the shifting sites in cut order, costed among themselves
+    deltas = _site_deltas([sites[i] for _, _, i in shifting])
+    steps = sorted((cut, shift, added, 1 << i)
+                   for (cut, shift, i), added in zip(shifting, deltas))
+    for cut, shift, added, bit in steps:
         down, up = down - (shift < 0), up - (shift > 0)
         run = stresses >> at & (1 << cut - at) - 1
         grown: dict[tuple[int, int], tuple[int, int, int]] = {}
         for (moved, _), (cost, mask, own) in states.items():
             own |= run << at + moved
-            for step, plus, also in ((0, 0, 0), (shift, added, bit)):
-                # the sites still to come must be able to close the gap
-                if not -down <= need - moved - step <= up:
-                    continue
-                key = (moved + step, own & keep)
+            gap = need - moved  # the sites still to come must close it
+            if -down <= gap <= up:  # skip the site
+                key = (moved, own & keep)
                 seen = grown.get(key)
-                if seen is None or cost + plus < seen[0]:
-                    grown[key] = (cost + plus, mask | also, own)
+                if seen is None or cost < seen[0]:
+                    grown[key] = (cost, mask, own)
+            if -down <= gap - shift <= up:  # apply it
+                key = (moved + shift, own & keep)
+                seen = grown.get(key)
+                if seen is None or cost + added < seen[0]:
+                    grown[key] = (cost + added, mask | bit, own)
         states, at = grown, cut
 
-    # every state left is final: its last stress is on group target-2
-    finals = {kept: entry for (_, kept), entry in states.items()}
+    # every state left is final: its last stress is on group target-2 once
+    # the stresses after the last cut are brought in
+    tail = stresses >> at
+    finals: dict[int, tuple[int, int, int]] = {}
+    for (moved, _), (cost, mask, own) in states.items():
+        own |= tail << at + moved
+        seen = finals.get(own & keep)
+        if seen is None or cost < seen[0]:
+            finals[own & keep] = (cost, mask, own)
     # the rhythmic template: stress on 6, or on 4 and 8
     hits = [s for s in finals if rhythmic
             and (s & 0b100000 or s & 0b10001000 == 0b10001000)]
@@ -406,7 +452,7 @@ def fit_to_target(words: ParsedLine, sites: list[FigureSite],
     return ScansionResult(
         pattern=check_pattern(_render(stresses, target), target),
         candidate=ScanCandidate(_applied(sites, mask), target),
-        ambiguous=0 in shifts or low < target < high,
+        ambiguous=ambiguous or low < target < high,
         syllabification=tuple(sw.syllables for sw in words),
         diagnostics=diagnostics,
     )
@@ -416,7 +462,7 @@ def scan_line(line: str, lexicon: StressLexicon | None = None,
               config: ScanConfig | None = None) -> ScansionResult:
     """Raw text in, 11-position stress pattern out."""
     lexicon = lexicon if lexicon is not None else default_lexicon()
-    config = config or ScanConfig()
+    config = config or _DEFAULT_CONFIG
     words = phonological_parse(line, lexicon)
     sites = find_figure_sites(words, config)
     return fit_to_target(words, sites, config)

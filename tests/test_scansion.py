@@ -236,6 +236,26 @@ class TestFitAndScan:
         with pytest.raises(ValueError, match="unknown figure kind 'elision'"):
             fit_to_target(words, [site], config)
 
+    @pytest.mark.parametrize("first, target", [(False, 11), (True, 20)],
+                             ids=["after-the-last-stress", "target-out-of-reach"])
+    def test_unknown_kind_is_rejected_before_the_fit(self, lexicon, first,
+                                                     target):
+        # the kind is checked for every site before anything else: also for
+        # one cut after the last stress, which shifts nothing, and when the
+        # target is out of reach, which the sites alone report
+        words = phonological_parse(GARCILASO_LINE, lexicon)
+        sites = find_figure_sites(words)
+        config = ScanConfig(target_length=target)
+        if first:
+            with pytest.raises(Unfittable):
+                fit_to_target(words, sites, config)
+            sites = [FigureSite("elision", 0)] + sites
+        else:
+            assert words.flat.stresses.bit_length() - 1 == 9  # cum-bre
+            sites = sites + [FigureSite("elision", 9)]
+        with pytest.raises(ValueError, match="unknown figure kind 'elision'"):
+            fit_to_target(words, sites, config)
+
     def test_final_atonic_word_still_yields_a_stress(self, lexicon, config):
         # final-accent rule: the line-final word counts as tonic, so this
         # 10-syllable line ends like an oxytone verse
@@ -475,6 +495,28 @@ class TestOracleAgreement:
             result = fit_to_target(words, sites, config)
             if any_on_ictus:
                 assert result.pattern[9] == "+", line.text
+
+
+def test_site_costs_of_a_sub_list_keep_its_order():
+    # the fit costs only the sites that shift the line: a sub-list's own
+    # costs order its subsets as the whole list's costs of its sites do
+    rng = random.Random(11)
+    for _ in range(40):
+        sites = []
+        for position in range(rng.randint(1, 10)):
+            kind = rng.choice(("synalepha", "syneresis", "dieresis"))
+            sites.append(FigureSite(
+                kind=kind, position=position,
+                involves_stress=rng.random() < 0.3,
+                through_h=kind == "synalepha" and rng.random() < 0.2))
+        sub = _random_sites_subset(rng, sites)
+        whole = _site_deltas(sites)
+        orders = []
+        for deltas in (_site_deltas(sub),
+                       [whole[sites.index(site)] for site in sub]):
+            orders.append(sorted(range(1 << len(sub)), key=lambda m: sum(
+                d for i, d in enumerate(deltas) if m >> i & 1)))
+        assert orders[0] == orders[1], sub
 
 
 # letters, accents, dieresis marks, h, y, contraction marks, punctuation

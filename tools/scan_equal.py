@@ -16,6 +16,7 @@ removed on every path. Standard library only.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
 import shutil
@@ -99,25 +100,35 @@ def compare(rev_tree: Path, work: Path) -> int:
     return 0
 
 
-def main() -> int:
-    rev = sys.argv[1] if len(sys.argv) > 1 else "HEAD"
-    work = Path(tempfile.mkdtemp(prefix="scan_equal-"))
-    rev_tree = work / "tree"
+@contextlib.contextmanager
+def worktree(rev: str):
+    """Check ``rev`` out into a temporary git worktree and yield its root;
+    exit 2 when it cannot be checked out. The worktree is removed on every
+    path."""
+    work = Path(tempfile.mkdtemp(prefix="escansion-rev-"))
+    tree = work / "tree"
     try:
         added = subprocess.run(["git", "-C", str(ROOT), "worktree", "add",
-                                "--detach", "--quiet", str(rev_tree), rev])
+                                "--detach", "--quiet", str(tree), rev])
         if added.returncode:
             print(f"error: cannot check out {rev!r}", file=sys.stderr)
-            return 2
-        status = compare(rev_tree, work)
-        print("no difference" if status == 0 else "outputs differ")
-        return status
+            raise SystemExit(2)
+        yield tree
     finally:
         subprocess.run(["git", "-C", str(ROOT), "worktree", "remove",
-                        "--force", str(rev_tree)], capture_output=True)
+                        "--force", str(tree)], capture_output=True)
         subprocess.run(["git", "-C", str(ROOT), "worktree", "prune"],
                        capture_output=True)
         shutil.rmtree(work, ignore_errors=True)
+
+
+def main() -> int:
+    rev = sys.argv[1] if len(sys.argv) > 1 else "HEAD"
+    with (worktree(rev) as rev_tree,
+          tempfile.TemporaryDirectory(prefix="scan_equal-") as work):
+        status = compare(rev_tree, Path(work))
+    print("no difference" if status == 0 else "outputs differ")
+    return status
 
 
 if __name__ == "__main__":
