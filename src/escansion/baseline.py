@@ -193,7 +193,13 @@ def train(train_set, eval_set, config: TrainConfig | None = None) -> PositionalS
     vocab = build_vocab((text for text, _ in train_pairs), config)
     rng = np.random.default_rng(config.seed)
     dim = config.embedding_dim
-    embeddings = rng.uniform(-0.5 / dim, 0.5 / dim, size=(vocab.size, dim))
+    try:
+        embeddings = rng.uniform(-0.5 / dim, 0.5 / dim,
+                                 size=(vocab.size, dim))
+    except (MemoryError, ValueError):
+        # numpy raises ValueError for a size past what it can address
+        raise DataError(f"embedding table of {vocab.size} rows x {dim} "
+                        "dim is too large to allocate") from None
     head_weights = np.zeros((PATTERN_LENGTH, dim))
     head_biases = np.zeros(PATTERN_LENGTH)
 

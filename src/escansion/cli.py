@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import os
+import stat
 import sys
 from pathlib import Path
 
@@ -34,10 +36,23 @@ def _load_lexicon(path: str | None) -> StressLexicon:
     return default_lexicon()
 
 
-def _open_out(path: str | None):
-    if path and path != "-":
-        return open(path, "w", encoding="utf-8")
-    return contextlib.nullcontext(sys.stdout)
+def _open_out(path: str | None, source: str | None):
+    """The output ``path``, or stdout for none or ``-``. An output that is
+    the regular file the command reads, ``source`` or stdin when that is
+    None, is refused before opening it for writing empties it."""
+    if not path or path == "-":
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        out = os.stat(path)
+        src = (os.fstat(sys.stdin.fileno()) if source is None
+               else os.stat(source))
+    except (OSError, ValueError, AttributeError):
+        pass  # no output file yet, or no file behind the input
+    else:
+        if stat.S_ISREG(out.st_mode) and os.path.samestat(out, src):
+            raise DataError(f"output {path} is the input file; "
+                            "refusing to overwrite it")
+    return open(path, "w", encoding="utf-8")
 
 
 # --- scan --------------------------------------------------------------------
@@ -91,7 +106,7 @@ def cmd_scan(args) -> int:
     from_stdin = not args.input or args.input == "-"
     src = (numbered_lines("<stdin>", sys.stdin.buffer) if from_stdin
            else numbered_lines(args.input))
-    with _open_out(args.output) as out:
+    with _open_out(args.output, None if from_stdin else args.input) as out:
         # stdin to stdout is a pipe: each record goes on as it is written
         stream = from_stdin and out is sys.stdout
         # line by line as read; str.splitlines also parts a line at \x85,
@@ -176,11 +191,9 @@ def cmd_evaluate(args) -> int:
         config = ScanConfig()
         pairs = []
         for line in gold:
-            try:
-                pred = scan_line(line.text, lexicon, config).pattern
-            except DataError:
-                pred = None
-            pairs.append((pred, line.gold, line.text))
+            record, ok = _scan_record(line.text, lexicon, config)
+            pairs.append((record["pattern"] if ok else None, line.gold,
+                          line.text))
         report = metrics.evaluate(pairs)
     else:
         if not args.pred:
@@ -218,16 +231,23 @@ def cmd_baseline_predict(args) -> int:
     from . import baseline, corpus
     model = baseline.load_model(args.model)
     # a tab on the first non-blank line makes the file a canonical TSV,
-    # whose bad rows are errors; otherwise every line is verse
-    first = next((raw for _, raw in numbered_lines(args.input)
-                  if raw.strip()), "")
-    with _open_out(args.output) as out:
+    # whose bad rows are errors; otherwise every line is verse. The input
+    # is read once, so a pipe works: the lines up to that one go back in
+    # front of the rest
+    rows, head, first = numbered_lines(args.input), [], ""
+    for row in rows:
+        head.append(row)
+        if row[1].strip():
+            first = row[1]
+            break
+    rows = itertools.chain(head, rows)
+    with _open_out(args.output, args.input) as out:
         if "\t" in first:
-            for line in corpus.read_tsv(args.input):
+            for line in corpus.read_tsv(args.input, rows):
                 pattern = baseline.predict(model, line.text)
                 out.write(f"{line.poem_id}\t{line.line_no}\t{pattern}\n")
         else:
-            for _, raw in numbered_lines(args.input):
+            for _, raw in rows:
                 raw = raw.strip()
                 if raw:
                     out.write(baseline.predict(model, raw) + "\n")

@@ -234,10 +234,12 @@ def write_tsv(lines, path, include_manual: bool = False) -> None:
             fh.write("\t".join(row) + "\n")
 
 
-def read_tsv(path) -> list[CorpusLine]:
-    """Read a canonical TSV; a bad row raises MalformedTsv naming path:line."""
+def read_tsv(path, rows=None) -> list[CorpusLine]:
+    """Read a canonical TSV; a bad row raises MalformedTsv naming path:line.
+    ``rows``, when given, are ``path``'s (line number, line) pairs, read
+    from it once already by the caller."""
     lines = []
-    for row, raw in numbered_lines(path):
+    for row, raw in numbered_lines(path) if rows is None else rows:
         if not raw:
             continue
         cols = raw.split("\t")

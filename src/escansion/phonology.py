@@ -79,6 +79,8 @@ _TRANSLIT = str.maketrans("çàèìòù", "zaeiou")
 _KEEP = VOWEL_CHARS | set("bcdfghjklmnñpqrstvwxyz") | set(_MARKS)
 # anything but a kept character or a space
 _DROP_RE = re.compile("[^" + re.escape("".join(sorted(_KEEP))) + " ]")
+# a run of two or more marks, which keeps only its first
+_MARK_RUN_RE = re.compile(r"(['-])['-]+")
 
 # Words ending in "mente" that are not adverbs (nouns, adjectives and
 # -mentar verb forms); adverbs in -mente carry two prosodic stresses.
@@ -136,7 +138,7 @@ def normalize_token(raw: str) -> Word:
     EmptyAfterNormalization when nothing remains, or no vowel (y counts).
     """
     text = clean_text(raw).replace(" ", "").strip(_MARKS)
-    text = re.sub(r"['-]{2,}", lambda m: m.group(0)[0], text)
+    text = _MARK_RUN_RE.sub(r"\1", text)
     if not text:
         raise EmptyAfterNormalization(f"nothing left of token {raw!r}")
     if VOWEL_CHARS.isdisjoint(text) and "y" not in text:

@@ -1,9 +1,11 @@
 """Metrical analysis of a verse line.
 
 A parsed line is a flat sequence of phonological syllables, each stressed
-or not. ``phonological_parse`` returns it as a ``ParsedLine``: the words,
-plus their frames from the lexicon's cached word analyses (``Frame`` in
-``phonology``). Each frame holds what is fixed for its word wherever it
+or not. ``phonological_parse`` builds it as a ``ParsedLine`` in the one
+loop that reads the tokens: for each it takes the word and its frame from
+the lexicon's cached word analyses (``Frame`` in ``phonology``), records
+the syllable the frame starts at, and ORs the frame's bits into the
+line's there. Each frame holds what is fixed for its word wherever it
 stands: its own syneresis and dieresis sites, the vowel sounds at its
 edges and its stress bits in both forms, built once per word from its
 syllabifier parts. The line brings the stresses: it ORs in the last
@@ -65,13 +67,7 @@ from typing import NamedTuple
 
 from .errors import (DataError, EmptyLine, EmptyAfterNormalization,
                      LengthMismatch, Unfittable)
-from .phonology import (
-    Frame,
-    StressLexicon,
-    WordAnalysis,
-    analyze_token,
-    default_lexicon,
-)
+from .phonology import StressLexicon, analyze_token, default_lexicon
 
 _DELTAS = {"synalepha": -1, "syneresis": -1, "dieresis": +1}
 # The longest target that diagnostics may be kept for. They keep every
@@ -174,52 +170,41 @@ def check_pattern(symbols: str, length: int = 11) -> str:
 
 # --- parsing ----------------------------------------------------------------
 
-class _Flat(NamedTuple):
-    """The frames of a line's words in order, the index of each word's
-    first syllable in the line, and the line's syllable count and bits,
-    bit i for syllable i: the stressed syllables, the last word's tonic
-    ones included, and those of them whose left half keeps the stress if
-    a dieresis splits them."""
+class ParsedLine(list):
+    """The words of a line as ``SyllabifiedWord``s, plus the line that
+    ``phonological_parse`` lays out as it reads them: ``frames``, the
+    words' frames in order; ``starts``, the index of each word's first
+    syllable in the line; and two bit sets, bit i for syllable i:
+    ``stresses``, the stressed syllables, the last word's tonic ones
+    included, and ``lefts``, those of them whose left half keeps the stress
+    if a dieresis splits them. Read-only: the attributes do not follow
+    edits to the list."""
 
-    frames: list[Frame]
-    starts: list[int]
-    size: int
-    stresses: int
-    lefts: int
+    __slots__ = ("frames", "starts", "stresses", "lefts")
 
 
-def _build_flat(frames: list[Frame]) -> _Flat:
-    starts, at, stresses, peaks = [], 0, 0, 0
-    for frame in frames:
+def phonological_parse(line: str, lexicon: StressLexicon) -> ParsedLine:
+    """Tokenize, syllabify and stress every word of a raw verse line, and
+    lay its words' frames end to end in the same loop."""
+    words = ParsedLine()
+    frames, starts, at, stresses, peaks = [], [], 0, 0, 0
+    for token in line.split():
+        try:
+            word, frame = analyze_token(token, lexicon)
+        except EmptyAfterNormalization:
+            continue
+        words.append(word)
+        frames.append(frame)
         starts.append(at)
         stresses |= frame.stresses << at
         peaks |= frame.peaks << at
         at += frame.size
-    stresses |= frame.tonic << starts[-1]
-    return _Flat(frames, starts, at, stresses, stresses & peaks)
-
-
-class ParsedLine(list):
-    """The words of a line as ``SyllabifiedWord``s, plus ``flat``, the
-    line's word frames, taken once from the cached word analyses.
-    Read-only: ``flat`` does not follow edits to the list."""
-
-    def __init__(self, analyses: list[WordAnalysis]):
-        super().__init__(a.word for a in analyses)
-        self.flat = _build_flat([a.frame for a in analyses])
-
-
-def phonological_parse(line: str, lexicon: StressLexicon) -> ParsedLine:
-    """Tokenize, syllabify and stress every word of a raw verse line."""
-    analyses = []
-    for token in line.split():
-        try:
-            analyses.append(analyze_token(token, lexicon))
-        except EmptyAfterNormalization:
-            continue
-    if not analyses:
+    if not frames:
         raise EmptyLine(f"nothing scannable in line {line!r}")
-    return ParsedLine(analyses)
+    stresses |= frame.tonic << starts[-1]
+    words.frames, words.starts = frames, starts
+    words.stresses, words.lefts = stresses, stresses & peaks
+    return words
 
 
 def find_figure_sites(words: ParsedLine,
@@ -236,7 +221,7 @@ def find_figure_sites(words: ParsedLine,
     """
     config = config or _DEFAULT_CONFIG
     h_blocks = bool(config.h_blocks_synalepha)
-    frames, starts, _, stresses, _ = words.flat
+    frames, starts, stresses = words.frames, words.starts, words.stresses
     sites = []
     for frame, start, after in zip(frames, starts, frames[1:] + [None]):
         for kind, position in frame.sites:
@@ -377,7 +362,7 @@ def fit_to_target(words: ParsedLine, sites: list[FigureSite],
     """
     config = config or _DEFAULT_CONFIG
     target = config.target_length
-    _, _, _, stresses, lefts = words.flat
+    stresses, lefts = words.stresses, words.lefts
     top = stresses.bit_length() - 1  # the last stressed syllable
     # one pass: check each kind, cut each site where it moves the line (p+1
     # for a merge at p or a split of p that keeps its stress on the left,

@@ -153,6 +153,26 @@ class TestScan:
         assert main(["scan", str(tmp_path / "nope.txt"), "-o", str(out)]) == 1
         assert out.read_text(encoding="utf-8") == "earlier results\n"
 
+    def test_output_that_is_the_input_is_refused(self, tmp_path, capsys):
+        src = tmp_path / "same.txt"
+        src.write_text(LINE + "\n", encoding="utf-8")
+        assert main(["scan", str(src), "-o", str(src)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert src.read_text(encoding="utf-8") == LINE + "\n"
+
+    def test_output_that_is_stdin_is_refused(self, tmp_path):
+        src = tmp_path / "same.txt"
+        src.write_text(LINE + "\n", encoding="utf-8")
+        with open(src, "rb") as stdin:
+            proc = subprocess.run(
+                [sys.executable, "-m", "escansion", "scan", "-o", str(src)],
+                stdin=stdin, capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+        assert len(proc.stderr.splitlines()) == 1
+        assert src.read_text(encoding="utf-8") == LINE + "\n"
+
     def test_stdin_via_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "escansion", "scan"],
@@ -568,6 +588,39 @@ class TestBaselineCommands:
             assert [len(row) for row in rows] == [1, 1]
         assert all(len(row[-1]) == 11 for row in rows)
 
+    def test_predict_output_that_is_the_input_is_refused(self, tmp_path,
+                                                         capsys):
+        src = tmp_path / "same.txt"
+        src.write_text(LINE + "\n", encoding="utf-8")
+        model = _tiny_model(tmp_path)
+        assert main(["baseline", "predict", "--model", str(model),
+                     "--input", str(src), "-o", str(src)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert src.read_text(encoding="utf-8") == LINE + "\n"
+
+    @pytest.mark.parametrize("text,rows", [
+        (f"\n{LINE}\nen tanto que de rosa y azucena\n" * 3, 6),
+        (f"\np1\t1\t{LINE}\t+--+---+-+-\n"
+         f"p1\t2\t{LINE}\t+--+---+-+-\n", 2),
+    ], ids=["verse", "tsv"])
+    def test_predict_reads_its_input_once(self, text, rows, tmp_path,
+                                          capsys):
+        # a pipe can be read only once: the format is taken from its first
+        # non-blank line without losing any line
+        model = _tiny_model(tmp_path)
+        read, write = os.pipe()
+        try:
+            os.write(write, text.encode("utf-8"))  # fits the pipe's buffer
+            os.close(write)
+            assert main(["baseline", "predict", "--model", str(model),
+                         "--input", f"/dev/fd/{read}"]) == 0
+        finally:
+            os.close(read)
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == rows
+        assert all(len(row.split("\t")[-1]) == 11 for row in out)
+
     @pytest.mark.parametrize("flag,value,reason", [
         ("--epochs", "0", "epochs must be at least 1"),
         ("--dim", "0", "embedding_dim must be at least 1"),
@@ -577,8 +630,10 @@ class TestBaselineCommands:
         ("--lr", "nan", "learning_rate must be a finite number above 0"),
         ("--lr", "0", "learning_rate must be a finite number above 0"),
         ("--lr", "1e300", "training diverged to non-finite weights"),
+        # numpy refuses a table this size before it touches any memory
+        ("--dim", str(10 ** 15), f"rows x {10 ** 15} dim is too large"),
     ], ids=["epochs", "dim", "buckets", "ngram-min-0", "ngram-min-above-max",
-            "lr-nan", "lr-zero", "lr-diverges"])
+            "lr-nan", "lr-zero", "lr-diverges", "dim-too-large"])
     def test_unusable_size_flag_is_data_error(self, flag, value, reason,
                                               gold_tsv, tmp_path, capsys):
         model = tmp_path / "model.json"

@@ -60,17 +60,18 @@ def _outcome(text, lexicon, config):
 
 
 class TestParseOnce:
-    """Word analyses are cached per token and lexicon, and the flat
-    syllable sequence is built once per line; neither may change a result.
+    """Word analyses are cached per token and lexicon, and each token is
+    looked up once per line; neither may change a result.
     A fresh lexicon is one that no cached analysis is keyed by."""
 
     def test_parsed_line_is_a_list_of_words(self, lexicon):
         words = phonological_parse(GARCILASO_LINE, lexicon)
         assert isinstance(words, ParsedLine)
+        assert not hasattr(words, "__dict__")  # slots only
         assert list(words) == [phonology.analyze_word(t, lexicon)
                                for t in GARCILASO_LINE.split()]
-        assert sum(frame.size for frame in words.flat.frames) == 11
-        assert words.flat.starts == [0, 2, 3, 5, 6, 9]
+        assert sum(frame.size for frame in words.frames) == 11
+        assert words.starts == [0, 2, 3, 5, 6, 9]
 
     @pytest.mark.parametrize("default_first", [True, False])
     def test_lexicons_do_not_share_analyses(self, config, default_first):
@@ -99,17 +100,18 @@ class TestParseOnce:
                         <= phonology._CACHE_SIZE)
         assert len(seen) > phonology._CACHE_SIZE
 
-    def test_flat_built_once_per_scan(self, lexicon, config, monkeypatch):
+    def test_each_token_looked_up_once_per_scan(self, lexicon, config,
+                                                monkeypatch):
         calls = []
-        build = scansion._build_flat
+        analyze = scansion.analyze_token
 
-        def counting(word_syllables):
-            calls.append(1)
-            return build(word_syllables)
+        def counting(token, lexicon):
+            calls.append(token)
+            return analyze(token, lexicon)
 
-        monkeypatch.setattr(scansion, "_build_flat", counting)
+        monkeypatch.setattr(scansion, "analyze_token", counting)
         scan_line(GARCILASO_LINE, lexicon, config)
-        assert len(calls) == 1
+        assert calls == GARCILASO_LINE.split()
 
     def test_scan_calls_each_stage_once_through_the_module(
             self, lexicon, config, monkeypatch):
@@ -251,7 +253,7 @@ class TestFitAndScan:
                 fit_to_target(words, sites, config)
             sites = [FigureSite("elision", 0)] + sites
         else:
-            assert words.flat.stresses.bit_length() - 1 == 9  # cum-bre
+            assert words.stresses.bit_length() - 1 == 9  # cum-bre
             sites = sites + [FigureSite("elision", 9)]
         with pytest.raises(ValueError, match="unknown figure kind 'elision'"):
             fit_to_target(words, sites, config)
@@ -564,10 +566,10 @@ def test_sites_equal_the_per_syllable_reference(text):
     except EmptyLine:
         return
     syllables = oracle.line_syllables(words)
-    assert words.flat.size == len(syllables)
-    assert words.flat.stresses == sum(
+    assert sum(frame.size for frame in words.frames) == len(syllables)
+    assert words.stresses == sum(
         syl.stressed << i for i, syl in enumerate(syllables))
-    assert words.flat.lefts == sum(
+    assert words.lefts == sum(
         syl.split[0] << i for i, syl in enumerate(syllables)
         if syl.split is not None)
     for h_blocks in (False, True):
