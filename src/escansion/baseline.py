@@ -40,7 +40,8 @@ class TrainConfig:
     bucket_count: int = 10000
 
     def __post_init__(self):
-        for name in ("epochs", "embedding_dim", "bucket_count", "ngram_min"):
+        for name in ("epochs", "embedding_dim", "bucket_count", "ngram_min",
+                     "patience"):
             if getattr(self, name) < 1:
                 raise DataError(f"{name} must be at least 1")
         if self.ngram_min > self.ngram_max:

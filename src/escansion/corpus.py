@@ -43,6 +43,9 @@ class CorpusLine:
 
 @dataclass(frozen=True)
 class CorpusSplit:
+    """Train, eval and test parts cut by ``seed`` and ``ratios``. No
+    (poem_id, line_no) key and no text occurs twice in the three."""
+
     train: tuple[CorpusLine, ...]
     eval: tuple[CorpusLine, ...]
     test: tuple[CorpusLine, ...]
@@ -50,14 +53,14 @@ class CorpusSplit:
     ratios: tuple[float, float, float]
 
     def __post_init__(self):
-        keys = [{(ln.poem_id, ln.line_no) for ln in part} for part in self.parts()]
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if keys[i] & keys[j]:
-                    raise ValueError("splits share lines")
-        texts = [ln.text for part in self.parts() for ln in part]
-        if len(texts) != len(set(texts)):
-            raise ValueError("duplicate texts across splits")
+        keys, texts = set(), set()
+        for ln in self.train + self.eval + self.test:
+            if (ln.poem_id, ln.line_no) in keys:
+                raise DataError(f"poem {ln.poem_id} has line {ln.line_no} twice")
+            if ln.text in texts:
+                raise DataError("duplicate texts across splits")
+            keys.add((ln.poem_id, ln.line_no))
+            texts.add(ln.text)
 
     def parts(self) -> tuple[tuple[CorpusLine, ...], ...]:
         return (self.train, self.eval, self.test)

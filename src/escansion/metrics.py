@@ -3,17 +3,17 @@
 A prediction only counts when all 11 positions agree with gold; the
 headline number is that strict accuracy as a percentage. Per-position
 accuracies are kept alongside as a diagnostic: exact-match accuracy can
-never exceed any of them.
+never exceed any of them. Outside predictions meet gold through one keyed
+lookup, ``score_predictions_file``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import CorpusLine, normalize_met
-from .errors import (AlignmentError, EmptyInput, LengthMismatch,
-                     UnnormalizableMet)
+from .errors import AlignmentError, DataError, EmptyInput, LengthMismatch
 from .phonology import numbered_lines
 
 PATTERN_LENGTH = 11
@@ -51,11 +51,11 @@ def line_exact_match(pred: str, gold: str) -> bool:
     return pred == gold
 
 
-def evaluate(pairs) -> EvalReport:
+def evaluate(pairs, unmatched: int = 0) -> EvalReport:
     """Score (pred, gold, text) triples.
 
     ``pred`` may be None for lines the engine could not scan; those count
-    as wrong everywhere.
+    as wrong everywhere. ``unmatched`` predictions are reported, not scored.
     """
     pairs = list(pairs)
     if not pairs:
@@ -83,73 +83,67 @@ def evaluate(pairs) -> EvalReport:
         accuracy=100.0 * correct / total,
         per_position_accuracy=tuple(h / total for h in position_hits),
         error_examples=tuple(errors[:ERROR_EXAMPLE_CAP]),
+        unmatched=unmatched,
     )
 
 
-def _read_predictions(path) -> list[tuple[int, str | None, str | None, str]]:
-    """Rows of (line number, poem_id, line_no, normalized pattern); ids
-    are None for bare rows. A malformed row raises naming path:line."""
-    rows = []
+def _read_predictions(path) -> tuple[dict, bool]:
+    """Each row's normalized pattern under its key, and whether the rows
+    are keyed: a keyed row by ``(poem_id, int(line_no))``, as a CorpusLine,
+    a bare row by its position. A 2-column row, a row of another kind than
+    those before it, a line_no that is not an integer or a repeated key
+    raises naming path:line."""
+    patterns: dict = {}
+    keyed = False
     for row, raw in numbered_lines(path):
         if not raw or raw.startswith("#"):
             continue
         cols = raw.split("\t")
-        if len(cols) == 1:
-            pid, lno, pattern = None, None, cols[0]
-        elif len(cols) >= 3:
-            pid, lno, pattern = cols[:3]
-        else:
-            raise AlignmentError(
-                f"{path}:{row}: row {raw!r} has neither 1 nor 3+ columns")
         try:
-            rows.append((row, pid, lno, normalize_met(pattern)))
-        except UnnormalizableMet as exc:
-            raise UnnormalizableMet(f"{path}:{row}: {exc}") from None
-    return rows
+            if len(cols) == 2:
+                raise AlignmentError(f"row {raw!r} has neither 1 nor 3+ columns")
+            if patterns and (len(cols) > 1) != keyed:
+                raise AlignmentError(
+                    f"a {'bare' if keyed else 'keyed'} row in a file of "
+                    f"{'keyed' if keyed else 'bare'} rows")
+            keyed = len(cols) > 1
+            try:
+                key = (cols[0], int(cols[1])) if keyed else len(patterns)
+            except ValueError:
+                raise AlignmentError(
+                    f"line_no {cols[1]!r} is not an integer") from None
+            if key in patterns:
+                raise AlignmentError(f"poem {key[0]}, line {key[1]} repeats")
+            patterns[key] = normalize_met(cols[2] if keyed else cols[0])
+        except DataError as exc:
+            raise type(exc)(f"{path}:{row}: {exc}") from None
+    return patterns, keyed
 
 
 def score_predictions_file(pred_path, gold: list[CorpusLine]) -> EvalReport:
     """Join a predictions TSV to gold lines and evaluate.
 
     Accepts either id-keyed rows (poem_id, line_no, pattern) or one bare
-    pattern per line aligned with the gold order, not both in one file.
-    Predictions that match no gold line are reported in ``unmatched``.
+    pattern per gold line, not both in one file. Each gold line, in gold
+    order, takes the prediction under its key, or counts as unscanned;
+    predictions left over are ``unmatched``. Keyed rows need unique keys.
     """
-    rows = _read_predictions(Path(pred_path))
-    if not rows:
+    patterns, keyed = _read_predictions(Path(pred_path))
+    if not patterns:
         raise EmptyInput(f"{pred_path}: no predictions")
-    keyed = rows[0][1] is not None
-    for row, pid, _, _ in rows:
-        if (pid is not None) != keyed:
-            raise AlignmentError(
-                f"{pred_path}:{row}: a {'bare' if keyed else 'keyed'} row "
-                f"in a file of {'keyed' if keyed else 'bare'} rows")
-    pairs = []
-    unmatched = 0
-    if keyed:
-        by_key = {(ln.poem_id, str(ln.line_no)): ln for ln in gold}
-        covered = set()
-        for _, pid, lno, pattern in rows:
-            line = by_key.get((pid, lno))
-            if line is None:
-                unmatched += 1
-                continue
-            covered.add((pid, lno))
-            pairs.append((pattern, line.gold, line.text))
-        for key, line in by_key.items():
-            if key not in covered:
-                pairs.append((None, line.gold, line.text))
-    else:
-        if len(rows) != len(gold):
-            raise AlignmentError(
-                f"{len(rows)} bare predictions cannot align with "
-                f"{len(gold)} gold lines; add poem_id/line_no columns")
-        for (_, _, _, pattern), line in zip(rows, gold):
-            pairs.append((pattern, line.gold, line.text))
-    report = evaluate(pairs)
-    if unmatched:
-        report = replace(report, unmatched=unmatched)
-    return report
+    if not keyed and len(patterns) != len(gold):
+        raise AlignmentError(
+            f"{len(patterns)} bare predictions cannot align with "
+            f"{len(gold)} gold lines; add poem_id/line_no columns")
+    pairs, seen = [], set()
+    for i, ln in enumerate(gold):
+        key = (ln.poem_id, ln.line_no) if keyed else i
+        if key in seen:
+            raise AlignmentError(f"gold has poem {ln.poem_id}, line {ln.line_no}"
+                                 " twice; keyed rows cannot tell them apart")
+        seen.add(key)
+        pairs.append((patterns.pop(key, None), ln.gold, ln.text))
+    return evaluate(pairs, unmatched=len(patterns))
 
 
 def format_report(report: EvalReport) -> str:

@@ -447,6 +447,24 @@ class TestPrepare:
         assert len(err.strip().splitlines()) == 1
         assert f"{tei}: {where}: " in err and reason in err
 
+    def test_stanzas_numbered_apart_are_data_error(self, tmp_path, capsys):
+        # the second stanza numbered from 1 again: its lines' keys repeat
+        # the first stanza's, and keyed scoring could not join them
+        stanza = ('<lg><l n="1" met="+--+---+-+-">{}</l>'
+                  '<l n="2" met="-+---+---+-">{}</l></lg>')
+        tei = tmp_path / "c.xml"
+        tei.write_text(
+            '<TEI><div xml:id="s1">'
+            + stanza.format(LINE, "en tanto que de rosa y azucena")
+            + stanza.format("goza cuello cabello labio y frente",
+                            "en tierra en humo en polvo en sombra en nada")
+            + "</div></TEI>", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["prepare", "--tei", str(tei), "--out", str(out),
+                     "--ratios", "1,0,0"]) == 2
+        assert capsys.readouterr().err == "error: poem s1 has line 1 twice\n"
+        assert not out.exists()
+
 
 class TestEvaluateAndScore:
     def test_gold_against_itself(self, gold_tsv, tmp_path, capsys):
@@ -524,6 +542,27 @@ class TestEvaluateAndScore:
         assert main(["score", "--gold", str(gold_tsv),
                      "--pred", str(pred)]) == 0
         assert "unmatched preds   1" in capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize("gold,pred,where", [
+        (["1"], ["1", "1"], "{pred}:2: "),
+        (["1"], ["1", "dos"], "{pred}:2: "),
+        (["1", "1"], ["1"], "poem p1, line 1 "),
+    ], ids=["repeated-row", "non-integer-line-no", "gold-shares-a-key"])
+    def test_keys_that_cannot_join_are_data_error(self, gold, pred, where,
+                                                  tmp_path):
+        # gold and prediction rows of poem p1, given by their line_no
+        gold_path, pred_path = tmp_path / "gold.tsv", tmp_path / "pred.tsv"
+        gold_path.write_text("".join(f"p1\t{no}\tverso {i}\t+--+---+-+-\n"
+                                     for i, no in enumerate(gold)),
+                             encoding="utf-8")
+        pred_path.write_text("".join(f"p1\t{no}\t+--+---+-+-\n"
+                                     for no in pred), encoding="utf-8")
+        proc = _run_cli("score", "--gold", gold_path, "--pred", pred_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert where.format(pred=pred_path) in proc.stderr
 
     def test_needs_pred_or_engine(self, gold_tsv):
         assert main(["evaluate", "--gold", str(gold_tsv)]) == 2
@@ -632,8 +671,9 @@ class TestBaselineCommands:
         ("--lr", "1e300", "training diverged to non-finite weights"),
         # numpy refuses a table this size before it touches any memory
         ("--dim", str(10 ** 15), f"rows x {10 ** 15} dim is too large"),
+        ("--patience", "0", "patience must be at least 1"),
     ], ids=["epochs", "dim", "buckets", "ngram-min-0", "ngram-min-above-max",
-            "lr-nan", "lr-zero", "lr-diverges", "dim-too-large"])
+            "lr-nan", "lr-zero", "lr-diverges", "dim-too-large", "patience"])
     def test_unusable_size_flag_is_data_error(self, flag, value, reason,
                                               gold_tsv, tmp_path, capsys):
         model = tmp_path / "model.json"

@@ -170,6 +170,52 @@ class TestScorePredictionsFile:
             score_predictions_file(pred, gold)
         assert str(info.value).startswith(f"{pred}:5: ")
 
+    def test_repeated_keyed_row_names_its_second_row(self, tmp_path):
+        # counted twice it would score 3 lines out of 2 gold lines
+        pred = tmp_path / "preds.tsv"
+        pred.write_text(f"p0\t1\t{P}\np0\t2\t{P}\np0\t1\t{P}\n",
+                        encoding="utf-8")
+        with pytest.raises(AlignmentError) as info:
+            score_predictions_file(pred, _gold(2))
+        assert str(info.value) == f"{pred}:3: poem p0, line 1 repeats"
+
+    def test_gold_sharing_a_key_cannot_take_keyed_rows(self, tmp_path):
+        # two stanzas each numbered from 1: the key names two gold lines
+        gold = [CorpusLine("p", 1, "primera", P),
+                CorpusLine("p", 1, "segunda", "-+---+---+-")]
+        pred = tmp_path / "preds.tsv"
+        pred.write_text(f"p\t1\t{P}\n", encoding="utf-8")
+        with pytest.raises(AlignmentError, match="poem p, line 1 twice"):
+            score_predictions_file(pred, gold)
+        pred.write_text(f"{P}\n-+---+---+-\n", encoding="utf-8")
+        assert score_predictions_file(pred, gold).accuracy == 100.0
+
+    def test_line_no_is_compared_as_an_integer(self, tmp_path):
+        pred = tmp_path / "preds.tsv"
+        pred.write_text(f"p0\t01\t{P}\np0\t 2\t{P}\n", encoding="utf-8")
+        report = score_predictions_file(pred, _gold(2))
+        assert (report.accuracy, report.unmatched) == (100.0, 0)
+
+    def test_non_integer_line_no_names_its_row(self, tmp_path):
+        pred = tmp_path / "preds.tsv"
+        pred.write_text(f"p0\t1\t{P}\np0\tdos\t{P}\n", encoding="utf-8")
+        with pytest.raises(AlignmentError) as info:
+            score_predictions_file(pred, _gold(2))
+        assert str(info.value) == (f"{pred}:2: line_no 'dos' "
+                                   "is not an integer")
+
+    def test_misses_follow_gold_order(self, tmp_path):
+        gold = _gold(6)
+        wrong = "+" * 11
+        rows = [f"{l.poem_id}\t{l.line_no}\t{wrong if i % 2 else l.gold}\n"
+                for i, l in enumerate(gold) if i != 2]
+        pred = tmp_path / "preds.tsv"
+        pred.write_text("".join(reversed(rows)), encoding="utf-8")
+        report = score_predictions_file(pred, gold)
+        assert [text for text, _, _ in report.error_examples] == \
+               ["texto 1", "texto 2", "texto 3", "texto 5"]
+        assert report.error_examples[1][2] == "<unscanned>"
+
 
 def test_format_report_two_decimals():
     report = evaluate([(P, P, "a"), ("+" * 11, P, "b"), (P, P, "c")])
