@@ -237,6 +237,18 @@ def write_tsv(lines, path, include_manual: bool = False) -> None:
             fh.write("\t".join(row) + "\n")
 
 
+def parse_line_no(text: str, error: type[DataError]) -> int:
+    """The number in a line_no column, which holds ASCII digits only: ``01``
+    is line 1, but ``1_0``, ``+2``, a space-padded ``3`` and the
+    Arabic-Indic ``٣``, which ``int`` would also read, raise ``error``."""
+    try:
+        if text.isascii() and text.isdigit():
+            return int(text)
+    except ValueError:  # more digits than int converts
+        pass
+    raise error(f"line_no {text!r} is not an integer")
+
+
 def read_tsv(path, rows=None) -> list[CorpusLine]:
     """Read a canonical TSV; a bad row raises MalformedTsv naming path:line.
     ``rows``, when given, are ``path``'s (line number, line) pairs, read
@@ -250,11 +262,7 @@ def read_tsv(path, rows=None) -> list[CorpusLine]:
             if len(cols) < 4:
                 raise MalformedTsv(
                     f"expected at least 4 columns, got {len(cols)}")
-            try:
-                line_no = int(cols[1])
-            except ValueError:
-                raise MalformedTsv(
-                    f"line_no {cols[1]!r} is not an integer") from None
+            line_no = parse_line_no(cols[1], MalformedTsv)
             manual = len(cols) > 4 and cols[4] == "1"
             lines.append(CorpusLine(cols[0], line_no, cols[2],
                                     normalize_met(cols[3]), manual))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import CorpusLine, normalize_met
+from .corpus import CorpusLine, normalize_met, parse_line_no
 from .errors import AlignmentError, DataError, EmptyInput, LengthMismatch
 from .phonology import numbered_lines
 
@@ -89,10 +89,11 @@ def evaluate(pairs, unmatched: int = 0) -> EvalReport:
 
 def _read_predictions(path) -> tuple[dict, bool]:
     """Each row's normalized pattern under its key, and whether the rows
-    are keyed: a keyed row by ``(poem_id, int(line_no))``, as a CorpusLine,
-    a bare row by its position. A 2-column row, a row of another kind than
-    those before it, a line_no that is not an integer or a repeated key
-    raises naming path:line."""
+    are keyed: a keyed row by ``(poem_id, line_no)``, its line_no read by
+    ``parse_line_no`` into an int as in a CorpusLine, a bare row by its
+    position. A 2-column row, a row of another kind than those before it,
+    a line_no that is not ASCII digits or a repeated key raises naming
+    path:line."""
     patterns: dict = {}
     keyed = False
     for row, raw in numbered_lines(path):
@@ -107,11 +108,8 @@ def _read_predictions(path) -> tuple[dict, bool]:
                     f"a {'bare' if keyed else 'keyed'} row in a file of "
                     f"{'keyed' if keyed else 'bare'} rows")
             keyed = len(cols) > 1
-            try:
-                key = (cols[0], int(cols[1])) if keyed else len(patterns)
-            except ValueError:
-                raise AlignmentError(
-                    f"line_no {cols[1]!r} is not an integer") from None
+            key = ((cols[0], parse_line_no(cols[1], AlignmentError))
+                   if keyed else len(patterns))
             if key in patterns:
                 raise AlignmentError(f"poem {key[0]}, line {key[1]} repeats")
             patterns[key] = normalize_met(cols[2] if keyed else cols[0])

@@ -16,32 +16,38 @@ plus the two stress layers needed for scansion:
 The syllabifier decides each syllable's onset, nucleus and coda in one
 table-driven pass over the word with its contraction marks (' and -)
 removed, so marks decide nothing (nor do they in the stress and synalepha
-rules or the lexicon lookup); each goes back into the syllable text with
-the letter after it. One regex cuts the word into classed units
+rules or the lexicon lookup). One regex cuts the word into classed units
 (consonant, closed vowel, open or accented vowel, a vowel that always
-stands alone, h), a second finds the nuclei in the string of classes, and
-the consonant units between two nuclei go to the next onset: the last,
-or the last two when they form an inseparable cluster.
+stands alone, h) and gives each unit's offset, a second finds the nuclei
+in the string of classes, and the consonant units between two nuclei go
+to the next onset: the last, or the last two when they form an
+inseparable cluster. Each syllable is cut at unit offsets, as the spans
+(start, nucleus start, nucleus end, end) of the mark-free word, and its
+text is a slice of that word; only a word with a mark is cut again, so
+that each mark goes back into the syllable text with the letter after
+it.
 
 A verse repeats its words, so ``analyze_token`` keeps each token's analysis
 in an ``lru_cache`` keyed by the token and the lexicon it was stressed with:
-the syllabified word and its one ``Frame``, read from the syllabifier's
-parts. A frame is what scansion reads of the word, whatever its place in a
-line: its own syneresis and dieresis sites, the vowel sounds and ``h`` at
-its edges, and three ints of per-syllable bits (splits keeping the stress in
-its left half; stressed as the lexicon says; stressed when forced tonic, as
-at the end of a line), so a line's sites and stresses are stitched word by
-word instead of walked syllable by syllable. The cache holds at most
-``_CACHE_SIZE`` analyses across all lexicons and evicts the least recently
-used first, so open-ended vocabularies cost bounded memory. A lexicon is
-hashed by identity and holds only a frozenset and a read-only mapping, so a
-cached stress cannot go stale. ``Word`` and ``SyllabifiedWord`` are named
-tuples with no checks of their own: text is checked where it enters, in
+the syllabified word and its one ``Frame``, read from the spans and the
+mark-free word. A frame is what scansion reads of the word, whatever its
+place in a line: its own syneresis and dieresis sites, the vowel sounds
+and ``h`` at its edges, and three ints of per-syllable bits (splits
+keeping the stress in its left half; stressed as the lexicon says;
+stressed when forced tonic, as at the end of a line), so a line's sites
+and stresses are stitched word by word instead of walked syllable by
+syllable. The cache holds at most ``_CACHE_SIZE`` analyses across all
+lexicons and evicts the least recently used first, so open-ended
+vocabularies cost bounded memory. A lexicon is hashed by identity and
+holds only a frozenset and a read-only mapping, so a cached stress cannot
+go stale. ``Word`` and ``SyllabifiedWord`` are named tuples with no
+checks of their own: text is checked where it enters, in
 ``normalize_token``.
 
 This module also owns text normalization for scan, ``prepare`` and the
 baseline: ``clean_text`` folds a line to lowercase Spanish letters and
-marks, and ``normalize_token`` is the same fold applied to one token.
+marks, and ``normalize_token`` is the same fold and drop applied to one
+token, with the spaces dropped too.
 Every text input, the lexicon's included, is cut into numbered lines by
 its one reader, ``numbered_lines``, the standard library's UTF-8 text
 layer with universal newlines.
@@ -54,7 +60,6 @@ import re
 import unicodedata
 from functools import lru_cache
 from importlib import resources
-from itertools import accumulate
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -77,8 +82,11 @@ _MARKS = "'-"
 # Old orthography: ç for modern z, grave accents on atonic particles.
 _TRANSLIT = str.maketrans("çàèìòù", "zaeiou")
 _KEEP = VOWEL_CHARS | set("bcdfghjklmnñpqrstvwxyz") | set(_MARKS)
+_KEPT = re.escape("".join(sorted(_KEEP)))
 # anything but a kept character or a space
-_DROP_RE = re.compile("[^" + re.escape("".join(sorted(_KEEP))) + " ]")
+_DROP_RE = re.compile(f"[^{_KEPT} ]")
+# anything but a kept character
+_DROP_TOKEN_RE = re.compile(f"[^{_KEPT}]")
 # a run of two or more marks, which keeps only its first
 _MARK_RUN_RE = re.compile(r"(['-])['-]+")
 
@@ -117,11 +125,15 @@ class SyllabifiedWord(NamedTuple):
         return len(self.syllables) - self.stress_from_end
 
 
+def _fold(text: str) -> str:
+    """NFC, lowercase, and old letters as modern ones."""
+    return unicodedata.normalize("NFC", text).lower().translate(_TRANSLIT)
+
+
 def clean_text(text: str) -> str:
     """Lowercase and turn all but Spanish letters, ' and - into single
     spaces, so ``a,b`` is two words."""
-    text = unicodedata.normalize("NFC", text).lower().translate(_TRANSLIT)
-    return " ".join(_DROP_RE.sub(" ", text).split())
+    return " ".join(_DROP_RE.sub(" ", _fold(text)).split())
 
 
 def _unmarked(text: str) -> str:
@@ -137,8 +149,9 @@ def normalize_token(raw: str) -> Word:
     and hyphens survive (archaic contractions like d'amor). Raises
     EmptyAfterNormalization when nothing remains, or no vowel (y counts).
     """
-    text = clean_text(raw).replace(" ", "").strip(_MARKS)
-    text = _MARK_RUN_RE.sub(r"\1", text)
+    text = _DROP_TOKEN_RE.sub("", _fold(raw)).strip(_MARKS)
+    if "'" in text or "-" in text:
+        text = _MARK_RUN_RE.sub(r"\1", text)
     if not text:
         raise EmptyAfterNormalization(f"nothing left of token {raw!r}")
     if VOWEL_CHARS.isdisjoint(text) and "y" not in text:
@@ -152,37 +165,51 @@ def normalize_token(raw: str) -> Word:
 # 1 consonant: ch, ll, rr, the qu/gu of que/qui/gue/gui, a y before a
 # vowel; 2 closed vowel: i, u, y elsewhere, a ü after g (güe, güi);
 # 3 open or accented vowel; 4 a vowel that always stands alone: ï, and ü
-# elsewhere; 5 h; none: any other character, a consonant.
+# elsewhere; 5 h; 6 any other character, a consonant.
 _VOWELS, _OPEN = ("".join(sorted(s)) for s in (VOWEL_CHARS, _HIATUS_CORE))
 _CLOSED = "".join(sorted(VOWEL_CHARS - _HIATUS_CORE - set("üï")))
 _UNIT_RE = re.compile(
     f"(ch|ll|rr|[qg]u(?=[eéií])|y(?=[{_VOWELS}]))|([{_CLOSED}y]|(?<=g)ü)"
-    f"|([{_OPEN}])|([üï])|(h)|.", re.DOTALL)
-_CLASSES = "cciaxh"  # a unit's class letter, by group number (0: none)
+    f"|([{_OPEN}])|([üï])|(h)|(.)", re.DOTALL)
+_CLASSES = " ciaxhc"  # a unit's class letter, by group number
 # A nucleus: a stand-alone vowel, or closed and open vowels with an
-# optional h between any two, never two open vowels in a row.
+# optional h between any two, never two open vowels in a row. Each of
+# these units is one letter, so a nucleus begins and ends in a vowel and
+# has two vowels exactly when it has two letters.
 _NUCLEUS_RE = re.compile("x|[ia](?:h?i|(?<!a)h?a)*")
 
 
-def _syllabify_plain(word: str) -> list[tuple[str, str, str]]:
-    """The (onset, nucleus, coda) of each syllable of a mark-free word.
+def _spans(word: str) -> list[tuple[int, int, int, int]]:
+    """The (start, nucleus start, nucleus end, end) offsets of each
+    syllable of a mark-free word.
 
     Of the consonant units between two nuclei the next onset takes the
-    last, or the last two when they form an inseparable cluster."""
+    last, or the last two when they form an inseparable cluster. A
+    cluster is two one-letter consonant units, and no letter of a
+    nucleus or of a two-letter unit can begin one, so it is read as the
+    two letters before the nucleus."""
     units = list(_UNIT_RE.finditer(word))
     nuclei = [m.span() for m in _NUCLEUS_RE.finditer(
-        "".join(_CLASSES[m.lastindex or 0] for m in units))]
+        "".join([_CLASSES[m.lastindex] for m in units]))]
     if not nuclei:
         raise NoVowel(f"no syllable nucleus in {word!r}")
-    texts = [m.group() for m in units]
-    cuts = [0]
-    for (_, end), (start, _) in zip(nuclei, nuclei[1:]):
-        cons = texts[end:start]
-        cuts.append(start - bool(cons) - ("".join(cons[-2:]) in _CLUSTERS))
-    cuts.append(len(texts))
-    return [("".join(texts[a:start]), "".join(texts[start:end]),
-             "".join(texts[end:b]))
-            for a, (start, end), b in zip(cuts, nuclei, cuts[1:])]
+    starts = [m.start() for m in units]
+    starts.append(len(word))
+    spans, a = [], 0
+    start, end = nuclei[0]
+    for next_start, next_end in nuclei[1:]:
+        at = starts[next_start]
+        b = starts[next_start - (next_start > end)
+                   - (word[at - 2:at] in _CLUSTERS)]
+        spans.append((a, starts[start], starts[end], b))
+        a, start, end = b, next_start, next_end
+    spans.append((a, starts[start], starts[end], len(word)))
+    return spans
+
+
+def _syllabify_plain(word: str) -> list[tuple[str, str, str]]:
+    """The (onset, nucleus, coda) of each syllable of a mark-free word."""
+    return [(word[a:s], word[s:e], word[e:b]) for a, s, e, b in _spans(word)]
 
 
 def _cut(text: str, counts) -> list[str]:
@@ -194,11 +221,13 @@ def _cut(text: str, counts) -> list[str]:
 
 
 def _syllable_parts(normalized: str):
-    """The syllables of a normalized word with its marks, and the (onset,
-    nucleus, coda) of each without them."""
-    parts = _syllabify_plain(_unmarked(normalized))
-    ends = accumulate(len(o) + len(n) + len(c) for o, n, c in parts[:-1])
-    return _cut(normalized, ends), parts
+    """The syllables of a normalized word with its marks, the word without
+    them and the ``_spans`` of its syllables in it."""
+    plain = _unmarked(normalized)
+    spans = _spans(plain)
+    if plain != normalized:
+        return _cut(normalized, [b for *_, b in spans[:-1]]), plain, spans
+    return [plain[a:b] for a, _, _, b in spans], plain, spans
 
 
 def syllabify(word: Word | str) -> list[str]:
@@ -216,7 +245,7 @@ def lexical_stress(syllables: list[str] | tuple[str, ...], word: Word | str) -> 
     if not syllables:
         raise NoVowel("empty syllable list")
     for idx, syl in enumerate(syllables):
-        if any(c in ACCENTED for c in syl):
+        if not ACCENTED.isdisjoint(syl):
             return len(syllables) - idx
     if len(syllables) == 1:
         return 1
@@ -348,7 +377,7 @@ def stressed_syllable_indices(sw: SyllabifiedWord, *, force: bool = False) -> tu
 
 
 class Frame(NamedTuple):
-    """What a word brings to a line, read once from its syllabifier parts:
+    """What a word brings to a line, read once from its syllables' spans:
     its figure sites at word-local positions, the facts at its edges that
     decide a synalepha with a neighbour, and three ints of syllable bits,
     bit i for syllable i. Nothing in it depends on where the word stands:
@@ -378,9 +407,9 @@ class WordAnalysis(NamedTuple):
     frame: Frame
 
 
-def _frame(parts, stresses: int, tonic: int) -> Frame:
-    """The ``Frame`` of a word from its syllabifier's (onset, nucleus, coda)
-    ``parts`` and its ``stresses`` and ``tonic`` bits.
+def _frame(word: str, spans, stresses: int, tonic: int) -> Frame:
+    """The ``Frame`` of a mark-free word from its syllables' ``spans`` and
+    its ``stresses`` and ``tonic`` bits.
 
     A syllable merges with the next by syneresis when only an h, or
     nothing, separates them; it splits by dieresis when its nucleus has two
@@ -388,27 +417,29 @@ def _frame(parts, stresses: int, tonic: int) -> Frame:
     in a vowel sound when its onset is empty, or is an h (unless an h
     blocks synalepha) before a vowel that is not a consonantal glide: y,
     ue, ie (hydra, hueso, hielo); it ends in one when its coda is empty, or
-    is an h after a vowel other than y."""
-    last = len(parts) - 1
+    is an h after a vowel other than y. No nucleus begins or ends in an h,
+    so an h first or last is in the onset or coda."""
+    last = len(spans) - 1
     sites, peaks = [], 0
-    for i, (_, nucleus, coda) in enumerate(parts):
-        if i < last and coda == "" and parts[i + 1][0] in ("", "h"):
+    for i, (_, start, end, b) in enumerate(spans):
+        if end == b and i < last and word[b:spans[i + 1][1]] in ("", "h"):
             sites.append(("syneresis", i))
-        vowels = nucleus.replace("h", "")
-        if len(vowels) >= 2:
+        if end - start >= 2:
             sites.append(("dieresis", i))
-            peaks |= (vowels[0] in _HIATUS_CORE) << i
+            peaks |= (word[start] in _HIATUS_CORE) << i
     tail = sites[-1:] == [("dieresis", last)]
     if tail:
         sites.pop()
-    onset, nucleus, _ = parts[0]
-    _, final, coda = parts[-1]
-    h_begins = (onset == "h" and nucleus[0] != "y"
-                and nucleus[:2] not in ("ue", "ie"))
+    # the first nucleus starts after the onset, the last ends before the
+    # coda; a u or i before an e always shares its nucleus
+    onset, final = spans[0][1], spans[-1][2]
+    h_begins = (onset == 1 and word[0] == "h" and word[1] != "y"
+                and word[1:3] not in ("ue", "ie"))
     return Frame(last + 1, tuple(sites), tail,
-                 coda == "" or coda == "h" and final[-1] != "y",
-                 (onset == "" or h_begins, onset == ""),
-                 onset[:1] == "h", coda[-1:] == "h", peaks, stresses, tonic)
+                 final == len(word) or final == len(word) - 1
+                 and word[-1] == "h" and word[-2] != "y",
+                 (onset == 0 or h_begins, onset == 0),
+                 word[0] == "h", word[-1] == "h", peaks, stresses, tonic)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -421,11 +452,14 @@ def analyze_token(raw: str, lexicon: StressLexicon) -> WordAnalysis:
     one would be.
     """
     word = normalize_token(raw)
-    texts, parts = _syllable_parts(word.normalized)
+    texts, plain, spans = _syllable_parts(word.normalized)
     sw = SyllabifiedWord(word, tuple(texts), lexical_stress(texts, word),
                          is_prosodically_stressed(word, lexicon))
-    tonic = sum(1 << i for i in stressed_syllable_indices(sw, force=True))
-    return WordAnalysis(sw, _frame(parts, tonic if sw.prosodic else 0, tonic))
+    tonic = 0
+    for i in stressed_syllable_indices(sw, force=True):
+        tonic |= 1 << i
+    return WordAnalysis(sw, _frame(plain, spans, tonic if sw.prosodic else 0,
+                                   tonic))
 
 
 def analyze_word(raw: str, lexicon: StressLexicon) -> SyllabifiedWord:

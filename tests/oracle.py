@@ -17,11 +17,17 @@ over the line's syllables, testing every word boundary from the words'
 spelling. The vowel-sound rules it tests them with live here, read from
 the letters at either edge, while the engine reads its word edges from
 the syllabifier's parts, so each checks the other.
+
+``reference_frame`` is a word's ``Frame`` as the engine read it before
+it read frames from syllable offsets: from the (onset, nucleus, coda)
+strings of ``_syllabify_plain`` and the stressed syllables, field by
+field.
 """
 
 from typing import NamedTuple
 
-from escansion.phonology import _syllabify_plain, stressed_syllable_indices
+from escansion.phonology import (Frame, _syllabify_plain,
+                                 stressed_syllable_indices)
 
 _VOWELS = set("aeiouáéíóúüï")
 # a vowel that keeps the stress when a dieresis splits its nucleus: an
@@ -78,6 +84,41 @@ def word_syllables(sw, *, tonic=False):
             split = (left, stressed and not left)
         out.append(Syllable(stressed, hiatus, split))
     return out
+
+
+def _bits(indices) -> int:
+    return sum(1 << i for i in indices)
+
+
+def reference_frame(sw) -> Frame:
+    """A word's ``Frame``, read from its (onset, nucleus, coda) strings:
+    a syneresis where a syllable with no coda meets an onset of nothing
+    or h; a dieresis, and a peak when its first vowel is strong, where a
+    nucleus has two vowels; the edges from the first onset and nucleus
+    and the last nucleus and coda."""
+    parts = _syllabify_plain(_plain(sw))
+    last = len(parts) - 1
+    sites, peaks = [], 0
+    for i, (_, nucleus, coda) in enumerate(parts):
+        if i < last and coda == "" and parts[i + 1][0] in ("", "h"):
+            sites.append(("syneresis", i))
+        vowels = nucleus.replace("h", "")
+        if len(vowels) >= 2:
+            sites.append(("dieresis", i))
+            peaks |= (vowels[0] in _STRONG) << i
+    tail = sites[-1:] == [("dieresis", last)]
+    if tail:
+        sites.pop()
+    onset, nucleus, _ = parts[0]
+    _, final, coda = parts[-1]
+    h_begins = (onset == "h" and nucleus[0] != "y"
+                and nucleus[:2] not in ("ue", "ie"))
+    return Frame(last + 1, tuple(sites), tail,
+                 coda == "" or coda == "h" and final[-1] != "y",
+                 (onset == "" or h_begins, onset == ""),
+                 onset[:1] == "h", coda[-1:] == "h", peaks,
+                 _bits(stressed_syllable_indices(sw)),
+                 _bits(stressed_syllable_indices(sw, force=True)))
 
 
 def line_syllables(words):

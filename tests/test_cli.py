@@ -547,7 +547,9 @@ class TestEvaluateAndScore:
         (["1"], ["1", "1"], "{pred}:2: "),
         (["1"], ["1", "dos"], "{pred}:2: "),
         (["1", "1"], ["1"], "poem p1, line 1 "),
-    ], ids=["repeated-row", "non-integer-line-no", "gold-shares-a-key"])
+        (["10"], ["1_0"], "{pred}:1: "),
+    ], ids=["repeated-row", "non-integer-line-no", "gold-shares-a-key",
+            "underscored-line-no"])
     def test_keys_that_cannot_join_are_data_error(self, gold, pred, where,
                                                   tmp_path):
         # gold and prediction rows of poem p1, given by their line_no

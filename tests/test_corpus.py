@@ -276,6 +276,18 @@ class TestRoundTrip:
             read_tsv(path)
         assert str(info.value).startswith(f"{path}:3: ")
 
+    @pytest.mark.parametrize("line_no", ["1_0", "+2", " 3", "\u0663"])
+    def test_line_no_is_ascii_digits(self, tmp_path, line_no):
+        # int() reads each as a number: 1_0 as 10, the Arabic-Indic ٣ as 3
+        path = tmp_path / "gold.tsv"
+        path.write_text(f"p1\t01\tok\t+--+---+-+-\n"
+                        f"p1\t{line_no}\tcubra\t+--+---+-+-\n",
+                        encoding="utf-8")
+        with pytest.raises(MalformedTsv) as info:
+            read_tsv(path)
+        assert str(info.value) == (f"{path}:2: line_no {line_no!r} "
+                                   "is not an integer")
+
     def test_split_manifests(self, tmp_path):
         result = split(_toy_corpus(), seed=4)
         meta = write_split(result, tmp_path)

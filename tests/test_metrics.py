@@ -192,9 +192,20 @@ class TestScorePredictionsFile:
 
     def test_line_no_is_compared_as_an_integer(self, tmp_path):
         pred = tmp_path / "preds.tsv"
-        pred.write_text(f"p0\t01\t{P}\np0\t 2\t{P}\n", encoding="utf-8")
+        pred.write_text(f"p0\t01\t{P}\np0\t002\t{P}\n", encoding="utf-8")
         report = score_predictions_file(pred, _gold(2))
         assert (report.accuracy, report.unmatched) == (100.0, 0)
+
+    @pytest.mark.parametrize("line_no", ["1_0", "+2", " 3", "\u0663"])
+    def test_line_no_is_ascii_digits(self, tmp_path, line_no):
+        # int() reads each as a number: 1_0 as 10, the Arabic-Indic ٣ as 3
+        pred = tmp_path / "preds.tsv"
+        pred.write_text(f"p0\t01\t{P}\np0\t{line_no}\t{P}\n",
+                        encoding="utf-8")
+        with pytest.raises(AlignmentError) as info:
+            score_predictions_file(pred, _gold(20))
+        assert str(info.value) == (f"{pred}:2: line_no {line_no!r} "
+                                   "is not an integer")
 
     def test_non_integer_line_no_names_its_row(self, tmp_path):
         pred = tmp_path / "preds.tsv"

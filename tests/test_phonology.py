@@ -405,6 +405,35 @@ class TestMenteAdverbs:
         assert stressed_syllable_indices(sw, force=True) == (0,)
 
 
+class TestFrame:
+    """The frame read from syllable offsets equals the one read from the
+    (onset, nucleus, coda) strings, field by field."""
+
+    @given(words())
+    @example("hueso")
+    @example("hielo")
+    @example("hydra")
+    @example("ayh")
+    @example("bah")
+    @example("prohíbe")
+    @example("la-h'ermosa")
+    @example("claramen-te")
+    @settings(max_examples=500)
+    def test_equals_the_reference(self, lexicon, raw):
+        try:
+            word = normalize_token(raw)
+        except EmptyAfterNormalization:
+            assume(False)
+        # the same word, overridden to the stress the default denies it
+        flipped = StressLexicon(overrides={
+            _unmarked(word.normalized):
+                not is_prosodically_stressed(word, lexicon)})
+        for lex in (lexicon, flipped):
+            analysis = analyze_token(raw, lex)
+            assert analysis.frame._asdict() == oracle.reference_frame(
+                analysis.word)._asdict(), raw
+
+
 def test_syllable_parts_examples():
     assert _syllabify_plain("cum") == [("c", "u", "m")]
     assert _syllabify_plain("buey") == [("b", "uey", "")]

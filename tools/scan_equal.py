@@ -4,12 +4,14 @@ Run with the change in the working tree:
 
     python3 tools/scan_equal.py [REV]
 
-REV (default HEAD) is checked out into a temporary git worktree. Three
-inputs are written from ``perfbench/inputs.py``: cli_novel pool files 0-59
-at 400 lines each, site_heavy rounds 0-29 and 3,000 verse lines at seed
-31. ``python -m escansion scan`` runs on each input from both trees under
-LC_ALL=C.UTF-8, in six modes, and their stdout, stderr and exit codes are
-compared. The first difference is printed and the exit code is 1; with
+REV (default HEAD) is checked out into a temporary git worktree. Four
+inputs are written: from ``perfbench/inputs.py``, cli_novel pool files
+0-59 at 400 lines each, site_heavy rounds 0-29 and 3,000 verse lines at
+seed 31; and a copy of ``tests/data/scan_guard.txt``, whose lines hold
+the contraction marks, the ``h`` outside ``ch`` and the ``y`` that the
+pool inputs lack. ``python -m escansion scan`` runs on each input from
+both trees under LC_ALL=C.UTF-8, in six modes, and their stdout, stderr
+and exit codes are compared. The first difference is printed and the exit code is 1; with
 none it is 0, and 2 when REV cannot be checked out. The worktree is
 removed on every path. Standard library only.
 """
@@ -50,6 +52,8 @@ def write_inputs(directory: Path) -> list[Path]:
                            for text, _ in inputs.site_heavy_round(index)],
         "verse.txt": [text for text, _ in
                       itertools.islice(inputs.verse_stream(31), 3000)],
+        "scan_guard.txt": (ROOT / "tests" / "data" / "scan_guard.txt")
+        .read_text(encoding="utf-8").splitlines(),
     }
     paths = []
     for name, lines in texts.items():
