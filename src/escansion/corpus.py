@@ -107,7 +107,10 @@ def parse_tei(path) -> list[CorpusLine]:
 
     Lines without a met attribute are skipped and counted in a warning; a
     bad met or a number below 1 raises MalformedTei naming the file, the
-    poem and the line.
+    poem and the line. An ``n`` is read as ``parse_line_no`` reads a
+    line_no, ASCII digits only; a line whose ``n`` is no number is numbered
+    by its place in the poem, and MalformedTei names it when another line
+    of the poem has that number.
     The poem identifier comes from the nearest ancestor div/lg xml:id when
     present, otherwise from the file stem plus a running poem counter.
     """
@@ -123,6 +126,8 @@ def parse_tei(path) -> list[CorpusLine]:
         raise MalformedXml(f"{path}: {exc}") from exc
 
     lines: list[CorpusLine] = []
+    # (poem, number) -> how the l's n reads when it is no number, else ""
+    seen: dict[tuple[str, int], str] = {}
     skipped = 0
     poem_counter = 0
     # depth first in document order, one entry per open element: its
@@ -149,11 +154,20 @@ def parse_tei(path) -> list[CorpusLine]:
                 skipped += 1
                 continue
             counter[0] += 1
+            n = attrs.get("n")
             try:
-                number = int(attrs.get("n", ""))
-            except ValueError:
+                number, unread = parse_line_no(n or "", MalformedTei), ""
+            except MalformedTei:  # numbered by its place
                 number = counter[0]
+                unread = "no n" if n is None else f"n {n!r}"
             pid = poem_id or path.stem
+            key = (pid, number)
+            if key in seen and (unread or seen[key]):
+                raise MalformedTei(
+                    f"{path}: poem {pid}: an l with {unread or seen[key]} is "
+                    f"numbered {number} by its place, a number another line "
+                    "of the poem has")
+            seen[key] = unread
             try:
                 lines.append(CorpusLine(pid, number, text,
                                         normalize_met(met), child_manual))

@@ -48,13 +48,20 @@ syllable s lands in group s plus the shifts of the applied sites cut at
 or before it, -1 per merge and +1 per dieresis. A subset's metrical
 length is the group of the last stressed syllable q, plus 2, so a site
 cut after q shifts it by 0, the reachable lengths are one range, and a
-target outside it is reported at once. A line that fits is ranked by
-one dynamic program over the sites in cut order whose state is the
-shift so far and the stresses of positions 4, 6 and 8 for the rhythmic
-template: at most 8 states per shift whatever the target, so its cost
-grows linearly with the sites; diagnostics keep every position. Each
-DP entry carries its subset's cost and own stresses, so the winner's
-pattern is read from its entry.
+target outside it is reported at once. Tiers 3 to 5 are met by
+counting, with no search: the applied sites must move q to group
+target-2, so the cheapest subset applies the fewest dieresis sites that
+can, the leftmost, and makes the merges still needed with synalephas,
+releasing the first in drop order, and once those run out with the
+leftmost syneresis sites. That subset wins at any target but 11, and at
+11 whenever it is rhythmic, since the template only promotes rhythmic
+candidates. Otherwise, and with diagnostics, the line is ranked by one
+dynamic program over the shifting sites in cut order whose state is the
+shift so far and the stresses of positions 4, 6 and 8 for the template:
+at most 8 states per shift, so its cost grows linearly with the sites;
+diagnostics keep every position. Each DP entry carries its subset's cost
+and own stresses, and either path's pattern is read from its subset's
+own stresses.
 
 The records a scan takes and gives, ``ScanConfig``, ``FigureSite``,
 ``ScanCandidate`` and ``ScansionResult``, are named tuples: each equals
@@ -240,6 +247,21 @@ def find_figure_sites(words: ParsedLine,
 
 # --- candidate evaluation ---------------------------------------------------
 
+def _tiers(sites: list[FigureSite]) -> tuple[list[int], list[int], list[int]]:
+    """The indices of ``sites`` by tier: the synalephas in drop order (those
+    touching a stress or an h first, each group left to right), then the
+    syneresis sites and the dieresis sites, each left to right."""
+    released, held, syneresis, dieresis = [], [], [], []
+    for i, (kind, _, stress, h) in enumerate(sites):
+        if kind == "synalepha":
+            (released if stress or h else held).append(i)
+        elif kind == "syneresis":
+            syneresis.append(i)
+        else:
+            dieresis.append(i)
+    return released + held, syneresis, dieresis
+
+
 def _site_deltas(sites: list[FigureSite]) -> list[int]:
     """Per site, what applying it adds to a subset's cost.
 
@@ -250,8 +272,7 @@ def _site_deltas(sites: list[FigureSite]) -> list[int]:
 
     * one count per figure, dieresis highest, then syneresis, synalepha
       (syneresis and dieresis count when applied, synalepha when left out);
-    * the drop ranks of the released synalephas: those touching a stress
-      or an h first, each group left to right;
+    * the drop ranks of the released synalephas, in ``_tiers``' order;
     * the positions of the applied syneresis sites, then dieresis sites.
 
     On equal counts the tuples in the last two tiers have equal sizes, and
@@ -268,18 +289,11 @@ def _site_deltas(sites: list[FigureSite]) -> list[int]:
     the fit passes only the sites that can shift the line.
     """
     n = len(sites)
-    released, held, syneresis, dieresis = [], [], [], []
-    for i, (kind, _, stress, h) in enumerate(sites):
-        if kind == "synalepha":
-            (released if stress or h else held).append(i)
-        elif kind == "syneresis":
-            syneresis.append(i)
-        else:
-            dieresis.append(i)
+    drop, syneresis, dieresis = _tiers(sites)
     width = n.bit_length()
     deltas = [0] * n
     tie = 1 << n  # halved before each rank, so rank k gets bit n-1-k
-    for i in released + held:
+    for i in drop:
         tie >>= 1
         deltas[i] = tie - (1 << n)
     count = 1 << n + width
@@ -305,6 +319,21 @@ def _render(stresses: int, length: int) -> str:
 
 def _applied(sites: list[FigureSite], mask: int) -> tuple[FigureSite, ...]:
     return tuple(s for i, s in enumerate(sites) if mask >> i & 1)
+
+
+def _place(stresses: int, steps) -> int:
+    """The groups of the ``stresses`` once the ``(cut, shift, _)`` steps, in
+    cut order, are applied: each moves every syllable from its cut on."""
+    own = at = moved = 0
+    for cut, shift, _ in steps:
+        own |= (stresses >> at & (1 << cut - at) - 1) << at + moved
+        at, moved = cut, moved + shift
+    return own | stresses >> at << at + moved
+
+
+def _rhythmic(stresses: int) -> bool:
+    """The classical template: stress on 6, or on 4 and 8."""
+    return bool(stresses & 0b100000) or stresses & 0b10001000 == 0b10001000
 
 
 def _unfittable(sites, shifts, low, high, target) -> Unfittable:
@@ -343,22 +372,32 @@ def fit_to_target(words: ParsedLine, sites: list[FigureSite],
     more than one subset fits when a site shifts nothing or the target is
     strictly inside it. A site that shifts nothing is cut after the last
     stress, so it is a syneresis or dieresis, whose cost is positive, and
-    is never applied. A line that fits is ranked by one DP over the other
-    sites in cut order, on states ``(shift, stresses)``: the sum of the
-    applied shifts so far, and bit i the stress of group i. Before each
-    cut, the line's stresses since the last cut are ORed in, moved by the
-    state's shift; then the site is applied or not. A state that the sites
-    still to come cannot bring to the shift that puts the last stress on
-    group target-2 is dropped, so every state left after the last site is
-    final once the stresses after its cut are ORed in, and its length is
-    the target. ``stresses`` keeps bits 3, 5 and 7 for the rhythmic
-    template and none at another target, so there are at most 8 states per
-    shift; ``emit_diagnostics`` keeps every bit. Each state keeps the
-    cheapest subset reaching it with its own stress bits, so the winner's
-    pattern is read from them with no second pass. The costs are
-    ``_site_deltas`` of the shifting sites alone: every subset the DP
-    compares is made of them, and a sub-list's costs order its subsets as
-    the whole list's do, so leaving the others out changes no winner.
+    is never applied. Among the other sites, ``need`` is the shift that
+    puts the last stress on group target-2. The cheapest subset is counted
+    out from ``_tiers`` of them, the same kinds and flags ``_site_deltas``
+    costs: the leftmost ``max(0, need)`` dieresis sites, and as many
+    merges as they exceed ``need`` by. The merges are synalephas while
+    there are any, the ones left out being the first in drop order, and
+    past them the leftmost syneresis sites. Its stresses are placed by the
+    sites' cuts, as the DP places them.
+
+    Without diagnostics, it is the winner at a target other than 11, and
+    at 11 when its pattern is rhythmic. Else one DP over the shifting
+    sites in cut order ranks every subset, on states ``(shift,
+    stresses)``: the sum of the applied shifts so far, and bit i the
+    stress of group i. Before each cut, the line's stresses since the last
+    cut are ORed in, moved by the state's shift; then the site is applied
+    or not. A state that the sites still to come cannot bring to ``need``
+    is dropped, so every state left after the last site is final once the
+    stresses after its cut are ORed in, and its length is the target.
+    ``stresses`` keeps bits 3, 5 and 7 for the rhythmic template, so there
+    are at most 8 states per shift; ``emit_diagnostics`` keeps every bit.
+    Each state keeps the cheapest subset reaching it with its own stress
+    bits, so the winner's pattern is read from them with no second pass.
+    The costs are ``_site_deltas`` of the shifting sites alone: every
+    subset the DP compares is made of them, and a sub-list's costs order
+    its subsets as the whole list's do, so leaving the others out changes
+    no winner.
     """
     config = config or _DEFAULT_CONFIG
     target = config.target_length
@@ -388,14 +427,30 @@ def fit_to_target(words: ParsedLine, sites: list[FigureSite],
             shifts[i] = shift
         raise _unfittable(sites, shifts, low, high, target)
 
-    rhythmic = target == 11
-    keep = -1 if config.emit_diagnostics else 0b10101000 if rhythmic else 0
     need = target - top - 2  # the shift that puts the last stress on target-2
+    # the cheapest subset, counted out: the fewest dieresis sites, then the
+    # fewest syneresis sites, and the other merges as synalephas, releasing
+    # the first in drop order; each tier takes its leftmost sites
+    shifted = [sites[i] for _, _, i in shifting]
+    drop, syneresis, dieresis = _tiers(shifted)
+    splits = max(0, need)
+    fused = max(0, splits - need - len(drop))
+    picked = sorted(dieresis[:splits] + syneresis[:fused]
+                    + drop[len(drop) + need - splits + fused:])
+    own = _place(stresses, sorted([shifting[k] for k in picked]))
+    ambiguous = ambiguous or low < target < high
+    if not config.emit_diagnostics and (target != 11 or _rhythmic(own)):
+        return _result(words, tuple([shifted[k] for k in picked]), own,
+                       target, ambiguous)
+
+    # the template tier or diagnostics: rank every subset
+    rhythmic = target == 11
+    keep = -1 if config.emit_diagnostics else 0b10101000
     # (shift so far, kept stresses) -> (cost, mask, the mask's own stresses)
     states = {(0, 0): (0, 0, 0)}
     at = 0
     # the shifting sites in cut order, costed among themselves
-    deltas = _site_deltas([sites[i] for _, _, i in shifting])
+    deltas = _site_deltas(shifted)
     steps = sorted((cut, shift, added, 1 << i)
                    for (cut, shift, i), added in zip(shifting, deltas))
     for cut, shift, added, bit in steps:
@@ -426,21 +481,20 @@ def fit_to_target(words: ParsedLine, sites: list[FigureSite],
         seen = finals.get(own & keep)
         if seen is None or cost < seen[0]:
             finals[own & keep] = (cost, mask, own)
-    # the rhythmic template: stress on 6, or on 4 and 8
-    hits = [s for s in finals if rhythmic
-            and (s & 0b100000 or s & 0b10001000 == 0b10001000)]
-    _, mask, stresses = min(finals[s] for s in hits or finals)
-
+    hits = [s for s in finals if rhythmic and _rhythmic(s)]
+    _, mask, own = min(finals[s] for s in hits or finals)
     diagnostics = ()
     if config.emit_diagnostics:
         diagnostics = tuple(sorted(_render(s, target) for s in finals))
-    return ScansionResult(
-        pattern=check_pattern(_render(stresses, target), target),
-        candidate=ScanCandidate(_applied(sites, mask), target),
-        ambiguous=ambiguous or low < target < high,
-        syllabification=tuple(sw.syllables for sw in words),
-        diagnostics=diagnostics,
-    )
+    return _result(words, _applied(sites, mask), own, target, ambiguous,
+                   diagnostics)
+
+
+def _result(words, applied, stresses, target, ambiguous,
+            diagnostics=()) -> ScansionResult:
+    return ScansionResult(check_pattern(_render(stresses, target), target),
+                          ScanCandidate(applied, target), ambiguous,
+                          tuple([sw.syllables for sw in words]), diagnostics)
 
 
 def scan_line(line: str, lexicon: StressLexicon | None = None,

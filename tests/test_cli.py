@@ -465,6 +465,30 @@ class TestPrepare:
         assert capsys.readouterr().err == "error: poem s1 has line 1 twice\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("ns,unread,number", [
+        (['n="3"', 'n="x"', 'n="2"'], "n 'x'", 2),
+        (['n="2"', 'n="1_0"'], "n '1_0'", 2),
+    ], ids=["not-a-number", "literal-form"])
+    def test_number_by_place_shared_is_data_error(self, ns, unread, number,
+                                                  tmp_path, capsys):
+        # the cause is the n that is no number, not the repeated key the
+        # split would see
+        texts = [LINE, "en tanto que de rosa y azucena",
+                 "goza cuello cabello labio y frente"]
+        tei = tmp_path / "c.xml"
+        tei.write_text(
+            '<TEI><div xml:id="s1">'
+            + "".join(f'<l {n} met="+--+---+-+-">{text}</l>'
+                      for n, text in zip(ns, texts))
+            + "</div></TEI>", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["prepare", "--tei", str(tei), "--out", str(out),
+                     "--ratios", "1,0,0"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {tei}: poem s1: an l with {unread} is numbered {number} "
+            "by its place, a number another line of the poem has\n")
+        assert not out.exists()
+
 
 class TestEvaluateAndScore:
     def test_gold_against_itself(self, gold_tsv, tmp_path, capsys):

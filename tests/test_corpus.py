@@ -19,7 +19,8 @@ from escansion.corpus import (
     write_tsv,
 )
 from escansion.errors import (
-    InsufficientData, MalformedTsv, MalformedXml, UnnormalizableMet)
+    InsufficientData, MalformedTei, MalformedTsv, MalformedXml,
+    UnnormalizableMet)
 
 SONNET_TEI = """<?xml version="1.0" encoding="UTF-8"?>
 <TEI xmlns="http://www.tei-c.org/ns/1.0">
@@ -94,6 +95,42 @@ class TestParseTei:
             '<l n="tres" met="+-+--+-+-+-">goza cuello cabello labio y frente</l>'
             "</lg></div></body></text></TEI>", encoding="utf-8")
         assert [ln.line_no for ln in parse_tei(path)] == [7, 2, 3]
+
+    @pytest.mark.parametrize("n", ["1_0", "+2", " 3", "\u0663"])
+    def test_number_is_ascii_digits(self, tmp_path, n):
+        # int() reads each as a number: 1_0 as 10, the Arabic-Indic ٣ as 3
+        path = tmp_path / "c.xml"
+        path.write_text(
+            '<TEI><div xml:id="p">'
+            f'<l n="{n}" met="+--+---+-+-">cubra de nieve la hermosa cumbre</l>'
+            '<l n="7" met="-+---+---+-">en tanto que de rosa y azucena</l>'
+            "</div></TEI>", encoding="utf-8")
+        assert [ln.line_no for ln in parse_tei(path)] == [1, 7]
+
+    @pytest.mark.parametrize("ns,unread", [
+        (['n="3"', 'n="x"', 'n="2"'], "n 'x'"),
+        (['n="2"', 'n="1_0"'], "n '1_0'"),
+        (['n="x"', 'n="1"'], "n 'x'"),
+        (['n="2"', ""], "no n"),
+    ], ids=["given-after", "literal-form", "given-after-first", "no-n"])
+    def test_number_by_place_shared_is_malformed(self, tmp_path, ns, unread):
+        # a line numbered by its place takes a number another line has,
+        # before or after it
+        texts = ["cubra de nieve la hermosa cumbre",
+                 "en tanto que de rosa y azucena",
+                 "goza cuello cabello labio y frente"]
+        path = tmp_path / "c.xml"
+        path.write_text(
+            '<TEI><div xml:id="s1">'
+            + "".join(f'<l {n} met="+--+---+-+-">{text}</l>'
+                      for n, text in zip(ns, texts))
+            + "</div></TEI>", encoding="utf-8")
+        number = 1 if ns[0] == 'n="x"' else 2
+        with pytest.raises(MalformedTei) as info:
+            parse_tei(path)
+        assert str(info.value) == (
+            f"{path}: poem s1: an l with {unread} is numbered {number} by "
+            "its place, a number another line of the poem has")
 
     def test_malformed_xml(self, tmp_path):
         bad = tmp_path / "bad.xml"

@@ -432,7 +432,12 @@ class TestOracleAgreement:
         # rhythmic template reads; at another target the template is off
         ScanConfig(),
         ScanConfig(emit_diagnostics=True, target_length=12),
-    ], ids=["default-no-diagnostics", "target-12"])
+        # without diagnostics, away from the template, the cheapest subset
+        # is counted out with no ranking at all
+        ScanConfig(target_length=12),
+        ScanConfig(h_blocks_synalepha=True),
+    ], ids=["default-no-diagnostics", "target-12", "target-12-counted",
+            "h-blocks-no-diagnostics"])
     def test_reordered_preference_agrees_with_enumeration(self, lexicon,
                                                           config):
         _check_against_enumeration(lexicon, config)
@@ -541,6 +546,37 @@ def test_every_scan_output_is_a_valid_pattern(text):
     full = scan_line(text, config=ScanConfig(emit_diagnostics=True))
     assert full.pattern == result.pattern
     assert full.pattern in full.diagnostics
+
+
+@given(st.one_of(
+    st.integers(min_value=0, max_value=2 ** 32 - 1).map(
+        lambda seed: wordbank.random_raw_line(random.Random(seed))),
+    st.text(alphabet=_FUZZ_ALPHABET, max_size=80)))
+# at 11 the cheapest subset is not rhythmic, and the ranking finds one that
+# is (stress on 6)
+@example("alta maravilla aire cielo")
+# at 5 the line must lose two syllables with one synalepha to merge: one
+# syneresis joins it
+@example("sol agua río y")
+@settings(max_examples=200, deadline=None)
+def test_counted_subset_equals_the_ranking(text):
+    # diagnostics always rank every subset, so at each target the fit
+    # without them, counted out or ranked, must give the same scan
+    for target in range(2, 17):
+        for h_blocks in (False, True):
+            outcomes = []
+            for diagnostics in (False, True):
+                config = ScanConfig(target, h_blocks, diagnostics)
+                try:
+                    result = scan_line(text, config=config)
+                except EmptyLine:
+                    return
+                except Unfittable as exc:
+                    outcomes.append((str(exc), exc.achievable,
+                                     list(exc.nearest)))
+                else:
+                    outcomes.append(result._replace(diagnostics=()))
+            assert outcomes[0] == outcomes[1], (target, h_blocks)
 
 
 @given(st.one_of(

@@ -10,7 +10,7 @@ inputs are written: from ``perfbench/inputs.py``, cli_novel pool files
 seed 31; and a copy of ``tests/data/scan_guard.txt``, whose lines hold
 the contraction marks, the ``h`` outside ``ch`` and the ``y`` that the
 pool inputs lack. ``python -m escansion scan`` runs on each input from
-both trees under LC_ALL=C.UTF-8, in six modes, and their stdout, stderr
+both trees under LC_ALL=C.UTF-8, in seven modes, and their stdout, stderr
 and exit codes are compared. The first difference is printed and the exit code is 1; with
 none it is 0, and 2 when REV cannot be checked out. The worktree is
 removed on every path. Standard library only.
@@ -36,6 +36,9 @@ MODES = {
     "jsonl --diagnostics": ["--format", "jsonl", "--diagnostics"],
     "jsonl --target-length 8 --h-blocks-synalepha":
         ["--format", "jsonl", "--target-length", "8", "--h-blocks-synalepha"],
+    # away from 11 and without diagnostics the fit counts its subset out;
+    # at 12 most lines fit, where at 8 most are unfittable
+    "jsonl --target-length 12": ["--format", "jsonl", "--target-length", "12"],
     "jsonl --target-length 14 --diagnostics":
         ["--format", "jsonl", "--target-length", "14", "--diagnostics"],
     "jsonl --target-length 16 --diagnostics":
