@@ -67,7 +67,9 @@ def _gram_keys(text: str, nmin: int, nmax: int) -> list[str]:
     for word in clean_text(text).split():
         keys.append(word)
         padded = f"<{word}>"
-        for n in range(nmin, nmax + 1):
+        # no gram is longer than the padded word: the cap bounds the loop
+        # whatever a config or model file gives as nmax
+        for n in range(nmin, min(nmax, len(padded)) + 1):
             keys.extend(padded[i:i + n] for i in range(len(padded) - n + 1))
     return keys
 

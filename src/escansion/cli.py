@@ -37,10 +37,13 @@ def _load_lexicon(path: str | None) -> StressLexicon:
 
 
 def _open_out(path: str | None, source: str | None):
-    """The output ``path``, or stdout for none or ``-``. An output that is
-    the regular file the command reads, ``source`` or stdin when that is
-    None, is refused before opening it for writing empties it."""
+    """The output ``path``, or stdout for none or ``-``, an OSError when
+    stdout is closed. An output that is the regular file the command reads,
+    ``source`` or stdin when that is None, is refused before opening it for
+    writing empties it."""
     if not path or path == "-":
+        if sys.stdout is None:
+            raise OSError("standard output is closed")
         return contextlib.nullcontext(sys.stdout)
     try:
         out = os.stat(path)
@@ -104,6 +107,8 @@ def cmd_scan(args) -> int:
                         and args.format == "jsonl")
     failed = 0
     from_stdin = not args.input or args.input == "-"
+    if from_stdin and sys.stdin is None:
+        raise OSError("standard input is closed")
     src = (numbered_lines("<stdin>", sys.stdin.buffer) if from_stdin
            else numbered_lines(args.input))
     with _open_out(args.output, None if from_stdin else args.input) as out:

@@ -184,11 +184,19 @@ def parse_tei(path) -> list[CorpusLine]:
 
 
 def parse_tei_dir(directory) -> list[CorpusLine]:
-    directory = Path(directory)
-    files = sorted(directory.glob("**/*.xml"))
+    """``parse_tei`` of every ``.xml`` file under ``directory``, in path
+    order. Each poem is read from one file: a poem id, given or automatic,
+    that two files yield raises MalformedTei naming both."""
     lines: list[CorpusLine] = []
-    for f in files:
-        lines.extend(parse_tei(f))
+    owners: dict[str, Path] = {}
+    for f in sorted(Path(directory).glob("**/*.xml")):
+        found = parse_tei(f)
+        for ln in found:
+            first = owners.setdefault(ln.poem_id, f)
+            if first is not f:
+                raise MalformedTei(
+                    f"{f}: poem {ln.poem_id} was read from {first} already")
+        lines.extend(found)
     return lines
 
 

@@ -59,9 +59,11 @@ candidates. Otherwise, and with diagnostics, the line is ranked by one
 dynamic program over the shifting sites in cut order whose state is the
 shift so far and the stresses of positions 4, 6 and 8 for the template:
 at most 8 states per shift, so its cost grows linearly with the sites;
-diagnostics keep every position. Each DP entry carries its subset's cost
-and own stresses, and either path's pattern is read from its subset's
-own stresses.
+diagnostics keep every position. Each state holds only the ``(cost,
+mask)`` of the cheapest subset reaching it, and the DP closes with a
+step past the last stress that has no site, so its states are then the
+final ones. Either path's winning stresses are laid out from its subset
+by ``_place``, with the rule above.
 
 The records a scan takes and gives, ``ScanConfig``, ``FigureSite``,
 ``ScanCandidate`` and ``ScansionResult``, are named tuples: each equals
@@ -323,7 +325,8 @@ def _applied(sites: list[FigureSite], mask: int) -> tuple[FigureSite, ...]:
 
 def _place(stresses: int, steps) -> int:
     """The groups of the ``stresses`` once the ``(cut, shift, _)`` steps, in
-    cut order, are applied: each moves every syllable from its cut on."""
+    cut order, are applied: each moves every syllable from its cut on. Both
+    paths of the fit lay out their winner here."""
     own = at = moved = 0
     for cut, shift, _ in steps:
         own |= (stresses >> at & (1 << cut - at) - 1) << at + moved
@@ -336,16 +339,18 @@ def _rhythmic(stresses: int) -> bool:
     return bool(stresses & 0b100000) or stresses & 0b10001000 == 0b10001000
 
 
-def _unfittable(sites, shifts, low, high, target) -> Unfittable:
+def _unfittable(sites, shifting, low, high, target) -> Unfittable:
     """Every achievable length, ``low`` to ``high``, and the three subsets
     nearest the target, ties by mask: the one applying every site whose
-    shift is toward the target, that one plus its lowest free sites (shift
-    0), then that one with one shifting site flipped, a step further."""
+    shift is toward the target, that one plus its lowest free sites (those
+    not among the ``(cut, shift, i)`` of ``shifting``), then that one with
+    one shifting site flipped, a step further."""
     toward = 1 if target > high else -1
     end = high if target > high else low
-    best = sum(1 << i for i, shift in enumerate(shifts) if shift == toward)
-    free = [1 << i for i, shift in enumerate(shifts) if not shift]
-    flipped = sorted(best ^ 1 << i for i, shift in enumerate(shifts) if shift)
+    best = sum(1 << i for _, shift, i in shifting if shift == toward)
+    moving = {i for _, _, i in shifting}
+    free = [1 << i for i in range(len(sites)) if i not in moving]
+    flipped = sorted(best ^ 1 << i for _, _, i in shifting)
     nearest = ([(end, best)] + [(end, best | bit) for bit in free[:2]]
                + [(end - toward, mask) for mask in flipped[:2]])[:3]
     achievable = range(low, high + 1)
@@ -378,22 +383,25 @@ def fit_to_target(words: ParsedLine, sites: list[FigureSite],
     costs: the leftmost ``max(0, need)`` dieresis sites, and as many
     merges as they exceed ``need`` by. The merges are synalephas while
     there are any, the ones left out being the first in drop order, and
-    past them the leftmost syneresis sites. Its stresses are placed by the
-    sites' cuts, as the DP places them.
+    past them the leftmost syneresis sites. Its stresses are laid out by
+    ``_place`` from the sites' cuts.
 
     Without diagnostics, it is the winner at a target other than 11, and
     at 11 when its pattern is rhythmic. Else one DP over the shifting
-    sites in cut order ranks every subset, on states ``(shift,
-    stresses)``: the sum of the applied shifts so far, and bit i the
-    stress of group i. Before each cut, the line's stresses since the last
-    cut are ORed in, moved by the state's shift; then the site is applied
-    or not. A state that the sites still to come cannot bring to ``need``
-    is dropped, so every state left after the last site is final once the
-    stresses after its cut are ORed in, and its length is the target.
-    ``stresses`` keeps bits 3, 5 and 7 for the rhythmic template, so there
-    are at most 8 states per shift; ``emit_diagnostics`` keeps every bit.
-    Each state keeps the cheapest subset reaching it with its own stress
-    bits, so the winner's pattern is read from them with no second pass.
+    sites in cut order ranks every subset. A state is keyed by ``(shift,
+    kept)``: the sum of the applied shifts so far, and bit i the stress
+    of group i for the kept groups, 3, 5 and 7 for the rhythmic template,
+    so there are at most 8 states per shift; ``emit_diagnostics`` keeps
+    every bit. It holds only ``(cost, mask)``, the cheapest subset
+    reaching it. Before each cut, the line's stresses since the last cut
+    are moved by the state's shift and their kept bits ORed in; then the
+    site is applied or not. A state that the sites still to come cannot
+    bring to ``need`` is dropped. The loop's last step closes it: a step
+    at cut ``top + 1`` with no site, which ORs in the last run and applies
+    nothing, so every state left is final, with the target as its length.
+    The winner, the rhythmic states and the diagnostics are read from
+    those states, and the winner's stresses are laid out from its mask by
+    ``_place``, as the counted subset's are.
     The costs are ``_site_deltas`` of the shifting sites alone: every
     subset the DP compares is made of them, and a sub-list's costs order
     its subsets as the whole list's do, so leaving the others out changes
@@ -422,10 +430,7 @@ def fit_to_target(words: ParsedLine, sites: list[FigureSite],
             up += 1
     low, high = top + 2 - down, top + 2 + up
     if not low <= target <= high:
-        shifts = [0] * len(sites)
-        for _, shift, i in shifting:
-            shifts[i] = shift
-        raise _unfittable(sites, shifts, low, high, target)
+        raise _unfittable(sites, shifting, low, high, target)
 
     need = target - top - 2  # the shift that puts the last stress on target-2
     # the cheapest subset, counted out: the fewest dieresis sites, then the
@@ -444,48 +449,43 @@ def fit_to_target(words: ParsedLine, sites: list[FigureSite],
                        target, ambiguous)
 
     # the template tier or diagnostics: rank every subset
-    rhythmic = target == 11
     keep = -1 if config.emit_diagnostics else 0b10101000
-    # (shift so far, kept stresses) -> (cost, mask, the mask's own stresses)
-    states = {(0, 0): (0, 0, 0)}
+    # (shift so far, kept stresses) -> (cost, mask)
+    states = {(0, 0): (0, 0)}
     at = 0
+    # the shifts so far that the sites still to come can bring to need
+    lo, hi = need - up, need + down
     # the shifting sites in cut order, costed among themselves
-    deltas = _site_deltas(shifted)
-    steps = sorted((cut, shift, added, 1 << i)
-                   for (cut, shift, i), added in zip(shifting, deltas))
-    for cut, shift, added, bit in steps:
-        down, up = down - (shift < 0), up - (shift > 0)
+    steps = sorted((cut, shift, 1 << i, added) for (cut, shift, i), added
+                   in zip(shifting, _site_deltas(shifted)))
+    # the close: a step past the last stress with no site, which brings in
+    # the last run and applies nothing
+    for cut, shift, bit, added in steps + [(top + 1, 0, 0, 0)]:
+        lo, hi = lo + (shift > 0), hi - (shift < 0)
         run = stresses >> at & (1 << cut - at) - 1
-        grown: dict[tuple[int, int], tuple[int, int, int]] = {}
-        for (moved, _), (cost, mask, own) in states.items():
-            own |= run << at + moved
-            gap = need - moved  # the sites still to come must close it
-            if -down <= gap <= up:  # skip the site
-                key = (moved, own & keep)
+        grown: dict[tuple[int, int], tuple[int, int]] = {}
+        for (moved, kept), (cost, mask) in states.items():
+            kept |= run << at + moved & keep
+            if lo <= moved <= hi:  # skip the site
+                key = (moved, kept)
                 seen = grown.get(key)
                 if seen is None or cost < seen[0]:
-                    grown[key] = (cost, mask, own)
-            if -down <= gap - shift <= up:  # apply it
-                key = (moved + shift, own & keep)
+                    grown[key] = (cost, mask)
+            if bit and lo <= moved + shift <= hi:  # apply it
+                key = (moved + shift, kept)
                 seen = grown.get(key)
                 if seen is None or cost + added < seen[0]:
-                    grown[key] = (cost + added, mask | bit, own)
+                    grown[key] = (cost + added, mask | bit)
         states, at = grown, cut
 
-    # every state left is final: its last stress is on group target-2 once
-    # the stresses after the last cut are brought in
-    tail = stresses >> at
-    finals: dict[int, tuple[int, int, int]] = {}
-    for (moved, _), (cost, mask, own) in states.items():
-        own |= tail << at + moved
-        seen = finals.get(own & keep)
-        if seen is None or cost < seen[0]:
-            finals[own & keep] = (cost, mask, own)
-    hits = [s for s in finals if rhythmic and _rhythmic(s)]
-    _, mask, own = min(finals[s] for s in hits or finals)
+    # every state left is final, its last stress on group target-2
+    hits = [key for key in states if target == 11 and _rhythmic(key[1])]
+    _, mask = min(states[key] for key in hits or states)
     diagnostics = ()
     if config.emit_diagnostics:
-        diagnostics = tuple(sorted(_render(s, target) for s in finals))
+        diagnostics = tuple(sorted(_render(kept, target) for _, kept in states))
+    own = _place(stresses, [(cut, shift, bit) for cut, shift, bit, _
+                            in steps if bit & mask])
     return _result(words, _applied(sites, mask), own, target, ambiguous,
                    diagnostics)
 

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from escansion.baseline import (
     predict_scores,
     save_model,
     train,
+    _gram_keys,
     _pattern_targets,
 )
 from escansion.errors import CorruptModelFile, EmptyTrainingSet
@@ -60,6 +64,18 @@ class TestFeaturize:
         ids = featurize("zzyzx", vocab)
         assert ids
         assert all(base <= i < base + 16 for i in ids)
+
+    def test_ngram_max_past_the_longest_word_is_bounded(self):
+        # no gram is longer than its padded word, so a huge ngram_max, from
+        # a config or a model file, gives the keys of the longest word's
+        # length; a child with a time limit, so an unbounded loop fails
+        line = "en tanto que de rosa y azucena"
+        script = ("from escansion.baseline import _gram_keys\n"
+                  f"print(_gram_keys({line!r}, 3, 10 ** 9))\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{_gram_keys(line, 3, len('<azucena>'))}\n"
 
     def test_size(self):
         vocab = FeatureVocab({"a": 0, "b": 1}, bucket_count=10,

@@ -465,6 +465,21 @@ class TestPrepare:
         assert capsys.readouterr().err == "error: poem s1 has line 1 twice\n"
         assert not out.exists()
 
+    def test_poem_read_from_two_files_is_data_error(self, tmp_path, capsys):
+        # two files of one stem give their poems one automatic id
+        first, second = tmp_path / "a" / "x.xml", tmp_path / "b" / "x.xml"
+        for path, text in ((first, LINE),
+                           (second, "en tanto que de rosa y azucena")):
+            path.parent.mkdir()
+            path.write_text(f'<TEI><lg><l n="1" met="+--+---+-+-">{text}'
+                            "</l></lg></TEI>", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["prepare", "--tei", str(tmp_path), "--out", str(out),
+                     "--ratios", "1,0,0"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {second}: poem x-0001 was read from {first} already\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("ns,unread,number", [
         (['n="3"', 'n="x"', 'n="2"'], "n 'x'", 2),
         (['n="2"', 'n="1_0"'], "n '1_0'", 2),
@@ -852,6 +867,26 @@ class TestUnreadableInput:
             written = proc.stdout.decode("utf-8").splitlines()
             assert len(written) == 400
             assert len(set(written)) == 1 and "+--+---+-+-" in written[0]
+
+    @pytest.mark.parametrize("case", [
+        "scan-stdin", "scan-stdout", "predict-stdout"])
+    def test_closed_standard_stream_is_one_error_line(self, case, tmp_path):
+        # a child started with fd 0 or fd 1 closed gets sys.stdin or
+        # sys.stdout as None
+        verses = tmp_path / "verses.txt"
+        verses.write_text(LINE + "\n", encoding="utf-8")
+        fd, argv = {
+            "scan-stdin": (0, ["scan"]),
+            "scan-stdout": (1, ["scan", verses]),
+            "predict-stdout": (1, ["baseline", "predict", "--model",
+                                   _tiny_model(tmp_path), "--input", verses]),
+        }[case]
+        proc = subprocess.run(
+            [sys.executable, "-m", "escansion", *map(str, argv)],
+            stderr=subprocess.PIPE, text=True, preexec_fn=lambda: os.close(fd))
+        assert proc.returncode == 1
+        name = "input" if fd == 0 else "output"
+        assert proc.stderr == f"error: standard {name} is closed\n"
 
     @pytest.mark.parametrize("reader", [
         "evaluate-gold", "score-pred", "predict-input", "scan-lexicon"])

@@ -13,6 +13,7 @@ from escansion.corpus import (
     dedupe_and_clean,
     normalize_met,
     parse_tei,
+    parse_tei_dir,
     read_tsv,
     split,
     write_split,
@@ -150,6 +151,36 @@ class TestParseTei:
         parsed = parse_tei(path)
         assert len(parsed) == 14
         assert [ln.gold for ln in parsed] == [ln.gold for ln in sonnet]
+
+
+class TestParseTeiDir:
+    @pytest.mark.parametrize("bodies,pid", [
+        # two files of one stem give the same automatic id
+        ({"a/x.xml": '<lg><l n="1" met="+--+---+-+-">cubra de nieve</l></lg>',
+          "b/x.xml": '<lg><l n="1" met="-+---+---+-">en tanto que</l></lg>'},
+         "x-0001"),
+        # with no number in common, the two would merge into one poem
+        ({"a/x.xml": '<lg><l n="1" met="+--+---+-+-">cubra de nieve</l></lg>',
+          "b/x.xml": '<lg><l n="2" met="-+---+---+-">en tanto que</l></lg>'},
+         "x-0001"),
+        # a given id, and a line of the second file numbered by its place
+        ({"a.xml": '<div xml:id="s1"><l n="2" met="+--+---+-+-">cubra</l>'
+                   "</div>",
+          "b.xml": '<div xml:id="s1"><l n="5" met="+--+---+-+-">rosa</l>'
+                   '<l n="y" met="-+---+---+-">en tanto que</l></div>'},
+         "s1"),
+    ], ids=["same-stem", "same-stem-disjoint-numbers", "given-id"])
+    def test_poem_read_from_two_files_is_malformed(self, tmp_path, bodies,
+                                                   pid):
+        for name, body in bodies.items():
+            path = tmp_path / name
+            path.parent.mkdir(exist_ok=True)
+            path.write_text(f"<TEI>{body}</TEI>", encoding="utf-8")
+        first, second = sorted(tmp_path / name for name in bodies)
+        with pytest.raises(MalformedTei) as info:
+            parse_tei_dir(tmp_path)
+        assert str(info.value) == \
+            f"{second}: poem {pid} was read from {first} already"
 
 
 class TestNormalizeMet:

@@ -314,6 +314,26 @@ class TestFitAndScan:
 
         assert seconds(23) <= 5 * seconds(11)
 
+    def test_ranking_keys_states_by_the_template_positions(self, lexicon,
+                                                           monkeypatch):
+        # at 11 the cheapest subset of this line is not rhythmic, so the
+        # ranking runs. Without diagnostics its states keep only groups 3,
+        # 5 and 7, so it ends on at most 8 states, each tested once for the
+        # template after the counted subset, where the fitting patterns
+        # number 218; keeping every group would give the same scan
+        line = "oía aire oía caía aire aldea oía aula"
+        words = phonological_parse(line, lexicon)
+        sites = find_figure_sites(words)
+        full = fit_to_target(words, sites, ScanConfig(emit_diagnostics=True))
+        assert len(full.diagnostics) == 218
+        tested = []
+        rhythmic = scansion._rhythmic
+        monkeypatch.setattr(scansion, "_rhythmic",
+                            lambda s: tested.append(s) or rhythmic(s))
+        result = fit_to_target(words, sites, ScanConfig())
+        assert result == full._replace(diagnostics=())
+        assert 1 < len(tested) <= 1 + 8
+
 
 class TestPatternOf:
     def test_check_pattern_rules(self):
