@@ -7,6 +7,13 @@ vocabulary built on the training set; unseen grams at prediction time
 hash into a fixed bucket range. Training is plain per-example SGD on the
 summed binary cross-entropy of the 11 heads, with early stopping on
 exact-match accuracy over the evaluation set.
+
+Each example's ids become index arrays once, before the first epoch: the
+ids in order, and the 2nd, 3rd, ... occurrences of the ids that repeat.
+A step adds to every occurrence of an id, in occurrence order, through
+them, so every weight gets the same float adds in the same order as
+numpy's ``add.at`` scatter, which the trainer used before: the weights
+and model files are bit-identical to that trainer's.
 """
 
 from __future__ import annotations
@@ -121,10 +128,41 @@ def _pattern_targets(pattern: str) -> np.ndarray:
     return np.array([1.0 if c == "+" else 0.0 for c in pattern])
 
 
-def _hidden(embeddings: np.ndarray, ids: list[int]) -> np.ndarray:
-    if not ids:
+def _hidden(embeddings: np.ndarray, ids) -> np.ndarray:
+    """The mean of the ``ids`` rows, a list or an index array: the sum and
+    the division ``ndarray.mean`` makes, without its wrapper."""
+    if not len(ids):
         return np.zeros(embeddings.shape[1])
-    return embeddings[ids].mean(axis=0)
+    return embeddings[ids].sum(axis=0) / len(ids)
+
+
+def _index_arrays(ids: list[int]) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """An example's ids as an index array, in order, and the repeats: the
+    ids' 2nd occurrences, then their 3rd, and so on, each array holding
+    distinct ids."""
+    seen: dict[int, int] = {}
+    repeats: list[list[int]] = []
+    for i in ids:
+        k = seen.get(i, 0)
+        seen[i] = k + 1
+        if k:
+            if k > len(repeats):
+                repeats.append([])
+            repeats[k - 1].append(i)
+    return (np.array(ids, dtype=np.intp),
+            tuple(np.array(rows, dtype=np.intp) for rows in repeats))
+
+
+def _scatter_add(target: np.ndarray, feature, value: np.ndarray) -> None:
+    """Add ``value`` to ``target``'s row of every id of ``feature``, once per
+    occurrence, as numpy's ``add.at`` would: the fancy-index add reaches each
+    distinct id once, then each repeat array adds one occurrence more. Every
+    element gets the same float adds in the same order, so the result is
+    bit-identical."""
+    ids, repeats = feature
+    target[ids] += value
+    for rows in repeats:
+        target[rows] += value
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -149,20 +187,22 @@ def loss_and_grads(embeddings, head_weights, head_biases, examples):
 
     ``examples`` is a list of (feature ids, 11-dim target vector) pairs.
     Exposed so the gradients can be checked against finite differences;
-    ``train`` takes its steps from the same ``_example_step``.
+    ``train`` takes its steps from the same ``_example_step`` and
+    ``_scatter_add``.
     """
     grad_e = np.zeros_like(embeddings)
     grad_w = np.zeros_like(head_weights)
     grad_b = np.zeros_like(head_biases)
     loss = 0.0
     for ids, targets in examples:
+        feature = _index_arrays(ids)
         example_loss, h, g = _example_step(embeddings, head_weights,
-                                           head_biases, ids, targets)
+                                           head_biases, feature[0], targets)
         loss += example_loss
         grad_w += np.outer(g, h)
         grad_b += g
         if ids:
-            np.add.at(grad_e, ids, (head_weights.T @ g) / len(ids))
+            _scatter_add(grad_e, feature, (head_weights.T @ g) / len(ids))
     n = len(examples)
     return loss / n, grad_e / n, grad_w / n, grad_b / n
 
@@ -206,9 +246,11 @@ def train(train_set, eval_set, config: TrainConfig | None = None) -> PositionalS
     head_weights = np.zeros((PATTERN_LENGTH, dim))
     head_biases = np.zeros(PATTERN_LENGTH)
 
-    features = [featurize(text, vocab) for text, _ in train_pairs]
+    # index arrays built once: every step and eval pass reuses them
+    features = [_index_arrays(featurize(text, vocab)) for text, _ in train_pairs]
     targets = [_pattern_targets(pattern) for _, pattern in train_pairs]
-    eval_feats = [(featurize(text, vocab), pattern) for text, pattern in eval_pairs]
+    eval_feats = [(np.array(featurize(text, vocab), dtype=np.intp), pattern)
+                  for text, pattern in eval_pairs]
 
     def eval_accuracy() -> float:
         if not eval_feats:
@@ -228,15 +270,16 @@ def train(train_set, eval_set, config: TrainConfig | None = None) -> PositionalS
         order = rng.permutation(len(train_pairs))
         epoch_loss = 0.0
         for idx in order:
-            ids, y = features[idx], targets[idx]
+            feature, y = features[idx], targets[idx]
+            ids = feature[0]
             loss, h, g = _example_step(embeddings, head_weights, head_biases,
                                        ids, y)
             epoch_loss += loss
             grad_h = head_weights.T @ g
             head_weights -= lr * np.outer(g, h)
             head_biases -= lr * g
-            if ids:
-                np.add.at(embeddings, ids, -lr * grad_h / len(ids))
+            if len(ids):
+                _scatter_add(embeddings, feature, -lr * grad_h / len(ids))
         acc = eval_accuracy()
         history.append({"epoch": epoch,
                         "train_loss": epoch_loss / len(train_pairs),

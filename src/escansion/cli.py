@@ -36,15 +36,21 @@ def _load_lexicon(path: str | None) -> StressLexicon:
     return default_lexicon()
 
 
+def _stdout():
+    """``sys.stdout``, or an OSError when it is closed: ``print`` would drop
+    every line in silence. Each command that reports on stdout calls it
+    before it reads or writes anything."""
+    if sys.stdout is None:
+        raise OSError("standard output is closed")
+    return sys.stdout
+
+
 def _open_out(path: str | None, source: str | None):
-    """The output ``path``, or stdout for none or ``-``, an OSError when
-    stdout is closed. An output that is the regular file the command reads,
-    ``source`` or stdin when that is None, is refused before opening it for
-    writing empties it."""
+    """The output ``path``, or ``_stdout()`` for none or ``-``. An output
+    that is the regular file the command reads, ``source`` or stdin when
+    that is None, is refused before opening it for writing empties it."""
     if not path or path == "-":
-        if sys.stdout is None:
-            raise OSError("standard output is closed")
-        return contextlib.nullcontext(sys.stdout)
+        return contextlib.nullcontext(_stdout())
     try:
         out = os.stat(path)
         src = (os.fstat(sys.stdin.fileno()) if source is None
@@ -137,6 +143,7 @@ def cmd_scan(args) -> int:
 def cmd_prepare(args) -> int:
     import logging
     from . import corpus
+    _stdout()  # the report goes there: a closed one fails first
     # the one command that logs: parse_tei warns about skipped lines
     logging.basicConfig(level=logging.WARNING,
                         format="%(levelname)s %(message)s")
@@ -188,6 +195,7 @@ def _print_report(report, as_json: bool) -> None:
 
 def cmd_evaluate(args) -> int:
     from . import corpus, metrics
+    _stdout()  # the report goes there: a closed one fails first
     if args.engine and args.pred:
         raise DataError("--engine and a predictions file are mutually exclusive")
     gold = corpus.read_tsv(args.gold)
@@ -214,6 +222,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_baseline_train(args) -> int:
     from . import baseline, corpus
+    _stdout()  # the report goes there: a closed one fails first
     train_set = corpus.read_tsv(args.train)
     eval_set = corpus.read_tsv(args.eval) if args.eval else []
     config = baseline.TrainConfig(

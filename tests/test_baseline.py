@@ -16,8 +16,11 @@ from escansion.baseline import (
     predict_scores,
     save_model,
     train,
+    _bce,
     _gram_keys,
     _pattern_targets,
+    _scores_to_pattern,
+    _sigmoid,
 )
 from escansion.errors import CorruptModelFile, EmptyTrainingSet
 from escansion.metrics import PATTERN_LENGTH
@@ -191,6 +194,97 @@ class TestTrain:
         lines = wordbank.synthetic_corpus(8, seed=3)
         model = train(lines, lines[:2], _tiny_config(epochs=2))
         assert model.train_meta["epochs_run"] == 2
+
+
+def _reference_train(train_pairs, eval_pairs, config):
+    """``train`` as it stood with numpy's unbuffered ``np.add.at`` scatter
+    and ``ndarray.mean``: the weights and ``train_meta`` it gives."""
+    vocab = build_vocab([text for text, _ in train_pairs], config)
+    rng = np.random.default_rng(config.seed)
+    dim, lr = config.embedding_dim, config.learning_rate
+    emb = rng.uniform(-0.5 / dim, 0.5 / dim, size=(vocab.size, dim))
+    weights = np.zeros((PATTERN_LENGTH, dim))
+    biases = np.zeros(PATTERN_LENGTH)
+    features = [featurize(text, vocab) for text, _ in train_pairs]
+    targets = [_pattern_targets(pattern) for _, pattern in train_pairs]
+    evals = [(featurize(text, vocab), pattern) for text, pattern in eval_pairs]
+
+    def hidden(ids):
+        return emb[ids].mean(axis=0) if ids else np.zeros(dim)
+
+    best, stale, history = (-1.0, None), 0, []
+    for epoch in range(1, config.epochs + 1):
+        total = 0.0
+        for idx in rng.permutation(len(train_pairs)):
+            ids, y = features[idx], targets[idx]
+            h = hidden(ids)
+            scores = weights @ h + biases
+            total += _bce(scores, y)
+            g = _sigmoid(scores) - y
+            grad_h = weights.T @ g
+            weights -= lr * np.outer(g, h)
+            biases -= lr * g
+            if ids:
+                np.add.at(emb, ids, -lr * grad_h / len(ids))
+        acc = (100.0 * sum(_scores_to_pattern(weights @ hidden(ids) + biases)
+                           == pattern for ids, pattern in evals) / len(evals)
+               if evals else None)
+        history.append({"epoch": epoch, "train_loss": total / len(train_pairs),
+                        "eval_exact_match": acc})
+        if evals:
+            if acc > best[0]:
+                best = (acc, (emb.copy(), weights.copy(), biases.copy()))
+                stale = 0
+            else:
+                stale += 1
+                if stale >= config.patience:
+                    break
+    if best[1] is not None:
+        emb, weights, biases = best[1]
+    meta = {"epochs_requested": config.epochs, "epochs_run": len(history),
+            "learning_rate": lr, "seed": config.seed,
+            "patience": config.patience, "history": history}
+    return emb, weights, biases, meta
+
+
+class TestBitIdentity:
+    # "polvo" twice, the 1-grams of every word several times, and a line of
+    # punctuation, which featurizes to nothing, in train and eval
+    EMPTY = ("... ;", "+--+---+-+-")
+    CORPUS = [(ln.text, ln.gold) for ln in wordbank.synthetic_corpus(30, seed=4)]
+
+    @pytest.mark.parametrize("case", ["tiny", "ngram-min-1", "early-stop",
+                                      "corpus"])
+    def test_train_matches_the_add_at_trainer(self, case):
+        train_pairs, eval_pairs, config = {
+            "tiny": (TINY + [self.EMPTY], [], _tiny_config(epochs=4)),
+            "ngram-min-1": (TINY + [self.EMPTY], TINY[:2] + [self.EMPTY],
+                            _tiny_config(ngram_min=1, ngram_max=2, epochs=6,
+                                         learning_rate=0.5)),
+            # patience 1 and unreachable eval gold: the best epoch is the
+            # first and training stops at the second
+            "early-stop": (TINY + [self.EMPTY],
+                           [("xyzzy plugh", "+++++++++++"), self.EMPTY],
+                           _tiny_config(epochs=8, patience=1)),
+            "corpus": (self.CORPUS[:24] + [self.EMPTY], self.CORPUS[24:],
+                       _tiny_config(ngram_min=1, ngram_max=3, epochs=6,
+                                    embedding_dim=12)),
+        }[case]
+        vocab = build_vocab([text for text, _ in train_pairs], config)
+        counts = [max(map(ids.count, ids), default=0)
+                  for ids in (featurize(t, vocab) for t, _ in train_pairs)]
+        # ids repeat, with 1-grams three times or more, and a line has none
+        assert max(counts) >= (3 if config.ngram_min == 1 else 2)
+        assert 0 in counts
+        model = train(train_pairs, eval_pairs, config)
+        emb, weights, biases, meta = _reference_train(train_pairs,
+                                                      eval_pairs, config)
+        assert np.array_equal(model.embeddings, emb)
+        assert np.array_equal(model.head_weights, weights)
+        assert np.array_equal(model.head_biases, biases)
+        assert model.train_meta == meta
+        if case == "early-stop":
+            assert meta["epochs_run"] == 2
 
 
 class TestPredict:

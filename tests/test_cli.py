@@ -869,17 +869,31 @@ class TestUnreadableInput:
             assert len(set(written)) == 1 and "+--+---+-+-" in written[0]
 
     @pytest.mark.parametrize("case", [
-        "scan-stdin", "scan-stdout", "predict-stdout"])
-    def test_closed_standard_stream_is_one_error_line(self, case, tmp_path):
+        "scan-stdin", "scan-stdout", "predict-stdout", "evaluate-stdout",
+        "score-stdout", "prepare-stdout", "train-stdout"])
+    def test_closed_standard_stream_is_one_error_line(self, case, tmp_path,
+                                                      gold_tsv):
         # a child started with fd 0 or fd 1 closed gets sys.stdin or
-        # sys.stdout as None
+        # sys.stdout as None. evaluate and score name inputs that do not
+        # exist, so reading one first would give another error; prepare
+        # and train name real inputs, and write nothing
         verses = tmp_path / "verses.txt"
         verses.write_text(LINE + "\n", encoding="utf-8")
+        tei = tmp_path / "c.xml"
+        tei.write_text(SONNET_TEI, encoding="utf-8")
+        missing = tmp_path / "missing.tsv"
+        written = tmp_path / "written"
         fd, argv = {
             "scan-stdin": (0, ["scan"]),
             "scan-stdout": (1, ["scan", verses]),
             "predict-stdout": (1, ["baseline", "predict", "--model",
                                    _tiny_model(tmp_path), "--input", verses]),
+            "evaluate-stdout": (1, ["evaluate", "--engine", "--gold", missing]),
+            "score-stdout": (1, ["score", "--gold", missing, "--pred", missing]),
+            "prepare-stdout": (1, ["prepare", "--tei", tei, "--out", written]),
+            "train-stdout": (1, ["baseline", "train", "--train", gold_tsv,
+                                 "--model", written, "--dim", "4",
+                                 "--epochs", "1", "--buckets", "8"]),
         }[case]
         proc = subprocess.run(
             [sys.executable, "-m", "escansion", *map(str, argv)],
@@ -887,6 +901,7 @@ class TestUnreadableInput:
         assert proc.returncode == 1
         name = "input" if fd == 0 else "output"
         assert proc.stderr == f"error: standard {name} is closed\n"
+        assert not written.exists()
 
     @pytest.mark.parametrize("reader", [
         "evaluate-gold", "score-pred", "predict-input", "scan-lexicon"])

@@ -295,24 +295,32 @@ class TestFitAndScan:
             pass
         assert time.perf_counter() - start < 1.0
 
-    def test_state_stays_bounded_as_target_grows(self, lexicon):
-        # at most 8 states per shift whatever the target: target 23 costs
-        # about what 11 does
-        line = "la alma oía a Eva e Inés y Olga " * 3
+    def test_state_stays_bounded_as_the_line_grows(self, lexicon,
+                                                   monkeypatch):
+        # the fit's cost grows linearly with the line: the DP keeps at most
+        # 8 states per shift, so of two lines it ranks at 11, one with 17
+        # shifting sites costs about twice what one with 9 does. Keying
+        # states by every stress bit makes it about 8 times
+        ranked = []
+        deltas = scansion._site_deltas
+        monkeypatch.setattr(scansion, "_site_deltas",
+                            lambda s: ranked.append(len(s)) or deltas(s))
 
-        def seconds(target):
-            config = ScanConfig(target_length=target)
+        def seconds(line):
+            words = phonological_parse(line, lexicon)
+            sites = find_figure_sites(words)
             best = float("inf")
-            for _ in range(3):
+            for _ in range(20):
                 start = time.perf_counter()
-                try:
-                    scan_line(line, lexicon, config)
-                except Unfittable:
-                    pass
+                fit_to_target(words, sites, ScanConfig())
                 best = min(best, time.perf_counter() - start)
             return best
 
-        assert seconds(23) <= 5 * seconds(11)
+        short = seconds("aura Eva aula u aéreo u")
+        long = seconds("reía ea leía y e reía leía aéreo Olga aire")
+        # each fit reached the DP, which costs the shifting sites alone
+        assert ranked == [9] * 20 + [17] * 20
+        assert long <= 4 * short
 
     def test_ranking_keys_states_by_the_template_positions(self, lexicon,
                                                            monkeypatch):
