@@ -55,15 +55,17 @@ can, the leftmost, and makes the merges still needed with synalephas,
 releasing the first in drop order, and once those run out with the
 leftmost syneresis sites. That subset wins at any target but 11, and at
 11 whenever it is rhythmic, since the template only promotes rhythmic
-candidates. Otherwise, and with diagnostics, the line is ranked by one
-dynamic program over the shifting sites in cut order whose state is the
-shift so far and the stresses of positions 4, 6 and 8 for the template:
-at most 8 states per shift, so its cost grows linearly with the sites;
-diagnostics keep every position. Each state holds only the ``(cost,
-mask)`` of the cheapest subset reaching it, and the DP closes with a
-step past the last stress that has no site, so its states are then the
-final ones. Either path's winning stresses are laid out from its subset
-by ``_place``, with the rule above.
+candidates. Otherwise the template tier is counted too: a rhythmic subset
+puts a stressed syllable s on group 5, or two, s1 < s2, on groups 3 and
+7, so each such choice cuts the shifting sites into segments, each with
+the shift it must make and its own cheapest subset by the same count.
+Costs are sums over sites, so the cheapest rhythmic subset is the
+cheapest union of segment picks, each costed in O(1) from prefix sums:
+O(n + k^2) for n sites and k stressed syllables. When no subset is
+rhythmic the counted subset wins. Diagnostics list every fitting pattern
+from one pass over the shifting sites in cut order whose states, a set of
+(shift, stresses) pairs, carry no cost and keep every position. Every
+winner's stresses are laid out by ``_place``, with the rule above.
 
 The records a scan takes and gives, ``ScanConfig``, ``FigureSite``,
 ``ScanCandidate`` and ``ScansionResult``, are named tuples: each equals
@@ -249,32 +251,23 @@ def find_figure_sites(words: ParsedLine,
 
 # --- candidate evaluation ---------------------------------------------------
 
-def _tiers(sites: list[FigureSite]) -> tuple[list[int], list[int], list[int]]:
-    """The indices of ``sites`` by tier: the synalephas in drop order (those
+def _rank_costs(ends: tuple[int, ...]) -> list[int]:
+    """What applying sites adds to a subset's cost, as prefix sums over
+    the shifting sites in rank order: the synalephas in drop order (those
     touching a stress or an h first, each group left to right), then the
-    syneresis sites and the dieresis sites, each left to right."""
-    released, held, syneresis, dieresis = [], [], [], []
-    for i, (kind, _, stress, h) in enumerate(sites):
-        if kind == "synalepha":
-            (released if stress or h else held).append(i)
-        elif kind == "syneresis":
-            syneresis.append(i)
-        else:
-            dieresis.append(i)
-    return released + held, syneresis, dieresis
+    syneresis sites and the dieresis sites, each left to right. ``ends``
+    holds the rank each of the four tiers ends at: the released
+    synalephas, the held ones, the syneresis and the dieresis sites. Entry
+    k is the cost of ranks 0 to k-1, so the ranks of a slice cost its stop
+    entry less its start entry.
 
-
-def _site_deltas(sites: list[FigureSite]) -> list[int]:
-    """Per site, what applying it adds to a subset's cost.
-
-    A subset's cost is the sum of these over its sites, plus a constant,
-    and orders subsets as the preference does. Each tier has its own bit
-    field, so no tier carries into the one above; from the most
-    significant down:
+    A subset's cost is the sum over its sites, plus a constant, and orders
+    subsets as the preference does. Each tier has its own bit field, so no
+    tier carries into the one above; from the most significant down:
 
     * one count per figure, dieresis highest, then syneresis, synalepha
       (syneresis and dieresis count when applied, synalepha when left out);
-    * the drop ranks of the released synalephas, in ``_tiers``' order;
+    * the drop ranks of the released synalephas;
     * the positions of the applied syneresis sites, then dieresis sites.
 
     On equal counts the tuples in the last two tiers have equal sizes, and
@@ -282,31 +275,27 @@ def _site_deltas(sites: list[FigureSite]) -> list[int]:
     indices out of n is the one with the larger sum of 2^(n-1-index). So
     each of those fields sums 2^(n-1-index) over the indices left out of
     its tuple: the applied synalephas, the syneresis and dieresis sites
-    not applied. Ranked in one order, synalephas by drop rank, then
-    syneresis, then dieresis sites, the site of rank k owns bit n-1-k of
-    the n tie bits, and distinct subsets get distinct costs.
+    not applied. In rank order, the site of rank k owns bit n-1-k of the
+    n tie bits, and distinct subsets get distinct costs.
 
     Every tier compares sites by kind, flags and list order alone, so the
     costs of a sub-list order its subsets as the whole list's costs do:
     the fit passes only the sites that can shift the line.
     """
-    n = len(sites)
-    drop, syneresis, dieresis = _tiers(sites)
+    n = ends[3]
     width = n.bit_length()
-    deltas = [0] * n
+    costs, cost = [0], 0
     tie = 1 << n  # halved before each rank, so rank k gets bit n-1-k
-    for i in drop:
+    for rank in range(n):
         tie >>= 1
-        deltas[i] = tie - (1 << n)
-    count = 1 << n + width
-    for i in syneresis:
-        tie >>= 1
-        deltas[i] = count - tie
-    count <<= width
-    for i in dieresis:
-        tie >>= 1
-        deltas[i] = count - tie
-    return deltas
+        if rank < ends[1]:
+            cost += tie - (1 << n)
+        elif rank < ends[2]:
+            cost += (1 << n + width) - tie
+        else:
+            cost += (1 << n + 2 * width) - tie
+        costs.append(cost)
+    return costs
 
 
 _SYMBOLS = str.maketrans("01", "-+")
@@ -325,8 +314,8 @@ def _applied(sites: list[FigureSite], mask: int) -> tuple[FigureSite, ...]:
 
 def _place(stresses: int, steps) -> int:
     """The groups of the ``stresses`` once the ``(cut, shift, _)`` steps, in
-    cut order, are applied: each moves every syllable from its cut on. Both
-    paths of the fit lay out their winner here."""
+    cut order, are applied: each moves every syllable from its cut on.
+    Every winner's stresses are laid out here."""
     own = at = moved = 0
     for cut, shift, _ in steps:
         own |= (stresses >> at & (1 << cut - at) - 1) << at + moved
@@ -337,6 +326,99 @@ def _place(stresses: int, steps) -> int:
 def _rhythmic(stresses: int) -> bool:
     """The classical template: stress on 6, or on 4 and 8."""
     return bool(stresses & 0b100000) or stresses & 0b10001000 == 0b10001000
+
+
+def _pick(lo, hi, shift):
+    """The cheapest subset of the shifting sites whose ranks lie from the
+    tier offsets ``lo`` up to ``hi`` (released, held, syneresis, dieresis)
+    that shifts them by ``shift``, which one of them must: the leftmost
+    ``max(0, shift)`` dieresis sites, and as many merges as they exceed
+    ``shift`` by, synalephas while there are any, the ones left out being
+    the first in drop order, and past them the leftmost syneresis sites.
+    It is given as one slice of ranks per tier."""
+    released, held, fusing, splitting = lo
+    released_end, held_end, _, _ = hi
+    splits = shift if shift > 0 else 0
+    fused = splits - shift - (released_end - released) - (held_end - held)
+    if fused < 0:
+        fused = 0
+    joined = splits - shift - fused  # the last synalephas in drop order
+    kept = joined if joined < held_end - held else held_end - held
+    return (slice(splitting, splitting + splits),
+            slice(fusing, fusing + fused), slice(held_end - kept, held_end),
+            slice(released_end - joined + kept, released_end))
+
+
+def _lay_out(stresses: int, shifting, order: list[int], runs):
+    """The indices into ``shifting`` of the ranks in the slices ``runs``, in
+    order, and the groups of the ``stresses`` once those sites apply."""
+    picked = []
+    for run in runs:
+        picked += order[run]
+    picked.sort()
+    return picked, _place(stresses, sorted([shifting[k] for k in picked]))
+
+
+def _template(stresses: int, top: int, need: int, cuts: list[int],
+              starts: tuple[int, ...], ends: tuple[int, ...]):
+    """The runs of the cheapest rhythmic subset, or None when no subset is
+    rhythmic; ``cuts`` is each rank's cut. A choice of s on group 5, or of
+    s1 on 3 and s2 on 7, cuts the sites into segments, each picked by
+    ``_pick`` and costed in O(1) from ``_rank_costs``; costs are sums over
+    sites, so the choice's cheapest subset is the union of its segments'
+    picks. The tier offsets are read only at the stressed syllables, and
+    the prefix (to group 3 or 5) and suffix (from 5 or 7) of each s are
+    costed once, the middle of a pair once per pair: at most 4k + k(k-1)/2
+    segments for the k stressed syllables before ``top``."""
+    costs = _rank_costs(ends)
+    down, up = ends[2], ends[3] - ends[2]  # merges and splits in all
+
+    def priced(lo, hi, shift):
+        d, y, h, r = runs = _pick(lo, hi, shift)
+        return (costs[d.stop] - costs[d.start] + costs[y.stop] - costs[y.start]
+                + costs[h.stop] - costs[h.start] + costs[r.stop]
+                - costs[r.start]), runs
+
+    choices, heads = [], []
+    released, held, fusing, splitting = starts
+    rest = stresses & (1 << top) - 1
+    while rest:
+        s = (rest & -rest).bit_length() - 1
+        rest &= rest - 1
+        # the sites cut at or before s move it
+        while released < ends[0] and cuts[released] <= s:
+            released += 1
+        while held < ends[1] and cuts[held] <= s:
+            held += 1
+        while fusing < ends[2] and cuts[fusing] <= s:
+            fusing += 1
+        while splitting < ends[3] and cuts[splitting] <= s:
+            splitting += 1
+        here = (released, held, fusing, splitting)
+        merges = released + held - starts[1] + fusing - starts[2]
+        splits = splitting - starts[3]
+        if s - merges > 7:
+            break  # no later stressed syllable reaches group 7 either
+        # the groups s can land on, with the sites after it still able to
+        # bring the last stress to its group
+        low = s + max(-merges, need - up + splits)
+        high = s + min(splits, need + down - merges)
+        if low <= 5 <= high:
+            head, tail = priced(starts, here, 5 - s), priced(here, ends,
+                                                              need - 5 + s)
+            choices.append((head[0] + tail[0], head[1] + tail[1]))
+        if low <= 7 <= high:
+            tail = priced(here, ends, need - 7 + s)
+            for s1, there, merges1, splits1, head in heads:
+                shift = 4 - s + s1  # between s1 on group 3 and s on 7
+                if merges1 - merges <= shift <= splits - splits1:
+                    middle = priced(there, here, shift)
+                    choices.append((head[0] + middle[0] + tail[0],
+                                    head[1] + middle[1] + tail[1]))
+        if low <= 3 <= high:
+            heads.append((s, here, merges, splits,
+                          priced(starts, here, 3 - s)))
+    return min(choices)[1] if choices else None
 
 
 def _unfittable(sites, shifting, low, high, target) -> Unfittable:
@@ -362,15 +444,44 @@ def _unfittable(sites, shifting, low, high, target) -> Unfittable:
                  for length, mask in nearest])
 
 
+def _patterns(stresses: int, shifting, top: int, need: int,
+              target: int) -> tuple[str, ...]:
+    """Every fitting pattern, sorted: one pass over the ``(cut, shift, _)``
+    shifting sites in cut order whose states are a set of ``(shift so far,
+    stresses placed so far)`` pairs. Before each cut, the line's stresses
+    since the last cut are moved by a state's shift and ORed in; then the
+    site is applied or not. A state that the sites still to come cannot
+    bring to ``need`` is dropped. The last step closes the pass: a step at
+    cut ``top + 1`` with no site, which ORs in the last run and applies
+    nothing, so every state left is final, with the target as its length.
+    States keep every stress, so they double with each step of the
+    target."""
+    states, at = {(0, 0)}, 0
+    # the shifts so far that the sites still to come can bring to need
+    up = sum(shift > 0 for _, shift, _ in shifting)
+    lo, hi = need - up, need + len(shifting) - up
+    for cut, shift, _ in sorted(shifting) + [(top + 1, 0, None)]:
+        lo, hi = lo + (shift > 0), hi - (shift < 0)
+        run = stresses >> at & (1 << cut - at) - 1
+        grown = set()
+        for moved, placed in states:
+            placed |= run << at + moved
+            if lo <= moved <= hi:  # skip the site
+                grown.add((moved, placed))
+            if shift and lo <= moved + shift <= hi:  # apply it
+                grown.add((moved + shift, placed))
+        states, at = grown, cut
+    return tuple(sorted(_render(placed, target) for _, placed in states))
+
+
 def fit_to_target(words: ParsedLine, sites: list[FigureSite],
                   config: ScanConfig | None = None) -> ScansionResult:
     """Choose the figure subset that lands the line on the target length.
 
     ``sites`` is ``find_figure_sites``' list for ``words`` or any sub-list
     of it, in order: the fit chooses among the sites given, and the others
-    stay unapplied. Mask bit i is ``sites[i]``. A site of a kind other than
-    synalepha, syneresis and dieresis raises ValueError, ahead of any
-    Unfittable.
+    stay unapplied. A site of a kind other than synalepha, syneresis and
+    dieresis raises ValueError, ahead of any Unfittable.
 
     The reachable lengths are read from each site's shift, as the module
     docstring tells: a target out of their range raises Unfittable, and
@@ -378,34 +489,12 @@ def fit_to_target(words: ParsedLine, sites: list[FigureSite],
     strictly inside it. A site that shifts nothing is cut after the last
     stress, so it is a syneresis or dieresis, whose cost is positive, and
     is never applied. Among the other sites, ``need`` is the shift that
-    puts the last stress on group target-2. The cheapest subset is counted
-    out from ``_tiers`` of them, the same kinds and flags ``_site_deltas``
-    costs: the leftmost ``max(0, need)`` dieresis sites, and as many
-    merges as they exceed ``need`` by. The merges are synalephas while
-    there are any, the ones left out being the first in drop order, and
-    past them the leftmost syneresis sites. Its stresses are laid out by
-    ``_place`` from the sites' cuts.
-
-    Without diagnostics, it is the winner at a target other than 11, and
-    at 11 when its pattern is rhythmic. Else one DP over the shifting
-    sites in cut order ranks every subset. A state is keyed by ``(shift,
-    kept)``: the sum of the applied shifts so far, and bit i the stress
-    of group i for the kept groups, 3, 5 and 7 for the rhythmic template,
-    so there are at most 8 states per shift; ``emit_diagnostics`` keeps
-    every bit. It holds only ``(cost, mask)``, the cheapest subset
-    reaching it. Before each cut, the line's stresses since the last cut
-    are moved by the state's shift and their kept bits ORed in; then the
-    site is applied or not. A state that the sites still to come cannot
-    bring to ``need`` is dropped. The loop's last step closes it: a step
-    at cut ``top + 1`` with no site, which ORs in the last run and applies
-    nothing, so every state left is final, with the target as its length.
-    The winner, the rhythmic states and the diagnostics are read from
-    those states, and the winner's stresses are laid out from its mask by
-    ``_place``, as the counted subset's are.
-    The costs are ``_site_deltas`` of the shifting sites alone: every
-    subset the DP compares is made of them, and a sub-list's costs order
-    its subsets as the whole list's do, so leaving the others out changes
-    no winner.
+    puts the last stress on group target-2; they are ranked by tier, as
+    ``_rank_costs`` costs them, and ``_pick`` counts out their cheapest
+    subset. It wins at a target other than 11, and at 11 when its pattern
+    is rhythmic; else ``_template``'s cheapest rhythmic subset wins when
+    there is one. The winner's stresses are laid out by ``_place``, and
+    ``emit_diagnostics`` adds every fitting pattern, from ``_patterns``.
     """
     config = config or _DEFAULT_CONFIG
     target = config.target_length
@@ -413,9 +502,11 @@ def fit_to_target(words: ParsedLine, sites: list[FigureSite],
     top = stresses.bit_length() - 1  # the last stressed syllable
     # one pass: check each kind, cut each site where it moves the line (p+1
     # for a merge at p or a split of p that keeps its stress on the left,
-    # p for any other split) and keep the sites that shift the last stress
-    shifting, down, up, ambiguous = [], 0, 0, False
-    for i, (kind, position, _, _) in enumerate(sites):
+    # p for any other split), keep the sites that shift the last stress and
+    # rank those by tier for _pick and _rank_costs
+    shifting, ambiguous = [], False
+    released, held, fusing, splitting = [], [], [], []
+    for i, (kind, position, stress, h) in enumerate(sites):
         shift = _DELTAS.get(kind)
         if shift is None:
             raise ValueError(f"unknown figure kind {kind!r}")
@@ -423,71 +514,37 @@ def fit_to_target(words: ParsedLine, sites: list[FigureSite],
         if cut > top:
             ambiguous = True  # it shifts nothing
             continue
-        shifting.append((cut, shift, i))
-        if shift < 0:
-            down += 1
+        if shift > 0:
+            splitting.append(len(shifting))
+        elif kind == "syneresis":
+            fusing.append(len(shifting))
         else:
-            up += 1
+            (released if stress or h else held).append(len(shifting))
+        shifting.append((cut, shift, i))
+    up = len(splitting)
+    down = len(shifting) - up
     low, high = top + 2 - down, top + 2 + up
     if not low <= target <= high:
         raise _unfittable(sites, shifting, low, high, target)
 
     need = target - top - 2  # the shift that puts the last stress on target-2
-    # the cheapest subset, counted out: the fewest dieresis sites, then the
-    # fewest syneresis sites, and the other merges as synalephas, releasing
-    # the first in drop order; each tier takes its leftmost sites
-    shifted = [sites[i] for _, _, i in shifting]
-    drop, syneresis, dieresis = _tiers(shifted)
-    splits = max(0, need)
-    fused = max(0, splits - need - len(drop))
-    picked = sorted(dieresis[:splits] + syneresis[:fused]
-                    + drop[len(drop) + need - splits + fused:])
-    own = _place(stresses, sorted([shifting[k] for k in picked]))
-    ambiguous = ambiguous or low < target < high
-    if not config.emit_diagnostics and (target != 11 or _rhythmic(own)):
-        return _result(words, tuple([shifted[k] for k in picked]), own,
-                       target, ambiguous)
-
-    # the template tier or diagnostics: rank every subset
-    keep = -1 if config.emit_diagnostics else 0b10101000
-    # (shift so far, kept stresses) -> (cost, mask)
-    states = {(0, 0): (0, 0)}
-    at = 0
-    # the shifts so far that the sites still to come can bring to need
-    lo, hi = need - up, need + down
-    # the shifting sites in cut order, costed among themselves
-    steps = sorted((cut, shift, 1 << i, added) for (cut, shift, i), added
-                   in zip(shifting, _site_deltas(shifted)))
-    # the close: a step past the last stress with no site, which brings in
-    # the last run and applies nothing
-    for cut, shift, bit, added in steps + [(top + 1, 0, 0, 0)]:
-        lo, hi = lo + (shift > 0), hi - (shift < 0)
-        run = stresses >> at & (1 << cut - at) - 1
-        grown: dict[tuple[int, int], tuple[int, int]] = {}
-        for (moved, kept), (cost, mask) in states.items():
-            kept |= run << at + moved & keep
-            if lo <= moved <= hi:  # skip the site
-                key = (moved, kept)
-                seen = grown.get(key)
-                if seen is None or cost < seen[0]:
-                    grown[key] = (cost, mask)
-            if bit and lo <= moved + shift <= hi:  # apply it
-                key = (moved + shift, kept)
-                seen = grown.get(key)
-                if seen is None or cost + added < seen[0]:
-                    grown[key] = (cost + added, mask | bit)
-        states, at = grown, cut
-
-    # every state left is final, its last stress on group target-2
-    hits = [key for key in states if target == 11 and _rhythmic(key[1])]
-    _, mask = min(states[key] for key in hits or states)
+    picked, own = [], stresses  # with no shifting site, nothing can apply
+    if shifting:
+        order = released + held + fusing + splitting
+        starts = (0, len(released), down - len(fusing), down)
+        ends = starts[1:] + (len(order),)
+        picked, own = _lay_out(stresses, shifting, order,
+                               _pick(starts, ends, need))
+        if target == 11 and not _rhythmic(own):
+            runs = _template(stresses, top, need,
+                             [shifting[k][0] for k in order], starts, ends)
+            if runs:
+                picked, own = _lay_out(stresses, shifting, order, runs)
     diagnostics = ()
     if config.emit_diagnostics:
-        diagnostics = tuple(sorted(_render(kept, target) for _, kept in states))
-    own = _place(stresses, [(cut, shift, bit) for cut, shift, bit, _
-                            in steps if bit & mask])
-    return _result(words, _applied(sites, mask), own, target, ambiguous,
-                   diagnostics)
+        diagnostics = _patterns(stresses, shifting, top, need, target)
+    return _result(words, tuple([sites[shifting[k][2]] for k in picked]),
+                   own, target, ambiguous or low < target < high, diagnostics)
 
 
 def _result(words, applied, stresses, target, ambiguous,

@@ -243,3 +243,91 @@ def preference_key(sites):
                 dropped, merges, splits, mask)
 
     return key
+
+
+# --- the ranking reference ---------------------------------------------------
+
+_SHIFTS = {"synalepha": -1, "syneresis": -1, "dieresis": +1}
+
+
+def _reference_deltas(sites):
+    """Per site, what applying it adds to a subset's cost: one bit field
+    per tier, from the top the dieresis, syneresis and synalepha counts,
+    then one tie bit per site, ranked by the synalephas in drop order
+    (those touching a stress or an h first), the syneresis sites, then the
+    dieresis sites. A synalepha costs when left out; the tie bits sum over
+    the applied synalephas and the syneresis and dieresis sites left out."""
+    n = len(sites)
+    syna = [i for i, s in enumerate(sites) if s.kind == "synalepha"]
+    early = [i for i in syna if sites[i].involves_stress or sites[i].through_h]
+    drop = early + [i for i in syna if i not in early]
+    syneresis = [i for i, s in enumerate(sites) if s.kind == "syneresis"]
+    dieresis = [i for i, s in enumerate(sites) if s.kind == "dieresis"]
+    width = n.bit_length()
+    deltas = [0] * n
+    tie = 1 << n
+    for i in drop:
+        tie >>= 1
+        deltas[i] = tie - (1 << n)
+    for count, tier in ((1 << n + width, syneresis),
+                        (1 << n + 2 * width, dieresis)):
+        for i in tier:
+            tie >>= 1
+            deltas[i] = count - tie
+    return deltas
+
+
+def reference_fit(words, sites, target=11):
+    """The fitter's winner by ranking, as ``(pattern, applied sites,
+    ambiguous)``, or None when no subset reaches ``target``.
+
+    One dynamic program over the sites that shift the last stress, in cut
+    order, ranks every subset: a state is the shift so far and, at 11, the
+    stresses placed on groups 3, 5 and 7, which the rhythmic template reads,
+    and holds the ``(cost, mask)`` of the cheapest subset reaching it. The
+    winner is the cheapest final state, among the rhythmic ones when any
+    is. It shares no code with the fitter's counting; its pattern is
+    rebuilt from the applied sites by ``apply_subset``."""
+    stresses, lefts = words.stresses, words.lefts
+    top = stresses.bit_length() - 1
+    shifting, ambiguous = [], False
+    for i, site in enumerate(sites):
+        shift = _SHIFTS[site.kind]
+        cut = site.position + (shift < 0 or lefts >> site.position & 1)
+        if cut > top:
+            ambiguous = True
+        else:
+            shifting.append((cut, shift, i))
+    down = sum(shift < 0 for _, shift, _ in shifting)
+    up = len(shifting) - down
+    if not -down <= target - top - 2 <= up:
+        return None
+    need = target - top - 2
+    keep = 0b10101000 if target == 11 else 0
+    deltas = _reference_deltas([sites[i] for _, _, i in shifting])
+    steps = sorted((cut, shift, 1 << i, added) for (cut, shift, i), added
+                   in zip(shifting, deltas))
+    states = {(0, 0): (0, 0)}
+    at, lo, hi = 0, need - up, need + down
+    for cut, shift, bit, added in steps + [(top + 1, 0, 0, 0)]:
+        lo, hi = lo + (shift > 0), hi - (shift < 0)
+        run = stresses >> at & (1 << cut - at) - 1
+        grown = {}
+        for (moved, kept), (cost, mask) in states.items():
+            kept |= run << at + moved & keep
+            options = [(moved, cost, mask)]
+            if bit:
+                options.append((moved + shift, cost + added, mask | bit))
+            for moved_to, cost_to, mask_to in options:
+                key = (moved_to, kept)
+                if lo <= moved_to <= hi and (key not in grown
+                                             or cost_to < grown[key][0]):
+                    grown[key] = (cost_to, mask_to)
+        states, at = grown, cut
+    hits = [key for key in states if target == 11 and (
+        key[1] & 0b100000 or key[1] & 0b10001000 == 0b10001000)]
+    _, mask = min(states[key] for key in hits or states)
+    applied = chosen(sites, mask)
+    _, pattern = length_and_pattern(apply_subset(words, sites, applied))
+    low, high = top + 2 - down, top + 2 + up
+    return pattern, applied, ambiguous or low < target < high

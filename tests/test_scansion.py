@@ -14,7 +14,7 @@ from escansion.scansion import (
     FigureSite,
     ParsedLine,
     ScanConfig,
-    _site_deltas,
+    _rank_costs,
     check_pattern,
     find_figure_sites,
     fit_to_target,
@@ -277,7 +277,7 @@ class TestFitAndScan:
 
     def test_exact_search_handles_pathological_site_counts(self, lexicon,
                                                             config):
-        # 9 x "oía" yields 26 sites: 2^26 subsets, one DP pass
+        # 9 x "oía" yields 26 sites: 2^26 subsets, counted, not searched
         line = " ".join(["oía"] * 9)
         words = phonological_parse(line, lexicon)
         sites = find_figure_sites(words, config)
@@ -295,40 +295,46 @@ class TestFitAndScan:
             pass
         assert time.perf_counter() - start < 1.0
 
-    def test_state_stays_bounded_as_the_line_grows(self, lexicon,
-                                                   monkeypatch):
-        # the fit's cost grows linearly with the line: the DP keeps at most
-        # 8 states per shift, so of two lines it ranks at 11, one with 17
-        # shifting sites costs about twice what one with 9 does. Keying
-        # states by every stress bit makes it about 8 times
-        ranked = []
-        deltas = scansion._site_deltas
-        monkeypatch.setattr(scansion, "_site_deltas",
-                            lambda s: ranked.append(len(s)) or deltas(s))
-
-        def seconds(line):
+    def test_template_tier_costs_a_bounded_number_of_segments(
+            self, lexicon, monkeypatch):
+        # at 11 the cheapest subset of these lines is not rhythmic, so the
+        # template tier runs. For k stressed syllables before the last it
+        # costs the prefix to groups 3 and 5 and the suffix from 5 and 7 of
+        # each once, and the middle of a pair once per pair: besides the
+        # whole line's pick, at most 2k prefixes, 2k suffixes and
+        # k(k-1)/2 middles, however many sites the line has
+        picks = []
+        pick = scansion._pick
+        monkeypatch.setattr(scansion, "_pick",
+                            lambda *args: picks.append(args) or pick(*args))
+        sizes = []
+        for line in ("ley real caía dio oro e feo o ala mar",
+                     "fue caía u rey oía feo y aúna idea área"):
             words = phonological_parse(line, lexicon)
             sites = find_figure_sites(words)
-            best = float("inf")
-            for _ in range(20):
-                start = time.perf_counter()
-                fit_to_target(words, sites, ScanConfig())
-                best = min(best, time.perf_counter() - start)
-            return best
+            picks.clear()
+            result = fit_to_target(words, sites, ScanConfig())
+            assert (result.pattern, result.candidate.applied,
+                    result.ambiguous) == oracle.reference_fit(words, sites)
+            k = bin(words.stresses).count("1") - 1
+            assert k == 7
+            (first, last, _), *segments = picks
+            prefixes = [lo for lo, _, _ in segments if lo == first]
+            suffixes = [hi for lo, hi, _ in segments
+                        if hi == last and lo != first]
+            middles = len(segments) - len(prefixes) - len(suffixes)
+            assert segments and len(segments) <= 4 * k + k * (k - 1) // 2
+            assert len(prefixes) <= 2 * k and len(suffixes) <= 2 * k
+            assert middles <= k * (k - 1) // 2
+            sizes.append(len(sites))
+        assert sizes == [10, 16]
 
-        short = seconds("aura Eva aula u aéreo u")
-        long = seconds("reía ea leía y e reía leía aéreo Olga aire")
-        # each fit reached the DP, which costs the shifting sites alone
-        assert ranked == [9] * 20 + [17] * 20
-        assert long <= 4 * short
-
-    def test_ranking_keys_states_by_the_template_positions(self, lexicon,
-                                                           monkeypatch):
-        # at 11 the cheapest subset of this line is not rhythmic, so the
-        # ranking runs. Without diagnostics its states keep only groups 3,
-        # 5 and 7, so it ends on at most 8 states, each tested once for the
-        # template after the counted subset, where the fitting patterns
-        # number 218; keeping every group would give the same scan
+    def test_template_tier_ranks_no_state(self, lexicon, monkeypatch):
+        # at 11 the cheapest subset of this line is not rhythmic, and the
+        # template tier counts out the rhythmic winner: only the cheapest
+        # subset is tested for the template, and without diagnostics the
+        # pass over states never runs. With them it lists the 218 fitting
+        # patterns, and the winner is the same
         line = "oía aire oía caía aire aldea oía aula"
         words = phonological_parse(line, lexicon)
         sites = find_figure_sites(words)
@@ -338,9 +344,15 @@ class TestFitAndScan:
         rhythmic = scansion._rhythmic
         monkeypatch.setattr(scansion, "_rhythmic",
                             lambda s: tested.append(s) or rhythmic(s))
+
+        def no_states(*args):
+            raise AssertionError("diagnostics off, yet states were built")
+
+        monkeypatch.setattr(scansion, "_patterns", no_states)
         result = fit_to_target(words, sites, ScanConfig())
         assert result == full._replace(diagnostics=())
-        assert 1 < len(tested) <= 1 + 8
+        assert len(tested) == 1 and not rhythmic(tested[0])
+        assert result.pattern[5] == "+" or result.pattern[3:8:4] == "++"
 
 
 class TestPatternOf:
@@ -352,6 +364,26 @@ class TestPatternOf:
             check_pattern("x" * 11)
         with pytest.raises(ValueError):
             check_pattern("-" * 11)
+
+
+def _site_costs(sites):
+    """Per site, what ``_rank_costs`` says applying it adds to a subset's
+    cost, the sites ranked as the fit ranks them: synalephas touching a
+    stress or an h, the other synalephas, syneresis, then dieresis sites,
+    each left to right."""
+    def of(kind, released=None):
+        return [i for i, s in enumerate(sites) if s.kind == kind and (
+            released in (None, s.involves_stress or s.through_h))]
+
+    order = (of("synalepha", True) + of("synalepha", False)
+             + of("syneresis") + of("dieresis"))
+    tiers = [len(of("synalepha", True)), len(of("synalepha")),
+             len(order) - len(of("dieresis")), len(order)]
+    costs = _rank_costs(tuple(tiers))
+    deltas = [0] * len(sites)
+    for rank, i in enumerate(order):
+        deltas[i] = costs[rank + 1] - costs[rank]
+    return deltas
 
 
 def _random_sites_subset(rng, sites):
@@ -456,8 +488,8 @@ class TestOracleAgreement:
         _check_against_enumeration(lexicon, ScanConfig(emit_diagnostics=True))
 
     @pytest.mark.parametrize("config", [
-        # the state scan runs by default keeps only the stress bits the
-        # rhythmic template reads; at another target the template is off
+        # by default the template tier is counted out when the cheapest
+        # subset is not rhythmic; at another target the template is off
         ScanConfig(),
         ScanConfig(emit_diagnostics=True, target_length=12),
         # without diagnostics, away from the template, the cheapest subset
@@ -511,7 +543,7 @@ class TestOracleAgreement:
                     kind=kind, position=position,
                     involves_stress=rng.random() < 0.3,
                     through_h=kind == "synalepha" and rng.random() < 0.2))
-            deltas = _site_deltas(sites)
+            deltas = _site_costs(sites)
             masks = range(1 << len(sites))
             by_cost = sorted(masks, key=lambda m: sum(
                 d for i, d in enumerate(deltas) if m >> i & 1))
@@ -545,9 +577,9 @@ def test_site_costs_of_a_sub_list_keep_its_order():
                 involves_stress=rng.random() < 0.3,
                 through_h=kind == "synalepha" and rng.random() < 0.2))
         sub = _random_sites_subset(rng, sites)
-        whole = _site_deltas(sites)
+        whole = _site_costs(sites)
         orders = []
-        for deltas in (_site_deltas(sub),
+        for deltas in (_site_costs(sub),
                        [whole[sites.index(site)] for site in sub]):
             orders.append(sorted(range(1 << len(sub)), key=lambda m: sum(
                 d for i, d in enumerate(deltas) if m >> i & 1)))
@@ -580,31 +612,36 @@ def test_every_scan_output_is_a_valid_pattern(text):
     st.integers(min_value=0, max_value=2 ** 32 - 1).map(
         lambda seed: wordbank.random_raw_line(random.Random(seed))),
     st.text(alphabet=_FUZZ_ALPHABET, max_size=80)))
-# at 11 the cheapest subset is not rhythmic, and the ranking finds one that
-# is (stress on 6)
+# at 11 the cheapest subset is not rhythmic, and the template tier finds
+# one that is (stress on 6)
 @example("alta maravilla aire cielo")
 # at 5 the line must lose two syllables with one synalepha to merge: one
 # syneresis joins it
 @example("sol agua río y")
 @settings(max_examples=200, deadline=None)
 def test_counted_subset_equals_the_ranking(text):
-    # diagnostics always rank every subset, so at each target the fit
-    # without them, counted out or ranked, must give the same scan
+    # the fit counts its winner, with or without diagnostics: at each target
+    # its pattern, applied sites and ambiguity are those of the ranking DP
+    # in the oracle, and it is unfittable where that finds no subset
+    try:
+        words = phonological_parse(text, default_lexicon())
+    except EmptyLine:
+        return
     for target in range(2, 17):
         for h_blocks in (False, True):
-            outcomes = []
+            sites = find_figure_sites(words, ScanConfig(
+                h_blocks_synalepha=h_blocks))
+            expected = oracle.reference_fit(words, sites, target)
             for diagnostics in (False, True):
                 config = ScanConfig(target, h_blocks, diagnostics)
                 try:
                     result = scan_line(text, config=config)
-                except EmptyLine:
-                    return
-                except Unfittable as exc:
-                    outcomes.append((str(exc), exc.achievable,
-                                     list(exc.nearest)))
+                except Unfittable:
+                    outcome = None
                 else:
-                    outcomes.append(result._replace(diagnostics=()))
-            assert outcomes[0] == outcomes[1], (target, h_blocks)
+                    outcome = (result.pattern, result.candidate.applied,
+                               result.ambiguous)
+                assert outcome == expected, (target, h_blocks, diagnostics)
 
 
 @given(st.one_of(
