@@ -8,12 +8,19 @@ hash into a fixed bucket range. Training is plain per-example SGD on the
 summed binary cross-entropy of the 11 heads, with early stopping on
 exact-match accuracy over the evaluation set.
 
-Each example's ids become index arrays once, before the first epoch: the
-ids in order, and the 2nd, 3rd, ... occurrences of the ids that repeat.
-A step adds to every occurrence of an id, in occurrence order, through
-them, so every weight gets the same float adds in the same order as
-numpy's ``add.at`` scatter, which the trainer used before: the weights
-and model files are bit-identical to that trainer's.
+``train`` builds the vocabulary and every example's ids in one pass over
+the training texts, cutting each distinct word into grams once: a text's
+ids are its words' ids in turn, and ids go to grams in first-occurrence
+order, so both equal what ``build_vocab`` and ``featurize`` give. Each
+example's ids become index arrays in that pass: the ids in order, and the
+2nd, 3rd, ... occurrences of the ids that repeat. A step adds to every
+occurrence of an id, in occurrence order, through them, so every weight
+gets the same float adds in the same order as numpy's ``add.at`` scatter,
+which the trainer used before: the weights and model files are
+bit-identical to that trainer's.
+
+A step keeps its 11 scores; the epoch's losses come from them in one
+array pass once the epoch is over, and are added up in step order.
 """
 
 from __future__ import annotations
@@ -94,6 +101,27 @@ def build_vocab(texts, config: TrainConfig) -> FeatureVocab:
     return FeatureVocab(ids, config.bucket_count, config.ngram_min, config.ngram_max)
 
 
+def _train_features(texts, config: TrainConfig) -> tuple[FeatureVocab, list]:
+    """``build_vocab(texts, config)`` and each text's ``featurize`` ids as
+    index arrays, from one pass that cuts each distinct word once."""
+    nmin, nmax = config.ngram_min, config.ngram_max
+    ids: dict[str, int] = {}
+    word_ids: dict[str, list[int]] = {}
+    features = []
+    for text in texts:
+        row: list[int] = []
+        for word in clean_text(text).split():
+            known = word_ids.get(word)
+            if known is None:
+                # a cleaned word cleans to itself, so these are the keys
+                # _gram_keys gives the word inside its text
+                known = word_ids[word] = [ids.setdefault(key, len(ids))
+                                          for key in _gram_keys(word, nmin, nmax)]
+            row += known
+        features.append(_index_arrays(row))
+    return FeatureVocab(ids, config.bucket_count, nmin, nmax), features
+
+
 def featurize(line: str, vocab: FeatureVocab) -> list[int]:
     """Feature ids for a line; repeats preserved, unseen grams hashed."""
     base = len(vocab.ngram_to_id)
@@ -128,12 +156,20 @@ def _pattern_targets(pattern: str) -> np.ndarray:
     return np.array([1.0 if c == "+" else 0.0 for c in pattern])
 
 
+def _check_patterns(pairs, name: str) -> None:
+    for index, (_, pattern) in enumerate(pairs):
+        if not (isinstance(pattern, str) and len(pattern) == PATTERN_LENGTH
+                and set(pattern) <= {"+", "-"}):
+            raise DataError(f"{name} example {index}: gold pattern {pattern!r} "
+                            f"is not {PATTERN_LENGTH} symbols over '+' and '-'")
+
+
 def _hidden(embeddings: np.ndarray, ids) -> np.ndarray:
     """The mean of the ``ids`` rows, a list or an index array: the sum and
-    the division ``ndarray.mean`` makes, without its wrapper."""
+    the division ``ndarray.mean`` makes, without its wrappers."""
     if not len(ids):
         return np.zeros(embeddings.shape[1])
-    return embeddings[ids].sum(axis=0) / len(ids)
+    return np.add.reduce(embeddings[ids], 0) / len(ids)
 
 
 def _index_arrays(ids: list[int]) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
@@ -166,20 +202,32 @@ def _scatter_add(target: np.ndarray, feature, value: np.ndarray) -> None:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -500, 500)))
+    # np.clip's ufuncs, without its wrapper
+    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(x, -500.0), 500.0)))
 
 
-def _bce(scores: np.ndarray, targets: np.ndarray) -> float:
-    # Stable sum of BCE terms: log sigma(s) = -log1p(exp(-s)).
-    return float(np.sum(np.log1p(np.exp(-np.abs(scores)))
-                        + np.maximum(scores, 0) - scores * targets))
+def _bce(scores: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Each row's summed binary cross-entropy, rows being examples.
+    Stable: log sigma(s) = -log1p(exp(-s))."""
+    return (np.log1p(np.exp(-np.abs(scores))) + np.maximum(scores, 0)
+            - scores * targets).sum(axis=1)
 
 
-def _example_step(embeddings, head_weights, head_biases, ids, targets):
-    """One example's summed BCE, hidden vector and score gradient."""
+def _sum_in_order(values) -> float:
+    """Python floats added left to right, as the per-step ``+=`` did:
+    ``sum`` compensates its float adds from Python 3.12 on."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def _example_step(embeddings, head_weights, head_biases, ids, targets, scores):
+    """One example's hidden vector and score gradient. Its 11 scores go
+    into ``scores``, a row of the array whose losses ``_bce`` gives."""
     h = _hidden(embeddings, ids)
-    scores = head_weights @ h + head_biases
-    return _bce(scores, targets), h, _sigmoid(scores) - targets
+    np.add(head_weights @ h, head_biases, out=scores)
+    return h, _sigmoid(scores) - targets
 
 
 def loss_and_grads(embeddings, head_weights, head_biases, examples):
@@ -188,22 +236,24 @@ def loss_and_grads(embeddings, head_weights, head_biases, examples):
     ``examples`` is a list of (feature ids, 11-dim target vector) pairs.
     Exposed so the gradients can be checked against finite differences;
     ``train`` takes its steps from the same ``_example_step`` and
-    ``_scatter_add``.
+    ``_scatter_add``, and its epoch loss, as here, from the examples'
+    scores once they are all in, summed in example order.
     """
     grad_e = np.zeros_like(embeddings)
     grad_w = np.zeros_like(head_weights)
     grad_b = np.zeros_like(head_biases)
-    loss = 0.0
-    for ids, targets in examples:
+    n = len(examples)
+    scores = np.empty((n, PATTERN_LENGTH))
+    targets = np.array([y for _, y in examples])
+    for k, (ids, y) in enumerate(examples):
         feature = _index_arrays(ids)
-        example_loss, h, g = _example_step(embeddings, head_weights,
-                                           head_biases, feature[0], targets)
-        loss += example_loss
-        grad_w += np.outer(g, h)
+        h, g = _example_step(embeddings, head_weights, head_biases,
+                             feature[0], y, scores[k])
+        grad_w += g[:, None] * h
         grad_b += g
         if ids:
             _scatter_add(grad_e, feature, (head_weights.T @ g) / len(ids))
-    n = len(examples)
+    loss = _sum_in_order(_bce(scores, targets).tolist())
     return loss / n, grad_e / n, grad_w / n, grad_b / n
 
 
@@ -225,15 +275,19 @@ def train(train_set, eval_set, config: TrainConfig | None = None) -> PositionalS
 
     Deterministic for a fixed seed. Early-stops once eval exact-match has
     not improved for ``patience`` consecutive epochs, and keeps the best
-    epoch's weights. Raises DataError when those weights are not finite.
+    epoch's weights. Raises DataError when a gold pattern is not 11
+    symbols over + and -, or when the kept weights are not finite.
     """
     config = config or TrainConfig()
     train_pairs = _as_pairs(train_set)
     if not train_pairs:
         raise EmptyTrainingSet("no training examples")
     eval_pairs = _as_pairs(eval_set) if eval_set else []
+    _check_patterns(train_pairs, "training")
+    _check_patterns(eval_pairs, "eval")
 
-    vocab = build_vocab((text for text, _ in train_pairs), config)
+    # index arrays built once: every step reuses them
+    vocab, features = _train_features((text for text, _ in train_pairs), config)
     rng = np.random.default_rng(config.seed)
     dim = config.embedding_dim
     try:
@@ -246,9 +300,9 @@ def train(train_set, eval_set, config: TrainConfig | None = None) -> PositionalS
     head_weights = np.zeros((PATTERN_LENGTH, dim))
     head_biases = np.zeros(PATTERN_LENGTH)
 
-    # index arrays built once: every step and eval pass reuses them
-    features = [_index_arrays(featurize(text, vocab)) for text, _ in train_pairs]
-    targets = [_pattern_targets(pattern) for _, pattern in train_pairs]
+    targets = np.array([_pattern_targets(pattern) for _, pattern in train_pairs])
+    # each example's scores of the epoch, in example order
+    scores = np.empty((len(train_pairs), PATTERN_LENGTH))
     eval_feats = [(np.array(featurize(text, vocab), dtype=np.intp), pattern)
                   for text, pattern in eval_pairs]
 
@@ -268,18 +322,17 @@ def train(train_set, eval_set, config: TrainConfig | None = None) -> PositionalS
     history = []
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(train_pairs))
-        epoch_loss = 0.0
         for idx in order:
-            feature, y = features[idx], targets[idx]
+            feature = features[idx]
             ids = feature[0]
-            loss, h, g = _example_step(embeddings, head_weights, head_biases,
-                                       ids, y)
-            epoch_loss += loss
+            h, g = _example_step(embeddings, head_weights, head_biases,
+                                 ids, targets[idx], scores[idx])
             grad_h = head_weights.T @ g
-            head_weights -= lr * np.outer(g, h)
+            head_weights -= lr * (g[:, None] * h)
             head_biases -= lr * g
             if len(ids):
                 _scatter_add(embeddings, feature, -lr * grad_h / len(ids))
+        epoch_loss = _sum_in_order(_bce(scores, targets)[order].tolist())
         acc = eval_accuracy()
         history.append({"epoch": epoch,
                         "train_loss": epoch_loss / len(train_pairs),

@@ -16,13 +16,12 @@ from escansion.baseline import (
     predict_scores,
     save_model,
     train,
-    _bce,
     _gram_keys,
     _pattern_targets,
     _scores_to_pattern,
-    _sigmoid,
+    _train_features,
 )
-from escansion.errors import CorruptModelFile, EmptyTrainingSet
+from escansion.errors import CorruptModelFile, DataError, EmptyTrainingSet
 from escansion.metrics import PATTERN_LENGTH
 
 TINY = [
@@ -190,15 +189,39 @@ class TestTrain:
         with pytest.raises(EmptyTrainingSet):
             train([], [], _tiny_config())
 
+    @pytest.mark.parametrize("pattern", [
+        "+",  # numpy would broadcast it over all 11 heads
+        "+-x+-+-+-+-",  # the x would train as unstressed
+        "+-+-+-+-+-+-+",  # numpy would fail to broadcast 13 over 11
+    ])
+    @pytest.mark.parametrize("name", ["training", "eval"])
+    def test_malformed_gold_is_a_data_error(self, name, pattern):
+        bad = [TINY[0], ("sol de la tarde", pattern)]
+        train_set, eval_set = (bad, TINY) if name == "training" else (TINY, bad)
+        with pytest.raises(DataError) as exc:
+            train(train_set, eval_set, _tiny_config(epochs=1))
+        assert str(exc.value).startswith(f"{name} example 1: gold pattern "
+                                         f"{pattern!r} ")
+
     def test_accepts_corpus_lines(self):
         lines = wordbank.synthetic_corpus(8, seed=3)
         model = train(lines, lines[:2], _tiny_config(epochs=2))
         assert model.train_meta["epochs_run"] == 2
 
 
+def _reference_sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-np.clip(x, -500, 500)))
+
+
+def _reference_bce(scores, targets):
+    return float(np.sum(np.log1p(np.exp(-np.abs(scores)))
+                        + np.maximum(scores, 0) - scores * targets))
+
+
 def _reference_train(train_pairs, eval_pairs, config):
-    """``train`` as it stood with numpy's unbuffered ``np.add.at`` scatter
-    and ``ndarray.mean``: the weights and ``train_meta`` it gives."""
+    """``train`` as it stood with numpy's unbuffered ``np.add.at`` scatter,
+    ``ndarray.mean``, ``np.clip``, ``np.outer`` and each step's loss added
+    as the step is taken: the weights and ``train_meta`` it gives."""
     vocab = build_vocab([text for text, _ in train_pairs], config)
     rng = np.random.default_rng(config.seed)
     dim, lr = config.embedding_dim, config.learning_rate
@@ -219,8 +242,8 @@ def _reference_train(train_pairs, eval_pairs, config):
             ids, y = features[idx], targets[idx]
             h = hidden(ids)
             scores = weights @ h + biases
-            total += _bce(scores, y)
-            g = _sigmoid(scores) - y
+            total += _reference_bce(scores, y)
+            g = _reference_sigmoid(scores) - y
             grad_h = weights.T @ g
             weights -= lr * np.outer(g, h)
             biases -= lr * g
@@ -252,9 +275,16 @@ class TestBitIdentity:
     # punctuation, which featurizes to nothing, in train and eval
     EMPTY = ("... ;", "+--+---+-+-")
     CORPUS = [(ln.text, ln.gold) for ln in wordbank.synthetic_corpus(30, seed=4)]
+    # words that repeat within a line and across lines
+    REPEATS = [
+        ("la rosa y la rosa y la flor de la rosa", "-+---+---+-"),
+        ("rosa de la flor y flor de la rosa", "+--+---+-+-"),
+        ("la flor la flor la rosa la flor", "-+-+-+---+-"),
+        ("y la rosa y la flor y la rosa", "+-+--+-+-+-"),
+    ]
 
     @pytest.mark.parametrize("case", ["tiny", "ngram-min-1", "early-stop",
-                                      "corpus"])
+                                      "corpus", "repeated-words"])
     def test_train_matches_the_add_at_trainer(self, case):
         train_pairs, eval_pairs, config = {
             "tiny": (TINY + [self.EMPTY], [], _tiny_config(epochs=4)),
@@ -269,8 +299,19 @@ class TestBitIdentity:
             "corpus": (self.CORPUS[:24] + [self.EMPTY], self.CORPUS[24:],
                        _tiny_config(ngram_min=1, ngram_max=3, epochs=6,
                                     embedding_dim=12)),
+            # the default 3-6 gram range
+            "repeated-words": (self.REPEATS + TINY + [self.EMPTY],
+                               self.REPEATS[:2] + TINY[:1],
+                               _tiny_config(ngram_min=3, ngram_max=6,
+                                            epochs=5)),
         }[case]
-        vocab = build_vocab([text for text, _ in train_pairs], config)
+        texts = [text for text, _ in train_pairs]
+        vocab = build_vocab(texts, config)
+        # the trainer's one gram pass gives the same vocabulary and ids
+        pass_vocab, features = _train_features(texts, config)
+        assert pass_vocab == vocab
+        assert [ids.tolist() for ids, _ in features] == [
+            featurize(text, vocab) for text in texts]
         counts = [max(map(ids.count, ids), default=0)
                   for ids in (featurize(t, vocab) for t, _ in train_pairs)]
         # ids repeat, with 1-grams three times or more, and a line has none
@@ -283,6 +324,7 @@ class TestBitIdentity:
         assert np.array_equal(model.head_weights, weights)
         assert np.array_equal(model.head_biases, biases)
         assert model.train_meta == meta
+        assert model.vocab.ngram_to_id == vocab.ngram_to_id
         if case == "early-stop":
             assert meta["epochs_run"] == 2
 
