@@ -8,13 +8,13 @@ hash into a fixed bucket range. Training is plain per-example SGD on the
 summed binary cross-entropy of the 11 heads, with early stopping on
 exact-match accuracy over the evaluation set.
 
-``train`` builds the vocabulary and every example's ids in one pass over
-the training texts, cutting each distinct word into grams once: a text's
-ids are its words' ids in turn, and ids go to grams in first-occurrence
-order, so both equal what ``build_vocab`` and ``featurize`` give. Each
-example's ids become index arrays in that pass: the ids in order, and the
-2nd, 3rd, ... occurrences of the ids that repeat. A step adds to every
-occurrence of an id, in occurrence order, through them, so every weight
+``build_vocab`` is the one pass over the training texts, and ``train``
+runs it once: it cuts each distinct word into grams once, gives ids to
+grams in first-occurrence order and returns each text's ids, its words'
+ids in turn, which equal what ``featurize`` gives. ``train`` turns each
+example's ids into index arrays: the ids in order, and the 2nd, 3rd, ...
+occurrences of the ids that repeat. A step adds to every occurrence of
+an id, in occurrence order, through them, so every weight
 gets the same float adds in the same order as numpy's ``add.at`` scatter,
 which the trainer used before: the weights and model files are
 bit-identical to that trainer's.
@@ -55,8 +55,11 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("epochs", "embedding_dim", "bucket_count", "ngram_min",
-                     "patience"):
-            if getattr(self, name) < 1:
+                     "ngram_max", "patience"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise DataError(f"{name} must be an integer, not {value!r}")
+            if value < 1:
                 raise DataError(f"{name} must be at least 1")
         if self.ngram_min > self.ngram_max:
             raise DataError("ngram_min must not exceed ngram_max")
@@ -76,15 +79,15 @@ class FeatureVocab:
         return len(self.ngram_to_id) + self.bucket_count
 
 
-def _gram_keys(text: str, nmin: int, nmax: int) -> list[str]:
-    keys = []
-    for word in clean_text(text).split():
-        keys.append(word)
-        padded = f"<{word}>"
-        # no gram is longer than the padded word: the cap bounds the loop
-        # whatever a config or model file gives as nmax
-        for n in range(nmin, min(nmax, len(padded)) + 1):
-            keys.extend(padded[i:i + n] for i in range(len(padded) - n + 1))
+def _word_keys(word: str, nmin: int, nmax: int) -> list[str]:
+    """The keys of one cleaned word: the word, then its boundary-marked
+    n-grams, shortest first."""
+    keys = [word]
+    padded = f"<{word}>"
+    # no gram is longer than the padded word: the cap bounds the loop
+    # whatever a config or model file gives as nmax
+    for n in range(nmin, min(nmax, len(padded)) + 1):
+        keys += [padded[i:i + n] for i in range(len(padded) - n + 1)]
     return keys
 
 
@@ -92,43 +95,34 @@ def _bucket(key: str, base: int, buckets: int) -> int:
     return base + zlib.crc32(key.encode("utf-8")) % buckets
 
 
-def build_vocab(texts, config: TrainConfig) -> FeatureVocab:
-    ids: dict[str, int] = {}
-    for text in texts:
-        for key in _gram_keys(text, config.ngram_min, config.ngram_max):
-            if key not in ids:
-                ids[key] = len(ids)
-    return FeatureVocab(ids, config.bucket_count, config.ngram_min, config.ngram_max)
-
-
-def _train_features(texts, config: TrainConfig) -> tuple[FeatureVocab, list]:
-    """``build_vocab(texts, config)`` and each text's ``featurize`` ids as
-    index arrays, from one pass that cuts each distinct word once."""
+def build_vocab(texts, config: TrainConfig) -> tuple[FeatureVocab, list]:
+    """The vocabulary of ``texts`` and each text's ``featurize`` ids, from
+    one pass that cuts each distinct word once; ids go to keys in
+    first-occurrence order."""
     nmin, nmax = config.ngram_min, config.ngram_max
     ids: dict[str, int] = {}
     word_ids: dict[str, list[int]] = {}
-    features = []
+    rows = []
     for text in texts:
         row: list[int] = []
         for word in clean_text(text).split():
             known = word_ids.get(word)
             if known is None:
-                # a cleaned word cleans to itself, so these are the keys
-                # _gram_keys gives the word inside its text
                 known = word_ids[word] = [ids.setdefault(key, len(ids))
-                                          for key in _gram_keys(word, nmin, nmax)]
+                                          for key in _word_keys(word, nmin, nmax)]
             row += known
-        features.append(_index_arrays(row))
-    return FeatureVocab(ids, config.bucket_count, nmin, nmax), features
+        rows.append(row)
+    return FeatureVocab(ids, config.bucket_count, nmin, nmax), rows
 
 
 def featurize(line: str, vocab: FeatureVocab) -> list[int]:
     """Feature ids for a line; repeats preserved, unseen grams hashed."""
-    base = len(vocab.ngram_to_id)
+    ngram_to_id, base = vocab.ngram_to_id, len(vocab.ngram_to_id)
     out = []
-    for key in _gram_keys(line, vocab.ngram_min, vocab.ngram_max):
-        known = vocab.ngram_to_id.get(key)
-        out.append(known if known is not None else _bucket(key, base, vocab.bucket_count))
+    for word in clean_text(line).split():
+        for key in _word_keys(word, vocab.ngram_min, vocab.ngram_max):
+            known = ngram_to_id.get(key)
+            out.append(known if known is not None else _bucket(key, base, vocab.bucket_count))
     return out
 
 
@@ -156,12 +150,18 @@ def _pattern_targets(pattern: str) -> np.ndarray:
     return np.array([1.0 if c == "+" else 0.0 for c in pattern])
 
 
-def _check_patterns(pairs, name: str) -> None:
-    for index, (_, pattern) in enumerate(pairs):
+def _pairs(dataset, name: str) -> list[tuple[str, str]]:
+    """The (text, gold pattern) pairs of corpus lines or pairs; a pattern
+    not 11 symbols over + and - is a DataError naming the example."""
+    pairs = []
+    for index, item in enumerate(dataset):
+        text, pattern = (item.text, item.gold) if hasattr(item, "text") else item
         if not (isinstance(pattern, str) and len(pattern) == PATTERN_LENGTH
                 and set(pattern) <= {"+", "-"}):
             raise DataError(f"{name} example {index}: gold pattern {pattern!r} "
                             f"is not {PATTERN_LENGTH} symbols over '+' and '-'")
+        pairs.append((text, pattern))
+    return pairs
 
 
 def _hidden(embeddings: np.ndarray, ids) -> np.ndarray:
@@ -170,6 +170,11 @@ def _hidden(embeddings: np.ndarray, ids) -> np.ndarray:
     if not len(ids):
         return np.zeros(embeddings.shape[1])
     return np.add.reduce(embeddings[ids], 0) / len(ids)
+
+
+def _scores(embeddings, head_weights, head_biases, ids) -> np.ndarray:
+    """The 11 head scores of the ``ids``' mean row, before the sigmoid."""
+    return head_weights @ _hidden(embeddings, ids) + head_biases
 
 
 def _index_arrays(ids: list[int]) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
@@ -257,17 +262,6 @@ def loss_and_grads(embeddings, head_weights, head_biases, examples):
     return loss / n, grad_e / n, grad_w / n, grad_b / n
 
 
-def _as_pairs(dataset) -> list[tuple[str, str]]:
-    pairs = []
-    for item in dataset:
-        if hasattr(item, "text"):
-            pairs.append((item.text, item.gold))
-        else:
-            text, pattern = item
-            pairs.append((text, pattern))
-    return pairs
-
-
 # numpy's overflow warnings would only precede the divergence error below
 @np.errstate(over="ignore", invalid="ignore")
 def train(train_set, eval_set, config: TrainConfig | None = None) -> PositionalStressModel:
@@ -279,15 +273,14 @@ def train(train_set, eval_set, config: TrainConfig | None = None) -> PositionalS
     symbols over + and -, or when the kept weights are not finite.
     """
     config = config or TrainConfig()
-    train_pairs = _as_pairs(train_set)
+    train_pairs = _pairs(train_set, "training")
     if not train_pairs:
         raise EmptyTrainingSet("no training examples")
-    eval_pairs = _as_pairs(eval_set) if eval_set else []
-    _check_patterns(train_pairs, "training")
-    _check_patterns(eval_pairs, "eval")
+    eval_pairs = _pairs(eval_set or (), "eval")
 
+    vocab, features = build_vocab([text for text, _ in train_pairs], config)
     # index arrays built once: every step reuses them
-    vocab, features = _train_features((text for text, _ in train_pairs), config)
+    features = [_index_arrays(ids) for ids in features]
     rng = np.random.default_rng(config.seed)
     dim = config.embedding_dim
     try:
@@ -309,11 +302,9 @@ def train(train_set, eval_set, config: TrainConfig | None = None) -> PositionalS
     def eval_accuracy() -> float:
         if not eval_feats:
             return float("nan")
-        hits = 0
-        for ids, pattern in eval_feats:
-            scores = head_weights @ _hidden(embeddings, ids) + head_biases
-            predicted = _scores_to_pattern(scores)
-            hits += predicted == pattern
+        hits = sum(_scores_to_pattern(_scores(embeddings, head_weights,
+                                              head_biases, ids)) == pattern
+                   for ids, pattern in eval_feats)
         return 100.0 * hits / len(eval_feats)
 
     lr = config.learning_rate
@@ -372,8 +363,8 @@ def _scores_to_pattern(scores: np.ndarray) -> str:
 
 def _raw_scores(model: PositionalStressModel, line: str) -> np.ndarray:
     """The 11 head scores of a line, before the sigmoid."""
-    ids = featurize(line, model.vocab)
-    return model.head_weights @ _hidden(model.embeddings, ids) + model.head_biases
+    return _scores(model.embeddings, model.head_weights, model.head_biases,
+                   featurize(line, model.vocab))
 
 
 def predict_scores(model: PositionalStressModel, line: str) -> np.ndarray:

@@ -74,6 +74,7 @@ the plain tuple of its fields.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import NamedTuple
 
 from .errors import (DataError, EmptyLine, EmptyAfterNormalization,
@@ -385,15 +386,11 @@ def _template(stresses: int, top: int, need: int, cuts: list[int],
     while rest:
         s = (rest & -rest).bit_length() - 1
         rest &= rest - 1
-        # the sites cut at or before s move it
-        while released < ends[0] and cuts[released] <= s:
-            released += 1
-        while held < ends[1] and cuts[held] <= s:
-            held += 1
-        while fusing < ends[2] and cuts[fusing] <= s:
-            fusing += 1
-        while splitting < ends[3] and cuts[splitting] <= s:
-            splitting += 1
+        # the sites cut at or before s move it; each tier is in cut order
+        released = bisect_right(cuts, s, released, ends[0])
+        held = bisect_right(cuts, s, held, ends[1])
+        fusing = bisect_right(cuts, s, fusing, ends[2])
+        splitting = bisect_right(cuts, s, splitting, ends[3])
         here = (released, held, fusing, splitting)
         merges = released + held - starts[1] + fusing - starts[2]
         splits = splitting - starts[3]

@@ -242,7 +242,7 @@ def test_criterion_6_property_suites():
     patterns = [ln.gold for ln in gold[:10]]
     cfg = TrainConfig(ngram_min=3, ngram_max=4, embedding_dim=5,
                       bucket_count=16)
-    vocab = build_vocab(texts, cfg)
+    vocab, _ = build_vocab(texts, cfg)
     rng_np = np.random.default_rng(1)
     emb = rng_np.normal(0, 0.3, (vocab.size, 5))
     w = rng_np.normal(0, 0.3, (11, 5))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import wordbank
+from escansion import baseline
 from escansion.baseline import (
     FeatureVocab,
     TrainConfig,
@@ -16,13 +17,13 @@ from escansion.baseline import (
     predict_scores,
     save_model,
     train,
-    _gram_keys,
     _pattern_targets,
     _scores_to_pattern,
-    _train_features,
+    _word_keys,
 )
 from escansion.errors import CorruptModelFile, DataError, EmptyTrainingSet
 from escansion.metrics import PATTERN_LENGTH
+from escansion.phonology import clean_text
 
 TINY = [
     ("cubra de nieve la hermosa cumbre", "+--+---+-+-"),
@@ -42,7 +43,7 @@ def _tiny_config(**kw):
 class TestFeaturize:
     def test_boundary_marked_trigrams(self):
         config = _tiny_config(ngram_min=3, ngram_max=3)
-        vocab = build_vocab(["sol"], config)
+        vocab, _ = build_vocab(["sol"], config)
         assert set(vocab.ngram_to_id) == {"sol", "<so", "ol>"}
         ids = featurize("sol", vocab)
         # unigram "sol" and ngram "sol" share one id, so 4 hits / 3 distinct
@@ -51,17 +52,17 @@ class TestFeaturize:
         assert ids.count(vocab.ngram_to_id["sol"]) == 2
 
     def test_empty_line(self):
-        vocab = build_vocab(["sol"], _tiny_config())
+        vocab, _ = build_vocab(["sol"], _tiny_config())
         assert featurize("", vocab) == []
         assert featurize("...", vocab) == []
 
     def test_deterministic(self):
-        vocab = build_vocab([t for t, _ in TINY], _tiny_config())
+        vocab, _ = build_vocab([t for t, _ in TINY], _tiny_config())
         line = TINY[0][0]
         assert featurize(line, vocab) == featurize(line, vocab)
 
     def test_unseen_grams_hash_into_buckets(self):
-        vocab = build_vocab(["sol"], _tiny_config(bucket_count=16))
+        vocab, _ = build_vocab(["sol"], _tiny_config(bucket_count=16))
         base = len(vocab.ngram_to_id)
         ids = featurize("zzyzx", vocab)
         assert ids
@@ -71,13 +72,14 @@ class TestFeaturize:
         # no gram is longer than its padded word, so a huge ngram_max, from
         # a config or a model file, gives the keys of the longest word's
         # length; a child with a time limit, so an unbounded loop fails
-        line = "en tanto que de rosa y azucena"
-        script = ("from escansion.baseline import _gram_keys\n"
-                  f"print(_gram_keys({line!r}, 3, 10 ** 9))\n")
+        words = "en tanto que de rosa y azucena".split()
+        script = ("from escansion.baseline import _word_keys\n"
+                  f"print([_word_keys(w, 3, 10 ** 9) for w in {words!r}])\n")
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == f"{_gram_keys(line, 3, len('<azucena>'))}\n"
+        capped = [_word_keys(w, 3, len("<azucena>")) for w in words]
+        assert proc.stdout == f"{capped}\n"
 
     def test_size(self):
         vocab = FeatureVocab({"a": 0, "b": 1}, bucket_count=10,
@@ -98,7 +100,7 @@ class TestGradients:
             "burla burlando van los tres delante",
         ]
         patterns = [p for _, p in TINY] + ["-+-+-+---+-"] * 6
-        vocab = build_vocab(texts, config)
+        vocab, _ = build_vocab(texts, config)
         dim = 6
         emb = rng.normal(0, 0.3, (vocab.size, dim))
         w = rng.normal(0, 0.3, (PATTERN_LENGTH, dim))
@@ -145,7 +147,7 @@ class TestTrain:
         config = _tiny_config(epochs=3)
         text, pattern = TINY[0]
         model = train([(text, pattern)], [], config)
-        vocab = build_vocab([text], config)
+        vocab, _ = build_vocab([text], config)
         example = [(featurize(text, vocab), _pattern_targets(pattern))]
         dim, lr = config.embedding_dim, config.learning_rate
         emb = np.random.default_rng(config.seed).uniform(
@@ -203,6 +205,29 @@ class TestTrain:
         assert str(exc.value).startswith(f"{name} example 1: gold pattern "
                                          f"{pattern!r} ")
 
+    def test_builds_the_vocabulary_once(self, monkeypatch):
+        # one build_vocab call per train, eval set or not: perfbench times
+        # the vocabulary pass as that function's span
+        calls = []
+        real = baseline.build_vocab
+
+        def counted(texts, config):
+            calls.append(list(texts))
+            return real(texts, config)
+
+        monkeypatch.setattr(baseline, "build_vocab", counted)
+        train(TINY, [], _tiny_config(epochs=2))
+        train(TINY, TINY[:2], _tiny_config(epochs=2))
+        assert calls == [[text for text, _ in TINY]] * 2
+
+    @pytest.mark.parametrize("value", [2.5, True, "3"])
+    @pytest.mark.parametrize("field", ["epochs", "embedding_dim", "bucket_count",
+                                       "ngram_min", "ngram_max", "patience"])
+    def test_sizes_are_integers(self, field, value):
+        with pytest.raises(DataError) as exc:
+            TrainConfig(**{field: value})
+        assert str(exc.value) == f"{field} must be an integer, not {value!r}"
+
     def test_accepts_corpus_lines(self):
         lines = wordbank.synthetic_corpus(8, seed=3)
         model = train(lines, lines[:2], _tiny_config(epochs=2))
@@ -218,11 +243,24 @@ def _reference_bce(scores, targets):
                         + np.maximum(scores, 0) - scores * targets))
 
 
+def _reference_vocab(texts, config):
+    """The vocabulary as a loop over every key of every word of every text
+    numbers it: each key at its first occurrence."""
+    ids = {}
+    for text in texts:
+        for word in clean_text(text).split():
+            for key in _word_keys(word, config.ngram_min, config.ngram_max):
+                if key not in ids:
+                    ids[key] = len(ids)
+    return FeatureVocab(ids, config.bucket_count, config.ngram_min,
+                        config.ngram_max)
+
+
 def _reference_train(train_pairs, eval_pairs, config):
     """``train`` as it stood with numpy's unbuffered ``np.add.at`` scatter,
     ``ndarray.mean``, ``np.clip``, ``np.outer`` and each step's loss added
     as the step is taken: the weights and ``train_meta`` it gives."""
-    vocab = build_vocab([text for text, _ in train_pairs], config)
+    vocab = _reference_vocab([text for text, _ in train_pairs], config)
     rng = np.random.default_rng(config.seed)
     dim, lr = config.embedding_dim, config.learning_rate
     emb = rng.uniform(-0.5 / dim, 0.5 / dim, size=(vocab.size, dim))
@@ -306,14 +344,12 @@ class TestBitIdentity:
                                             epochs=5)),
         }[case]
         texts = [text for text, _ in train_pairs]
-        vocab = build_vocab(texts, config)
-        # the trainer's one gram pass gives the same vocabulary and ids
-        pass_vocab, features = _train_features(texts, config)
-        assert pass_vocab == vocab
-        assert [ids.tolist() for ids, _ in features] == [
-            featurize(text, vocab) for text in texts]
-        counts = [max(map(ids.count, ids), default=0)
-                  for ids in (featurize(t, vocab) for t, _ in train_pairs)]
+        vocab, rows = build_vocab(texts, config)
+        # cutting each distinct word once numbers the keys as the loop over
+        # every key of every text does, and a text's row is its featurize ids
+        assert vocab == _reference_vocab(texts, config)
+        assert rows == [featurize(text, vocab) for text in texts]
+        counts = [max(map(ids.count, ids), default=0) for ids in rows]
         # ids repeat, with 1-grams three times or more, and a line has none
         assert max(counts) >= (3 if config.ngram_min == 1 else 2)
         assert 0 in counts
@@ -339,7 +375,7 @@ class TestPredict:
             assert "+" in pattern
 
     def test_zero_model_fires_everywhere(self):
-        vocab = build_vocab(["sol"], _tiny_config())
+        vocab, _ = build_vocab(["sol"], _tiny_config())
         from escansion.baseline import PositionalStressModel
         model = PositionalStressModel(
             vocab=vocab,
@@ -351,7 +387,7 @@ class TestPredict:
         assert np.allclose(predict_scores(model, "sol"), 0.5)
 
     def test_forced_argmax_when_nothing_fires(self):
-        vocab = build_vocab(["sol"], _tiny_config())
+        vocab, _ = build_vocab(["sol"], _tiny_config())
         from escansion.baseline import PositionalStressModel
         biases = -np.ones(PATTERN_LENGTH)
         biases[4] = -0.5
@@ -410,7 +446,7 @@ class TestSaveLoad:
 
     @pytest.mark.parametrize("field,value", [
         ("ngram_min", 0), ("ngram_max", 2), ("embedding_dim", 0),
-        ("bucket_count", 0)])
+        ("bucket_count", 0), ("ngram_min", 2.5), ("ngram_max", 6.5)])
     def test_unusable_size_names_the_path(self, tmp_path, field, value):
         import json
         path = tmp_path / "model.json"
