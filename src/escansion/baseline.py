@@ -12,8 +12,8 @@ exact-match accuracy over the evaluation set.
 runs it once: it cuts each distinct word into grams once, gives ids to
 grams in first-occurrence order and returns each text's ids, its words'
 ids in turn, which equal what ``featurize`` gives. ``train`` turns each
-example's ids into index arrays: the ids in order, and the 2nd, 3rd, ...
-occurrences of the ids that repeat. A step adds to every occurrence of
+example's ids into index arrays: the ids in order, and for k = 1, 2, ...
+the ids that occur more than k times. A step adds to every occurrence of
 an id, in occurrence order, through them, so every weight
 gets the same float adds in the same order as numpy's ``add.at`` scatter,
 which the trainer used before: the weights and model files are
@@ -29,6 +29,7 @@ import base64
 import json
 import math
 import zlib
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -178,18 +179,12 @@ def _scores(embeddings, head_weights, head_biases, ids) -> np.ndarray:
 
 
 def _index_arrays(ids: list[int]) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """An example's ids as an index array, in order, and the repeats: the
-    ids' 2nd occurrences, then their 3rd, and so on, each array holding
+    """An example's ids as an index array, in order, and the repeats: for
+    k = 1, 2, ..., the ids that occur more than k times, each array holding
     distinct ids."""
-    seen: dict[int, int] = {}
-    repeats: list[list[int]] = []
-    for i in ids:
-        k = seen.get(i, 0)
-        seen[i] = k + 1
-        if k:
-            if k > len(repeats):
-                repeats.append([])
-            repeats[k - 1].append(i)
+    counts = Counter(ids)
+    repeats = [[i for i, n in counts.items() if n > k]
+               for k in range(1, max(counts.values(), default=1))]
     return (np.array(ids, dtype=np.intp),
             tuple(np.array(rows, dtype=np.intp) for rows in repeats))
 

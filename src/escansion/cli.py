@@ -3,7 +3,9 @@
 Subcommands: scan, prepare, evaluate, score, baseline train/predict.
 Exit codes: 0 success, 1 environment or I/O problem, 2 bad input data.
 All randomness flows through an explicit --seed flag, so every command is
-byte-reproducible given the same inputs. Only the baseline subcommands
+byte-reproducible given the same inputs. A flag that sets a field of a
+record (``ScanConfig``, ``TrainConfig``, ``corpus.split``'s seed) is left
+out when not given, so the record's own default holds. Only the baseline subcommands
 import the baseline module, and with it numpy, so scan, evaluate and score
 start without it; only evaluate and score import metrics, only prepare,
 evaluate, score and the baseline commands import corpus, and only prepare
@@ -26,14 +28,17 @@ from .errors import DataError, Unfittable
 from .phonology import StressLexicon, default_lexicon, numbered_lines
 from .scansion import ScanConfig, scan_line
 
-ENV_LEXICON = "ESCANSION_LEXICON"
-
 
 def _load_lexicon(path: str | None) -> StressLexicon:
-    path = path or os.environ.get(ENV_LEXICON)
-    if path:
-        return StressLexicon.load(path)
-    return default_lexicon()
+    return StressLexicon.load(path) if path else default_lexicon()
+
+
+def _given(args, names) -> dict:
+    """The flags among ``names`` that the command line gave. Their defaults
+    are suppressed, so a record built from them takes its own defaults
+    for the rest: each default has one source."""
+    return {name: value for name, value in vars(args).items()
+            if name in names}
 
 
 def _stdout():
@@ -107,7 +112,7 @@ def _format_tsv(record: dict) -> str:
 def cmd_scan(args) -> int:
     lexicon = _load_lexicon(args.lexicon)
     # only jsonl prints the diagnostics, and keeping them costs the fitter
-    config = ScanConfig(target_length=args.target_length,
+    config = ScanConfig(**_given(args, ("target_length",)),
                         h_blocks_synalepha=args.h_blocks_synalepha,
                         emit_diagnostics=args.diagnostics
                         and args.format == "jsonl")
@@ -164,7 +169,7 @@ def cmd_prepare(args) -> int:
         except ValueError:
             raise DataError(f"--ratios must be comma-separated numbers, "
                             f"got {args.ratios!r}") from None
-    result = corpus.split(lines, ratios=ratios, seed=args.seed)
+    result = corpus.split(lines, ratios, **_given(args, ("seed",)))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     corpus.write_tsv(lines, out_dir / "corpus.tsv", include_manual=True)
@@ -221,15 +226,13 @@ def cmd_evaluate(args) -> int:
 # baseline, and numpy with it, is imported by these two commands only
 
 def cmd_baseline_train(args) -> int:
+    import dataclasses
     from . import baseline, corpus
     _stdout()  # the report goes there: a closed one fails first
     train_set = corpus.read_tsv(args.train)
     eval_set = corpus.read_tsv(args.eval) if args.eval else []
-    config = baseline.TrainConfig(
-        ngram_min=args.ngram_min, ngram_max=args.ngram_max,
-        embedding_dim=args.dim, epochs=args.epochs,
-        learning_rate=args.lr, seed=args.seed,
-        patience=args.patience, bucket_count=args.buckets)
+    config = baseline.TrainConfig(**_given(args, {
+        field.name for field in dataclasses.fields(baseline.TrainConfig)}))
     model = baseline.train(train_set, eval_set, config)
     for entry in model.train_meta["history"]:
         acc = entry["eval_exact_match"]
@@ -280,8 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", nargs="?", default="-",
                    help="file with one verse per line (default stdin)")
     p.add_argument("-o", "--output", default="-")
-    p.add_argument("--lexicon", help=f"function-word lexicon (or ${ENV_LEXICON})")
-    p.add_argument("--target-length", type=int, default=11)
+    p.add_argument("--lexicon", help="function-word lexicon")
+    p.add_argument("--target-length", type=int, default=argparse.SUPPRESS)
     p.add_argument("--h-blocks-synalepha", action="store_true")
     p.add_argument("--format", choices=("tsv", "jsonl"), default="tsv")
     p.add_argument("--diagnostics", action="store_true",
@@ -292,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tei", required=True, help="TEI file or directory")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--ratios")
-    p.add_argument("--seed", type=int, default=13)
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     p.add_argument("--manual-only", action="store_true",
                    help="keep only lines flagged as manually annotated")
     p.set_defaults(func=cmd_prepare)
@@ -315,18 +318,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("baseline", help="train or apply the positional classifier")
     bsub = p.add_subparsers(dest="baseline_command", required=True)
 
-    t = bsub.add_parser("train")
+    # a flag not given is left out: the config takes TrainConfig's default,
+    # and each flag's dest is its field
+    t = bsub.add_parser("train", argument_default=argparse.SUPPRESS)
     t.add_argument("--train", required=True, help="training TSV")
-    t.add_argument("--eval", help="evaluation TSV for early stopping")
+    t.add_argument("--eval", default=None,
+                   help="evaluation TSV for early stopping")
     t.add_argument("--model", required=True, help="output model path")
-    t.add_argument("--epochs", type=int, default=10)
-    t.add_argument("--dim", type=int, default=100)
-    t.add_argument("--lr", type=float, default=0.05)
-    t.add_argument("--ngram-min", type=int, default=3)
-    t.add_argument("--ngram-max", type=int, default=6)
-    t.add_argument("--patience", type=int, default=5)
-    t.add_argument("--buckets", type=int, default=10000)
-    t.add_argument("--seed", type=int, default=13)
+    t.add_argument("--epochs", type=int)
+    t.add_argument("--dim", dest="embedding_dim", type=int)
+    t.add_argument("--lr", dest="learning_rate", type=float)
+    t.add_argument("--ngram-min", type=int)
+    t.add_argument("--ngram-max", type=int)
+    t.add_argument("--patience", type=int)
+    t.add_argument("--buckets", dest="bucket_count", type=int)
+    t.add_argument("--seed", type=int)
     t.set_defaults(func=cmd_baseline_train)
 
     pr = bsub.add_parser("predict")

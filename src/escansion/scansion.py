@@ -313,15 +313,21 @@ def _applied(sites: list[FigureSite], mask: int) -> tuple[FigureSite, ...]:
     return tuple(s for i, s in enumerate(sites) if mask >> i & 1)
 
 
-def _place(stresses: int, steps) -> int:
-    """The groups of the ``stresses`` once the ``(cut, shift, _)`` steps, in
-    cut order, are applied: each moves every syllable from its cut on.
-    Every winner's stresses are laid out here."""
+def _place(stresses: int, shifting, runs) -> tuple[list[int], int]:
+    """The site indices of the ``(cut, shift, i)`` shifting sites whose
+    ranks lie in the slices ``runs``, in site order, and the groups of the
+    ``stresses`` once they apply: each moves every syllable from its cut
+    on. Every winner's stresses are laid out here."""
+    steps = []
+    for run in runs:
+        steps += shifting[run]
+    steps.sort()  # cut order
     own = at = moved = 0
     for cut, shift, _ in steps:
         own |= (stresses >> at & (1 << cut - at) - 1) << at + moved
         at, moved = cut, moved + shift
-    return own | stresses >> at << at + moved
+    return (sorted([i for _, _, i in steps]),
+            own | stresses >> at << at + moved)
 
 
 def _rhythmic(stresses: int) -> bool:
@@ -350,28 +356,20 @@ def _pick(lo, hi, shift):
             slice(released_end - joined + kept, released_end))
 
 
-def _lay_out(stresses: int, shifting, order: list[int], runs):
-    """The indices into ``shifting`` of the ranks in the slices ``runs``, in
-    order, and the groups of the ``stresses`` once those sites apply."""
-    picked = []
-    for run in runs:
-        picked += order[run]
-    picked.sort()
-    return picked, _place(stresses, sorted([shifting[k] for k in picked]))
-
-
-def _template(stresses: int, top: int, need: int, cuts: list[int],
+def _template(stresses: int, shifting, top: int, need: int,
               starts: tuple[int, ...], ends: tuple[int, ...]):
-    """The runs of the cheapest rhythmic subset, or None when no subset is
-    rhythmic; ``cuts`` is each rank's cut. A choice of s on group 5, or of
-    s1 on 3 and s2 on 7, cuts the sites into segments, each picked by
-    ``_pick`` and costed in O(1) from ``_rank_costs``; costs are sums over
-    sites, so the choice's cheapest subset is the union of its segments'
-    picks. The tier offsets are read only at the stressed syllables, and
+    """The runs of the cheapest rhythmic subset of the ``(cut, shift, i)``
+    shifting sites, in rank order, or None when no subset is rhythmic. A
+    choice of s on group 5, or of s1 on 3 and s2 on 7, cuts the sites into
+    segments, each picked by ``_pick`` and costed in O(1) from
+    ``_rank_costs``; costs are sums over sites, so the choice's cheapest
+    subset is the union of its segments' picks. The tier offsets are read
+    from the sites' cuts only at the stressed syllables, and
     the prefix (to group 3 or 5) and suffix (from 5 or 7) of each s are
     costed once, the middle of a pair once per pair: at most 4k + k(k-1)/2
     segments for the k stressed syllables before ``top``."""
     costs = _rank_costs(ends)
+    cuts = [cut for cut, _, _ in shifting]
     down, up = ends[2], ends[3] - ends[2]  # merges and splits in all
 
     def priced(lo, hi, shift):
@@ -485,13 +483,15 @@ def fit_to_target(words: ParsedLine, sites: list[FigureSite],
     more than one subset fits when a site shifts nothing or the target is
     strictly inside it. A site that shifts nothing is cut after the last
     stress, so it is a syneresis or dieresis, whose cost is positive, and
-    is never applied. Among the other sites, ``need`` is the shift that
-    puts the last stress on group target-2; they are ranked by tier, as
-    ``_rank_costs`` costs them, and ``_pick`` counts out their cheapest
+    is never applied. The others go to ``shifting`` as ``(cut, shift, i)``
+    for ``sites[i]``, in rank order as ``_rank_costs`` costs them, so a
+    site's rank is its index. ``need`` is the shift that puts the last
+    stress on group target-2, and ``_pick`` counts out their cheapest
     subset. It wins at a target other than 11, and at 11 when its pattern
     is rhythmic; else ``_template``'s cheapest rhythmic subset wins when
-    there is one. The winner's stresses are laid out by ``_place``, and
-    ``emit_diagnostics`` adds every fitting pattern, from ``_patterns``.
+    there is one. ``_place`` lays out the winner's stresses and lists its
+    sites in site order, and ``emit_diagnostics`` adds every fitting
+    pattern, from ``_patterns``.
     """
     config = config or _DEFAULT_CONFIG
     target = config.target_length
@@ -499,10 +499,10 @@ def fit_to_target(words: ParsedLine, sites: list[FigureSite],
     top = stresses.bit_length() - 1  # the last stressed syllable
     # one pass: check each kind, cut each site where it moves the line (p+1
     # for a merge at p or a split of p that keeps its stress on the left,
-    # p for any other split), keep the sites that shift the last stress and
-    # rank those by tier for _pick and _rank_costs
-    shifting, ambiguous = [], False
+    # p for any other split), and put each site that shifts the last stress
+    # in its tier; a site's rank is then its index in shifting
     released, held, fusing, splitting = [], [], [], []
+    ambiguous = False
     for i, (kind, position, stress, h) in enumerate(sites):
         shift = _DELTAS.get(kind)
         if shift is None:
@@ -510,14 +510,13 @@ def fit_to_target(words: ParsedLine, sites: list[FigureSite],
         cut = position + (shift < 0 or lefts >> position & 1)
         if cut > top:
             ambiguous = True  # it shifts nothing
-            continue
-        if shift > 0:
-            splitting.append(len(shifting))
+        elif shift > 0:
+            splitting.append((cut, shift, i))
         elif kind == "syneresis":
-            fusing.append(len(shifting))
+            fusing.append((cut, shift, i))
         else:
-            (released if stress or h else held).append(len(shifting))
-        shifting.append((cut, shift, i))
+            (released if stress or h else held).append((cut, shift, i))
+    shifting = released + held + fusing + splitting
     up = len(splitting)
     down = len(shifting) - up
     low, high = top + 2 - down, top + 2 + up
@@ -527,21 +526,18 @@ def fit_to_target(words: ParsedLine, sites: list[FigureSite],
     need = target - top - 2  # the shift that puts the last stress on target-2
     picked, own = [], stresses  # with no shifting site, nothing can apply
     if shifting:
-        order = released + held + fusing + splitting
         starts = (0, len(released), down - len(fusing), down)
-        ends = starts[1:] + (len(order),)
-        picked, own = _lay_out(stresses, shifting, order,
-                               _pick(starts, ends, need))
+        ends = starts[1:] + (len(shifting),)
+        picked, own = _place(stresses, shifting, _pick(starts, ends, need))
         if target == 11 and not _rhythmic(own):
-            runs = _template(stresses, top, need,
-                             [shifting[k][0] for k in order], starts, ends)
+            runs = _template(stresses, shifting, top, need, starts, ends)
             if runs:
-                picked, own = _lay_out(stresses, shifting, order, runs)
+                picked, own = _place(stresses, shifting, runs)
     diagnostics = ()
     if config.emit_diagnostics:
         diagnostics = _patterns(stresses, shifting, top, need, target)
-    return _result(words, tuple([sites[shifting[k][2]] for k in picked]),
-                   own, target, ambiguous or low < target < high, diagnostics)
+    return _result(words, tuple([sites[i] for i in picked]), own, target,
+                   ambiguous or low < target < high, diagnostics)
 
 
 def _result(words, applied, stresses, target, ambiguous,

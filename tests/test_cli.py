@@ -15,6 +15,8 @@ import pytest
 from escansion import cli
 from escansion.cli import main
 from escansion.corpus import bundled_mini_gold, write_tsv
+from escansion.errors import DataError
+from escansion.scansion import ScanConfig
 from test_corpus import SONNET_TEI
 
 LINE = "cubra de nieve la hermosa cumbre"
@@ -283,15 +285,42 @@ class TestScan:
         assert outs[0] == outs[1]
         assert outs[0].count(b"\n") == 2
 
-    def test_custom_lexicon_env(self, tmp_path, capsys, monkeypatch):
-        lex = tmp_path / "lex.txt"
-        lex.write_text("", encoding="utf-8")  # nothing atonic
-        monkeypatch.setenv("ESCANSION_LEXICON", str(lex))
+    @pytest.mark.parametrize("flags,config", [
+        ([], ScanConfig()),
+        (["--target-length", "8", "--h-blocks-synalepha"],
+         ScanConfig(target_length=8, h_blocks_synalepha=True)),
+    ], ids=["no-flags", "flags"])
+    def test_scan_config_comes_from_the_flags_given(self, flags, config,
+                                                     tmp_path, capsys,
+                                                     monkeypatch):
+        # a flag not given takes ScanConfig's own default
+        configs = []
+
+        def scan(line, lexicon, given):
+            configs.append(given)
+            raise DataError("stopped before scanning")
+
+        monkeypatch.setattr(cli, "scan_line", scan)
         src = tmp_path / "verses.txt"
         src.write_text(LINE + "\n", encoding="utf-8")
-        assert main(["scan", str(src)]) == 0
+        assert main(["scan", str(src), *flags]) == 2
+        assert configs == [config]
+
+    def test_custom_lexicon_flag(self, tmp_path, capsys, monkeypatch):
+        lex = tmp_path / "lex.txt"
+        lex.write_text("", encoding="utf-8")  # nothing atonic
+        src = tmp_path / "verses.txt"
+        src.write_text(LINE + "\n", encoding="utf-8")
+        assert main(["scan", "--lexicon", str(lex), str(src)]) == 0
         out = capsys.readouterr().out
         assert "+-++-+-+-+-" in out  # de/la now count as tonic
+        # only the flag chooses the lexicon: the variable that once did
+        # changes nothing
+        assert main(["scan", str(src)]) == 0
+        default = capsys.readouterr().out
+        monkeypatch.setenv("ESCANSION_LEXICON", str(lex))
+        assert main(["scan", str(src)]) == 0
+        assert capsys.readouterr().out == default != out
 
 
 class _LineOnlyBytes(io.BytesIO):
@@ -616,6 +645,30 @@ class TestEvaluateAndScore:
 
 
 class TestBaselineCommands:
+    @pytest.mark.parametrize("flags,fields", [
+        ([], {}),
+        (["--epochs", "3", "--dim", "16", "--lr", "0.1", "--ngram-min", "2",
+          "--ngram-max", "4", "--patience", "2", "--buckets", "64",
+          "--seed", "5"],
+         dict(epochs=3, embedding_dim=16, learning_rate=0.1, ngram_min=2,
+              ngram_max=4, patience=2, bucket_count=64, seed=5)),
+    ], ids=["no-flags", "every-flag"])
+    def test_train_config_comes_from_the_flags_given(self, flags, fields,
+                                                     gold_tsv, tmp_path,
+                                                     monkeypatch):
+        # a flag not given takes TrainConfig's own default
+        from escansion import baseline
+        configs = []
+
+        def stop(train_set, eval_set, config):
+            configs.append(config)
+            raise DataError("stopped before training")
+
+        monkeypatch.setattr(baseline, "train", stop)
+        assert main(["baseline", "train", "--train", str(gold_tsv),
+                     "--model", str(tmp_path / "m.json"), *flags]) == 2
+        assert configs == [baseline.TrainConfig(**fields)]
+
     def test_train_predict_evaluate_pipeline(self, tmp_path, capsys):
         import wordbank
         from escansion.corpus import split as corpus_split, write_split

@@ -2,8 +2,8 @@
 
 ``perfbench/reference.json.gz`` records an outcome for every pooled
 ``site_heavy`` and ``cli_novel`` line. Here all 30 site_heavy rounds and
-cli_novel files 0-4 replay theirs through ``reference.outcome``; the CI
-workflow replays the whole table. Every site_heavy line is also fitted
+all 60 cli_novel files replay theirs through ``reference.outcome``: the
+whole table, 25,320 outcomes. Every site_heavy line is also fitted
 against the oracle's ranking DP, the lines past 16 sites included, for
 which the table records no outcome. The perfbench modules are imported as
 they are, from their own directory, and only read.
@@ -23,8 +23,6 @@ from escansion.scansion import (ScanConfig, find_figure_sites, fit_to_target,
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import inputs  # noqa: E402  (imports no escansion)
 import reference  # noqa: E402
-
-CLI_FILES = 5
 
 
 @pytest.fixture(scope="module")
@@ -59,8 +57,8 @@ def test_site_heavy_rounds_replay_their_outcomes(table, rounds, lexicon):
 
 def test_cli_novel_files_replay_their_outcomes(table, lexicon):
     files = [inputs.novel_file(index, reference.CLI_LINES_PER_FILE)
-             for index in range(CLI_FILES)]
-    assert _replay(table, "cli_novel", files, lexicon) == 2000
+             for index in range(reference.CLI_FILES)]
+    assert _replay(table, "cli_novel", files, lexicon) == 24000
 
 
 @pytest.mark.parametrize("h_blocks", [False, True],

@@ -180,6 +180,21 @@ class TestFitAndScan:
         applied = [s.kind for s in result.candidate.applied]
         assert applied.count("synalepha") == 1
 
+    def test_applied_keeps_site_order_where_cut_order_differs(self, lexicon,
+                                                              config):
+        # the dieresis of stressed "llue" keeps its stress on the right, so
+        # it cuts at 4, before the syneresis at 4, which cuts at 5: the
+        # applied sites still come in site order, as the ranking DP's do
+        words = phonological_parse("llocrega challuee vimes nortrobren",
+                                   lexicon)
+        sites = find_figure_sites(words, config)
+        result = fit_to_target(words, sites, config)
+        outcome = (result.pattern, result.candidate.applied, result.ambiguous)
+        assert outcome == oracle.reference_fit(words, sites)
+        assert result.pattern == "-+---++--+-"
+        assert [str(s) for s in result.candidate.applied] == [
+            "syneresis@4", "dieresis@4"]
+
     def test_config_bounds_hold_for_library_callers(self, lexicon):
         for kwargs in ({"target_length": 1},
                        {"target_length": 17, "emit_diagnostics": True}):

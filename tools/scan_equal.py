@@ -68,8 +68,7 @@ def write_inputs(directory: Path) -> list[Path]:
 
 
 def scan(tree: Path, mode: str, path: Path, cwd: Path):
-    env = {k: v for k, v in os.environ.items() if k != "ESCANSION_LEXICON"}
-    env.update(LC_ALL="C.UTF-8", PYTHONPATH=str(tree / "src"))
+    env = dict(os.environ, LC_ALL="C.UTF-8", PYTHONPATH=str(tree / "src"))
     argv = [sys.executable, "-m", "escansion", "scan", *MODES[mode]]
     if mode.endswith("from stdin"):
         with open(path, "rb") as stdin:
