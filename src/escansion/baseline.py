@@ -36,8 +36,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CorruptModelFile, DataError, EmptyTrainingSet
-from .metrics import PATTERN_LENGTH
 from .phonology import clean_text
+from .scansion import PATTERN_LENGTH, check_pattern
 
 _FORMAT = "escansion-baseline"
 _VERSION = 1
@@ -56,12 +56,13 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("epochs", "embedding_dim", "bucket_count", "ngram_min",
-                     "ngram_max", "patience"):
+                     "ngram_max", "patience", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise DataError(f"{name} must be an integer, not {value!r}")
-            if value < 1:
-                raise DataError(f"{name} must be at least 1")
+            least = 0 if name == "seed" else 1
+            if value < least:
+                raise DataError(f"{name} must be at least {least}")
         if self.ngram_min > self.ngram_max:
             raise DataError("ngram_min must not exceed ngram_max")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -152,15 +153,17 @@ def _pattern_targets(pattern: str) -> np.ndarray:
 
 
 def _pairs(dataset, name: str) -> list[tuple[str, str]]:
-    """The (text, gold pattern) pairs of corpus lines or pairs; a pattern
-    not 11 symbols over + and - is a DataError naming the example."""
+    """The (text, gold pattern) pairs of corpus lines or pairs; a gold that
+    is not a string passing ``check_pattern`` is a DataError naming it."""
     pairs = []
     for index, item in enumerate(dataset):
         text, pattern = (item.text, item.gold) if hasattr(item, "text") else item
-        if not (isinstance(pattern, str) and len(pattern) == PATTERN_LENGTH
-                and set(pattern) <= {"+", "-"}):
-            raise DataError(f"{name} example {index}: gold pattern {pattern!r} "
-                            f"is not {PATTERN_LENGTH} symbols over '+' and '-'")
+        try:
+            if not isinstance(pattern, str):
+                raise DataError(f"pattern {pattern!r} is not a string")
+            check_pattern(pattern)
+        except DataError as exc:
+            raise type(exc)(f"{name} example {index}: gold {exc}") from None
         pairs.append((text, pattern))
     return pairs
 
@@ -264,8 +267,8 @@ def train(train_set, eval_set, config: TrainConfig | None = None) -> PositionalS
 
     Deterministic for a fixed seed. Early-stops once eval exact-match has
     not improved for ``patience`` consecutive epochs, and keeps the best
-    epoch's weights. Raises DataError when a gold pattern is not 11
-    symbols over + and -, or when the kept weights are not finite.
+    epoch's weights. Raises DataError when a gold pattern fails
+    ``check_pattern``, or when the kept weights are not finite.
     """
     config = config or TrainConfig()
     train_pairs = _pairs(train_set, "training")
@@ -419,8 +422,11 @@ def load_model(path) -> PositionalStressModel:
     if doc.get("version") != _VERSION:
         raise CorruptModelFile(f"{path}: unsupported version {doc.get('version')!r}")
     try:
+        keys = doc["vocab"]
+        if not (isinstance(keys, list) and all(isinstance(k, str) for k in keys)):
+            raise TypeError("vocab is not a list of strings")
         vocab = FeatureVocab(
-            {key: i for i, key in enumerate(doc["vocab"])},
+            {key: i for i, key in enumerate(keys)},
             doc["bucket_count"], doc["ngram_min"], doc["ngram_max"])
         dim = doc["embedding_dim"]
         # a model's sizes are ones training accepts

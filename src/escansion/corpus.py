@@ -38,7 +38,7 @@ class CorpusLine:
     def __post_init__(self):
         check_pattern(self.gold)
         if self.line_no < 1:
-            raise ValueError("line_no starts at 1")
+            raise DataError("line_no starts at 1")
 
 
 @dataclass(frozen=True)
@@ -72,25 +72,22 @@ class CorpusSplit:
 def normalize_met(raw: str) -> str:
     """Coerce a raw met annotation to the canonical 11 positions.
 
-    Accepts +/- or 1/0 alphabets. Length 11 passes through; a 10-symbol
-    pattern ending in stress (oxytone line) pads a trailing '-'; a
-    12-symbol pattern ending in two weak positions (proparoxytone line)
-    collapses them into one. Anything else is malformed.
+    Accepts +/- or 1/0 alphabets. A 10-symbol pattern ending in stress
+    (oxytone line) pads a trailing '-'; a 12-symbol pattern ending in two
+    weak positions (proparoxytone line) collapses them into one. A result
+    that fails ``check_pattern`` raises UnnormalizableMet.
     """
     met = raw.strip().replace("1", "+").replace("0", "-")
     if set(met) - {"+", "-"}:
         raise UnnormalizableMet(f"met {raw!r} not over +/- or 1/0")
-    if len(met) == 11:
-        pass
-    elif len(met) == 10 and met.endswith("+"):
+    if len(met) == 10 and met.endswith("+"):
         met += "-"
     elif len(met) == 12 and met.endswith("--"):
         met = met[:-1]
-    else:
-        raise UnnormalizableMet(f"met {raw!r} has unhandled shape")
-    if "+" not in met:
-        raise UnnormalizableMet(f"met {raw!r} has no stressed position")
-    return check_pattern(met)
+    try:
+        return check_pattern(met)
+    except DataError as exc:
+        raise UnnormalizableMet(f"met {raw!r}: {exc}") from None
 
 
 def _local(tag: str) -> str:

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import CorpusLine, normalize_met, parse_line_no
-from .errors import AlignmentError, DataError, EmptyInput, LengthMismatch
+from .errors import AlignmentError, DataError, EmptyInput
 from .phonology import numbered_lines
+from .scansion import PATTERN_LENGTH, check_pattern
 
-PATTERN_LENGTH = 11
 # misses an EvalReport keeps, and the first of them a text report prints
 ERROR_EXAMPLE_CAP = 50
 REPORTED_ERRORS = 5
@@ -43,19 +43,12 @@ class EvalReport:
                 raise ValueError("exact match cannot beat a position")
 
 
-def line_exact_match(pred: str, gold: str) -> bool:
-    """True iff every position of an 11-symbol pattern pair agrees."""
-    for name, pat in (("prediction", pred), ("gold", gold)):
-        if len(pat) != PATTERN_LENGTH:
-            raise LengthMismatch(f"{name} {pat!r} is not {PATTERN_LENGTH} symbols")
-    return pred == gold
-
-
 def evaluate(pairs, unmatched: int = 0) -> EvalReport:
     """Score (pred, gold, text) triples.
 
-    ``pred`` may be None for lines the engine could not scan; those count
-    as wrong everywhere. ``unmatched`` predictions are reported, not scored.
+    ``pred`` is None for a line the engine could not scan, wrong
+    everywhere; every other pattern must pass ``check_pattern``.
+    ``unmatched`` predictions are reported, not scored.
     """
     pairs = list(pairs)
     if not pairs:
@@ -64,12 +57,11 @@ def evaluate(pairs, unmatched: int = 0) -> EvalReport:
     position_hits = [0] * PATTERN_LENGTH
     errors = []
     for pred, gold, text in pairs:
-        if len(gold) != PATTERN_LENGTH:
-            raise LengthMismatch(f"gold {gold!r} is not {PATTERN_LENGTH} symbols")
+        check_pattern(gold)
         if pred is None:
             errors.append((text, gold, "<unscanned>"))
             continue
-        if line_exact_match(pred, gold):
+        if check_pattern(pred) == gold:
             correct += 1
         else:
             errors.append((text, gold, pred))

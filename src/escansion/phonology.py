@@ -45,9 +45,10 @@ checks of their own: text is checked where it enters, in
 ``normalize_token``.
 
 This module also owns text normalization for scan, ``prepare`` and the
-baseline: ``clean_text`` folds a line to lowercase Spanish letters and
-marks, and ``normalize_token`` is the same fold and drop applied to one
-token, with the spaces dropped too.
+baseline: ``clean_text`` folds a line and turns all but Spanish letters
+and the marks ' and - into spaces; ``normalize_token`` folds one token
+alike but deletes those characters, then strips the marks at its edges,
+keeps the first mark of a run and refuses a token with no vowel.
 Every text input, the lexicon's included, is cut into numbered lines by
 its one reader, ``numbered_lines``, the standard library's UTF-8 text
 layer with universal newlines.
@@ -142,11 +143,10 @@ def _unmarked(text: str) -> str:
 
 
 def normalize_token(raw: str) -> Word:
-    """Lowercase a token and strip everything that is not a Spanish letter.
-
-    ``clean_text`` with the spaces removed, so characters it drops vanish
-    inside the token. Diacritics are preserved; word-internal apostrophes
-    and hyphens survive (archaic contractions like d'amor). Raises
+    """A token's normalized form: the fold of ``clean_text``, with what it
+    turns into spaces deleted, the marks ' and - at the edges stripped and
+    a run of marks cut to its first: ``a,b`` is ``ab``, ``d''amor`` is
+    ``d'amor``, ``--hola''`` is ``hola``. Diacritics are preserved. Raises
     EmptyAfterNormalization when nothing remains, or no vowel (y counts).
     """
     text = _DROP_TOKEN_RE.sub("", _fold(raw)).strip(_MARKS)

@@ -168,15 +168,19 @@ class ScansionResult(NamedTuple):
         return " ".join("-".join(word) for word in self.syllabification)
 
 
-def check_pattern(symbols: str, length: int = 11) -> str:
-    """Validate a metrical pattern string and hand it back."""
+PATTERN_LENGTH = 11  # a hendecasyllable's positions, gold or predicted
+
+
+def check_pattern(symbols: str, length: int = PATTERN_LENGTH) -> str:
+    """The one rule for a pattern: ``length`` positions over + and -, one +
+    at least. Hands ``symbols`` back, or raises DataError (LengthMismatch)."""
     if len(symbols) != length:
         raise LengthMismatch(f"pattern {symbols!r} has {len(symbols)} positions, "
                              f"wanted {length}")
     if set(symbols) - {"+", "-"}:
-        raise ValueError(f"pattern {symbols!r} not over +/-")
+        raise DataError(f"pattern {symbols!r} is not over +/-")
     if "+" not in symbols:
-        raise ValueError("pattern needs at least one stressed position")
+        raise DataError(f"pattern {symbols!r} has no stressed position")
     return symbols
 
 

@@ -22,8 +22,8 @@ from escansion.baseline import (
     _word_keys,
 )
 from escansion.errors import CorruptModelFile, DataError, EmptyTrainingSet
-from escansion.metrics import PATTERN_LENGTH
 from escansion.phonology import clean_text
+from escansion.scansion import PATTERN_LENGTH
 
 TINY = [
     ("cubra de nieve la hermosa cumbre", "+--+---+-+-"),
@@ -195,6 +195,8 @@ class TestTrain:
         "+",  # numpy would broadcast it over all 11 heads
         "+-x+-+-+-+-",  # the x would train as unstressed
         "+-+-+-+-+-+-+",  # numpy would fail to broadcast 13 over 11
+        "-" * 11,  # no stress: not a pattern predict could give
+        None,
     ])
     @pytest.mark.parametrize("name", ["training", "eval"])
     def test_malformed_gold_is_a_data_error(self, name, pattern):
@@ -222,11 +224,18 @@ class TestTrain:
 
     @pytest.mark.parametrize("value", [2.5, True, "3"])
     @pytest.mark.parametrize("field", ["epochs", "embedding_dim", "bucket_count",
-                                       "ngram_min", "ngram_max", "patience"])
+                                       "ngram_min", "ngram_max", "patience",
+                                       "seed"])
     def test_sizes_are_integers(self, field, value):
         with pytest.raises(DataError) as exc:
             TrainConfig(**{field: value})
         assert str(exc.value) == f"{field} must be an integer, not {value!r}"
+
+    def test_seed_is_not_negative(self):
+        assert TrainConfig(seed=0).seed == 0
+        with pytest.raises(DataError) as exc:
+            TrainConfig(seed=-1)
+        assert str(exc.value) == "seed must be at least 0"
 
     def test_accepts_corpus_lines(self):
         lines = wordbank.synthetic_corpus(8, seed=3)
@@ -443,6 +452,19 @@ class TestSaveLoad:
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(CorruptModelFile):
             load_model(path)
+
+    @pytest.mark.parametrize("vocab", [[0, 1], "grams", {"sol": 0}],
+                             ids=["ints", "string", "object"])
+    def test_vocab_not_a_list_of_strings_names_the_path(self, tmp_path, vocab):
+        import json
+        path = tmp_path / "model.json"
+        save_model(train(TINY, [], _tiny_config(epochs=1)), path)
+        doc = json.loads(path.read_text())
+        doc["vocab"] = vocab
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(CorruptModelFile) as exc:
+            load_model(path)
+        assert str(exc.value) == f"{path}: vocab is not a list of strings"
 
     @pytest.mark.parametrize("field,value", [
         ("ngram_min", 0), ("ngram_max", 2), ("embedding_dim", 0),

@@ -766,8 +766,10 @@ class TestBaselineCommands:
         # numpy refuses a table this size before it touches any memory
         ("--dim", str(10 ** 15), f"rows x {10 ** 15} dim is too large"),
         ("--patience", "0", "patience must be at least 1"),
+        ("--seed", "-1", "seed must be at least 0"),
     ], ids=["epochs", "dim", "buckets", "ngram-min-0", "ngram-min-above-max",
-            "lr-nan", "lr-zero", "lr-diverges", "dim-too-large", "patience"])
+            "lr-nan", "lr-zero", "lr-diverges", "dim-too-large", "patience",
+            "seed"])
     def test_unusable_size_flag_is_data_error(self, flag, value, reason,
                                               gold_tsv, tmp_path, capsys):
         model = tmp_path / "model.json"

@@ -20,7 +20,7 @@ from escansion.corpus import (
     write_tsv,
 )
 from escansion.errors import (
-    InsufficientData, MalformedTei, MalformedTsv, MalformedXml,
+    DataError, InsufficientData, MalformedTei, MalformedTsv, MalformedXml,
     UnnormalizableMet)
 
 SONNET_TEI = """<?xml version="1.0" encoding="UTF-8"?>
@@ -202,6 +202,19 @@ class TestNormalizeMet:
         with pytest.raises(UnnormalizableMet):
             normalize_met("-" * 11)
 
+    @pytest.mark.parametrize("raw,reason", [
+        ("abc", "met 'abc' not over +/- or 1/0"),
+        ("+-+", "met '+-+': pattern '+-+' has 3 positions, wanted 11"),
+        ("-" * 10, f"met {'-' * 10!r}: pattern {'-' * 10!r} has 10 positions,"
+                   " wanted 11"),
+        ("0" * 11, f"met {'0' * 11!r}: pattern {'-' * 11!r} has no stressed"
+                   " position"),
+    ], ids=["alphabet", "short", "weak-oxytone-shape", "no-stress"])
+    def test_rejection_names_the_met(self, raw, reason):
+        with pytest.raises(UnnormalizableMet) as exc:
+            normalize_met(raw)
+        assert str(exc.value) == reason
+
     @given(st.text(alphabet="+-", min_size=10, max_size=12))
     @settings(max_examples=200)
     def test_idempotent(self, raw):
@@ -210,6 +223,17 @@ class TestNormalizeMet:
         except UnnormalizableMet:
             return
         assert normalize_met(once) == once
+
+
+class TestCorpusLine:
+    @pytest.mark.parametrize("gold", ["+-+", "x" * 11, "-" * 11])
+    def test_bad_gold_is_a_data_error(self, gold):
+        with pytest.raises(DataError):
+            CorpusLine("p", 1, "texto", gold)
+
+    def test_line_no_zero_is_a_data_error(self):
+        with pytest.raises(DataError, match="line_no starts at 1"):
+            CorpusLine("p", 0, "texto", "+--+---+-+-")
 
 
 class TestDedupeAndClean:
@@ -334,7 +358,7 @@ class TestRoundTrip:
         ("p1\tfirst\tcubra de nieve\t+--+---+-+-", "not an integer"),
         ("p1\t1\tcubra de nieve", "4 columns"),
         ("p1\t0\tcubra de nieve\t+--+---+-+-", "starts at 1"),
-        ("p1\t1\tcubra de nieve\t+-+", "unhandled shape"),
+        ("p1\t1\tcubra de nieve\t+-+", "has 3 positions, wanted 11"),
     ])
     def test_bad_row_names_path_and_line(self, tmp_path, row, reason):
         path = tmp_path / "bad.tsv"

@@ -3,13 +3,13 @@ import random
 import pytest
 
 from escansion.corpus import CorpusLine
-from escansion.errors import (AlignmentError, EmptyInput, LengthMismatch,
-                              UnnormalizableMet)
+from escansion.errors import (AlignmentError, DataError, EmptyInput,
+                              LengthMismatch, UnnormalizableMet)
 from escansion.metrics import (
+    PATTERN_LENGTH,
     EvalReport,
     evaluate,
     format_report,
-    line_exact_match,
     score_predictions_file,
 )
 
@@ -21,21 +21,26 @@ def _gold(n=4):
             for i in range(n)]
 
 
-class TestLineExactMatch:
-    def test_equal(self):
-        assert line_exact_match(P, P)
-
-    def test_one_position_off(self):
-        assert not line_exact_match(P, "+--+---+--+")
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            line_exact_match(P[:10], P)
-        with pytest.raises(LengthMismatch):
-            line_exact_match(P, P + "-")
-
-
 class TestEvaluate:
+    @pytest.mark.parametrize("pred,correct", [(P, 1), ("+--+---+--+", 0)],
+                             ids=["equal", "one-position-off"])
+    def test_exact_match(self, pred, correct):
+        assert evaluate([(pred, P, "l")]).correct == correct
+
+    @pytest.mark.parametrize("pred,gold", [
+        (P[:10], P), (P, P + "-"), (P, P[:10]),
+    ], ids=["short-prediction", "long-prediction", "short-gold"])
+    def test_length_mismatch(self, pred, gold):
+        with pytest.raises(LengthMismatch):
+            evaluate([(pred, gold, "l")])
+
+    @pytest.mark.parametrize("pred,gold", [
+        (P, "x" * 11), (P, "-" * 11), ("+-x+-+-+-+-", P), (None, "x" * 11),
+    ], ids=["x-gold", "weak-gold", "x-prediction", "unscanned-x-gold"])
+    def test_malformed_pattern_is_a_data_error(self, pred, gold):
+        with pytest.raises(DataError):
+            evaluate([(pred, gold, "l")])
+
     def test_half_right(self):
         pairs = [(P, P, "a"), (P, P, "b"),
                  ("-" * 10 + "+", P, "c"), ("+" * 11, P, "d")]
@@ -47,7 +52,7 @@ class TestEvaluate:
     def test_all_right(self):
         report = evaluate([(P, P, f"l{i}") for i in range(5)])
         assert report.accuracy == 100.0
-        assert report.per_position_accuracy == (1.0,) * 11
+        assert report.per_position_accuracy == (1.0,) * PATTERN_LENGTH
 
     def test_single_position_wrong(self):
         pred = P[:5] + ("-" if P[5] == "+" else "+") + P[6:]

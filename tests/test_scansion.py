@@ -373,12 +373,21 @@ class TestFitAndScan:
 class TestPatternOf:
     def test_check_pattern_rules(self):
         assert check_pattern("+--+---+-+-") == "+--+---+-+-"
+        assert check_pattern("+-+", 3) == "+-+"
         with pytest.raises(LengthMismatch):
             check_pattern("+-+")
-        with pytest.raises(ValueError):
-            check_pattern("x" * 11)
-        with pytest.raises(ValueError):
-            check_pattern("-" * 11)
+
+    @pytest.mark.parametrize("symbols,reason", [
+        ("+-+", "has 3 positions, wanted 11"),
+        ("+--+---+-+-+", "has 12 positions, wanted 11"),
+        ("x" * 11, "is not over +/-"),
+        ("+--+---+-+1", "is not over +/-"),
+        ("-" * 11, "has no stressed position"),
+    ], ids=["short", "long", "alphabet", "digit", "no-stress"])
+    def test_every_broken_rule_is_a_data_error(self, symbols, reason):
+        with pytest.raises(DataError) as exc:
+            check_pattern(symbols)
+        assert str(exc.value) == f"pattern {symbols!r} {reason}"
 
 
 def _site_costs(sites):
