@@ -65,7 +65,10 @@ class TrainConfig:
                 raise DataError(f"{name} must be at least {least}")
         if self.ngram_min > self.ngram_max:
             raise DataError("ngram_min must not exceed ngram_max")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+        rate = self.learning_rate
+        if isinstance(rate, bool) or not isinstance(rate, (int, float)):
+            raise DataError(f"learning_rate must be a number, not {rate!r}")
+        if not (math.isfinite(rate) and rate > 0):
             raise DataError("learning_rate must be a finite number above 0")
 
 

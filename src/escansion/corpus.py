@@ -37,7 +37,10 @@ class CorpusLine:
 
     def __post_init__(self):
         check_pattern(self.gold)
-        if self.line_no < 1:
+        line_no = self.line_no
+        if isinstance(line_no, bool) or not isinstance(line_no, int):
+            raise DataError(f"line_no must be an integer, not {line_no!r}")
+        if line_no < 1:
             raise DataError("line_no starts at 1")
 
 

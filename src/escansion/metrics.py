@@ -43,11 +43,19 @@ class EvalReport:
                 raise ValueError("exact match cannot beat a position")
 
 
+def _pattern(symbols) -> str:
+    """``check_pattern`` for a value that may not be a string at all."""
+    if not isinstance(symbols, str):
+        raise DataError(f"pattern {symbols!r} is not a string")
+    return check_pattern(symbols)
+
+
 def evaluate(pairs, unmatched: int = 0) -> EvalReport:
     """Score (pred, gold, text) triples.
 
     ``pred`` is None for a line the engine could not scan, wrong
-    everywhere; every other pattern must pass ``check_pattern``.
+    everywhere; every other pattern must be a string that passes
+    ``check_pattern``.
     ``unmatched`` predictions are reported, not scored.
     """
     pairs = list(pairs)
@@ -57,11 +65,11 @@ def evaluate(pairs, unmatched: int = 0) -> EvalReport:
     position_hits = [0] * PATTERN_LENGTH
     errors = []
     for pred, gold, text in pairs:
-        check_pattern(gold)
+        _pattern(gold)
         if pred is None:
             errors.append((text, gold, "<unscanned>"))
             continue
-        if check_pattern(pred) == gold:
+        if _pattern(pred) == gold:
             correct += 1
         else:
             errors.append((text, gold, pred))

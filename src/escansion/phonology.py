@@ -27,17 +27,21 @@ text is a slice of that word; only a word with a mark is cut again, so
 that each mark goes back into the syllable text with the letter after
 it.
 
-A verse repeats its words, so ``analyze_token`` keeps each token's analysis
-in an ``lru_cache`` keyed by the token and the lexicon it was stressed with:
-the syllabified word and its one ``Frame``, read from the spans and the
-mark-free word. A frame is what scansion reads of the word, whatever its
-place in a line: its own syneresis and dieresis sites, the vowel sounds
-and ``h`` at its edges, and three ints of per-syllable bits (splits
-keeping the stress in its left half; stressed as the lexicon says;
-stressed when forced tonic, as at the end of a line), so a line's sites
-and stresses are stitched word by word instead of walked syllable by
-syllable. The cache holds at most ``_CACHE_SIZE`` analyses across all
-lexicons and evicts the least recently used first, so open-ended
+A verse repeats its words, so ``analyze_word`` keeps each token's one
+record, a ``SyllabifiedWord``, in an ``lru_cache`` keyed by the token and
+the lexicon it was stressed with: the word, its syllable texts and its
+``Frame``, read from the spans and the mark-free word. A frame is what
+scansion reads of the word, whatever its place in a line: its own
+syneresis and dieresis sites, the vowel sounds and ``h`` at its edges,
+and three ints of per-syllable bits (splits keeping the stress in its
+left half; stressed as the lexicon says; stressed when forced tonic, as
+at the end of a line), so a line's sites and stresses are stitched word
+by word instead of walked syllable by syllable. The word's stress is
+stored there and only there: the tonic bits always hold its lexical
+stress (and the stem's, for an adverb in -mente), and the lexicon's bits
+are those or none, so the word is prosodically stressed exactly when
+they are not 0. The cache holds at most ``_CACHE_SIZE`` analyses across
+all lexicons and evicts the least recently used first, so open-ended
 vocabularies cost bounded memory. A lexicon is hashed by identity and
 holds only a frozenset and a read-only mapping, so a cached stress cannot
 go stale. ``Word`` and ``SyllabifiedWord`` are named tuples with no
@@ -111,19 +115,6 @@ class Word(NamedTuple):
 
     surface: str
     normalized: str
-
-
-class SyllabifiedWord(NamedTuple):
-    """A word cut into syllables, with both stress layers resolved."""
-
-    word: Word
-    syllables: tuple[str, ...]
-    stress_from_end: int  # 1 aguda, 2 llana, 3 esdrujula, 4 sobresdrujula
-    prosodic: bool
-
-    @property
-    def stressed_index(self) -> int:
-        return len(self.syllables) - self.stress_from_end
 
 
 def _fold(text: str) -> str:
@@ -292,18 +283,23 @@ def numbered_lines(path, stream=None):
 class StressLexicon:
     """Closed-class words treated as prosodically unstressed, plus overrides:
     a frozenset and a read-only copy of the caller's mapping, both without
-    contraction marks. A word may not sit in both."""
+    contraction marks. An override is a bool, and a word may not sit in
+    both; either fault raises MalformedLexicon."""
 
     __slots__ = ("unstressed_words", "overrides")
 
     def __init__(self, unstressed_words=frozenset(),
                  overrides=MappingProxyType({})):
+        for word, value in overrides.items():
+            if not isinstance(value, bool):
+                raise MalformedLexicon(f"override for {word!r} must be a "
+                                       f"bool, not {value!r}")
         self.unstressed_words = frozenset(map(_unmarked, unstressed_words))
         self.overrides = MappingProxyType(
             {_unmarked(w): v for w, v in overrides.items()})
         clash = self.unstressed_words & set(self.overrides)
         if clash:
-            raise ValueError(f"words in both lists: {sorted(clash)!r}")
+            raise MalformedLexicon(f"words in both lists: {sorted(clash)!r}")
 
     @classmethod
     def load(cls, path) -> "StressLexicon":
@@ -358,22 +354,15 @@ def _is_mente_adverb(normalized: str, n_syllables: int) -> bool:
             and normalized not in _NOT_MENTE_ADVERB)
 
 
-def stressed_syllable_indices(sw: SyllabifiedWord, *, force: bool = False) -> tuple[int, ...]:
-    """Indices of syllables that carry prosodic stress.
-
-    Usually a single index (or none for atonic words); adverbs in -mente
-    keep the stress of their stem as well as the one on -men-. ``force``
-    marks the word stressed regardless of the lexicon, which is how the
-    last word of a verse line behaves.
-    """
-    if not (sw.prosodic or force):
-        return ()
-    normalized = _unmarked(sw.word.normalized)
-    if _is_mente_adverb(normalized, len(sw.syllables)):
-        mente_idx = len(sw.syllables) - 2
-        stem = sw.syllables[:-2]
-        return (len(stem) - lexical_stress(stem, normalized[:-5]), mente_idx)
-    return (sw.stressed_index,)
+def _tonic(plain: str, syllables) -> int:
+    """The bits of a mark-free word's stressed syllables, bit i for
+    syllable i, when it keeps its stress: its lexical stress, or for an
+    adverb in -mente the stem's and the one on -men-."""
+    n = len(syllables)
+    if _is_mente_adverb(plain, n):
+        stem = syllables[:-2]
+        return 1 << len(stem) - lexical_stress(stem, plain[:-5]) | 1 << n - 2
+    return 1 << n - lexical_stress(syllables, plain)
 
 
 class Frame(NamedTuple):
@@ -396,15 +385,23 @@ class Frame(NamedTuple):
     # a two-vowel nucleus led by a strong vowel, which keeps the stress
     # when a dieresis splits it
     peaks: int
-    stresses: int  # stressed as the lexicon says
+    stresses: int  # stressed as the lexicon says: ``tonic``, or 0
     tonic: int  # stressed when forced tonic, as the last word of a line
 
 
-class WordAnalysis(NamedTuple):
-    """A token's analysis under one lexicon, as ``analyze_token`` caches it."""
+class SyllabifiedWord(NamedTuple):
+    """A word cut into syllables, and its ``Frame``, which holds its
+    stress: the one record ``analyze_word`` caches per token and
+    lexicon."""
 
-    word: SyllabifiedWord
+    word: Word
+    syllables: tuple[str, ...]
     frame: Frame
+
+    @property
+    def prosodic(self) -> bool:
+        """Whether the word keeps its stress in connected speech."""
+        return self.frame.stresses != 0
 
 
 def _frame(word: str, spans, stresses: int, tonic: int) -> Frame:
@@ -443,7 +440,7 @@ def _frame(word: str, spans, stresses: int, tonic: int) -> Frame:
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def analyze_token(raw: str, lexicon: StressLexicon) -> WordAnalysis:
+def analyze_word(raw: str, lexicon: StressLexicon) -> SyllabifiedWord:
     """normalize + syllabify + stress in one step, cached per token and
     lexicon.
 
@@ -453,15 +450,7 @@ def analyze_token(raw: str, lexicon: StressLexicon) -> WordAnalysis:
     """
     word = normalize_token(raw)
     texts, plain, spans = _syllable_parts(word.normalized)
-    sw = SyllabifiedWord(word, tuple(texts), lexical_stress(texts, word),
-                         is_prosodically_stressed(word, lexicon))
-    tonic = 0
-    for i in stressed_syllable_indices(sw, force=True):
-        tonic |= 1 << i
-    return WordAnalysis(sw, _frame(plain, spans, tonic if sw.prosodic else 0,
-                                   tonic))
-
-
-def analyze_word(raw: str, lexicon: StressLexicon) -> SyllabifiedWord:
-    """normalize + syllabify + stress in one step, cached per lexicon."""
-    return analyze_token(raw, lexicon).word
+    tonic = _tonic(plain, texts)
+    stresses = tonic if is_prosodically_stressed(plain, lexicon) else 0
+    return SyllabifiedWord(word, tuple(texts),
+                           _frame(plain, spans, stresses, tonic))

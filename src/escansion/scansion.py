@@ -2,18 +2,18 @@
 
 A parsed line is a flat sequence of phonological syllables, each stressed
 or not. ``phonological_parse`` builds it as a ``ParsedLine`` in the one
-loop that reads the tokens: for each it takes the word and its frame from
-the lexicon's cached word analyses (``Frame`` in ``phonology``), records
-the syllable the frame starts at, and ORs the frame's bits into the
-line's there. Each frame holds what is fixed for its word wherever it
-stands: its own syneresis and dieresis sites, the vowel sounds at its
-edges and its stress bits in both forms, built once per word from its
-syllabifier parts. The line brings the stresses: it ORs in the last
-word's tonic bits, and a site involves a stress when the line stresses
-a syllable it acts on. Finding sites offsets each word's cached sites
-and tests only the word boundaries; fitting cuts the line's stress bits
-at the syllables the sites move. No stage walks the line syllable by
-syllable.
+loop that reads the tokens: for each it takes the word's cached analysis
+under the lexicon, which carries the word's frame (``Frame`` in
+``phonology``), records the syllable the frame starts at, and ORs the
+frame's bits into the line's there. Each frame holds what is fixed for
+its word wherever it stands: its own syneresis and dieresis sites, the
+vowel sounds at its edges and its stress bits in both forms, built once
+per word from its syllabifier parts. The line brings the stresses: it
+ORs in the last word's tonic bits, and a site involves a stress when the
+line stresses a syllable it acts on. Finding sites offsets each word's
+cached sites and tests only the word boundaries; fitting cuts the line's
+stress bits at the syllables the sites move. No stage walks the line
+syllable by syllable.
 Three figures can reshape the sequence:
 
 * synalepha  - merges the last syllable of a word with the vowel-initial
@@ -79,7 +79,7 @@ from typing import NamedTuple
 
 from .errors import (DataError, EmptyLine, EmptyAfterNormalization,
                      LengthMismatch, Unfittable)
-from .phonology import StressLexicon, analyze_token, default_lexicon
+from .phonology import StressLexicon, analyze_word, default_lexicon
 
 _DELTAS = {"synalepha": -1, "syneresis": -1, "dieresis": +1}
 # The longest target that diagnostics may be kept for. They keep every
@@ -99,17 +99,21 @@ class _ScanSettings(NamedTuple):
 class ScanConfig(_ScanSettings):
     """The target, h blocking and diagnostics of a scan; defaults reproduce
     hendecasyllables. The fitting preference is fixed, not a setting. A
-    target below 2, or above ``DIAGNOSTICS_MAX_TARGET`` with diagnostics,
-    raises DataError here, for library callers as for the CLI."""
+    target that is no integer, below 2, or above ``DIAGNOSTICS_MAX_TARGET``
+    with diagnostics raises DataError here, for library callers as for the
+    CLI."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.target_length < 2:
+        target = self.target_length
+        if not isinstance(target, int) or isinstance(target, bool):
+            raise DataError(
+                f"target_length must be an integer, not {target!r}")
+        if target < 2:
             raise DataError("target_length must be at least 2")
-        if (self.emit_diagnostics
-                and self.target_length > DIAGNOSTICS_MAX_TARGET):
+        if self.emit_diagnostics and target > DIAGNOSTICS_MAX_TARGET:
             raise DataError(f"target_length must be at most "
                             f"{DIAGNOSTICS_MAX_TARGET} with diagnostics")
         return self
@@ -187,38 +191,37 @@ def check_pattern(symbols: str, length: int = PATTERN_LENGTH) -> str:
 # --- parsing ----------------------------------------------------------------
 
 class ParsedLine(list):
-    """The words of a line as ``SyllabifiedWord``s, plus the line that
-    ``phonological_parse`` lays out as it reads them: ``frames``, the
-    words' frames in order; ``starts``, the index of each word's first
-    syllable in the line; and two bit sets, bit i for syllable i:
-    ``stresses``, the stressed syllables, the last word's tonic ones
-    included, and ``lefts``, those of them whose left half keeps the stress
-    if a dieresis splits them. Read-only: the attributes do not follow
-    edits to the list."""
+    """The words of a line as ``SyllabifiedWord``s, each with its frame,
+    plus the line that ``phonological_parse`` lays out as it reads them:
+    ``starts``, the index of each word's first syllable in the line, and
+    two bit sets, bit i for syllable i: ``stresses``, the stressed
+    syllables, the last word's tonic ones included, and ``lefts``, those
+    of them whose left half keeps the stress if a dieresis splits them.
+    Read-only: the attributes do not follow edits to the list."""
 
-    __slots__ = ("frames", "starts", "stresses", "lefts")
+    __slots__ = ("starts", "stresses", "lefts")
 
 
 def phonological_parse(line: str, lexicon: StressLexicon) -> ParsedLine:
     """Tokenize, syllabify and stress every word of a raw verse line, and
-    lay its words' frames end to end in the same loop."""
+    lay the frames of its words end to end in the same loop."""
     words = ParsedLine()
-    frames, starts, at, stresses, peaks = [], [], 0, 0, 0
+    starts, at, stresses, peaks = [], 0, 0, 0
     for token in line.split():
         try:
-            word, frame = analyze_token(token, lexicon)
+            word = analyze_word(token, lexicon)
         except EmptyAfterNormalization:
             continue
+        frame = word.frame
         words.append(word)
-        frames.append(frame)
         starts.append(at)
         stresses |= frame.stresses << at
         peaks |= frame.peaks << at
         at += frame.size
-    if not frames:
+    if not words:
         raise EmptyLine(f"nothing scannable in line {line!r}")
     stresses |= frame.tonic << starts[-1]
-    words.frames, words.starts = frames, starts
+    words.starts = starts
     words.stresses, words.lefts = stresses, stresses & peaks
     return words
 
@@ -237,7 +240,8 @@ def find_figure_sites(words: ParsedLine,
     """
     config = config or _DEFAULT_CONFIG
     h_blocks = bool(config.h_blocks_synalepha)
-    frames, starts, stresses = words.frames, words.starts, words.stresses
+    starts, stresses = words.starts, words.stresses
+    frames = [word.frame for word in words]
     sites = []
     for frame, start, after in zip(frames, starts, frames[1:] + [None]):
         for kind, position in frame.sites:

@@ -6,9 +6,10 @@ search in escansion.scansion beyond the public site list), computes the
 metrical length from the last stressed unit and re-derives the selection
 preference, so any disagreement flags a real defect. The syllables,
 with their stress, hiatus and dieresis flags, are rebuilt here one by
-one from what the engine's word analysis starts from: each word's
-syllabifier parts (``_syllabify_plain``) and its stressed syllables
-(``stressed_syllable_indices``). Nothing of the engine's frames or line
+one from each word's syllabifier parts (``_syllabify_plain``) and its
+stressed syllables, which ``stressed_syllable_indices`` finds here from
+the syllable texts by the written-accent and last-letter rules, with no
+stress code of the engine's. Nothing of the engine's frames or line
 stitching is used, so the reference checks them.
 
 ``reference_sites`` is the per-syllable site finder the engine used
@@ -26,10 +27,10 @@ field.
 
 from typing import NamedTuple
 
-from escansion.phonology import (Frame, _syllabify_plain,
-                                 stressed_syllable_indices)
+from escansion.phonology import Frame, _syllabify_plain
 
 _VOWELS = set("aeiouáéíóúüï")
+_ACCENTED = set("áéíóú")
 # a vowel that keeps the stress when a dieresis splits its nucleus: an
 # open vowel or an accented closed one
 _STRONG = set("aeoáéóíú")
@@ -57,6 +58,45 @@ def begins_with_vowel_sound(plain: str, h_blocks: bool) -> bool:
         return rest[:1] not in _VOWELS
     return (c == "h" and not h_blocks and rest[:1] in _VOWELS
             and rest[:2] not in ("ue", "ie"))
+
+
+# Words ending in "mente" that are not adverbs, as the engine lists them;
+# an adverb in -mente keeps the stress of its stem as well as the one on
+# -men-.
+_NOT_MENTE_ADVERB = {
+    "mente", "demente", "clemente", "inclemente", "vehemente",
+    "alimente", "atormente", "cimente", "complemente", "documente",
+    "experimente", "fermente", "fundamente", "implemente", "incremente",
+    "instrumente", "ornamente", "pavimente", "pigmente", "reglamente",
+    "sedimente",
+}
+
+
+def _strong(syllables) -> int:
+    """The index of the strong syllable of these syllable texts: the first
+    with a written accent; else the next to last when the last letter is
+    a vowel, n or s, and the last otherwise (a monosyllable's one)."""
+    for i, syllable in enumerate(syllables):
+        if not _ACCENTED.isdisjoint(syllable):
+            return i
+    last = syllables[-1][-1]
+    return len(syllables) - (2 if len(syllables) > 1 and (
+        last in _VOWELS or last in "ns") else 1)
+
+
+def stressed_syllable_indices(sw, force=False) -> tuple[int, ...]:
+    """Indices of the syllables of ``sw`` that carry prosodic stress: none
+    when the lexicon makes the word atonic, unless ``force`` makes it
+    tonic as the last word of a line; else the strong syllable, and for
+    an adverb in -mente (a stem of three letters or more, three syllables
+    or more) the stem's strong syllable and -men-."""
+    if not (sw.prosodic or force):
+        return ()
+    syllables, plain = sw.syllables, _plain(sw)
+    if (plain.endswith("mente") and len(plain) >= 8 and len(syllables) >= 3
+            and plain not in _NOT_MENTE_ADVERB):
+        return (_strong(syllables[:-2]), len(syllables) - 2)
+    return (_strong(syllables),)
 
 
 class Syllable(NamedTuple):

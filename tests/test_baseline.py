@@ -231,6 +231,15 @@ class TestTrain:
             TrainConfig(**{field: value})
         assert str(exc.value) == f"{field} must be an integer, not {value!r}"
 
+    @pytest.mark.parametrize("value", ["0.1", None, True, [0.1]])
+    def test_learning_rate_is_a_number(self, value):
+        with pytest.raises(DataError) as exc:
+            TrainConfig(learning_rate=value)
+        assert (str(exc.value)
+                == f"learning_rate must be a number, not {value!r}")
+        # an int is a number: a model file may hold "learning_rate": 1
+        assert TrainConfig(learning_rate=1).learning_rate == 1
+
     def test_seed_is_not_negative(self):
         assert TrainConfig(seed=0).seed == 0
         with pytest.raises(DataError) as exc:

@@ -235,6 +235,12 @@ class TestCorpusLine:
         with pytest.raises(DataError, match="line_no starts at 1"):
             CorpusLine("p", 0, "texto", "+--+---+-+-")
 
+    @pytest.mark.parametrize("line_no", ["3", 3.0, True, None])
+    def test_line_no_is_an_integer(self, line_no):
+        with pytest.raises(DataError) as exc:
+            CorpusLine("p", line_no, "texto", "+--+---+-+-")
+        assert str(exc.value) == f"line_no must be an integer, not {line_no!r}"
+
 
 class TestDedupeAndClean:
     def test_duplicates_drop_keeping_first(self):

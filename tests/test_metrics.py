@@ -36,7 +36,10 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("pred,gold", [
         (P, "x" * 11), (P, "-" * 11), ("+-x+-+-+-+-", P), (None, "x" * 11),
-    ], ids=["x-gold", "weak-gold", "x-prediction", "unscanned-x-gold"])
+        (["+"] * 11, P), (list(P), P), (5, P), (P, list(P)), (None, 5),
+    ], ids=["x-gold", "weak-gold", "x-prediction", "unscanned-x-gold",
+            "list-prediction", "equal-list-prediction", "int-prediction",
+            "list-gold", "unscanned-int-gold"])
     def test_malformed_pattern_is_a_data_error(self, pred, gold):
         with pytest.raises(DataError):
             evaluate([(pred, gold, "l")])

@@ -6,16 +6,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from escansion.errors import EmptyAfterNormalization, MalformedLexicon
+from escansion.errors import (DataError, EmptyAfterNormalization,
+                              MalformedLexicon)
 from escansion.phonology import (
     StressLexicon,
-    analyze_token,
     analyze_word,
     clean_text,
     is_prosodically_stressed,
     lexical_stress,
     normalize_token,
-    stressed_syllable_indices,
     syllabify,
     Word,
     _CACHE_SIZE,
@@ -310,10 +309,19 @@ class TestProsodicStress:
         assert lex.overrides["la"] is True
 
     def test_word_cannot_sit_in_both_lists(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError,
+                           match=r"^words in both lists: \['la'\]$"):
             StressLexicon(frozenset({"la"}), {"la": True})
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             StressLexicon(frozenset({"d'el"}), {"del": True})
+
+    @pytest.mark.parametrize("value", ["no", 1, None, "stressed"])
+    def test_an_override_is_a_bool(self, value):
+        # a truthy string would make the word stressed
+        with pytest.raises(DataError,
+                           match=f"^override for 'amor' must be a bool, "
+                                 f"not {re.escape(repr(value))}$"):
+            StressLexicon(set(), {"amor": value})
 
     def test_entries_match_without_their_marks(self, tmp_path):
         path = tmp_path / "lex.txt"
@@ -354,13 +362,13 @@ class TestWordCache:
 
     def test_a_token_in_use_stays_cached(self):
         lexicon = StressLexicon(frozenset(), {})
-        first = analyze_token("la", lexicon)
+        first = analyze_word("la", lexicon)
         for i in range(3 * _CACHE_SIZE):
             # normalization drops the digits, but each raw token is a new key
-            analyze_token(f"casa{i}", lexicon)
+            analyze_word(f"casa{i}", lexicon)
             if i % 100 == 0:
-                analyze_token("la", lexicon)
-        assert analyze_token("la", lexicon).word is first.word
+                analyze_word("la", lexicon)
+        assert analyze_word("la", lexicon) is first
 
     def test_syllables_carry_hiatus_and_split(self, lexicon):
         shapes = _syllables("cielo", lexicon)
@@ -378,36 +386,47 @@ class TestWordCache:
             assert [s.hiatus for s in syllables] == hiatus, raw
 
     def test_tonic_shapes_stress_an_atonic_word(self, lexicon):
-        frame = analyze_token("la", lexicon).frame
+        frame = analyze_word("la", lexicon).frame
         assert (frame.stresses, frame.tonic) == (0, 0b1)
         # a word that is tonic anyway is stressed alike in either form
-        frame = analyze_token("sol", lexicon).frame
+        frame = analyze_word("sol", lexicon).frame
         assert frame.tonic == frame.stresses == 0b1
 
 
 class TestMenteAdverbs:
+    """The frame's stress bits and the oracle's indices, against stresses
+    worked by hand."""
+
     def test_double_stress(self, lexicon):
         sw = analyze_word("gloriosamente", lexicon)
-        assert stressed_syllable_indices(sw) == (1, 3)  # rio, men
+        assert sw.frame.stresses == sw.frame.tonic == 0b1010  # rio, men
+        assert oracle.stressed_syllable_indices(sw) == (1, 3)
 
     def test_accented_stem(self, lexicon):
         sw = analyze_word("fácilmente", lexicon)
-        assert stressed_syllable_indices(sw) == (0, 2)
+        assert sw.frame.stresses == sw.frame.tonic == 0b101  # fá, men
+        assert oracle.stressed_syllable_indices(sw) == (0, 2)
 
     def test_non_adverbs_single_stress(self, lexicon):
-        for word in ("demente", "clemente", "atormente", "miente"):
+        for word, tonic in (("demente", 0b10), ("clemente", 0b10),
+                            ("atormente", 0b100), ("miente", 0b1)):
             sw = analyze_word(word, lexicon)
-            assert len(stressed_syllable_indices(sw)) == 1
+            assert sw.frame.stresses == sw.frame.tonic == tonic, word
+            assert len(oracle.stressed_syllable_indices(sw)) == 1, word
 
     def test_atonic_word_has_no_stress(self, lexicon):
         sw = analyze_word("la", lexicon)
-        assert stressed_syllable_indices(sw) == ()
-        assert stressed_syllable_indices(sw, force=True) == (0,)
+        assert not sw.prosodic
+        assert (sw.frame.stresses, sw.frame.tonic) == (0, 0b1)
+        assert oracle.stressed_syllable_indices(sw) == ()
+        assert oracle.stressed_syllable_indices(sw, force=True) == (0,)
 
 
 class TestFrame:
     """The frame read from syllable offsets equals the one read from the
-    (onset, nucleus, coda) strings, field by field."""
+    (onset, nucleus, coda) strings, field by field, its stress bits
+    included, which the oracle finds from the syllable texts by rules of
+    its own."""
 
     @given(words())
     @example("hueso")
@@ -418,6 +437,9 @@ class TestFrame:
     @example("prohíbe")
     @example("la-h'ermosa")
     @example("claramen-te")
+    @example("clara-mente")
+    @example("fácilmente")
+    @example("demente")
     @settings(max_examples=500)
     def test_equals_the_reference(self, lexicon, raw):
         try:
@@ -429,9 +451,10 @@ class TestFrame:
             _unmarked(word.normalized):
                 not is_prosodically_stressed(word, lexicon)})
         for lex in (lexicon, flipped):
-            analysis = analyze_token(raw, lex)
-            assert analysis.frame._asdict() == oracle.reference_frame(
-                analysis.word)._asdict(), raw
+            sw = analyze_word(raw, lex)
+            assert sw.prosodic is is_prosodically_stressed(word, lex), raw
+            assert sw.frame._asdict() == oracle.reference_frame(
+                sw)._asdict(), raw
 
 
 def test_syllable_parts_examples():
@@ -451,8 +474,8 @@ class TestMarks:
     @settings(max_examples=300)
     def test_marks_are_transparent(self, lexicon, raw):
         try:
-            marked = analyze_token(raw, lexicon)
-            plain = analyze_token(_unmarked(raw), lexicon)
+            marked = analyze_word(raw, lexicon)
+            plain = analyze_word(_unmarked(raw), lexicon)
         except EmptyAfterNormalization:
             assume(False)
         # the one frame holds both stress forms, stresses and tonic
@@ -483,8 +506,11 @@ class TestMarks:
         assert sites(marked) == sites(_unmarked(marked))
 
     def test_marks_decide_no_mente_stress(self, lexicon):
-        assert stressed_syllable_indices(
-            analyze_word("claramen-te", lexicon)) == (0, 2)
+        for raw in ("claramen-te", "clara-mente", "cla'ramente"):
+            sw = analyze_word(raw, lexicon)
+            # cla, men
+            assert sw.frame.stresses == sw.frame.tonic == 0b101, raw
+            assert oracle.stressed_syllable_indices(sw) == (0, 2), raw
 
 
 def test_vowelless_string_raises_no_vowel():

@@ -36,7 +36,7 @@ class TestPhonologicalParse:
     def test_monosyllable(self, lexicon):
         (word,) = phonological_parse("sol", lexicon)
         assert word.syllables == ("sol",)
-        assert word.stress_from_end == 1
+        assert word.frame.tonic == 0b1
         assert word.prosodic
 
     def test_pure_punctuation_line(self, lexicon):
@@ -70,7 +70,7 @@ class TestParseOnce:
         assert not hasattr(words, "__dict__")  # slots only
         assert list(words) == [phonology.analyze_word(t, lexicon)
                                for t in GARCILASO_LINE.split()]
-        assert sum(frame.size for frame in words.frames) == 11
+        assert sum(word.frame.size for word in words) == 11
         assert words.starts == [0, 2, 3, 5, 6, 9]
 
     @pytest.mark.parametrize("default_first", [True, False])
@@ -96,20 +96,20 @@ class TestParseOnce:
                 tagged = " ".join(f"{w}{round_}" for w in text.split())
                 seen.update(tagged.split())
                 assert _outcome(tagged, lexicon, config) == want
-                assert (phonology.analyze_token.cache_info().currsize
+                assert (phonology.analyze_word.cache_info().currsize
                         <= phonology._CACHE_SIZE)
         assert len(seen) > phonology._CACHE_SIZE
 
     def test_each_token_looked_up_once_per_scan(self, lexicon, config,
                                                 monkeypatch):
         calls = []
-        analyze = scansion.analyze_token
+        analyze = scansion.analyze_word
 
         def counting(token, lexicon):
             calls.append(token)
             return analyze(token, lexicon)
 
-        monkeypatch.setattr(scansion, "analyze_token", counting)
+        monkeypatch.setattr(scansion, "analyze_word", counting)
         scan_line(GARCILASO_LINE, lexicon, config)
         assert calls == GARCILASO_LINE.split()
 
@@ -203,6 +203,12 @@ class TestFitAndScan:
             with pytest.raises(DataError, match="target_length"):
                 ScanConfig()._replace(**kwargs)
         assert ScanConfig(target_length=17).target_length == 17
+        for target in ("11", 11.5, True, None):
+            message = f"^target_length must be an integer, not {target!r}$"
+            with pytest.raises(DataError, match=message):
+                ScanConfig(target_length=target)
+            with pytest.raises(DataError, match=message):
+                ScanConfig()._replace(target_length=target)
         # the records are tuples: they equal the plain tuples of their fields
         assert ScanConfig() == (11, False, False)
         result = scan_line("En tanto que de rosa y azucena", lexicon)
@@ -691,7 +697,7 @@ def test_sites_equal_the_per_syllable_reference(text):
     except EmptyLine:
         return
     syllables = oracle.line_syllables(words)
-    assert sum(frame.size for frame in words.frames) == len(syllables)
+    assert sum(word.frame.size for word in words) == len(syllables)
     assert words.stresses == sum(
         syl.stressed << i for i, syl in enumerate(syllables))
     assert words.lefts == sum(
