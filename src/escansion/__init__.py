@@ -8,7 +8,6 @@ from .phonology import (
     analyze_word,
     default_lexicon,
     is_prosodically_stressed,
-    lexical_stress,
     normalize_token,
     syllabify,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "find_figure_sites",
     "fit_to_target",
     "is_prosodically_stressed",
-    "lexical_stress",
     "normalize_token",
     "phonological_parse",
     "scan_line",

@@ -5,8 +5,8 @@ inseparable obstruent+liquid clusters, digraphs ch/ll/rr/qu/gu as units,
 diphthong vs hiatus by vowel strength and written accent, transparent 'h')
 plus the two stress layers needed for scansion:
 
-* lexical stress: which syllable of the word is strong, counted from the end
-  (1 = aguda, 2 = llana, 3 = esdrujula, 4 = sobresdrujula);
+* lexical stress: which syllable of the word is strong (an adverb in -mente
+  has two: its stem's and -men-);
 * prosodic stress: whether the word keeps that stress in connected speech.
   Closed-class function words (articles, clitics, prepositions, atonic
   conjunctions/relatives, prenominal possessives) do not, and are listed in a
@@ -37,11 +37,12 @@ and three ints of per-syllable bits (splits keeping the stress in its
 left half; stressed as the lexicon says; stressed when forced tonic, as
 at the end of a line), so a line's sites and stresses are stitched word
 by word instead of walked syllable by syllable. The word's stress is
-stored there and only there: the tonic bits always hold its lexical
-stress (and the stem's, for an adverb in -mente), and the lexicon's bits
-are those or none, so the word is prosodically stressed exactly when
-they are not 0. The cache holds at most ``_CACHE_SIZE`` analyses across
-all lexicons and evicts the least recently used first, so open-ended
+found in the same walk of the spans that reads its sites, and stored
+there and only there: the tonic bits always hold its lexical stress (and
+the stem's, for an adverb in -mente), and the lexicon's bits are those
+or none, so the word is prosodically stressed exactly when they are
+not 0. The cache holds at most ``_CACHE_SIZE`` analyses across all
+lexicons and evicts the least recently used first, so open-ended
 vocabularies cost bounded memory. A lexicon is hashed by identity and
 holds only a frozenset and a read-only mapping, so a cached stress cannot
 go stale. ``Word`` and ``SyllabifiedWord`` are named tuples with no
@@ -227,24 +228,6 @@ def syllabify(word: Word | str) -> list[str]:
     return _syllable_parts(normalized)[0]
 
 
-def lexical_stress(syllables: list[str] | tuple[str, ...], word: Word | str) -> int:
-    """Position of the strong syllable, counted from the end (1-based).
-
-    A written accent wins; otherwise words ending in a vowel, n or s are
-    llanas and the rest agudas. Monosyllables are agudas.
-    """
-    if not syllables:
-        raise NoVowel("empty syllable list")
-    for idx, syl in enumerate(syllables):
-        if not ACCENTED.isdisjoint(syl):
-            return len(syllables) - idx
-    if len(syllables) == 1:
-        return 1
-    normalized = word.normalized if isinstance(word, Word) else word
-    last = normalized.rstrip(_MARKS)[-1]
-    return 2 if (last in VOWEL_CHARS or last in "ns") else 1
-
-
 # what an undecodable byte decodes to under errors="surrogateescape"
 _SURROGATE_RE = re.compile("[\ud800-\udfff]")
 
@@ -283,13 +266,22 @@ def numbered_lines(path, stream=None):
 class StressLexicon:
     """Closed-class words treated as prosodically unstressed, plus overrides:
     a frozenset and a read-only copy of the caller's mapping, both without
-    contraction marks. An override is a bool, and a word may not sit in
-    both; either fault raises MalformedLexicon."""
+    contraction marks. Every word is a string, ``unstressed_words`` is a
+    collection of them and not one string, an override is a bool, and a
+    word may not sit in both; each fault raises MalformedLexicon."""
 
     __slots__ = ("unstressed_words", "overrides")
 
     def __init__(self, unstressed_words=frozenset(),
                  overrides=MappingProxyType({})):
+        if isinstance(unstressed_words, str):
+            raise MalformedLexicon(f"unstressed_words must be a collection "
+                                   f"of words, not {unstressed_words!r}")
+        unstressed_words = list(unstressed_words)
+        for word in unstressed_words + list(overrides):
+            if not isinstance(word, str):
+                raise MalformedLexicon(
+                    f"a lexicon word must be a string, not {word!r}")
         for word, value in overrides.items():
             if not isinstance(value, bool):
                 raise MalformedLexicon(f"override for {word!r} must be a "
@@ -347,31 +339,13 @@ def is_prosodically_stressed(word: Word | str, lexicon: StressLexicon) -> bool:
     return key not in lexicon.unstressed_words
 
 
-def _is_mente_adverb(normalized: str, n_syllables: int) -> bool:
-    return (normalized.endswith("mente")
-            and len(normalized) >= 8  # stem of 3+ letters
-            and n_syllables >= 3
-            and normalized not in _NOT_MENTE_ADVERB)
-
-
-def _tonic(plain: str, syllables) -> int:
-    """The bits of a mark-free word's stressed syllables, bit i for
-    syllable i, when it keeps its stress: its lexical stress, or for an
-    adverb in -mente the stem's and the one on -men-."""
-    n = len(syllables)
-    if _is_mente_adverb(plain, n):
-        stem = syllables[:-2]
-        return 1 << len(stem) - lexical_stress(stem, plain[:-5]) | 1 << n - 2
-    return 1 << n - lexical_stress(syllables, plain)
-
-
 class Frame(NamedTuple):
     """What a word brings to a line, read once from its syllables' spans:
     its figure sites at word-local positions, the facts at its edges that
     decide a synalepha with a neighbour, and three ints of syllable bits,
-    bit i for syllable i. Nothing in it depends on where the word stands:
-    the line ORs in the last word's ``tonic`` bits and reads each site's
-    stress from its own."""
+    bit i for syllable i, the stress among them, found in the same walk.
+    Nothing in it depends on where the word stands: the line ORs in the
+    last word's ``tonic`` bits and reads each site's stress from its own."""
 
     size: int  # syllables
     # (kind, position) of each syneresis and dieresis but the tail, in
@@ -404,9 +378,19 @@ class SyllabifiedWord(NamedTuple):
         return self.frame.stresses != 0
 
 
-def _frame(word: str, spans, stresses: int, tonic: int) -> Frame:
-    """The ``Frame`` of a mark-free word from its syllables' ``spans`` and
-    its ``stresses`` and ``tonic`` bits.
+def _strong(accent: int, size: int, last: str) -> int:
+    """The index of the strong syllable of ``size`` syllables ending in the
+    letter ``last``: the ``accent``ed one, unless that is -1; else the
+    next-to-last after a vowel, n or s, and the last after anything else
+    or when alone."""
+    if accent >= 0:
+        return accent
+    return size - 1 - (size > 1 and (last in VOWEL_CHARS or last in "ns"))
+
+
+def _frame(word: str, spans, keeps: bool) -> Frame:
+    """The ``Frame`` of a mark-free word from its syllables' ``spans``,
+    stressed as the lexicon says when it ``keeps`` its stress.
 
     A syllable merges with the next by syneresis when only an h, or
     nothing, separates them; it splits by dieresis when its nucleus has two
@@ -415,18 +399,28 @@ def _frame(word: str, spans, stresses: int, tonic: int) -> Frame:
     blocks synalepha) before a vowel that is not a consonantal glide: y,
     ue, ie (hydra, hueso, hielo); it ends in one when its coda is empty, or
     is an h after a vowel other than y. No nucleus begins or ends in an h,
-    so an h first or last is in the onset or coda."""
+    so an h first or last is in the onset or coda. The stress is on the
+    first nucleus with an accent, else where ``_strong`` puts it; an adverb
+    in -mente has it on its stem, found alike, and on -men-."""
     last = len(spans) - 1
-    sites, peaks = [], 0
+    sites, peaks, accent = [], 0, -1
     for i, (_, start, end, b) in enumerate(spans):
         if end == b and i < last and word[b:spans[i + 1][1]] in ("", "h"):
             sites.append(("syneresis", i))
         if end - start >= 2:
             sites.append(("dieresis", i))
             peaks |= (word[start] in _HIATUS_CORE) << i
+        if accent < 0 and not ACCENTED.isdisjoint(word[start:end]):
+            accent = i
     tail = sites[-1:] == [("dieresis", last)]
     if tail:
         sites.pop()
+    # a stem of 3+ letters and 1+ syllables
+    if (word.endswith("mente") and len(word) >= 8 and last >= 2
+            and word not in _NOT_MENTE_ADVERB):
+        tonic = 1 << _strong(accent, last - 1, word[-6]) | 1 << last - 1
+    else:
+        tonic = 1 << _strong(accent, last + 1, word[-1])
     # the first nucleus starts after the onset, the last ends before the
     # coda; a u or i before an e always shares its nucleus
     onset, final = spans[0][1], spans[-1][2]
@@ -436,13 +430,15 @@ def _frame(word: str, spans, stresses: int, tonic: int) -> Frame:
                  final == len(word) or final == len(word) - 1
                  and word[-1] == "h" and word[-2] != "y",
                  (onset == 0 or h_begins, onset == 0),
-                 word[0] == "h", word[-1] == "h", peaks, stresses, tonic)
+                 word[0] == "h", word[-1] == "h", peaks,
+                 tonic if keeps else 0, tonic)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def analyze_word(raw: str, lexicon: StressLexicon) -> SyllabifiedWord:
     """normalize + syllabify + stress in one step, cached per token and
-    lexicon.
+    lexicon: ``_frame`` reads the frame, stress included, in one walk of
+    the spans, and ``frame.tonic`` has the strong syllable's bit set.
 
     The key is the raw token, which is also the word's ``surface``, and
     the lexicon by identity, so a cached analysis is exactly what a fresh
@@ -450,7 +446,5 @@ def analyze_word(raw: str, lexicon: StressLexicon) -> SyllabifiedWord:
     """
     word = normalize_token(raw)
     texts, plain, spans = _syllable_parts(word.normalized)
-    tonic = _tonic(plain, texts)
-    stresses = tonic if is_prosodically_stressed(plain, lexicon) else 0
-    return SyllabifiedWord(word, tuple(texts),
-                           _frame(plain, spans, stresses, tonic))
+    return SyllabifiedWord(word, tuple(texts), _frame(
+        plain, spans, is_prosodically_stressed(plain, lexicon)))

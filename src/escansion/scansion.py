@@ -204,7 +204,10 @@ class ParsedLine(list):
 
 def phonological_parse(line: str, lexicon: StressLexicon) -> ParsedLine:
     """Tokenize, syllabify and stress every word of a raw verse line, and
-    lay the frames of its words end to end in the same loop."""
+    lay the frames of its words end to end in the same loop. A line that
+    is not a ``str`` raises DataError."""
+    if not isinstance(line, str):
+        raise DataError(f"line must be a string, not {line!r}")
     words = ParsedLine()
     starts, at, stresses, peaks = [], 0, 0, 0
     for token in line.split():

@@ -13,7 +13,6 @@ from escansion.phonology import (
     analyze_word,
     clean_text,
     is_prosodically_stressed,
-    lexical_stress,
     normalize_token,
     syllabify,
     Word,
@@ -237,8 +236,9 @@ class TestLexicalStress:
         ("dígamelo", 4),
     ])
     def test_table(self, word, expected):
-        w = normalize_token(word)
-        assert lexical_stress(syllabify(w), w) == expected
+        # the strong syllable, counted from the end, is the one tonic bit
+        frame = analyze_word(word, StressLexicon()).frame
+        assert frame.tonic == 1 << frame.size - expected
 
     @st.composite
     @staticmethod
@@ -253,10 +253,10 @@ class TestLexicalStress:
     @given(_accent_injected())
     @settings(max_examples=300)
     def test_accent_dominates(self, raw):
-        word = normalize_token(raw)
-        syllables = syllabify(word)
-        sfe = lexical_stress(syllables, word)
-        stressed = syllables[len(syllables) - sfe]
+        sw = analyze_word(raw, StressLexicon())
+        # the lowest tonic bit: an adverb in -mente adds one on -men-
+        tonic = sw.frame.tonic
+        stressed = sw.syllables[(tonic & -tonic).bit_length() - 1]
         assert any(c in "áéíóú" for c in stressed)
 
 
@@ -322,6 +322,18 @@ class TestProsodicStress:
                            match=f"^override for 'amor' must be a bool, "
                                  f"not {re.escape(repr(value))}$"):
             StressLexicon(set(), {"amor": value})
+
+    @pytest.mark.parametrize("args,message", [
+        (("el", {}), "unstressed_words must be a collection of words, "
+                     "not 'el'"),
+        (({1},), "a lexicon word must be a string, not 1"),
+        ((set(), {1: True}), "a lexicon word must be a string, not 1"),
+        ((["la", None],), "a lexicon word must be a string, not None"),
+    ])
+    def test_every_word_is_a_string(self, args, message):
+        # a bare string would be split into one-letter words
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            StressLexicon(*args)
 
     def test_entries_match_without_their_marks(self, tmp_path):
         path = tmp_path / "lex.txt"
@@ -440,6 +452,9 @@ class TestFrame:
     @example("clara-mente")
     @example("fácilmente")
     @example("demente")
+    @example("tenazmente")  # the stem ends in a consonant: aguda
+    @example("cáfé")  # the first accent wins
+    @example("cántaro")
     @settings(max_examples=500)
     def test_equals_the_reference(self, lexicon, raw):
         try:

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 
 import pytest
@@ -194,6 +195,15 @@ class TestFitAndScan:
         assert result.pattern == "-+---++--+-"
         assert [str(s) for s in result.candidate.applied] == [
             "syneresis@4", "dieresis@4"]
+
+    @pytest.mark.parametrize("line", [None, 11, ["cubra"],
+                                      b"cubra de nieve"])
+    def test_a_line_that_is_not_a_string_is_refused(self, lexicon, line):
+        message = re.escape(f"line must be a string, not {line!r}")
+        with pytest.raises(DataError, match=f"^{message}$"):
+            scan_line(line, lexicon)
+        with pytest.raises(DataError, match=f"^{message}$"):
+            phonological_parse(line, lexicon)
 
     def test_config_bounds_hold_for_library_callers(self, lexicon):
         for kwargs in ({"target_length": 1},
