@@ -16,29 +16,35 @@ plus the two stress layers needed for scansion:
 The syllabifier decides each syllable's onset, nucleus and coda in one
 table-driven pass over the word with its contraction marks (' and -)
 removed, so marks decide nothing (nor do they in the stress and synalepha
-rules or the lexicon lookup). One regex cuts the word into classed units
-(consonant, closed vowel, open or accented vowel, a vowel that always
-stands alone, h) and gives each unit's offset, a second finds the nuclei
-in the string of classes, and the consonant units between two nuclei go
-to the next onset: the last, or the last two when they form an
-inseparable cluster. Each syllable is cut at unit offsets, as the spans
-(start, nucleus start, nucleus end, end) of the mark-free word, and its
-text is a slice of that word; only a word with a mark is cut again, so
-that each mark goes back into the syllable text with the letter after
-it.
+rules or the lexicon lookup). One ``str.translate`` gives each letter of
+the word its class (consonant, closed vowel, open or accented vowel, a
+vowel that always stands alone, h), after a few guarded fix-ups for the
+letters whose class depends on a neighbour: the second letter of ch,
+ll, rr and of the qu, gu of que, qui, gue, gui is marked as the tail of
+a two-letter consonant, a y before a vowel is a consonant and a ü after
+g a closed vowel. A regex finds the nuclei in that class string, so its
+offsets are letter offsets, and of the consonants between two nuclei
+the next onset takes the last: one letter, or two when they are a
+two-letter consonant or an inseparable cluster. Each syllable is cut at
+those offsets, as the spans (start, nucleus start, nucleus end, end) of
+the mark-free word, and its text is a slice of that word; only a word
+with a mark is cut again, so that each mark goes back into the syllable
+text with the letter after it. The same pass over the nuclei notes what
+the word's frame reads of them: its sites, peaks and first written
+accent.
 
 A verse repeats its words, so ``analyze_word`` keeps each token's one
 record, a ``SyllabifiedWord``, in an ``lru_cache`` keyed by the token and
 the lexicon it was stressed with: the word, its syllable texts and its
-``Frame``, read from the spans and the mark-free word. A frame is what
+``Frame``, read from that pass and the mark-free word. A frame is what
 scansion reads of the word, whatever its place in a line: its own
 syneresis and dieresis sites, the vowel sounds and ``h`` at its edges,
 and three ints of per-syllable bits (splits keeping the stress in its
 left half; stressed as the lexicon says; stressed when forced tonic, as
 at the end of a line), so a line's sites and stresses are stitched word
 by word instead of walked syllable by syllable. The word's stress is
-found in the same walk of the spans that reads its sites, and stored
-there and only there: the tonic bits always hold its lexical stress (and
+found in the same pass that reads its sites, and stored there and only
+there: the tonic bits always hold its lexical stress (and
 the stem's, for an adverb in -mente), and the lexicon's bits are those
 or none, so the word is prosodically stressed exactly when they are
 not 0. The cache holds at most ``_CACHE_SIZE`` analyses across all
@@ -47,7 +53,8 @@ vocabularies cost bounded memory. A lexicon is hashed by identity and
 holds only a frozenset and a read-only mapping, so a cached stress cannot
 go stale. ``Word`` and ``SyllabifiedWord`` are named tuples with no
 checks of their own: text is checked where it enters, in
-``normalize_token``.
+``normalize_token``, ``syllabify`` and ``is_prosodically_stressed``,
+and a value that is not a string raises DataError there.
 
 This module also owns text normalization for scan, ``prepare`` and the
 baseline: ``clean_text`` folds a line and turns all but Spanish letters
@@ -64,6 +71,7 @@ from __future__ import annotations
 import io
 import re
 import unicodedata
+from collections.abc import Iterable, Mapping
 from functools import lru_cache
 from importlib import resources
 from types import MappingProxyType
@@ -87,6 +95,7 @@ _CLUSTERS = {"pr", "br", "tr", "dr", "cr", "gr", "fr",
 _MARKS = "'-"
 # Old orthography: ç for modern z, grave accents on atonic particles.
 _TRANSLIT = str.maketrans("çàèìòù", "zaeiou")
+_OLD_LETTERS = frozenset(map(chr, _TRANSLIT))
 _KEEP = VOWEL_CHARS | set("bcdfghjklmnñpqrstvwxyz") | set(_MARKS)
 _KEPT = re.escape("".join(sorted(_KEEP)))
 # anything but a kept character or a space
@@ -119,8 +128,12 @@ class Word(NamedTuple):
 
 
 def _fold(text: str) -> str:
-    """NFC, lowercase, and old letters as modern ones."""
-    return unicodedata.normalize("NFC", text).lower().translate(_TRANSLIT)
+    """NFC, lowercase, and old letters as modern ones (translated only
+    when there is one: most words have none)."""
+    text = unicodedata.normalize("NFC", text).lower()
+    if _OLD_LETTERS.isdisjoint(text):
+        return text
+    return text.translate(_TRANSLIT)
 
 
 def clean_text(text: str) -> str:
@@ -139,8 +152,11 @@ def normalize_token(raw: str) -> Word:
     turns into spaces deleted, the marks ' and - at the edges stripped and
     a run of marks cut to its first: ``a,b`` is ``ab``, ``d''amor`` is
     ``d'amor``, ``--hola''`` is ``hola``. Diacritics are preserved. Raises
-    EmptyAfterNormalization when nothing remains, or no vowel (y counts).
+    EmptyAfterNormalization when nothing remains, or no vowel (y counts),
+    and DataError for a token that is not a string.
     """
+    if not isinstance(raw, str):
+        raise DataError(f"token must be a string, not {raw!r}")
     text = _DROP_TOKEN_RE.sub("", _fold(raw)).strip(_MARKS)
     if "'" in text or "-" in text:
         text = _MARK_RUN_RE.sub(r"\1", text)
@@ -153,50 +169,91 @@ def normalize_token(raw: str) -> Word:
 
 # --- syllabification -------------------------------------------------------
 
-# A word's units, one per match, classed by the group that matched:
-# 1 consonant: ch, ll, rr, the qu/gu of que/qui/gue/gui, a y before a
-# vowel; 2 closed vowel: i, u, y elsewhere, a ü after g (güe, güi);
-# 3 open or accented vowel; 4 a vowel that always stands alone: ï, and ü
-# elsewhere; 5 h; 6 any other character, a consonant.
-_VOWELS, _OPEN = ("".join(sorted(s)) for s in (VOWEL_CHARS, _HIATUS_CORE))
-_CLOSED = "".join(sorted(VOWEL_CHARS - _HIATUS_CORE - set("üï")))
-_UNIT_RE = re.compile(
-    f"(ch|ll|rr|[qg]u(?=[eéií])|y(?=[{_VOWELS}]))|([{_CLOSED}y]|(?<=g)ü)"
-    f"|([{_OPEN}])|([üï])|(h)|(.)", re.DOTALL)
-_CLASSES = " ciaxhc"  # a unit's class letter, by group number
+# A letter's class, as the nucleus regex reads it: c consonant, i closed
+# vowel (i, u, y), a open or accented vowel, x a vowel that always stands
+# alone (ï, and ü but after g), h; "-", which no mark-free word holds,
+# is left as it is, for the second letter of a two-letter consonant.
+_CLASS_OF = str.maketrans({letter: cls for cls, letters in (
+    ("c", "bcdfgjklmnñpqrstvwxz"), ("i", "iuy"), ("a", "aeoáéíóú"),
+    ("x", "üï"), ("h", "h")) for letter in letters})
+# the u of que, qui, gue, gui, which is silent
+_SILENT_U_RE = re.compile("(?<=[qg])u(?=[eéií])")
+# a y before a vowel, which is a consonant
+_ONSET_Y_RE = re.compile(f"y(?=[{''.join(sorted(VOWEL_CHARS))}])")
 # A nucleus: a stand-alone vowel, or closed and open vowels with an
-# optional h between any two, never two open vowels in a row. Each of
-# these units is one letter, so a nucleus begins and ends in a vowel and
-# has two vowels exactly when it has two letters.
+# optional h between any two, never two open vowels in a row. So a
+# nucleus begins and ends in a vowel and has two vowels exactly when it
+# has two letters.
 _NUCLEUS_RE = re.compile("x|[ia](?:h?i|(?<!a)h?a)*")
+
+
+def _classes(word: str) -> str:
+    """A mark-free word's letters as their classes, one for one. One
+    translate classes each letter by itself; first, each fix-up that the
+    word needs rewrites the letters whose class depends on a neighbour:
+    the second letter of ch, ll, rr and of the qu, gu of que, qui, gue,
+    gui becomes "-", a y before a vowel a consonant (j) and a ü after g a
+    closed vowel (u). Pairs are read from the left, as in allla: all-la."""
+    if "ch" in word:
+        word = word.replace("ch", "c-")
+    if "ll" in word:
+        word = word.replace("ll", "l-")
+    if "rr" in word:
+        word = word.replace("rr", "r-")
+    if "qu" in word or "gu" in word:
+        word = _SILENT_U_RE.sub("-", word)
+    if "y" in word:
+        word = _ONSET_Y_RE.sub("j", word)
+    if "gü" in word:
+        word = word.replace("gü", "gu")
+    return word.translate(_CLASS_OF)
+
+
+def _walk(word: str):
+    """One pass over the nuclei of a mark-free word: the (start, nucleus
+    start, nucleus end, end) offsets of each syllable, and what its
+    ``_frame`` reads on the way: the syneresis and dieresis sites in
+    emission order, but the last syllable's dieresis; the peaks; and the
+    first syllable with a written accent, or -1.
+
+    The nucleus regex runs over the word's ``_classes``, so its offsets
+    are letter offsets. Of the consonants between two nuclei the next
+    onset takes the last: one letter, or two when it is ch, ll, rr, qu or
+    gu, whose second letter is classed "-", or when the two letters
+    before the nucleus form an inseparable cluster. A syllable merges
+    with the next by syneresis when only an h, or nothing, separates
+    their nuclei; it splits by dieresis when its nucleus has two vowels,
+    and is a peak when the first of them is strong."""
+    classes = _classes(word)
+    spans, sites, peaks, accent = [], [], 0, -1
+    a = start = end = 0
+    for i, m in enumerate(_NUCLEUS_RE.finditer(classes)):
+        next_start, next_end = m.span()
+        if i:  # syllable i - 1 ends where the onset of this nucleus begins
+            b = next_start
+            if b > end:
+                b -= 1 + (classes[b - 1] == "-" or word[b - 2:b] in _CLUSTERS)
+            if word[end:next_start] in ("", "h"):
+                sites.append(("syneresis", i - 1))
+            if end - start >= 2:
+                sites.append(("dieresis", i - 1))
+            spans.append((a, start, end, b))
+            a = b
+        start, end = next_start, next_end
+        if end - start >= 2:
+            peaks |= (word[start] in _HIATUS_CORE) << i
+        if accent < 0 and not ACCENTED.isdisjoint(word[start:end]):
+            accent = i
+    if not end:  # a nucleus ends past offset 0, so there was none
+        raise NoVowel(f"no syllable nucleus in {word!r}")
+    spans.append((a, start, end, len(word)))
+    return spans, sites, peaks, accent
 
 
 def _spans(word: str) -> list[tuple[int, int, int, int]]:
     """The (start, nucleus start, nucleus end, end) offsets of each
-    syllable of a mark-free word.
-
-    Of the consonant units between two nuclei the next onset takes the
-    last, or the last two when they form an inseparable cluster. A
-    cluster is two one-letter consonant units, and no letter of a
-    nucleus or of a two-letter unit can begin one, so it is read as the
-    two letters before the nucleus."""
-    units = list(_UNIT_RE.finditer(word))
-    nuclei = [m.span() for m in _NUCLEUS_RE.finditer(
-        "".join([_CLASSES[m.lastindex] for m in units]))]
-    if not nuclei:
-        raise NoVowel(f"no syllable nucleus in {word!r}")
-    starts = [m.start() for m in units]
-    starts.append(len(word))
-    spans, a = [], 0
-    start, end = nuclei[0]
-    for next_start, next_end in nuclei[1:]:
-        at = starts[next_start]
-        b = starts[next_start - (next_start > end)
-                   - (word[at - 2:at] in _CLUSTERS)]
-        spans.append((a, starts[start], starts[end], b))
-        a, start, end = b, next_start, next_end
-    spans.append((a, starts[start], starts[end], len(word)))
-    return spans
+    syllable of a mark-free word, as ``_walk`` reads them."""
+    return _walk(word)[0]
 
 
 def _syllabify_plain(word: str) -> list[tuple[str, str, str]]:
@@ -214,18 +271,28 @@ def _cut(text: str, counts) -> list[str]:
 
 def _syllable_parts(normalized: str):
     """The syllables of a normalized word with its marks, the word without
-    them and the ``_spans`` of its syllables in it."""
+    them and the ``_walk`` of that word."""
     plain = _unmarked(normalized)
-    spans = _spans(plain)
+    walk = _walk(plain)
+    spans = walk[0]
     if plain != normalized:
-        return _cut(normalized, [b for *_, b in spans[:-1]]), plain, spans
-    return [plain[a:b] for a, _, _, b in spans], plain, spans
+        return _cut(normalized, [b for *_, b in spans[:-1]]), plain, walk
+    return [plain[a:b] for a, _, _, b in spans], plain, walk
+
+
+def _text(word: Word | str) -> str:
+    """The normalized text of a ``Word``, or a string as it is; anything
+    else raises DataError."""
+    if isinstance(word, Word):
+        return word.normalized
+    if isinstance(word, str):
+        return word
+    raise DataError(f"word must be a Word or a string, not {word!r}")
 
 
 def syllabify(word: Word | str) -> list[str]:
     """Split a word into syllables; their concatenation is the input."""
-    normalized = word.normalized if isinstance(word, Word) else word
-    return _syllable_parts(normalized)[0]
+    return _syllable_parts(_text(word))[0]
 
 
 # what an undecodable byte decodes to under errors="surrogateescape"
@@ -267,16 +334,21 @@ class StressLexicon:
     """Closed-class words treated as prosodically unstressed, plus overrides:
     a frozenset and a read-only copy of the caller's mapping, both without
     contraction marks. Every word is a string, ``unstressed_words`` is a
-    collection of them and not one string, an override is a bool, and a
-    word may not sit in both; each fault raises MalformedLexicon."""
+    collection of them and not one string, ``overrides`` is a mapping, an
+    override is a bool, and a word may not sit in both; each fault raises
+    MalformedLexicon."""
 
     __slots__ = ("unstressed_words", "overrides")
 
     def __init__(self, unstressed_words=frozenset(),
                  overrides=MappingProxyType({})):
-        if isinstance(unstressed_words, str):
+        if (isinstance(unstressed_words, str)
+                or not isinstance(unstressed_words, Iterable)):
             raise MalformedLexicon(f"unstressed_words must be a collection "
                                    f"of words, not {unstressed_words!r}")
+        if not isinstance(overrides, Mapping):
+            raise MalformedLexicon(f"overrides must be a mapping of words "
+                                   f"to bools, not {overrides!r}")
         unstressed_words = list(unstressed_words)
         for word in unstressed_words + list(overrides):
             if not isinstance(word, str):
@@ -333,10 +405,14 @@ def default_lexicon() -> StressLexicon:
 def is_prosodically_stressed(word: Word | str, lexicon: StressLexicon) -> bool:
     """Whether the word keeps its stress; lexicon entries match it with
     its marks removed, so ``d'el`` is ``del``."""
-    key = _unmarked(word.normalized if isinstance(word, Word) else word)
-    if key in lexicon.overrides:
-        return lexicon.overrides[key]
-    return key not in lexicon.unstressed_words
+    return _keeps_stress(_unmarked(_text(word)), lexicon)
+
+
+def _keeps_stress(plain: str, lexicon: StressLexicon) -> bool:
+    """Whether the mark-free word ``plain`` keeps its stress."""
+    if plain in lexicon.overrides:
+        return lexicon.overrides[plain]
+    return plain not in lexicon.unstressed_words
 
 
 class Frame(NamedTuple):
@@ -388,33 +464,21 @@ def _strong(accent: int, size: int, last: str) -> int:
     return size - 1 - (size > 1 and (last in VOWEL_CHARS or last in "ns"))
 
 
-def _frame(word: str, spans, keeps: bool) -> Frame:
-    """The ``Frame`` of a mark-free word from its syllables' ``spans``,
-    stressed as the lexicon says when it ``keeps`` its stress.
+def _frame(word: str, walk, keeps: bool) -> Frame:
+    """The ``Frame`` of a mark-free word from its ``_walk``, stressed as
+    the lexicon says when it ``keeps`` its stress.
 
-    A syllable merges with the next by syneresis when only an h, or
-    nothing, separates them; it splits by dieresis when its nucleus has two
-    vowels, and is a peak when the first of them is strong. A word begins
-    in a vowel sound when its onset is empty, or is an h (unless an h
-    blocks synalepha) before a vowel that is not a consonantal glide: y,
-    ue, ie (hydra, hueso, hielo); it ends in one when its coda is empty, or
-    is an h after a vowel other than y. No nucleus begins or ends in an h,
-    so an h first or last is in the onset or coda. The stress is on the
-    first nucleus with an accent, else where ``_strong`` puts it; an adverb
-    in -mente has it on its stem, found alike, and on -men-."""
+    The last syllable splits by dieresis when its nucleus has two vowels.
+    A word begins in a vowel sound when its onset is empty, or is an h
+    (unless an h blocks synalepha) before a vowel that is not a
+    consonantal glide: y, ue, ie (hydra, hueso, hielo); it ends in one
+    when its coda is empty, or is an h after a vowel other than y. No
+    nucleus begins or ends in an h, so an h first or last is in the onset
+    or coda. The stress is on the first nucleus with an accent, else
+    where ``_strong`` puts it; an adverb in -mente has it on its stem,
+    found alike, and on -men-."""
+    spans, sites, peaks, accent = walk
     last = len(spans) - 1
-    sites, peaks, accent = [], 0, -1
-    for i, (_, start, end, b) in enumerate(spans):
-        if end == b and i < last and word[b:spans[i + 1][1]] in ("", "h"):
-            sites.append(("syneresis", i))
-        if end - start >= 2:
-            sites.append(("dieresis", i))
-            peaks |= (word[start] in _HIATUS_CORE) << i
-        if accent < 0 and not ACCENTED.isdisjoint(word[start:end]):
-            accent = i
-    tail = sites[-1:] == [("dieresis", last)]
-    if tail:
-        sites.pop()
     # a stem of 3+ letters and 1+ syllables
     if (word.endswith("mente") and len(word) >= 8 and last >= 2
             and word not in _NOT_MENTE_ADVERB):
@@ -423,10 +487,10 @@ def _frame(word: str, spans, keeps: bool) -> Frame:
         tonic = 1 << _strong(accent, last + 1, word[-1])
     # the first nucleus starts after the onset, the last ends before the
     # coda; a u or i before an e always shares its nucleus
-    onset, final = spans[0][1], spans[-1][2]
+    onset, (_, start, final, _) = spans[0][1], spans[-1]
     h_begins = (onset == 1 and word[0] == "h" and word[1] != "y"
                 and word[1:3] not in ("ue", "ie"))
-    return Frame(last + 1, tuple(sites), tail,
+    return Frame(last + 1, tuple(sites), final - start >= 2,
                  final == len(word) or final == len(word) - 1
                  and word[-1] == "h" and word[-2] != "y",
                  (onset == 0 or h_begins, onset == 0),
@@ -437,14 +501,17 @@ def _frame(word: str, spans, keeps: bool) -> Frame:
 @lru_cache(maxsize=_CACHE_SIZE)
 def analyze_word(raw: str, lexicon: StressLexicon) -> SyllabifiedWord:
     """normalize + syllabify + stress in one step, cached per token and
-    lexicon: ``_frame`` reads the frame, stress included, in one walk of
-    the spans, and ``frame.tonic`` has the strong syllable's bit set.
+    lexicon: one ``_walk`` over the nuclei gives the syllables and what
+    ``_frame`` reads, stress included, and ``frame.tonic`` has the strong
+    syllable's bit set.
 
     The key is the raw token, which is also the word's ``surface``, and
     the lexicon by identity, so a cached analysis is exactly what a fresh
-    one would be.
+    one would be. A token that is not a string raises DataError, from
+    ``normalize_token``; one that cannot be hashed, such as a list, raises
+    the cache's TypeError before that.
     """
     word = normalize_token(raw)
-    texts, plain, spans = _syllable_parts(word.normalized)
+    texts, plain, walk = _syllable_parts(word.normalized)
     return SyllabifiedWord(word, tuple(texts), _frame(
-        plain, spans, is_prosodically_stressed(plain, lexicon)))
+        plain, walk, _keeps_stress(plain, lexicon)))

@@ -205,9 +205,12 @@ class ParsedLine(list):
 def phonological_parse(line: str, lexicon: StressLexicon) -> ParsedLine:
     """Tokenize, syllabify and stress every word of a raw verse line, and
     lay the frames of its words end to end in the same loop. A line that
-    is not a ``str`` raises DataError."""
+    is not a ``str``, or a lexicon that is not a ``StressLexicon``, raises
+    DataError."""
     if not isinstance(line, str):
         raise DataError(f"line must be a string, not {line!r}")
+    if not isinstance(lexicon, StressLexicon):
+        raise DataError(f"lexicon must be a StressLexicon, not {lexicon!r}")
     words = ParsedLine()
     starts, at, stresses, peaks = [], 0, 0, 0
     for token in line.split():

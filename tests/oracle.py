@@ -6,11 +6,13 @@ search in escansion.scansion beyond the public site list), computes the
 metrical length from the last stressed unit and re-derives the selection
 preference, so any disagreement flags a real defect. The syllables,
 with their stress, hiatus and dieresis flags, are rebuilt here one by
-one from each word's syllabifier parts (``_syllabify_plain``) and its
-stressed syllables, which ``stressed_syllable_indices`` finds here from
-the syllable texts by the written-accent and last-letter rules, with no
-stress code of the engine's. Nothing of the engine's frames or line
-stitching is used, so the reference checks them.
+one from each word's (onset, nucleus, coda) parts, cut at the offsets
+of ``reference_spans``, the syllabifier as it was before it classed
+letters (one regex match per unit), and from its stressed syllables,
+which ``stressed_syllable_indices`` finds here from the syllable texts
+by the written-accent and last-letter rules. No syllabifier or stress
+code of the engine's is used, nor its frames or line stitching, so the
+reference checks them all.
 
 ``reference_sites`` is the per-syllable site finder the engine used
 before it cached each word's sites in the word's frame: one ordered walk
@@ -21,19 +23,76 @@ the syllabifier's parts, so each checks the other.
 
 ``reference_frame`` is a word's ``Frame`` as the engine read it before
 it read frames from syllable offsets: from the (onset, nucleus, coda)
-strings of ``_syllabify_plain`` and the stressed syllables, field by
+strings of ``reference_spans`` and the stressed syllables, field by
 field.
 """
 
+import re
 from typing import NamedTuple
 
-from escansion.phonology import Frame, _syllabify_plain
+from escansion.errors import NoVowel
+from escansion.phonology import Frame
 
 _VOWELS = set("aeiouáéíóúüï")
 _ACCENTED = set("áéíóú")
 # a vowel that keeps the stress when a dieresis splits its nucleus: an
 # open vowel or an accented closed one
 _STRONG = set("aeoáéóíú")
+
+
+# Onset clusters that can never be split.
+_CLUSTERS = {"pr", "br", "tr", "dr", "cr", "gr", "fr",
+             "pl", "bl", "cl", "gl", "fl"}
+# A word's units, one per match, classed by the group that matched:
+# 1 consonant: ch, ll, rr, the qu/gu of que/qui/gue/gui, a y before a
+# vowel; 2 closed vowel: i, u, y elsewhere, a ü after g (güe, güi);
+# 3 open or accented vowel; 4 a vowel that always stands alone: ï, and ü
+# elsewhere; 5 h; 6 any other character, a consonant.
+_UNIT_RE = re.compile(
+    "(ch|ll|rr|[qg]u(?=[eéií])|y(?=[aeiouáéíóúüï]))|([iuy]|(?<=g)ü)"
+    "|([aeoáéíóú])|([üï])|(h)|(.)", re.DOTALL)
+_CLASSES = " ciaxhc"  # a unit's class letter, by group number
+# A nucleus: a stand-alone vowel, or closed and open vowels with an
+# optional h between any two, never two open vowels in a row.
+_NUCLEUS_RE = re.compile("x|[ia](?:h?i|(?<!a)h?a)*")
+
+
+def reference_spans(word: str) -> list[tuple[int, int, int, int]]:
+    """The (start, nucleus start, nucleus end, end) offsets of each
+    syllable of a mark-free word, as the engine cut it before it classed
+    letters: one regex match per unit, the nuclei found in the string of
+    unit classes and mapped back to letters through each unit's start.
+
+    Of the consonant units between two nuclei the next onset takes the
+    last, or the last two when they form an inseparable cluster. A
+    cluster is two one-letter consonant units, and no letter of a
+    nucleus or of a two-letter unit can begin one, so it is read as the
+    two letters before the nucleus."""
+    units = list(_UNIT_RE.finditer(word))
+    nuclei = [m.span() for m in _NUCLEUS_RE.finditer(
+        "".join([_CLASSES[m.lastindex] for m in units]))]
+    if not nuclei:
+        raise NoVowel(f"no syllable nucleus in {word!r}")
+    starts = [m.start() for m in units]
+    starts.append(len(word))
+    spans, a = [], 0
+    start, end = nuclei[0]
+    for next_start, next_end in nuclei[1:]:
+        at = starts[next_start]
+        b = starts[next_start - (next_start > end)
+                   - (word[at - 2:at] in _CLUSTERS)]
+        spans.append((a, starts[start], starts[end], b))
+        a, start, end = b, next_start, next_end
+    spans.append((a, starts[start], starts[end], len(word)))
+    return spans
+
+
+def _parts(sw) -> list[tuple[str, str, str]]:
+    """The (onset, nucleus, coda) of each syllable of a word, cut from its
+    mark-free spelling at the ``reference_spans``."""
+    plain = _plain(sw)
+    return [(plain[a:s], plain[s:e], plain[e:b])
+            for a, s, e, b in reference_spans(plain)]
 
 
 def _plain(sw) -> str:
@@ -112,7 +171,7 @@ class Syllable(NamedTuple):
 def word_syllables(sw, *, tonic=False):
     """The ``Syllable``s of one word, forced tonic if ``tonic``."""
     hits = stressed_syllable_indices(sw, force=tonic)
-    parts = _syllabify_plain(_plain(sw))
+    parts = _parts(sw)
     out = []
     for i, (onset, nucleus, _) in enumerate(parts):
         stressed = i in hits
@@ -136,7 +195,7 @@ def reference_frame(sw) -> Frame:
     or h; a dieresis, and a peak when its first vowel is strong, where a
     nucleus has two vowels; the edges from the first onset and nucleus
     and the last nucleus and coda."""
-    parts = _syllabify_plain(_plain(sw))
+    parts = _parts(sw)
     last = len(parts) - 1
     sites, peaks = [], 0
     for i, (_, nucleus, coda) in enumerate(parts):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracle
 from escansion.errors import (DataError, EmptyAfterNormalization,
-                              MalformedLexicon)
+                              MalformedLexicon, NoVowel)
 from escansion.phonology import (
     StressLexicon,
     analyze_word,
@@ -17,6 +17,7 @@ from escansion.phonology import (
     syllabify,
     Word,
     _CACHE_SIZE,
+    _spans,
     _syllabify_plain,
 )
 from escansion.scansion import find_figure_sites, phonological_parse
@@ -329,11 +330,29 @@ class TestProsodicStress:
         (({1},), "a lexicon word must be a string, not 1"),
         ((set(), {1: True}), "a lexicon word must be a string, not 1"),
         ((["la", None],), "a lexicon word must be a string, not None"),
+        ((1,), "unstressed_words must be a collection of words, not 1"),
+        ((set(), ["a"]), "overrides must be a mapping of words to bools, "
+                         "not ['a']"),
     ])
     def test_every_word_is_a_string(self, args, message):
         # a bare string would be split into one-letter words
         with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             StressLexicon(*args)
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda lex: normalize_token(5), "token must be a string, not 5"),
+        (lambda lex: analyze_word(None, lex),
+         "token must be a string, not None"),
+        (lambda lex: analyze_word(b"amor", lex),
+         "token must be a string, not b'amor'"),
+        (lambda lex: syllabify(None),
+         "word must be a Word or a string, not None"),
+        (lambda lex: is_prosodically_stressed(None, lex),
+         "word must be a Word or a string, not None"),
+    ])
+    def test_every_token_is_a_string(self, lexicon, call, message):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            call(lexicon)
 
     def test_entries_match_without_their_marks(self, tmp_path):
         path = tmp_path / "lex.txt"
@@ -472,6 +491,33 @@ class TestFrame:
                 sw)._asdict(), raw
 
 
+# the letters whose class depends on their neighbours, drawn often
+_SPAN_ALPHABET = st.sampled_from(
+    list("hhhyyyüüïïqqggguuulllrrrccc") + list("abdeinostáéíóúñ"))
+
+
+@given(st.text(alphabet=_SPAN_ALPHABET, min_size=1, max_size=12))
+@example("allla")
+@example("chh")
+@example("rrra")
+@example("guey")
+@example("agüe")
+@example("yya")
+@example("quíe")
+@example("ahue")
+@settings(max_examples=2000)
+def test_spans_equal_the_unit_regex_reference(word):
+    """The letter-class syllabifier cuts every word where the one regex
+    match per unit did, or both find no nucleus."""
+    try:
+        expected = oracle.reference_spans(word)
+    except NoVowel:
+        with pytest.raises(NoVowel):
+            _spans(word)
+        return
+    assert _spans(word) == expected
+
+
 def test_syllable_parts_examples():
     assert _syllabify_plain("cum") == [("c", "u", "m")]
     assert _syllabify_plain("buey") == [("b", "uey", "")]
@@ -529,6 +575,5 @@ class TestMarks:
 
 
 def test_vowelless_string_raises_no_vowel():
-    from escansion.errors import NoVowel
     with pytest.raises(NoVowel):
         syllabify("brr")  # normalize_token never lets these through

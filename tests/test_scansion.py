@@ -205,6 +205,17 @@ class TestFitAndScan:
         with pytest.raises(DataError, match=f"^{message}$"):
             phonological_parse(line, lexicon)
 
+    @pytest.mark.parametrize("lexicon", [5, "la", frozenset({"la"}),
+                                         {"la": True}])
+    def test_a_lexicon_that_is_not_a_stress_lexicon_is_refused(self,
+                                                               lexicon):
+        message = re.escape(f"lexicon must be a StressLexicon, "
+                            f"not {lexicon!r}")
+        with pytest.raises(DataError, match=f"^{message}$"):
+            scan_line("cubra de nieve", lexicon)
+        with pytest.raises(DataError, match=f"^{message}$"):
+            phonological_parse("cubra de nieve", lexicon)
+
     def test_config_bounds_hold_for_library_callers(self, lexicon):
         for kwargs in ({"target_length": 1},
                        {"target_length": 17, "emit_diagnostics": True}):
