@@ -85,8 +85,8 @@ def _scan_record(line: str, lexicon, config) -> tuple[dict, bool]:
     record.update(
         syllables=result.hyphenated(),
         pattern=result.pattern,
-        metrical_length=result.candidate.metrical_length,
-        figures=[str(site) for site in result.candidate.applied],
+        metrical_length=len(result.pattern),
+        figures=[str(site) for site in result.applied],
         ambiguous=result.ambiguous,
     )
     if config.emit_diagnostics:

@@ -54,7 +54,9 @@ holds only a frozenset and a read-only mapping, so a cached stress cannot
 go stale. ``Word`` and ``SyllabifiedWord`` are named tuples with no
 checks of their own: text is checked where it enters, in
 ``normalize_token``, ``syllabify`` and ``is_prosodically_stressed``,
-and a value that is not a string raises DataError there.
+and a value that is not a string raises DataError there. The last two
+fold a string through ``normalize_token`` first, as ``analyze_word``
+folds a token, so ``Amor`` is ``amor``.
 
 This module also owns text normalization for scan, ``prepare`` and the
 baseline: ``clean_text`` folds a line and turns all but Spanish letters
@@ -281,17 +283,20 @@ def _syllable_parts(normalized: str):
 
 
 def _text(word: Word | str) -> str:
-    """The normalized text of a ``Word``, or a string as it is; anything
-    else raises DataError."""
+    """The normalized text of a ``Word``, or of a string, which
+    ``normalize_token`` folds as it folds a token of a line; anything else
+    raises DataError."""
     if isinstance(word, Word):
         return word.normalized
     if isinstance(word, str):
-        return word
+        return normalize_token(word).normalized
     raise DataError(f"word must be a Word or a string, not {word!r}")
 
 
 def syllabify(word: Word | str) -> list[str]:
-    """Split a word into syllables; their concatenation is the input."""
+    """Split a word into syllables; they concatenate to its normalized
+    form, so ``Amor`` gives ``a-mor``. A string with nothing to scan
+    raises EmptyAfterNormalization, as ``normalize_token`` does."""
     return _syllable_parts(_text(word))[0]
 
 
@@ -403,8 +408,9 @@ def default_lexicon() -> StressLexicon:
 
 
 def is_prosodically_stressed(word: Word | str, lexicon: StressLexicon) -> bool:
-    """Whether the word keeps its stress; lexicon entries match it with
-    its marks removed, so ``d'el`` is ``del``."""
+    """Whether the word keeps its stress; a string is normalized first,
+    and lexicon entries match the word with its marks removed, so ``La``
+    is ``la`` and ``d'el`` is ``del``."""
     return _keeps_stress(_unmarked(_text(word)), lexicon)
 
 

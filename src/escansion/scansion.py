@@ -69,7 +69,13 @@ winner's stresses are laid out by ``_place``, with the rule above.
 
 The records a scan takes and gives, ``ScanConfig``, ``FigureSite``,
 ``ScanCandidate`` and ``ScansionResult``, are named tuples: each equals
-the plain tuple of its fields.
+the plain tuple of its fields. A scanned line is one ``ScansionResult``,
+built once from what the fit holds: the pattern, the applied sites, the
+ambiguity, the line's words and the diagnostics. Its metrical length is
+the pattern's, so ``candidate`` is built only when read, as are the
+syllable texts, which the words carry. Hendecasyllable patterns are read
+from a table of the 1,024 built at import, other targets rendered, and
+every pattern still passes ``check_pattern``.
 """
 
 from __future__ import annotations
@@ -79,7 +85,8 @@ from typing import NamedTuple
 
 from .errors import (DataError, EmptyLine, EmptyAfterNormalization,
                      LengthMismatch, Unfittable)
-from .phonology import StressLexicon, analyze_word, default_lexicon
+from .phonology import (StressLexicon, SyllabifiedWord, analyze_word,
+                        default_lexicon)
 
 _DELTAS = {"synalepha": -1, "syneresis": -1, "dieresis": +1}
 # The longest target that diagnostics may be kept for. They keep every
@@ -100,8 +107,8 @@ class ScanConfig(_ScanSettings):
     """The target, h blocking and diagnostics of a scan; defaults reproduce
     hendecasyllables. The fitting preference is fixed, not a setting. A
     target that is no integer, below 2, or above ``DIAGNOSTICS_MAX_TARGET``
-    with diagnostics raises DataError here, for library callers as for the
-    CLI."""
+    with diagnostics, and a flag that is not a bool, raise DataError here,
+    for library callers as for the CLI."""
 
     __slots__ = ()
 
@@ -113,6 +120,10 @@ class ScanConfig(_ScanSettings):
                 f"target_length must be an integer, not {target!r}")
         if target < 2:
             raise DataError("target_length must be at least 2")
+        for name in ("h_blocks_synalepha", "emit_diagnostics"):
+            flag = getattr(self, name)
+            if not isinstance(flag, bool):
+                raise DataError(f"{name} must be a bool, not {flag!r}")
         if self.emit_diagnostics and target > DIAGNOSTICS_MAX_TARGET:
             raise DataError(f"target_length must be at most "
                             f"{DIAGNOSTICS_MAX_TARGET} with diagnostics")
@@ -159,17 +170,31 @@ class ScanCandidate(NamedTuple):
 
 
 class ScansionResult(NamedTuple):
-    """A scanned line; ``diagnostics`` lists every fitting pattern when
-    the config asks for them."""
+    """A scanned line: its pattern, the applied figures in site order,
+    whether more than one subset fits, the line's ``SyllabifiedWord``s
+    and, when the config asks for them, every fitting pattern in
+    ``diagnostics``. It is built once per line from what the fit already
+    holds; ``candidate``, ``syllabification`` and ``hyphenated()`` are
+    read from its fields when asked for. Equal results have equal words,
+    each with its surface form and frame."""
 
     pattern: str
-    candidate: ScanCandidate
+    applied: tuple[FigureSite, ...]
     ambiguous: bool
-    syllabification: tuple[tuple[str, ...], ...]
+    words: tuple[SyllabifiedWord, ...]
     diagnostics: tuple[str, ...] = ()
 
+    @property
+    def candidate(self) -> ScanCandidate:
+        """The applied figures and the metrical length, the pattern's."""
+        return ScanCandidate(self.applied, len(self.pattern))
+
+    @property
+    def syllabification(self) -> tuple[tuple[str, ...], ...]:
+        return tuple([word.syllables for word in self.words])
+
     def hyphenated(self) -> str:
-        return " ".join("-".join(word) for word in self.syllabification)
+        return " ".join("-".join(word.syllables) for word in self.words)
 
 
 PATTERN_LENGTH = 11  # a hendecasyllable's positions, gold or predicted
@@ -316,9 +341,25 @@ def _rank_costs(ends: tuple[int, ...]) -> list[int]:
 _SYMBOLS = str.maketrans("01", "-+")
 
 
+def _eleven() -> tuple[str, ...]:
+    """Every 11-position pattern, indexed by its stress bits below
+    position 10: each step puts a new position 0 in front, bit 0 of the
+    new index."""
+    table = ["-"]
+    for _ in range(10):
+        table = [symbol + rest for rest in table for symbol in "-+"]
+    return tuple(table)
+
+
+_ELEVEN = _eleven()
+
+
 def _render(stresses: int, length: int) -> str:
     """The pattern of a state's ``stresses``: groups 0..length-2, then the
-    one final position everything after the last stress collapses into."""
+    one final position everything after the last stress collapses into.
+    Hendecasyllables are read from a table."""
+    if length == 11:
+        return _ELEVEN[stresses & 0x3FF]
     bits = stresses & (1 << length - 1) - 1
     return format(bits, f"0{length - 1}b")[::-1].translate(_SYMBOLS) + "-"
 
@@ -557,15 +598,18 @@ def fit_to_target(words: ParsedLine, sites: list[FigureSite],
 def _result(words, applied, stresses, target, ambiguous,
             diagnostics=()) -> ScansionResult:
     return ScansionResult(check_pattern(_render(stresses, target), target),
-                          ScanCandidate(applied, target), ambiguous,
-                          tuple([sw.syllables for sw in words]), diagnostics)
+                          applied, ambiguous, tuple(words), diagnostics)
 
 
 def scan_line(line: str, lexicon: StressLexicon | None = None,
               config: ScanConfig | None = None) -> ScansionResult:
-    """Raw text in, 11-position stress pattern out."""
+    """Raw text in, 11-position stress pattern out. A config that is
+    neither None nor a ``ScanConfig`` raises DataError."""
     lexicon = lexicon if lexicon is not None else default_lexicon()
-    config = config or _DEFAULT_CONFIG
+    if config is None:
+        config = _DEFAULT_CONFIG
+    elif not isinstance(config, ScanConfig):
+        raise DataError(f"config must be a ScanConfig, not {config!r}")
     words = phonological_parse(line, lexicon)
     sites = find_figure_sites(words, config)
     return fit_to_target(words, sites, config)

@@ -57,7 +57,15 @@ class TestScan:
                                 ["--format", "jsonl", "--diagnostics"]),
                                ("scan_guard_8h.jsonl",
                                 ["--format", "jsonl", "--target-length", "8",
-                                 "--h-blocks-synalepha"])):
+                                 "--h-blocks-synalepha"]),
+                               # away from 11: patterns rendered without the
+                               # table, and every fitting one listed
+                               ("scan_guard_12.jsonl",
+                                ["--format", "jsonl", "--target-length",
+                                 "12"]),
+                               ("scan_guard_14d.jsonl",
+                                ["--format", "jsonl", "--target-length", "14",
+                                 "--diagnostics"])):
             out = tmp_path / recorded
             assert main(["scan", *argv, str(DATA / "scan_guard.txt"),
                          "-o", str(out)]) == 2

@@ -223,6 +223,24 @@ class TestSyllabify:
             assume(False)
         assert syllabify(word) == syllabify(word)
 
+    def test_a_string_is_folded_first(self):
+        assert syllabify("Amor") == ["a", "mor"]
+        assert syllabify("CASA") == ["ca", "sa"]
+        assert syllabify("¿D'Amor,") == ["d'a", "mor"]
+        with pytest.raises(EmptyAfterNormalization):
+            syllabify("...")
+
+    @given(words())
+    @settings(max_examples=300)
+    def test_normalized_text_is_left_as_it_is(self, raw):
+        # folding a string first changes nothing for text already folded
+        try:
+            word = normalize_token(raw)
+        except EmptyAfterNormalization:
+            assume(False)
+        assert normalize_token(word.normalized).normalized == word.normalized
+        assert syllabify(word.normalized) == syllabify(word)
+
 
 class TestLexicalStress:
     @pytest.mark.parametrize("word,expected", [
@@ -287,6 +305,11 @@ class TestProsodicStress:
     ])
     def test_homographs_and_function_words(self, word, stressed, lexicon):
         assert is_prosodically_stressed(normalize_token(word), lexicon) is stressed
+
+    def test_a_string_is_folded_first(self, lexicon):
+        assert is_prosodically_stressed("La", lexicon) is False
+        assert is_prosodically_stressed("la", lexicon) is False
+        assert is_prosodically_stressed("¡Él!", lexicon) is True
 
     def test_override_wins(self, tmp_path):
         path = tmp_path / "lex.txt"
@@ -576,4 +599,6 @@ class TestMarks:
 
 def test_vowelless_string_raises_no_vowel():
     with pytest.raises(NoVowel):
-        syllabify("brr")  # normalize_token never lets these through
+        _spans("brr")  # normalize_token never lets these through
+    with pytest.raises(EmptyAfterNormalization, match="^no vowel in 'brr'$"):
+        syllabify("brr")  # as a string is folded first

@@ -57,7 +57,9 @@ def _outcome(text, lexicon, config):
         result = scan_line(text, lexicon, config)
     except DataError as exc:
         return type(exc).__name__, str(exc), getattr(exc, "nearest", None)
-    return result
+    # not the whole record: its words carry each token's surface form
+    return (result.pattern, result.applied, result.ambiguous,
+            result.syllabification, result.diagnostics)
 
 
 class TestParseOnce:
@@ -230,6 +232,17 @@ class TestFitAndScan:
                 ScanConfig(target_length=target)
             with pytest.raises(DataError, match=message):
                 ScanConfig()._replace(target_length=target)
+        for name in ("h_blocks_synalepha", "emit_diagnostics"):
+            for flag in ("yes", 1, 0, None):
+                message = f"^{name} must be a bool, not {flag!r}$"
+                with pytest.raises(DataError, match=message):
+                    ScanConfig(**{name: flag})
+                with pytest.raises(DataError, match=message):
+                    ScanConfig()._replace(**{name: flag})
+        for config in ("x", (11, False, False), 0):
+            message = re.escape(f"config must be a ScanConfig, not {config!r}")
+            with pytest.raises(DataError, match=f"^{message}$"):
+                scan_line("amor", None, config)
         # the records are tuples: they equal the plain tuples of their fields
         assert ScanConfig() == (11, False, False)
         result = scan_line("En tanto que de rosa y azucena", lexicon)
@@ -415,6 +428,70 @@ class TestPatternOf:
         with pytest.raises(DataError) as exc:
             check_pattern(symbols)
         assert str(exc.value) == f"pattern {symbols!r} {reason}"
+
+
+_SYMBOLS = str.maketrans("01", "-+")
+
+
+def _format_render(stresses, length):
+    """The renderer as it was before hendecasyllables came from a table."""
+    bits = stresses & (1 << length - 1) - 1
+    return format(bits, f"0{length - 1}b")[::-1].translate(_SYMBOLS) + "-"
+
+
+class TestResultRecord:
+    def test_table_holds_every_hendecasyllable(self):
+        table = scansion._ELEVEN
+        assert len(table) == len(set(table)) == 1024
+        for bits, pattern in enumerate(table):
+            assert pattern == _format_render(bits, 11)
+            if bits:
+                assert check_pattern(pattern) == pattern
+        # the one entry with no stress is no pattern; no fit reaches it,
+        # since a fitted line stresses the position before the last
+        with pytest.raises(DataError, match="has no stressed position"):
+            check_pattern(table[0])
+
+    @given(st.integers(min_value=2, max_value=16),
+           st.integers(min_value=0, max_value=2 ** 20 - 1))
+    @example(11, 2 ** 20 - 1)  # bits past the table's are masked off
+    @settings(max_examples=500)
+    def test_render_matches_the_format_render(self, target, stresses):
+        assert scansion._render(stresses, target) == _format_render(
+            stresses, target)
+
+    @pytest.mark.parametrize("config", [
+        ScanConfig(), ScanConfig(emit_diagnostics=True),
+        ScanConfig(target_length=12), ScanConfig(14, True, True),
+    ], ids=["default", "diagnostics", "target-12", "target-14-h-diag"])
+    def test_record_reads_its_words(self, lexicon, mini_gold, config):
+        scanned = 0
+        for line in mini_gold:
+            try:
+                result = scan_line(line.text, lexicon, config)
+            except Unfittable:
+                continue
+            scanned += 1
+            words = phonological_parse(line.text, lexicon)
+            assert result.words == tuple(words)
+            assert result.candidate == (result.applied, len(result.pattern))
+            assert (result.candidate.metrical_length
+                    == config.target_length)
+            assert result.syllabification == tuple(
+                word.syllables for word in words)
+            assert result.hyphenated() == " ".join(
+                "-".join(word.syllables) for word in words)
+            assert hash(result) == hash(scan_line(line.text, lexicon,
+                                                  config))
+        assert scanned >= 20
+
+    def test_fields_in_order(self, lexicon):
+        result = scan_line("En tanto que de rosa y azucena", lexicon)
+        pattern, applied, ambiguous, words, diagnostics = result
+        assert (pattern, applied, ambiguous, diagnostics) == (
+            "-+---+---+-", (("synalepha", 7, False, False),), True, ())
+        assert [word.word.surface for word in words] == [
+            "En", "tanto", "que", "de", "rosa", "y", "azucena"]
 
 
 def _site_costs(sites):

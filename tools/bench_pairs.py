@@ -5,7 +5,7 @@ Run with the change in the working tree:
     python3 tools/bench_pairs.py SLUG [--rev REV] [--seeds N]
                                  [--workload W ...] [--what TEXT]
 
-REV (default HEAD) is checked out into a temporary git worktree, as
+REV (default HEAD) is exported into a temporary directory, as
 ``tools/scan_equal.py`` does, and is the parent side; the working tree is
 the change side. For each workload (default: every one in BENCHMARK.json)
 and each seed 1..N (default 10), both sides run
@@ -22,8 +22,8 @@ median lies inside the parent's interquartile range; else "better" or
 "worse within bound". ``gain_rule_met`` says whether the change won at
 least nine pairs in ten and its median is better by more than the
 parent's interquartile range. Exit 0 when written, 1 when a run fails, 2
-when REV cannot be checked out. The worktree is removed on every path.
-Standard library only.
+when REV cannot be exported. The directory is removed on every path.
+Standard library and ``tar``.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from scan_equal import ROOT, worktree
+from scan_equal import ROOT, checkout
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -99,9 +99,9 @@ def main() -> int:
     seconds = spec["run_seconds"]
 
     workloads = {}
-    with worktree(args.rev) as parent_tree:
-        commit = subprocess.run(["git", "-C", str(parent_tree), "rev-parse",
-                                 "HEAD"], capture_output=True, text=True)
+    with checkout(args.rev) as parent_tree:
+        commit = subprocess.run(["git", "-C", str(ROOT), "rev-parse",
+                                 args.rev], capture_output=True, text=True)
         for workload in names:
             runs = {"parent": [], "change": []}
             for seed in range(1, args.seeds + 1):

@@ -4,16 +4,16 @@ Run with the change in the working tree:
 
     python3 tools/scan_equal.py [REV]
 
-REV (default HEAD) is checked out into a temporary git worktree. Four
+REV (default HEAD) is exported into a temporary directory. Four
 inputs are written: from ``perfbench/inputs.py``, cli_novel pool files
 0-59 at 400 lines each, site_heavy rounds 0-29 and 3,000 verse lines at
 seed 31; and a copy of ``tests/data/scan_guard.txt``, whose lines hold
 the contraction marks, the ``h`` outside ``ch`` and the ``y`` that the
 pool inputs lack. ``python -m escansion scan`` runs on each input from
 both trees under LC_ALL=C.UTF-8, in seven modes, and their stdout, stderr
-and exit codes are compared. The first difference is printed and the exit code is 1; with
-none it is 0, and 2 when REV cannot be checked out. The worktree is
-removed on every path. Standard library only.
+and exit codes are compared. The first difference is printed and the
+exit code is 1; with none it is 0, and 2 when REV cannot be exported.
+The directory is removed on every path. Standard library and ``tar``.
 """
 
 from __future__ import annotations
@@ -107,30 +107,30 @@ def compare(rev_tree: Path, work: Path) -> int:
 
 
 @contextlib.contextmanager
-def worktree(rev: str):
-    """Check ``rev`` out into a temporary git worktree and yield its root;
-    exit 2 when it cannot be checked out. The worktree is removed on every
-    path."""
+def checkout(rev: str):
+    """Export ``rev``'s committed files into a temporary directory with
+    ``git archive`` and yield its root; exit 2 when it cannot be exported.
+    The repository's own state is left as it is, and the directory is
+    removed on every path."""
     work = Path(tempfile.mkdtemp(prefix="escansion-rev-"))
     tree = work / "tree"
     try:
-        added = subprocess.run(["git", "-C", str(ROOT), "worktree", "add",
-                                "--detach", "--quiet", str(tree), rev])
-        if added.returncode:
-            print(f"error: cannot check out {rev!r}", file=sys.stderr)
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive",
+                                  "--format=tar", rev], capture_output=True)
+        if archive.returncode:
+            print(f"error: cannot export {rev!r}", file=sys.stderr)
             raise SystemExit(2)
+        tree.mkdir()
+        subprocess.run(["tar", "-x", "-C", str(tree)], input=archive.stdout,
+                       check=True)
         yield tree
     finally:
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "remove",
-                        "--force", str(tree)], capture_output=True)
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "prune"],
-                       capture_output=True)
         shutil.rmtree(work, ignore_errors=True)
 
 
 def main() -> int:
     rev = sys.argv[1] if len(sys.argv) > 1 else "HEAD"
-    with (worktree(rev) as rev_tree,
+    with (checkout(rev) as rev_tree,
           tempfile.TemporaryDirectory(prefix="scan_equal-") as work):
         status = compare(rev_tree, Path(work))
     print("no difference" if status == 0 else "outputs differ")
