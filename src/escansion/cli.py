@@ -191,6 +191,8 @@ def _print_report(report, as_json: bool) -> None:
             "per_position_accuracy": [round(p, 6)
                                       for p in report.per_position_accuracy],
             "unmatched": report.unmatched,
+            "distinct_predictions": report.distinct_predictions,
+            "top_prediction_share": round(report.top_prediction_share, 6),
             "error_examples": [list(e) for e in report.error_examples],
         }
         print(json.dumps(doc, ensure_ascii=False, sort_keys=True))

@@ -3,12 +3,17 @@
 A prediction only counts when all 11 positions agree with gold; the
 headline number is that strict accuracy as a percentage. Per-position
 accuracies are kept alongside as a diagnostic: exact-match accuracy can
-never exceed any of them. Outside predictions meet gold through one keyed
-lookup, ``score_predictions_file``.
+never exceed any of them. Two more diagnostics count the lines with a
+prediction: the number of distinct predicted patterns, and the share of
+those lines that got the most frequent one. A predictor that reads
+nothing of the line shows as one pattern with share 1. Outside
+predictions meet gold through one keyed lookup,
+``score_predictions_file``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,6 +35,10 @@ class EvalReport:
     per_position_accuracy: tuple[float, ...]
     error_examples: tuple[tuple[str, str, str], ...]  # (text, gold, predicted)
     unmatched: int = 0
+    # over the lines with a prediction: how many patterns were predicted,
+    # and the share of those lines that got the most frequent one
+    distinct_predictions: int = 0
+    top_prediction_share: float = 0.0
 
     def __post_init__(self):
         if not abs(self.accuracy - 100.0 * self.correct / self.total) < 1e-9:
@@ -41,6 +50,9 @@ class EvalReport:
                 raise ValueError(f"position accuracy {frac} outside [0, 1]")
             if not exact <= frac + 1e-12:
                 raise ValueError("exact match cannot beat a position")
+        if not 0.0 <= self.top_prediction_share <= 1.0:
+            raise ValueError(f"top prediction share {self.top_prediction_share}"
+                             " outside [0, 1]")
 
 
 def _pattern(symbols) -> str:
@@ -64,12 +76,14 @@ def evaluate(pairs, unmatched: int = 0) -> EvalReport:
     correct = 0
     position_hits = [0] * PATTERN_LENGTH
     errors = []
+    predicted: Counter = Counter()
     for pred, gold, text in pairs:
         _pattern(gold)
         if pred is None:
             errors.append((text, gold, "<unscanned>"))
             continue
-        if _pattern(pred) == gold:
+        predicted[_pattern(pred)] += 1
+        if pred == gold:
             correct += 1
         else:
             errors.append((text, gold, pred))
@@ -84,6 +98,9 @@ def evaluate(pairs, unmatched: int = 0) -> EvalReport:
         per_position_accuracy=tuple(h / total for h in position_hits),
         error_examples=tuple(errors[:ERROR_EXAMPLE_CAP]),
         unmatched=unmatched,
+        distinct_predictions=len(predicted),
+        top_prediction_share=(max(predicted.values()) / predicted.total()
+                              if predicted else 0.0),
     )
 
 
@@ -151,6 +168,8 @@ def format_report(report: EvalReport) -> str:
         f"accuracy          {report.accuracy:.2f}",
         "per-position      " + " ".join(
             f"{frac:.3f}" for frac in report.per_position_accuracy),
+        f"distinct preds    {report.distinct_predictions}, "
+        f"top share {report.top_prediction_share:.3f}",
     ]
     if report.unmatched:
         lines.append(f"unmatched preds   {report.unmatched}")

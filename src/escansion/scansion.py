@@ -267,9 +267,13 @@ def find_figure_sites(words: ParsedLine,
     word boundaries are tested for a synalepha, from the vowel sounds the
     frames cache at their edges. A site involves a stress when the line
     stresses a syllable it acts on: p or p+1 for a merge at p, p for a
-    dieresis.
+    dieresis. A config that is neither None, the default, nor a
+    ``ScanConfig`` raises DataError.
     """
-    config = config or _DEFAULT_CONFIG
+    if config is None:
+        config = _DEFAULT_CONFIG
+    elif not isinstance(config, ScanConfig):
+        raise DataError(f"config must be a ScanConfig, not {config!r}")
     h_blocks = bool(config.h_blocks_synalepha)
     starts, stresses = words.starts, words.stresses
     frames = [word.frame for word in words]
@@ -531,7 +535,8 @@ def fit_to_target(words: ParsedLine, sites: list[FigureSite],
     ``sites`` is ``find_figure_sites``' list for ``words`` or any sub-list
     of it, in order: the fit chooses among the sites given, and the others
     stay unapplied. A site of a kind other than synalepha, syneresis and
-    dieresis raises ValueError, ahead of any Unfittable.
+    dieresis raises ValueError, ahead of any Unfittable, and a config that
+    is neither None, the default, nor a ``ScanConfig`` raises DataError.
 
     The reachable lengths are read from each site's shift, as the module
     docstring tells: a target out of their range raises Unfittable, and
@@ -548,7 +553,10 @@ def fit_to_target(words: ParsedLine, sites: list[FigureSite],
     sites in site order, and ``emit_diagnostics`` adds every fitting
     pattern, from ``_patterns``.
     """
-    config = config or _DEFAULT_CONFIG
+    if config is None:
+        config = _DEFAULT_CONFIG
+    elif not isinstance(config, ScanConfig):
+        raise DataError(f"config must be a ScanConfig, not {config!r}")
     target = config.target_length
     stresses, lefts = words.stresses, words.lefts
     top = stresses.bit_length() - 1  # the last stressed syllable
@@ -604,12 +612,9 @@ def _result(words, applied, stresses, target, ambiguous,
 def scan_line(line: str, lexicon: StressLexicon | None = None,
               config: ScanConfig | None = None) -> ScansionResult:
     """Raw text in, 11-position stress pattern out. A config that is
-    neither None nor a ``ScanConfig`` raises DataError."""
+    neither None nor a ``ScanConfig`` raises DataError, from
+    ``find_figure_sites``."""
     lexicon = lexicon if lexicon is not None else default_lexicon()
-    if config is None:
-        config = _DEFAULT_CONFIG
-    elif not isinstance(config, ScanConfig):
-        raise DataError(f"config must be a ScanConfig, not {config!r}")
     words = phonological_parse(line, lexicon)
     sites = find_figure_sites(words, config)
     return fit_to_target(words, sites, config)

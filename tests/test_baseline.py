@@ -1,8 +1,11 @@
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import wordbank
 from escansion import baseline
@@ -17,6 +20,7 @@ from escansion.baseline import (
     predict_scores,
     save_model,
     train,
+    _bucket,
     _pattern_targets,
     _scores_to_pattern,
     _word_keys,
@@ -38,6 +42,19 @@ def _tiny_config(**kw):
                 learning_rate=0.05, seed=7, patience=5, bucket_count=32)
     base.update(kw)
     return TrainConfig(**base)
+
+
+def _reference_featurize(line, vocab):
+    """``featurize`` with no word memo: every key of every word looked up,
+    an unseen one hashed into its bucket."""
+    base = len(vocab.ngram_to_id)
+    out = []
+    for word in clean_text(line).split():
+        for key in _word_keys(word, vocab.ngram_min, vocab.ngram_max):
+            known = vocab.ngram_to_id.get(key)
+            out.append(known if known is not None
+                       else _bucket(key, base, vocab.bucket_count))
+    return out
 
 
 class TestFeaturize:
@@ -85,6 +102,99 @@ class TestFeaturize:
         vocab = FeatureVocab({"a": 0, "b": 1}, bucket_count=10,
                              ngram_min=3, ngram_max=6)
         assert vocab.size == 12
+
+
+class TestWordMemo:
+    # seen words, words no training text has, and words repeated in a line
+    LINES = [TINY[0][0], "la rosa y la rosa y la flor de la rosa",
+             "zzyzx plugh cubra zzyzx de xyzzy", "Cubra, de NIEVE!", "",
+             "azucena rosa azucena rosa"]
+
+    def test_matches_the_memo_free_reference(self, tmp_path):
+        model = train(TINY, TINY[:2], _tiny_config(epochs=2))
+        save_model(model, tmp_path / "model.json")
+        back = load_model(tmp_path / "model.json")
+        assert back.vocab.word_ids == {}
+        for vocab in (model.vocab, back.vocab):
+            # twice: the first call fills the memo, the second reads it
+            for _ in range(2):
+                for line in self.LINES:
+                    assert featurize(line, vocab) == _reference_featurize(
+                        line, vocab)
+        assert set(back.vocab.word_ids) == {
+            word for line in self.LINES for word in clean_text(line).split()}
+        for line in self.LINES:
+            assert np.array_equal(predict_scores(model, line),
+                                  predict_scores(back, line))
+
+    def test_build_vocab_seeds_every_training_word(self):
+        texts = [text for text, _ in TINY] + ["la rosa y la rosa"]
+        vocab, rows = build_vocab(texts, _tiny_config())
+        words = {word for text in texts for word in clean_text(text).split()}
+        assert set(vocab.word_ids) == words
+        for word, ids in vocab.word_ids.items():
+            assert ids == _reference_featurize(word, vocab)
+        assert rows == [_reference_featurize(text, vocab) for text in texts]
+
+    def test_memo_is_not_compared_shown_or_saved(self, tmp_path):
+        model = train(TINY, [], _tiny_config(epochs=2))
+        save_model(model, tmp_path / "before.json")
+        predict(model, "palabras nunca vistas aqui")
+        save_model(model, tmp_path / "after.json")
+        assert (tmp_path / "before.json").read_bytes() == \
+            (tmp_path / "after.json").read_bytes()
+        vocab = model.vocab
+        bare = FeatureVocab(vocab.ngram_to_id, vocab.bucket_count,
+                            vocab.ngram_min, vocab.ngram_max)
+        assert bare == vocab
+        assert repr(bare) == repr(vocab)
+        assert "word_ids" not in repr(vocab)
+
+    def test_memo_stops_growing_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr(baseline, "_WORD_MEMO", 25)
+        vocab, _ = build_vocab([text for text, _ in TINY], _tiny_config())
+        seeded = dict(vocab.word_ids)
+        assert len(seeded) == 21
+        unseen = [f"palabra{letter}" for letter in "abcdefghijklmnopqrstuv"]
+        for first in range(0, len(unseen), 3):
+            line = " ".join(unseen[first:first + 3] + ["cubra"])
+            assert featurize(line, vocab) == _reference_featurize(line, vocab)
+        assert len(vocab.word_ids) == 25
+        assert vocab.word_ids.items() >= seeded.items()
+        # a word past the cap is cut again on every call, to the same ids
+        assert unseen[-1] not in vocab.word_ids
+        for _ in range(2):
+            assert featurize(unseen[-1], vocab) == _reference_featurize(
+                unseen[-1], vocab)
+        assert len(vocab.word_ids) == 25
+
+    def test_memo_holds_the_training_words_plus_the_cap(self, monkeypatch):
+        # a cap below the 21 training words adds nothing to the seed
+        monkeypatch.setattr(baseline, "_WORD_MEMO", 4)
+        vocab, _ = build_vocab([text for text, _ in TINY], _tiny_config())
+        seeded = len(vocab.word_ids)
+        featurize("palabras nunca vistas aqui", vocab)
+        assert len(vocab.word_ids) == seeded
+
+    def test_mutating_the_result_leaves_the_memo_as_it_was(self):
+        vocab, _ = build_vocab([text for text, _ in TINY], _tiny_config())
+        for line in ("cubra", "zzyzx", "cubra cubra", "zzyzx"):
+            first = featurize(line, vocab)
+            expected = list(first)
+            first.append(-1)
+            first[0] = -2
+            assert featurize(line, vocab) == expected
+
+    @pytest.mark.parametrize("line", [None, 5, b"cubra de nieve",
+                                      ["cubra"]])
+    def test_a_line_that_is_not_a_string_is_a_data_error(self, line):
+        model = train(TINY, [], _tiny_config(epochs=1))
+        message = f"^line must be a string, not {re.escape(repr(line))}$"
+        for call in (lambda: featurize(line, model.vocab),
+                     lambda: predict(model, line),
+                     lambda: predict_scores(model, line)):
+            with pytest.raises(DataError, match=message):
+                call()
 
 
 class TestGradients:
@@ -207,6 +317,16 @@ class TestTrain:
         assert str(exc.value).startswith(f"{name} example 1: gold pattern "
                                          f"{pattern!r} ")
 
+    @pytest.mark.parametrize("text", [None, 5, b"sol de la tarde"])
+    @pytest.mark.parametrize("name", ["training", "eval"])
+    def test_text_not_a_string_is_a_data_error(self, name, text):
+        bad = [TINY[0], (text, TINY[0][1])]
+        train_set, eval_set = (bad, TINY) if name == "training" else (TINY, bad)
+        with pytest.raises(DataError) as exc:
+            train(train_set, eval_set, _tiny_config(epochs=1))
+        assert str(exc.value) == (f"{name} example 1: text {text!r} "
+                                  "is not a string")
+
     def test_builds_the_vocabulary_once(self, monkeypatch):
         # one build_vocab call per train, eval set or not: perfbench times
         # the vocabulary pass as that function's span
@@ -274,6 +394,14 @@ def _reference_vocab(texts, config):
                         config.ngram_max)
 
 
+def _reference_pattern(scores):
+    """``_scores_to_pattern`` as it stood: one symbol per head, joined."""
+    fired = scores >= 0.0
+    if not fired.any():
+        fired[int(np.argmax(scores))] = True
+    return "".join("+" if f else "-" for f in fired)
+
+
 def _reference_train(train_pairs, eval_pairs, config):
     """``train`` as it stood with numpy's unbuffered ``np.add.at`` scatter,
     ``ndarray.mean``, ``np.clip``, ``np.outer`` and each step's loss added
@@ -284,9 +412,10 @@ def _reference_train(train_pairs, eval_pairs, config):
     emb = rng.uniform(-0.5 / dim, 0.5 / dim, size=(vocab.size, dim))
     weights = np.zeros((PATTERN_LENGTH, dim))
     biases = np.zeros(PATTERN_LENGTH)
-    features = [featurize(text, vocab) for text, _ in train_pairs]
+    features = [_reference_featurize(text, vocab) for text, _ in train_pairs]
     targets = [_pattern_targets(pattern) for _, pattern in train_pairs]
-    evals = [(featurize(text, vocab), pattern) for text, pattern in eval_pairs]
+    evals = [(_reference_featurize(text, vocab), pattern)
+             for text, pattern in eval_pairs]
 
     def hidden(ids):
         return emb[ids].mean(axis=0) if ids else np.zeros(dim)
@@ -305,7 +434,7 @@ def _reference_train(train_pairs, eval_pairs, config):
             biases -= lr * g
             if ids:
                 np.add.at(emb, ids, -lr * grad_h / len(ids))
-        acc = (100.0 * sum(_scores_to_pattern(weights @ hidden(ids) + biases)
+        acc = (100.0 * sum(_reference_pattern(weights @ hidden(ids) + biases)
                            == pattern for ids, pattern in evals) / len(evals)
                if evals else None)
         history.append({"epoch": epoch, "train_loss": total / len(train_pairs),
@@ -366,7 +495,7 @@ class TestBitIdentity:
         # cutting each distinct word once numbers the keys as the loop over
         # every key of every text does, and a text's row is its featurize ids
         assert vocab == _reference_vocab(texts, config)
-        assert rows == [featurize(text, vocab) for text in texts]
+        assert rows == [_reference_featurize(text, vocab) for text in texts]
         counts = [max(map(ids.count, ids), default=0) for ids in rows]
         # ids repeat, with 1-grams three times or more, and a line has none
         assert max(counts) >= (3 if config.ngram_min == 1 else 2)
@@ -416,6 +545,32 @@ class TestPredict:
             head_biases=biases,
         )
         assert predict(model, "sol") == "----+------"
+
+
+    @given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, -1e-300, 1e-300]),
+                              st.floats(allow_nan=True)),
+                    min_size=PATTERN_LENGTH, max_size=PATTERN_LENGTH),
+           st.booleans())
+    def test_pattern_equals_the_joined_symbols(self, scores, negate):
+        # negate makes every score negative or zero: with no zero among
+        # them no head fires, and the argmax is forced on
+        scores = np.array(scores)
+        if negate:
+            scores = -np.abs(scores)
+        assert _scores_to_pattern(scores.copy()) == _reference_pattern(scores)
+
+    @pytest.mark.parametrize("scores", [
+        [-1.0] * PATTERN_LENGTH,
+        [-3.0, -2.0, -0.5] + [-1.0] * 8,
+        [-0.0] * PATTERN_LENGTH,
+        [0.0] + [-1.0] * 10,
+        [-1.0] * 10 + [-0.0],
+    ])
+    def test_pattern_edges(self, scores):
+        scores = np.array(scores)
+        pattern = _scores_to_pattern(scores.copy())
+        assert pattern == _reference_pattern(scores)
+        assert pattern.count("+") >= 1
 
 
 class TestSaveLoad:

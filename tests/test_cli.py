@@ -577,6 +577,10 @@ class TestEvaluateAndScore:
                      "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["accuracy"] == 100.0
+        golds = [l.gold for l in bundled_mini_gold()[:12]]
+        top = max(map(golds.count, golds))
+        assert doc["distinct_predictions"] == len(set(golds))
+        assert doc["top_prediction_share"] == round(top / 12, 6)
 
     def test_misaligned_predictions(self, gold_tsv, tmp_path):
         pred = tmp_path / "pred.txt"

@@ -106,6 +106,24 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             EvalReport(total=4, correct=2, accuracy=99.0,
                        per_position_accuracy=(1.0,) * 11, error_examples=())
+        with pytest.raises(ValueError, match="top prediction share"):
+            EvalReport(total=4, correct=2, accuracy=50.0,
+                       per_position_accuracy=(1.0,) * 11, error_examples=(),
+                       distinct_predictions=1, top_prediction_share=1.5)
+
+    def test_distinct_predictions_and_top_share(self):
+        q = "-+---+---+-"
+        # an unscanned line counts for neither figure
+        report = evaluate([(P, P, "a"), (P, q, "b"), (q, q, "c"),
+                           (None, P, "d")])
+        assert report.distinct_predictions == 2
+        assert report.top_prediction_share == pytest.approx(2 / 3)
+        constant = evaluate([(P, P, "a"), (P, q, "b"), (P, q, "c")])
+        assert (constant.distinct_predictions,
+                constant.top_prediction_share) == (1, 1.0)
+        unscanned = evaluate([(None, P, "a")])
+        assert (unscanned.distinct_predictions,
+                unscanned.top_prediction_share) == (0, 0.0)
 
 
 class TestScorePredictionsFile:
@@ -241,3 +259,4 @@ def test_format_report_two_decimals():
     text = format_report(report)
     assert "66.67" in text
     assert "lines scored      3" in text
+    assert "distinct preds    2, top share 0.667" in text

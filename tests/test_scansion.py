@@ -239,10 +239,21 @@ class TestFitAndScan:
                     ScanConfig(**{name: flag})
                 with pytest.raises(DataError, match=message):
                     ScanConfig()._replace(**{name: flag})
+        words = phonological_parse("En tanto que de rosa y azucena", lexicon)
+        sites = find_figure_sites(words)
         for config in ("x", (11, False, False), 0):
             message = re.escape(f"config must be a ScanConfig, not {config!r}")
             with pytest.raises(DataError, match=f"^{message}$"):
                 scan_line("amor", None, config)
+            with pytest.raises(DataError, match=f"^{message}$"):
+                find_figure_sites(words, config)
+            with pytest.raises(DataError, match=f"^{message}$"):
+                fit_to_target(words, sites, config)
+        # None is the default config
+        assert find_figure_sites(words, None) == find_figure_sites(
+            words, ScanConfig())
+        assert fit_to_target(words, sites, None) == fit_to_target(
+            words, sites, ScanConfig())
         # the records are tuples: they equal the plain tuples of their fields
         assert ScanConfig() == (11, False, False)
         result = scan_line("En tanto que de rosa y azucena", lexicon)

@@ -1,11 +1,12 @@
-"""Time two engine layers against a git revision's: a cold word and a warm line.
+"""Time three layers against a git revision's: a cold word, a warm line and a
+baseline prediction.
 
 Run with the change in the working tree:
 
     python3 tools/layer_us.py [REV] [--rounds N]
 
 REV (default HEAD) is exported into a temporary directory, as
-``tools/scan_equal.py`` does. Two rows are printed, each as the best of
+``tools/scan_equal.py`` does. Three rows are printed, each as the best of
 N rounds (default 7) for each side:
 
 * cold ``analyze_word``, in µs a token: one pass of
@@ -14,7 +15,12 @@ N rounds (default 7) for each side:
   lines each, the cache bypassed, so each call is a cold word;
 * warm ``scan_line``, in µs a line: 3,000 verse lines at seed 31, scanned
   once to fill the word cache, then timed over five more passes, of
-  which the child keeps the fastest.
+  which the child keeps the fastest;
+* warm ``baseline.predict``, in µs a line: a model trained at the
+  harness workload's settings (10 epochs, dim 50, 2,000 buckets, lr 0.05,
+  seed 13) on the first 2,580 lines of the harness corpus at seed 1, no
+  eval set, then the 420 held-out lines predicted once and timed over
+  five more passes, of which the child keeps the fastest.
 
 The inputs come from ``perfbench/inputs.py``, which imports no
 escansion, so both trees get the same ones. Each round runs one child
@@ -37,6 +43,8 @@ from scan_equal import ROOT, checkout, inputs
 
 FILES, LINES = range(10), 400
 VERSE_SEED, VERSE_LINES = 31, 3000
+# the harness workload's corpus size; its test split is 420 lines
+HARNESS_SEED, HARNESS_LINES, HELD_OUT = 1, 3000, 420
 
 PIN = """
 import os, sys, time
@@ -72,6 +80,24 @@ scan_all()
 print(min(scan_all() for _ in range(5)) / len(lines) * 1e6)
 """
 
+PREDICT = PIN + f"""
+from escansion import baseline
+rows = [line.split("\\t") for line in sys.stdin.read().splitlines()]
+config = baseline.TrainConfig(epochs=10, embedding_dim=50, learning_rate=0.05,
+                              seed=13, bucket_count=2000, patience=10)
+model = baseline.train(rows[:-{HELD_OUT}], [], config)
+texts = [text for text, _ in rows[-{HELD_OUT}:]]
+
+def predict_all():
+    start = time.perf_counter()
+    for text in texts:
+        baseline.predict(model, text)
+    return time.perf_counter() - start
+
+predict_all()
+print(min(predict_all() for _ in range(5)) / len(texts) * 1e6)
+"""
+
 
 def tokens() -> list[str]:
     return sorted({token for index in FILES
@@ -82,6 +108,11 @@ def tokens() -> list[str]:
 def verse() -> list[str]:
     return [text for text, _ in itertools.islice(
         inputs.verse_stream(VERSE_SEED), VERSE_LINES)]
+
+
+def labelled() -> list[str]:
+    return [f"{text}\t{template}" for _, _, text, template
+            in inputs.labelled_corpus(HARNESS_LINES, HARNESS_SEED)]
 
 
 def child_us(tree: Path, code: str, text: str) -> float:
@@ -97,12 +128,14 @@ def main() -> int:
     parser.add_argument("rev", nargs="?", default="HEAD")
     parser.add_argument("--rounds", type=int, default=7)
     args = parser.parse_args()
-    words, lines = tokens(), verse()
+    words, lines, corpus = tokens(), verse(), labelled()
     rows = {
         f"cold analyze_word, {len(words)} distinct tokens, µs a token":
             (COLD, "\n".join(words)),
         f"warm scan_line, {len(lines)} verse lines, µs a line":
             (WARM, "\n".join(lines)),
+        f"warm baseline.predict, {HELD_OUT} held-out harness lines, µs a line":
+            (PREDICT, "\n".join(corpus)),
     }
     sides = (args.rev, "working tree")
     best = {row: dict.fromkeys(sides, float("inf")) for row in rows}
