@@ -71,13 +71,19 @@ def _open_out(path: str | None, source: str | None):
 
 # --- scan --------------------------------------------------------------------
 
-def _scan_record(line: str, lexicon, config) -> tuple[dict, bool]:
+def _scan_record(line: str, lexicon, config,
+                 nearest: bool = False) -> tuple[dict, bool]:
+    """The record of one scanned line, and whether it scanned. An
+    unfittable line's ``nearest`` subsets are read, and so worked out,
+    only when ``nearest`` asks for them: jsonl prints them, TSV and
+    ``evaluate`` do not."""
     record = {"text": line}
     try:
         result = scan_line(line, lexicon, config)
     except Unfittable as exc:
-        record.update(error="unfittable", achievable=list(exc.achievable),
-                      nearest=[list(item) for item in exc.nearest])
+        record.update(error="unfittable", achievable=list(exc.achievable))
+        if nearest:
+            record["nearest"] = [list(item) for item in exc.nearest]
         return record, False
     except DataError as exc:
         record.update(error=type(exc).__name__.lower(), detail=str(exc))
@@ -112,10 +118,10 @@ def _format_tsv(record: dict) -> str:
 def cmd_scan(args) -> int:
     lexicon = _load_lexicon(args.lexicon)
     # only jsonl prints the diagnostics, and keeping them costs the fitter
+    jsonl = args.format == "jsonl"
     config = ScanConfig(**_given(args, ("target_length",)),
                         h_blocks_synalepha=args.h_blocks_synalepha,
-                        emit_diagnostics=args.diagnostics
-                        and args.format == "jsonl")
+                        emit_diagnostics=args.diagnostics and jsonl)
     failed = 0
     from_stdin = not args.input or args.input == "-"
     if from_stdin and sys.stdin is None:
@@ -131,10 +137,10 @@ def cmd_scan(args) -> int:
             for line in text.splitlines():
                 if not line.strip():
                     continue
-                record, ok = _scan_record(line, lexicon, config)
+                record, ok = _scan_record(line, lexicon, config, jsonl)
                 if not ok:
                     failed += 1
-                if args.format == "jsonl":
+                if jsonl:
                     out.write(json.dumps(record, ensure_ascii=False) + "\n")
                 else:
                     out.write(_format_tsv(record) + "\n")

@@ -78,8 +78,11 @@ def normalize_met(raw: str) -> str:
     Accepts +/- or 1/0 alphabets. A 10-symbol pattern ending in stress
     (oxytone line) pads a trailing '-'; a 12-symbol pattern ending in two
     weak positions (proparoxytone line) collapses them into one. A result
-    that fails ``check_pattern`` raises UnnormalizableMet.
+    that fails ``check_pattern``, or a ``raw`` that is not a string,
+    raises UnnormalizableMet.
     """
+    if not isinstance(raw, str):
+        raise UnnormalizableMet(f"met must be a string, not {raw!r}")
     met = raw.strip().replace("1", "+").replace("0", "-")
     if set(met) - {"+", "-"}:
         raise UnnormalizableMet(f"met {raw!r} not over +/- or 1/0")

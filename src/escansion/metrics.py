@@ -14,6 +14,7 @@ predictions meet gold through one keyed lookup,
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -68,8 +69,16 @@ def evaluate(pairs, unmatched: int = 0) -> EvalReport:
     ``pred`` is None for a line the engine could not scan, wrong
     everywhere; every other pattern must be a string that passes
     ``check_pattern``.
-    ``unmatched`` predictions are reported, not scored.
+    ``unmatched`` predictions, a count, are reported, not scored. A
+    ``pairs`` that is not iterable, an item that is not a triple and an
+    ``unmatched`` that is not a count raise DataError.
     """
+    if not isinstance(pairs, Iterable):
+        raise DataError(f"pairs must be an iterable of (pred, gold, text) "
+                        f"triples, not {pairs!r}")
+    if (isinstance(unmatched, bool) or not isinstance(unmatched, int)
+            or unmatched < 0):
+        raise DataError(f"unmatched must be a count, not {unmatched!r}")
     pairs = list(pairs)
     if not pairs:
         raise EmptyInput("no prediction/gold pairs to score")
@@ -77,7 +86,12 @@ def evaluate(pairs, unmatched: int = 0) -> EvalReport:
     position_hits = [0] * PATTERN_LENGTH
     errors = []
     predicted: Counter = Counter()
-    for pred, gold, text in pairs:
+    for triple in pairs:
+        try:
+            pred, gold, text = triple
+        except (TypeError, ValueError):
+            raise DataError(f"a scored line must be a (pred, gold, text) "
+                            f"triple, not {triple!r}") from None
         _pattern(gold)
         if pred is None:
             errors.append((text, gold, "<unscanned>"))

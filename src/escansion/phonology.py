@@ -140,7 +140,10 @@ def _fold(text: str) -> str:
 
 def clean_text(text: str) -> str:
     """Lowercase and turn all but Spanish letters, ' and - into single
-    spaces, so ``a,b`` is two words."""
+    spaces, so ``a,b`` is two words. A ``text`` that is not a string
+    raises DataError."""
+    if not isinstance(text, str):
+        raise DataError(f"text must be a string, not {text!r}")
     return " ".join(_DROP_RE.sub(" ", _fold(text)).split())
 
 
@@ -339,15 +342,15 @@ class StressLexicon:
     """Closed-class words treated as prosodically unstressed, plus overrides:
     a frozenset and a read-only copy of the caller's mapping, both without
     contraction marks. Every word is a string, ``unstressed_words`` is a
-    collection of them and not one string, ``overrides`` is a mapping, an
-    override is a bool, and a word may not sit in both; each fault raises
-    MalformedLexicon."""
+    collection of them and not one string or bytes, ``overrides`` is a
+    mapping, an override is a bool, and a word may not sit in both; each
+    fault raises MalformedLexicon."""
 
     __slots__ = ("unstressed_words", "overrides")
 
     def __init__(self, unstressed_words=frozenset(),
                  overrides=MappingProxyType({})):
-        if (isinstance(unstressed_words, str)
+        if (isinstance(unstressed_words, (str, bytes))
                 or not isinstance(unstressed_words, Iterable)):
             raise MalformedLexicon(f"unstressed_words must be a collection "
                                    f"of words, not {unstressed_words!r}")
@@ -410,12 +413,18 @@ def default_lexicon() -> StressLexicon:
 def is_prosodically_stressed(word: Word | str, lexicon: StressLexicon) -> bool:
     """Whether the word keeps its stress; a string is normalized first,
     and lexicon entries match the word with its marks removed, so ``La``
-    is ``la`` and ``d'el`` is ``del``."""
+    is ``la`` and ``d'el`` is ``del``. A word that is neither a ``Word``
+    nor a string, and a lexicon that is not a ``StressLexicon``, raise
+    DataError."""
     return _keeps_stress(_unmarked(_text(word)), lexicon)
 
 
 def _keeps_stress(plain: str, lexicon: StressLexicon) -> bool:
-    """Whether the mark-free word ``plain`` keeps its stress."""
+    """Whether the mark-free word ``plain`` keeps its stress; a lexicon
+    that is not a ``StressLexicon`` raises DataError. ``analyze_word``
+    calls it in its cached body, so only a miss pays for the check."""
+    if not isinstance(lexicon, StressLexicon):
+        raise DataError(f"lexicon must be a StressLexicon, not {lexicon!r}")
     if plain in lexicon.overrides:
         return lexicon.overrides[plain]
     return plain not in lexicon.unstressed_words
@@ -514,8 +523,9 @@ def analyze_word(raw: str, lexicon: StressLexicon) -> SyllabifiedWord:
     The key is the raw token, which is also the word's ``surface``, and
     the lexicon by identity, so a cached analysis is exactly what a fresh
     one would be. A token that is not a string raises DataError, from
-    ``normalize_token``; one that cannot be hashed, such as a list, raises
-    the cache's TypeError before that.
+    ``normalize_token``, and so does a lexicon that is not a
+    ``StressLexicon``, from ``_keeps_stress``; an argument that cannot be
+    hashed, such as a list, raises the cache's TypeError before that.
     """
     word = normalize_token(raw)
     texts, plain, walk = _syllable_parts(word.normalized)

@@ -69,11 +69,14 @@ winner's stresses are laid out by ``_place``, with the rule above.
 
 The records a scan takes and gives, ``ScanConfig``, ``FigureSite``,
 ``ScanCandidate`` and ``ScansionResult``, are named tuples: each equals
-the plain tuple of its fields. A scanned line is one ``ScansionResult``,
+the plain tuple of its fields. Only ``ScanConfig`` checks its fields when
+built; a site is checked where it enters the fit. A scanned line is one ``ScansionResult``,
 built once from what the fit holds: the pattern, the applied sites, the
 ambiguity, the line's words and the diagnostics. Its metrical length is
 the pattern's, so ``candidate`` is built only when read, as are the
-syllable texts, which the words carry. Hendecasyllable patterns are read
+syllable texts, which the words carry. An unfittable line's
+``Unfittable`` carries its message and achievable lengths; the nearest
+subsets it names are worked out only when read. Hendecasyllable patterns are read
 from a table of the 1,024 built at import, other targets rendered, and
 every pattern still passes ``check_pattern``.
 """
@@ -267,9 +270,12 @@ def find_figure_sites(words: ParsedLine,
     word boundaries are tested for a synalepha, from the vowel sounds the
     frames cache at their edges. A site involves a stress when the line
     stresses a syllable it acts on: p or p+1 for a merge at p, p for a
-    dieresis. A config that is neither None, the default, nor a
-    ``ScanConfig`` raises DataError.
+    dieresis. ``words`` that are not a ``ParsedLine``, and a config that
+    is neither None, the default, nor a ``ScanConfig``, raise DataError.
     """
+    if not isinstance(words, ParsedLine):
+        raise DataError(f"words must be a ParsedLine, from "
+                        f"phonological_parse, not {words!r}")
     if config is None:
         config = _DEFAULT_CONFIG
     elif not isinstance(config, ScanConfig):
@@ -366,10 +372,6 @@ def _render(stresses: int, length: int) -> str:
         return _ELEVEN[stresses & 0x3FF]
     bits = stresses & (1 << length - 1) - 1
     return format(bits, f"0{length - 1}b")[::-1].translate(_SYMBOLS) + "-"
-
-
-def _applied(sites: list[FigureSite], mask: int) -> tuple[FigureSite, ...]:
-    return tuple(s for i, s in enumerate(sites) if mask >> i & 1)
 
 
 def _place(stresses: int, shifting, runs) -> tuple[list[int], int]:
@@ -476,26 +478,17 @@ def _template(stresses: int, shifting, top: int, need: int,
 
 
 def _unfittable(sites, shifting, low, high, target) -> Unfittable:
-    """Every achievable length, ``low`` to ``high``, and the three subsets
-    nearest the target, ties by mask: the one applying every site whose
-    shift is toward the target, that one plus its lowest free sites (those
-    not among the ``(cut, shift, i)`` of ``shifting``), then that one with
-    one shifting site flipped, a step further."""
-    toward = 1 if target > high else -1
-    end = high if target > high else low
-    best = sum(1 << i for _, shift, i in shifting if shift == toward)
-    moving = {i for _, _, i in shifting}
-    free = [1 << i for i in range(len(sites)) if i not in moving]
-    flipped = sorted(best ^ 1 << i for _, _, i in shifting)
-    nearest = ([(end, best)] + [(end, best | bit) for bit in free[:2]]
-               + [(end - toward, mask) for mask in flipped[:2]])[:3]
+    """Every achievable length, ``low`` to ``high``; the nearest subsets
+    are left to ``Unfittable.nearest``, which works them out from a
+    snapshot of ``sites``, the ``(cut, shift, i)`` of ``shifting`` and the
+    end of the range nearest the target when first read."""
     achievable = range(low, high + 1)
+    toward = 1 if target > high else -1
     return Unfittable(
         f"no figure subset reaches length {target} "
         f"(achievable: {list(achievable)})",
-        achievable=achievable,
-        nearest=[(length, ";".join(map(str, _applied(sites, mask))) or "none")
-                 for length, mask in nearest])
+        achievable=achievable, sites=tuple(sites), shifting=shifting,
+        end=high if toward > 0 else low, toward=toward)
 
 
 def _patterns(stresses: int, shifting, top: int, need: int,
@@ -534,9 +527,11 @@ def fit_to_target(words: ParsedLine, sites: list[FigureSite],
 
     ``sites`` is ``find_figure_sites``' list for ``words`` or any sub-list
     of it, in order: the fit chooses among the sites given, and the others
-    stay unapplied. A site of a kind other than synalepha, syneresis and
-    dieresis raises ValueError, ahead of any Unfittable, and a config that
-    is neither None, the default, nor a ``ScanConfig`` raises DataError.
+    stay unapplied. ``words`` that are not a ``ParsedLine``, ``sites``
+    that are not a list or tuple of ``FigureSite``s, a site of a kind
+    other than synalepha, syneresis and dieresis, each ahead of any
+    Unfittable, and a config that is neither None, the default, nor a
+    ``ScanConfig`` raise DataError.
 
     The reachable lengths are read from each site's shift, as the module
     docstring tells: a target out of their range raises Unfittable, and
@@ -553,6 +548,11 @@ def fit_to_target(words: ParsedLine, sites: list[FigureSite],
     sites in site order, and ``emit_diagnostics`` adds every fitting
     pattern, from ``_patterns``.
     """
+    if not isinstance(words, ParsedLine):
+        raise DataError(f"words must be a ParsedLine, from "
+                        f"phonological_parse, not {words!r}")
+    if not isinstance(sites, (list, tuple)):
+        raise DataError(f"sites must be a list of FigureSites, not {sites!r}")
     if config is None:
         config = _DEFAULT_CONFIG
     elif not isinstance(config, ScanConfig):
@@ -566,10 +566,13 @@ def fit_to_target(words: ParsedLine, sites: list[FigureSite],
     # in its tier; a site's rank is then its index in shifting
     released, held, fusing, splitting = [], [], [], []
     ambiguous = False
-    for i, (kind, position, stress, h) in enumerate(sites):
+    for i, site in enumerate(sites):
+        if not isinstance(site, FigureSite):
+            raise DataError(f"a site must be a FigureSite, not {site!r}")
+        kind, position, stress, h = site
         shift = _DELTAS.get(kind)
         if shift is None:
-            raise ValueError(f"unknown figure kind {kind!r}")
+            raise DataError(f"unknown figure kind {kind!r}")
         cut = position + (shift < 0 or lefts >> position & 1)
         if cut > top:
             ambiguous = True  # it shifts nothing

@@ -198,6 +198,13 @@ class TestNormalizeMet:
         with pytest.raises(UnnormalizableMet):
             normalize_met(raw)
 
+    @pytest.mark.parametrize("raw", [None, 11, b"+--+---+-+-",
+                                     list("+--+---+-+-")])
+    def test_a_met_that_is_not_a_string_is_refused(self, raw):
+        with pytest.raises(UnnormalizableMet) as exc:
+            normalize_met(raw)
+        assert str(exc.value) == f"met must be a string, not {raw!r}"
+
     def test_no_stressed_position_is_unnormalizable(self):
         with pytest.raises(UnnormalizableMet):
             normalize_met("-" * 11)

@@ -69,6 +69,26 @@ class TestEvaluate:
         with pytest.raises(EmptyInput):
             evaluate([])
 
+    @pytest.mark.parametrize("pairs", [None, 5, 1.5])
+    def test_pairs_that_are_not_iterable_are_refused(self, pairs):
+        with pytest.raises(DataError) as exc:
+            evaluate(pairs)
+        assert str(exc.value) == ("pairs must be an iterable of (pred, gold, "
+                                  f"text) triples, not {pairs!r}")
+
+    @pytest.mark.parametrize("triple", [None, (P, P), [P, P, "l", "x"], b"a"])
+    def test_an_item_that_is_not_a_triple_is_refused(self, triple):
+        with pytest.raises(DataError) as exc:
+            evaluate([(P, P, "l"), triple])
+        assert str(exc.value) == ("a scored line must be a (pred, gold, "
+                                  f"text) triple, not {triple!r}")
+
+    @pytest.mark.parametrize("unmatched", [-1, None, True, 1.0])
+    def test_unmatched_is_a_count(self, unmatched):
+        with pytest.raises(DataError) as exc:
+            evaluate([(P, P, "l")], unmatched)
+        assert str(exc.value) == f"unmatched must be a count, not {unmatched!r}"
+
     def test_unscanned_counts_as_wrong_everywhere(self):
         report = evaluate([(None, P, "l"), (P, P, "m")])
         assert report.correct == 1

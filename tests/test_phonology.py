@@ -160,6 +160,12 @@ def _outcome(normalize, raw):
 
 
 class TestOneNormalizer:
+    @pytest.mark.parametrize("text", [None, b"amor", 5])
+    def test_a_text_that_is_not_a_string_is_refused(self, text):
+        message = re.escape(f"text must be a string, not {text!r}")
+        with pytest.raises(DataError, match=f"^{message}$"):
+            clean_text(text)
+
     @settings(max_examples=500, deadline=None)
     @given(st.one_of(st.text(), st.lists(_AWKWARD).map("".join)))
     def test_matches_the_reference(self, raw):
@@ -280,6 +286,27 @@ class TestLexicalStress:
 
 
 class TestProsodicStress:
+    @pytest.mark.parametrize("lexicon", [None, {"la"}, "la"])
+    def test_a_lexicon_that_is_not_a_stress_lexicon_is_refused(self,
+                                                               lexicon):
+        message = re.escape(f"lexicon must be a StressLexicon, "
+                            f"not {lexicon!r}")
+        with pytest.raises(DataError, match=f"^{message}$"):
+            is_prosodically_stressed("la", lexicon)
+        if lexicon.__hash__ is None:
+            # the word cache hashes its key first
+            with pytest.raises(TypeError, match="unhashable"):
+                analyze_word("amor", lexicon)
+        else:
+            with pytest.raises(DataError, match=f"^{message}$"):
+                analyze_word("amor", lexicon)
+
+    @pytest.mark.parametrize("words", [b"", b"la"])
+    def test_bytes_are_not_a_word_list(self, words):
+        with pytest.raises(MalformedLexicon, match="^unstressed_words must "
+                           "be a collection of words, not b'"):
+            StressLexicon(words)
+
     @pytest.mark.parametrize("word,stressed", [
         ("la", False),
         ("de", False),

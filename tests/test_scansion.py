@@ -1,3 +1,4 @@
+import pickle
 import random
 import re
 import time
@@ -218,6 +219,33 @@ class TestFitAndScan:
         with pytest.raises(DataError, match=f"^{message}$"):
             phonological_parse("cubra de nieve", lexicon)
 
+    @pytest.mark.parametrize("words", [None, [], "cubra de nieve"])
+    def test_words_that_are_not_a_parsed_line_are_refused(self, lexicon,
+                                                          words):
+        sites = find_figure_sites(phonological_parse(GARCILASO_LINE, lexicon))
+        message = re.escape(f"words must be a ParsedLine, from "
+                            f"phonological_parse, not {words!r}")
+        with pytest.raises(DataError, match=f"^{message}$"):
+            find_figure_sites(words)
+        with pytest.raises(DataError, match=f"^{message}$"):
+            fit_to_target(words, sites)
+
+    def test_sites_that_are_not_figure_sites_are_refused(self, lexicon):
+        words = phonological_parse(GARCILASO_LINE, lexicon)
+        sites = find_figure_sites(words)
+        for bad in (None, b"", 5, {"a": 1}):
+            message = re.escape(f"sites must be a list of FigureSites, "
+                                f"not {bad!r}")
+            with pytest.raises(DataError, match=f"^{message}$"):
+                fit_to_target(words, bad)
+        # a plain tuple equals a site, but is not one
+        for bad in (None, tuple(sites[0]), ("synalepha", 5)):
+            message = re.escape(f"a site must be a FigureSite, not {bad!r}")
+            with pytest.raises(DataError, match=f"^{message}$"):
+                fit_to_target(words, sites + [bad])
+        assert fit_to_target(words, tuple(sites)) == fit_to_target(words,
+                                                                    sites)
+
     def test_config_bounds_hold_for_library_callers(self, lexicon):
         for kwargs in ({"target_length": 1},
                        {"target_length": 17, "emit_diagnostics": True}):
@@ -265,12 +293,58 @@ class TestFitAndScan:
         assert exc.value.achievable == (2,)
 
     def test_long_unfittable_line_takes_bounded_time(self, lexicon, config):
-        # the reachable lengths are read from the sites, with no search
+        # the reachable lengths are read from the sites, with no search,
+        # and so are the nearest subsets, when read
         start = time.perf_counter()
         with pytest.raises(Unfittable) as exc:
             scan_line("casa oscura " * 2000, lexicon, config)
+        nearest = exc.value.nearest
         assert time.perf_counter() - start < 2
         assert len(exc.value.achievable) == 2001
+        # the target lies below the range: its low end, then a step up
+        low = exc.value.achievable[0]
+        assert [length for length, _ in nearest] == [low, low + 1, low + 1]
+
+    @staticmethod
+    def _unfittable(words, sites, target=20):
+        with pytest.raises(Unfittable) as exc:
+            fit_to_target(words, sites, ScanConfig(target_length=target))
+        return exc.value
+
+    def test_nearest_survives_a_pickle(self, lexicon):
+        # the exception holds plain data, so it pickles before nearest is
+        # read, as after
+        words = phonological_parse(GARCILASO_LINE, lexicon)
+        sites = find_figure_sites(words)
+        for target in (4, 20):
+            exc = self._unfittable(words, sites, target)
+            loaded = pickle.loads(pickle.dumps(exc))  # nearest not yet read
+            assert type(loaded) is Unfittable
+            assert str(loaded) == str(exc)
+            assert loaded.achievable == exc.achievable
+            assert loaded.nearest == exc.nearest
+            again = pickle.loads(pickle.dumps(exc))
+            assert again.nearest == exc.nearest
+
+    def test_nearest_ignores_the_callers_later_edits(self, lexicon):
+        words = phonological_parse(GARCILASO_LINE, lexicon)
+        sites = find_figure_sites(words)
+        expected = self._unfittable(words, list(sites)).nearest
+        assert expected == ((12, "dieresis@3"), (11, "none"),
+                            (11, "dieresis@3;synalepha@5"))
+        exc = self._unfittable(words, sites)
+        sites.clear()
+        assert exc.nearest == expected
+
+    def test_an_explicit_nearest_is_kept(self):
+        exc = Unfittable("no fit", achievable=(3, 2),
+                         nearest=[(4, "none"), (4, "synalepha@1")])
+        assert exc.achievable == (2, 3)
+        assert exc.nearest == ((4, "none"), (4, "synalepha@1"))
+        assert pickle.loads(pickle.dumps(exc)).nearest == exc.nearest
+        assert Unfittable("no fit").nearest == ()
+        with pytest.raises(AttributeError):
+            exc.nearest = ()
 
     def test_ten_stressed_monosyllables_fit(self, lexicon, config):
         result = scan_line(" ".join(["sol"] * 10), lexicon, config)
@@ -301,7 +375,7 @@ class TestFitAndScan:
         site = FigureSite("elision", 3)
         assert site == ("elision", 3, False, False)
         assert str(site) == "elision@3"
-        with pytest.raises(ValueError, match="unknown figure kind 'elision'"):
+        with pytest.raises(DataError, match="unknown figure kind 'elision'"):
             fit_to_target(words, [site], config)
 
     @pytest.mark.parametrize("first, target", [(False, 11), (True, 20)],
@@ -321,7 +395,7 @@ class TestFitAndScan:
         else:
             assert words.stresses.bit_length() - 1 == 9  # cum-bre
             sites = sites + [FigureSite("elision", 9)]
-        with pytest.raises(ValueError, match="unknown figure kind 'elision'"):
+        with pytest.raises(DataError, match="unknown figure kind 'elision'"):
             fit_to_target(words, sites, config)
 
     def test_final_atonic_word_still_yields_a_stress(self, lexicon, config):

@@ -1,12 +1,12 @@
-"""Time three layers against a git revision's: a cold word, a warm line and a
-baseline prediction.
+"""Time four layers against a git revision's: a cold word, a warm line, a
+warm unfittable line and a baseline prediction.
 
 Run with the change in the working tree:
 
     python3 tools/layer_us.py [REV] [--rounds N]
 
 REV (default HEAD) is exported into a temporary directory, as
-``tools/scan_equal.py`` does. Three rows are printed, each as the best of
+``tools/scan_equal.py`` does. Four rows are printed, each as the best of
 N rounds (default 7) for each side:
 
 * cold ``analyze_word``, in µs a token: one pass of
@@ -16,6 +16,10 @@ N rounds (default 7) for each side:
 * warm ``scan_line``, in µs a line: 3,000 verse lines at seed 31, scanned
   once to fill the word cache, then timed over five more passes, of
   which the child keeps the fastest;
+* warm unfittable ``scan_line``, in µs a line: the lines of site_heavy
+  rounds 0-9 that raise ``Unfittable``, picked out by the pass that fills
+  the word cache, then timed as the row above, which drops each
+  exception unread;
 * warm ``baseline.predict``, in µs a line: a model trained at the
   harness workload's settings (10 epochs, dim 50, 2,000 buckets, lr 0.05,
   seed 13) on the first 2,580 lines of the harness corpus at seed 1, no
@@ -43,6 +47,7 @@ from scan_equal import ROOT, checkout, inputs
 
 FILES, LINES = range(10), 400
 VERSE_SEED, VERSE_LINES = 31, 3000
+SITE_HEAVY_ROUNDS = range(10)
 # the harness workload's corpus size; its test split is 420 lines
 HARNESS_SEED, HARNESS_LINES, HELD_OUT = 1, 3000, 420
 
@@ -80,6 +85,22 @@ scan_all()
 print(min(scan_all() for _ in range(5)) / len(lines) * 1e6)
 """
 
+# the lines that raise Unfittable, kept by the pass that fills the cache
+UNFITTABLE = WARM.replace("""
+scan_all()
+""", """
+from escansion.errors import Unfittable
+
+def unfittable(line):
+    try:
+        scan_line(line, lexicon)
+    except Unfittable:
+        return True
+    return False
+
+lines = [line for line in lines if unfittable(line)]
+""")
+
 PREDICT = PIN + f"""
 from escansion import baseline
 rows = [line.split("\\t") for line in sys.stdin.read().splitlines()]
@@ -110,6 +131,11 @@ def verse() -> list[str]:
         inputs.verse_stream(VERSE_SEED), VERSE_LINES)]
 
 
+def site_heavy() -> list[str]:
+    return [text for index in SITE_HEAVY_ROUNDS
+            for text, _ in inputs.site_heavy_round(index)]
+
+
 def labelled() -> list[str]:
     return [f"{text}\t{template}" for _, _, text, template
             in inputs.labelled_corpus(HARNESS_LINES, HARNESS_SEED)]
@@ -128,12 +154,14 @@ def main() -> int:
     parser.add_argument("rev", nargs="?", default="HEAD")
     parser.add_argument("--rounds", type=int, default=7)
     args = parser.parse_args()
-    words, lines, corpus = tokens(), verse(), labelled()
+    words, lines, heavy, corpus = tokens(), verse(), site_heavy(), labelled()
     rows = {
         f"cold analyze_word, {len(words)} distinct tokens, µs a token":
             (COLD, "\n".join(words)),
         f"warm scan_line, {len(lines)} verse lines, µs a line":
             (WARM, "\n".join(lines)),
+        f"warm scan_line, the unfittable of {len(heavy)} site_heavy lines, "
+        "µs a line": (UNFITTABLE, "\n".join(heavy)),
         f"warm baseline.predict, {HELD_OUT} held-out harness lines, µs a line":
             (PREDICT, "\n".join(corpus)),
     }
