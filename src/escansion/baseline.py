@@ -41,11 +41,13 @@ import json
 import math
 import zlib
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .corpus import CorpusLine
 from .errors import CorruptModelFile, DataError, EmptyTrainingSet
 from .phonology import clean_text
 from .scansion import PATTERN_LENGTH, check_pattern
@@ -190,18 +192,29 @@ def _pattern_targets(pattern: str) -> np.ndarray:
 
 
 def _pairs(dataset, name: str) -> list[tuple[str, str]]:
-    """The (text, gold pattern) pairs of corpus lines or pairs; a text that
-    is not a string, or a gold that is not a string passing
-    ``check_pattern``, is a DataError naming the example."""
+    """The (text, gold pattern) pairs of corpus lines or pairs. A dataset
+    that is not iterable, or is a string or bytes, is a DataError, and so
+    are an item that is neither a ``CorpusLine`` nor a pair, a text that
+    is not a string and a gold that fails ``check_pattern``, each naming
+    the example."""
+    if not isinstance(dataset, Iterable) or isinstance(dataset, (str, bytes)):
+        raise DataError(f"{name} set must be a list of examples, "
+                        f"not {dataset!r}")
     pairs = []
     for index, item in enumerate(dataset):
-        text, pattern = (item.text, item.gold) if hasattr(item, "text") else item
+        if isinstance(item, CorpusLine):
+            text, pattern = item.text, item.gold
+        else:
+            try:
+                text, pattern = item
+            except (TypeError, ValueError):
+                raise DataError(f"{name} example {index}: {item!r} is neither "
+                                "a CorpusLine nor a (text, pattern) pair"
+                                ) from None
         if not isinstance(text, str):
             raise DataError(f"{name} example {index}: text {text!r} "
                             "is not a string")
         try:
-            if not isinstance(pattern, str):
-                raise DataError(f"pattern {pattern!r} is not a string")
             check_pattern(pattern)
         except DataError as exc:
             raise type(exc)(f"{name} example {index}: gold {exc}") from None
@@ -308,14 +321,19 @@ def train(train_set, eval_set, config: TrainConfig | None = None) -> PositionalS
 
     Deterministic for a fixed seed. Early-stops once eval exact-match has
     not improved for ``patience`` consecutive epochs, and keeps the best
-    epoch's weights. Raises DataError when a gold pattern fails
-    ``check_pattern``, or when the kept weights are not finite.
+    epoch's weights. ``eval_set`` may be None, for none. Raises DataError
+    for a config that is neither None, the default, nor a ``TrainConfig``,
+    for an example ``_pairs`` refuses, or when the kept weights are not
+    finite.
     """
-    config = config or TrainConfig()
+    if config is None:
+        config = TrainConfig()
+    elif not isinstance(config, TrainConfig):
+        raise DataError(f"config must be a TrainConfig, not {config!r}")
     train_pairs = _pairs(train_set, "training")
     if not train_pairs:
         raise EmptyTrainingSet("no training examples")
-    eval_pairs = _pairs(eval_set or (), "eval")
+    eval_pairs = _pairs(() if eval_set is None else eval_set, "eval")
 
     vocab, features = build_vocab([text for text, _ in train_pairs], config)
     # index arrays built once: every step reuses them

@@ -37,11 +37,17 @@ class CorpusLine:
 
     def __post_init__(self):
         check_pattern(self.gold)
+        for name in ("poem_id", "text"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise DataError(f"{name} must be a string, not {value!r}")
         line_no = self.line_no
         if isinstance(line_no, bool) or not isinstance(line_no, int):
             raise DataError(f"line_no must be an integer, not {line_no!r}")
         if line_no < 1:
             raise DataError("line_no starts at 1")
+        if not isinstance(self.manual, bool):
+            raise DataError(f"manual must be a bool, not {self.manual!r}")
 
 
 @dataclass(frozen=True)
@@ -217,15 +223,26 @@ def dedupe_and_clean(lines: list[CorpusLine]) -> list[CorpusLine]:
 
 
 def split(lines: list[CorpusLine], ratios=DEFAULT_RATIOS, seed: int = 13) -> CorpusSplit:
-    """Poem-level shuffle + greedy assignment toward the requested ratios."""
+    """Poem-level shuffle + greedy assignment toward the requested ratios.
+    ``lines`` that are not a list or tuple of CorpusLines, ``ratios`` that
+    are not three non-negative numbers summing to 1 and a ``seed`` that is
+    not an integer raise DataError."""
+    if not isinstance(lines, (list, tuple)):
+        raise DataError(f"lines must be a list of CorpusLines, not {lines!r}")
     # written so that a NaN ratio fails both tests
-    if len(ratios) != 3 or not all(r >= 0 for r in ratios):
+    if (not isinstance(ratios, (list, tuple)) or len(ratios) != 3
+            or not all(isinstance(r, (int, float)) and not isinstance(r, bool)
+                       and r >= 0 for r in ratios)):
         raise DataError(f"need three non-negative ratios, got {ratios!r}")
     if not abs(sum(ratios) - 1.0) <= 1e-9:
         raise DataError(f"ratios {ratios!r} must sum to 1")
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise DataError(f"seed must be an integer, not {seed!r}")
 
     poems: dict[str, list[CorpusLine]] = {}
     for ln in lines:
+        if not isinstance(ln, CorpusLine):
+            raise DataError(f"lines must hold CorpusLines, not {ln!r}")
         poems.setdefault(ln.poem_id, []).append(ln)
     poem_ids = sorted(poems)
     wanted_sets = sum(1 for r in ratios if r > 0)

@@ -2,7 +2,9 @@
 
 Grouped by whether they signal bad input data (DataError) or a broken
 environment (file missing, unreadable model, ...). The CLI maps DataError
-subclasses to exit code 2 and OS-level problems to exit code 1.
+subclasses to exit code 2 and OS-level problems to exit code 1. Each type
+holds what its raiser hands it and owns no rule of the engine: an
+``Unfittable``'s nearest subsets come from a callable the fit passes in.
 """
 
 
@@ -26,44 +28,21 @@ class Unfittable(DataError):
     """No combination of figures reaches the target metrical length.
 
     ``achievable`` holds every length the figures can reach, sorted, and
-    ``nearest`` three (length, applied figures) previews of the subsets
-    nearest the target. The fit does not build them: it hands over its
-    ``sites`` (one snapshot tuple), its ``shifting`` sites as ``(cut,
-    shift, index)``, ``end``, the achievable length nearest the target,
-    and ``toward``, +1 when the target lies above the range and -1 below.
-    ``nearest`` is worked out from those when first read, then kept, so a
-    caller that reads only ``achievable`` never pays for it. An explicit
-    ``nearest`` is kept as given. Either way the exception holds plain
-    data only, so it pickles."""
+    ``nearest`` (length, applied figures) previews of the subsets nearest
+    the target. ``nearest`` may be given as a callable that returns them:
+    it is called when ``nearest`` is first read and the tuple kept, so a
+    caller that reads only ``achievable`` never pays for it. Anything else
+    is kept as a tuple. The exception pickles when its ``nearest`` does."""
 
-    def __init__(self, message, achievable=(), nearest=(), *, sites=None,
-                 shifting=(), end=0, toward=1):
+    def __init__(self, message, achievable=(), nearest=()):
         super().__init__(message)
         self.achievable = tuple(sorted(achievable))
-        self._nearest = tuple(nearest) if sites is None else None
-        self._plan = None if sites is None else (sites, shifting, end, toward)
+        self._nearest = nearest if callable(nearest) else tuple(nearest)
 
     @property
     def nearest(self) -> tuple[tuple[int, str], ...]:
-        """The subset applying every site whose shift is toward the
-        target, that one plus its lowest free sites (those not among the
-        shifting ones), then that one with one shifting site flipped, a
-        step further: three at most, ties by mask. Each is given as its
-        length and its sites, as ``kind@position`` joined by ``;``, or
-        ``none``."""
-        if self._nearest is None:
-            sites, shifting, end, toward = self._plan
-            best = sum(1 << i for _, shift, i in shifting if shift == toward)
-            moving = {i for _, _, i in shifting}
-            free = [1 << i for i in range(len(sites)) if i not in moving]
-            flipped = sorted(best ^ 1 << i for _, _, i in shifting)
-            masks = ([(end, best)] + [(end, best | bit) for bit in free[:2]]
-                     + [(end - toward, mask) for mask in flipped[:2]])[:3]
-            self._nearest = tuple(
-                (length, ";".join([str(site) for i, site in enumerate(sites)
-                                   if mask >> i & 1]) or "none")
-                for length, mask in masks)
-            self._plan = None
+        if callable(self._nearest):
+            self._nearest = tuple(self._nearest())
         return self._nearest
 
 

@@ -56,13 +56,6 @@ class EvalReport:
                              " outside [0, 1]")
 
 
-def _pattern(symbols) -> str:
-    """``check_pattern`` for a value that may not be a string at all."""
-    if not isinstance(symbols, str):
-        raise DataError(f"pattern {symbols!r} is not a string")
-    return check_pattern(symbols)
-
-
 def evaluate(pairs, unmatched: int = 0) -> EvalReport:
     """Score (pred, gold, text) triples.
 
@@ -92,11 +85,11 @@ def evaluate(pairs, unmatched: int = 0) -> EvalReport:
         except (TypeError, ValueError):
             raise DataError(f"a scored line must be a (pred, gold, text) "
                             f"triple, not {triple!r}") from None
-        _pattern(gold)
+        check_pattern(gold)
         if pred is None:
             errors.append((text, gold, "<unscanned>"))
             continue
-        predicted[_pattern(pred)] += 1
+        predicted[check_pattern(pred)] += 1
         if pred == gold:
             correct += 1
         else:

@@ -76,14 +76,16 @@ ambiguity, the line's words and the diagnostics. Its metrical length is
 the pattern's, so ``candidate`` is built only when read, as are the
 syllable texts, which the words carry. An unfittable line's
 ``Unfittable`` carries its message and achievable lengths; the nearest
-subsets it names are worked out only when read. Hendecasyllable patterns are read
-from a table of the 1,024 built at import, other targets rendered, and
-every pattern still passes ``check_pattern``.
+subsets it names are worked out by ``_nearest`` only when read.
+Hendecasyllable patterns are read from a table of the 1,024 built at
+import, other targets rendered, and every pattern still passes
+``check_pattern``, which also refuses a value that is not a string.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import partial
 from typing import NamedTuple
 
 from .errors import (DataError, EmptyLine, EmptyAfterNormalization,
@@ -204,12 +206,15 @@ PATTERN_LENGTH = 11  # a hendecasyllable's positions, gold or predicted
 
 
 def check_pattern(symbols: str, length: int = PATTERN_LENGTH) -> str:
-    """The one rule for a pattern: ``length`` positions over + and -, one +
-    at least. Hands ``symbols`` back, or raises DataError (LengthMismatch)."""
+    """The one rule for a pattern: a string of ``length`` positions over +
+    and -, one + at least. Hands ``symbols`` back, or raises DataError
+    (LengthMismatch for a wrong length)."""
+    if not isinstance(symbols, str):
+        raise DataError(f"pattern {symbols!r} is not a string")
     if len(symbols) != length:
         raise LengthMismatch(f"pattern {symbols!r} has {len(symbols)} positions, "
                              f"wanted {length}")
-    if set(symbols) - {"+", "-"}:
+    if symbols.strip("+-"):
         raise DataError(f"pattern {symbols!r} is not over +/-")
     if "+" not in symbols:
         raise DataError(f"pattern {symbols!r} has no stressed position")
@@ -477,18 +482,39 @@ def _template(stresses: int, shifting, top: int, need: int,
     return min(choices)[1] if choices else None
 
 
+def _nearest(sites, shifting, end, toward) -> tuple[tuple[int, str], ...]:
+    """The subsets of ``sites`` nearest the target of an unfittable line,
+    from its ``shifting`` sites as ``(cut, shift, i)`` for ``sites[i]``,
+    ``end``, the achievable length nearest the target, and ``toward``, +1
+    when the target lies above the range and -1 below: the subset applying
+    every site whose shift is toward the target, that one plus its lowest
+    free sites (those not among the shifting ones), then that one with one
+    shifting site flipped, a step further. Three at most, ties by mask,
+    each given as its length and its sites, as ``kind@position`` joined by
+    ``;``, or ``none``."""
+    best = sum(1 << i for _, shift, i in shifting if shift == toward)
+    moving = {i for _, _, i in shifting}
+    free = [1 << i for i in range(len(sites)) if i not in moving]
+    flipped = sorted(best ^ 1 << i for _, _, i in shifting)
+    masks = ([(end, best)] + [(end, best | bit) for bit in free[:2]]
+             + [(end - toward, mask) for mask in flipped[:2]])[:3]
+    return tuple((length, ";".join([str(site) for i, site in enumerate(sites)
+                                    if mask >> i & 1]) or "none")
+                 for length, mask in masks)
+
+
 def _unfittable(sites, shifting, low, high, target) -> Unfittable:
     """Every achievable length, ``low`` to ``high``; the nearest subsets
-    are left to ``Unfittable.nearest``, which works them out from a
-    snapshot of ``sites``, the ``(cut, shift, i)`` of ``shifting`` and the
-    end of the range nearest the target when first read."""
+    are worked out by ``_nearest``, from a snapshot of ``sites``, when
+    ``Unfittable.nearest`` is first read."""
     achievable = range(low, high + 1)
     toward = 1 if target > high else -1
     return Unfittable(
         f"no figure subset reaches length {target} "
         f"(achievable: {list(achievable)})",
-        achievable=achievable, sites=tuple(sites), shifting=shifting,
-        end=high if toward > 0 else low, toward=toward)
+        achievable=achievable, nearest=partial(
+            _nearest, tuple(sites), shifting, high if toward > 0 else low,
+            toward))
 
 
 def _patterns(stresses: int, shifting, top: int, need: int,
@@ -529,9 +555,10 @@ def fit_to_target(words: ParsedLine, sites: list[FigureSite],
     of it, in order: the fit chooses among the sites given, and the others
     stay unapplied. ``words`` that are not a ``ParsedLine``, ``sites``
     that are not a list or tuple of ``FigureSite``s, a site of a kind
-    other than synalepha, syneresis and dieresis, each ahead of any
-    Unfittable, and a config that is neither None, the default, nor a
-    ``ScanConfig`` raise DataError.
+    other than synalepha, syneresis and dieresis or at a position that is
+    no int (a bool is none) from 0 to the line's last syllable, each ahead
+    of any Unfittable, and a config that is neither None, the default, nor
+    a ``ScanConfig`` raise DataError.
 
     The reachable lengths are read from each site's shift, as the module
     docstring tells: a target out of their range raises Unfittable, and
@@ -560,6 +587,7 @@ def fit_to_target(words: ParsedLine, sites: list[FigureSite],
     target = config.target_length
     stresses, lefts = words.stresses, words.lefts
     top = stresses.bit_length() - 1  # the last stressed syllable
+    size = words.starts[-1] + words[-1].frame.size  # the line's syllables
     # one pass: check each kind, cut each site where it moves the line (p+1
     # for a merge at p or a split of p that keeps its stress on the left,
     # p for any other split), and put each site that shifts the last stress
@@ -573,6 +601,9 @@ def fit_to_target(words: ParsedLine, sites: list[FigureSite],
         shift = _DELTAS.get(kind)
         if shift is None:
             raise DataError(f"unknown figure kind {kind!r}")
+        if type(position) is not int or not 0 <= position < size:
+            raise DataError(f"site {site!r}: position must be an integer "
+                            f"from 0 to {size - 1}")
         cut = position + (shift < 0 or lefts >> position & 1)
         if cut > top:
             ambiguous = True  # it shifts nothing

@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wordbank
@@ -371,6 +371,31 @@ class TestTrain:
         model = train(lines, lines[:2], _tiny_config(epochs=2))
         assert model.train_meta["epochs_run"] == 2
 
+    @pytest.mark.parametrize("item", [5, None, ("sol", TINY[0][1], 1),
+                                      ("sol",)])
+    @pytest.mark.parametrize("name", ["training", "eval"])
+    def test_an_item_that_is_no_example_is_a_data_error(self, name, item):
+        bad = [TINY[0], item]
+        train_set, eval_set = (bad, TINY) if name == "training" else (TINY, bad)
+        with pytest.raises(DataError) as exc:
+            train(train_set, eval_set, _tiny_config(epochs=1))
+        assert str(exc.value) == (f"{name} example 1: {item!r} is neither a "
+                                  "CorpusLine nor a (text, pattern) pair")
+
+    @pytest.mark.parametrize("dataset", [5, None, b"", "texto"])
+    def test_a_set_that_is_no_list_is_a_data_error(self, dataset):
+        with pytest.raises(DataError) as exc:
+            train(dataset, [], _tiny_config(epochs=1))
+        assert str(exc.value) == (f"training set must be a list of examples, "
+                                  f"not {dataset!r}")
+
+    @pytest.mark.parametrize("config", [False, 5, {"epochs": 1},
+                                        _tiny_config().__dict__])
+    def test_config_is_a_train_config(self, config):
+        with pytest.raises(DataError) as exc:
+            train(TINY, [], config)
+        assert str(exc.value) == f"config must be a TrainConfig, not {config!r}"
+
 
 def _reference_sigmoid(x):
     return 1.0 / (1.0 + np.exp(-np.clip(x, -500, 500)))
@@ -644,3 +669,43 @@ class TestSaveLoad:
             load_model(path)
         assert str(exc.value).startswith(f"{path}: ")
         assert field in str(exc.value)
+
+
+# --- the entry points' types ------------------------------------------------
+
+# the shape of tests/test_entry_types.py, for the entry points that load
+# numpy: each argument gets None, a bool, a float, bytes or a list
+_SCALARS = st.one_of(st.none(), st.booleans(), st.floats(),
+                     st.binary(max_size=8))
+_BAD = st.one_of(_SCALARS, st.lists(_SCALARS, min_size=1, max_size=3))
+
+# a valid value for each argument, and the types of wrong value that an
+# argument takes with success, as documented
+_ENTRIES = {
+    "train": (train, {"train_set": TINY, "eval_set": [],
+                      "config": _tiny_config(epochs=1)},
+              {"eval_set": (type(None),), "config": (type(None),)}),
+    "TrainConfig": (TrainConfig, vars(TrainConfig()),
+                    {"learning_rate": (float,)}),
+}
+
+
+def test_every_entry_argument_is_covered():
+    import inspect
+    for call, args, _ in _ENTRIES.values():
+        assert list(args) == list(inspect.signature(call).parameters)
+        call(**args)
+
+
+@pytest.mark.parametrize("name, param", [
+    (name, param) for name, (_, args, _) in _ENTRIES.items() for param in args])
+@settings(max_examples=30, deadline=None)
+@given(bad=_BAD)
+def test_a_wrong_value_is_a_data_error(name, param, bad):
+    call, args, accepts = _ENTRIES[name]
+    try:
+        call(**{**args, param: bad})
+    except DataError:
+        return
+    assert isinstance(bad, accepts.get(param, ())), (
+        f"{name}({param}={bad!r}) returned")

@@ -233,7 +233,8 @@ class TestNormalizeMet:
 
 
 class TestCorpusLine:
-    @pytest.mark.parametrize("gold", ["+-+", "x" * 11, "-" * 11])
+    @pytest.mark.parametrize("gold", ["+-+", "x" * 11, "-" * 11, 5,
+                                      list("+--+---+-+-")])
     def test_bad_gold_is_a_data_error(self, gold):
         with pytest.raises(DataError):
             CorpusLine("p", 1, "texto", gold)
@@ -247,6 +248,21 @@ class TestCorpusLine:
         with pytest.raises(DataError) as exc:
             CorpusLine("p", line_no, "texto", "+--+---+-+-")
         assert str(exc.value) == f"line_no must be an integer, not {line_no!r}"
+
+    @pytest.mark.parametrize("field", ["poem_id", "text"])
+    @pytest.mark.parametrize("value", [None, 5, b"texto"])
+    def test_ids_and_texts_are_strings(self, field, value):
+        args = {"poem_id": "p", "line_no": 1, "text": "texto",
+                "gold": "+--+---+-+-", field: value}
+        with pytest.raises(DataError) as exc:
+            CorpusLine(**args)
+        assert str(exc.value) == f"{field} must be a string, not {value!r}"
+
+    @pytest.mark.parametrize("manual", ["yes", 1, None])
+    def test_manual_is_a_bool(self, manual):
+        with pytest.raises(DataError) as exc:
+            CorpusLine("p", 1, "texto", "+--+---+-+-", manual)
+        assert str(exc.value) == f"manual must be a bool, not {manual!r}"
 
 
 class TestDedupeAndClean:
@@ -326,6 +342,33 @@ class TestSplit:
     def test_bad_ratios(self):
         with pytest.raises(ValueError):
             split(_toy_corpus(), ratios=(0.5, 0.5, 0.5), seed=1)
+
+    @pytest.mark.parametrize("ratios", [None, "abc", 0.5, (0.5, "a", 0.5),
+                                        (True, False, False), [0.5, None, 0.5]])
+    def test_ratios_are_three_numbers(self, ratios):
+        with pytest.raises(DataError) as exc:
+            split(_toy_corpus(), ratios=ratios, seed=1)
+        assert str(exc.value) == (f"need three non-negative ratios, "
+                                  f"got {ratios!r}")
+
+    @pytest.mark.parametrize("seed", ["x", None, 1.0, True])
+    def test_seed_is_an_integer(self, seed):
+        with pytest.raises(DataError) as exc:
+            split(_toy_corpus(), seed=seed)
+        assert str(exc.value) == f"seed must be an integer, not {seed!r}"
+
+    @pytest.mark.parametrize("lines", [None, "lines", iter([])])
+    def test_lines_are_a_list(self, lines):
+        with pytest.raises(DataError, match="^lines must be a list of "
+                                            "CorpusLines, not "):
+            split(lines)
+
+    def test_lines_hold_corpus_lines(self):
+        lines = _toy_corpus() + [("p", 1, "texto", "+--+---+-+-")]
+        with pytest.raises(DataError) as exc:
+            split(lines)
+        assert str(exc.value) == ("lines must hold CorpusLines, not "
+                                  "('p', 1, 'texto', '+--+---+-+-')")
 
     @given(st.integers(min_value=0, max_value=10 ** 6))
     @settings(max_examples=50, deadline=None)

@@ -1,11 +1,13 @@
-"""Every callable of ``escansion.__all__``, and the text, gold and scoring
-entry points a caller feeds by hand (``phonology.clean_text``,
-``corpus.normalize_met``, ``metrics.evaluate``), either returns or raises
-a DataError when one argument is None, a bool, a float, bytes or a list in
+"""Every callable of ``escansion.__all__``, and the text, gold, corpus and
+scoring entry points a caller feeds by hand (``phonology.clean_text``,
+``scansion.check_pattern``, ``corpus.normalize_met``, ``corpus.CorpusLine``,
+``corpus.split``, ``metrics.evaluate``), either returns or raises a
+DataError when one argument is None, a bool, a float, bytes or a list in
 place of its value. It returns only where that is documented: the records
-that check nothing when built, a None that stands for the default and a
-bool for a flag. The one other exception is the word cache's TypeError for
-an argument it cannot hash. Imports no numpy."""
+that check nothing when built, a None that stands for the default, a bool
+for a flag and a list that holds valid ratios. The one other exception is
+the word cache's TypeError for an argument it cannot hash. Imports no
+numpy."""
 
 import inspect
 from typing import Callable, NamedTuple
@@ -15,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import escansion
-from escansion import corpus, metrics, phonology
+from escansion import corpus, metrics, phonology, scansion
 from escansion.errors import DataError
 
 _LINE = "cubra de nieve la hermosa cumbre"
@@ -88,7 +90,20 @@ def _entries() -> dict:
                            {"lexicon": _NONE, "config": _NONE}),
         "syllabify": Entry(escansion.syllabify, {"word": "nieve"}),
         "clean_text": Entry(phonology.clean_text, {"text": _LINE}),
+        "check_pattern": Entry(scansion.check_pattern,
+                               {"symbols": _PATTERN, "length": 11},
+                               # an integral float equals the length
+                               {"length": (float,)}),
         "normalize_met": Entry(corpus.normalize_met, {"raw": _PATTERN}),
+        "CorpusLine": Entry(corpus.CorpusLine, {
+            "poem_id": "p", "line_no": 1, "text": _LINE, "gold": _PATTERN,
+            "manual": False}, {"manual": (bool,)}),
+        "split": Entry(corpus.split, {
+            "lines": [corpus.CorpusLine(f"p{i}", 1, f"{_LINE} {i}", _PATTERN)
+                      for i in range(3)],
+            "ratios": corpus.DEFAULT_RATIOS, "seed": 13},
+            # three numbers summing to 1, such as [1.0, 0.0, 0.0]
+            {"ratios": (list,)}),
         "evaluate": Entry(metrics.evaluate,
                           {"pairs": [(_PATTERN, _PATTERN, _LINE)],
                            "unmatched": 0}),

@@ -1,6 +1,8 @@
 import pickle
 import random
 import re
+import subprocess
+import sys
 import time
 
 import pytest
@@ -326,6 +328,22 @@ class TestFitAndScan:
             again = pickle.loads(pickle.dumps(exc))
             assert again.nearest == exc.nearest
 
+    def test_an_unread_nearest_is_worked_out_in_another_interpreter(
+            self, lexicon):
+        # the exception holds the fit's own rule by reference, so a fresh
+        # interpreter that loads it works out the same nearest subsets
+        with pytest.raises(Unfittable) as caught:
+            scan_line(GARCILASO_LINE, lexicon, ScanConfig(target_length=20))
+        blob = pickle.dumps(caught.value)  # nearest not yet read
+        child = subprocess.run(
+            [sys.executable, "-c", "import pickle, sys; "
+             "exc = pickle.load(sys.stdin.buffer); "
+             "sys.stdout.buffer.write(pickle.dumps(exc.nearest))"],
+            input=blob, capture_output=True, check=True)
+        assert pickle.loads(child.stdout) == caught.value.nearest
+        assert caught.value.nearest == ((12, "dieresis@3"), (11, "none"),
+                                        (11, "dieresis@3;synalepha@5"))
+
     def test_nearest_ignores_the_callers_later_edits(self, lexicon):
         words = phonological_parse(GARCILASO_LINE, lexicon)
         sites = find_figure_sites(words)
@@ -397,6 +415,26 @@ class TestFitAndScan:
             sites = sites + [FigureSite("elision", 9)]
         with pytest.raises(DataError, match="unknown figure kind 'elision'"):
             fit_to_target(words, sites, config)
+
+    @pytest.mark.parametrize("site", [
+        FigureSite("synalepha", "3"), FigureSite("dieresis", -1),
+        FigureSite("dieresis", 3.0), FigureSite("synalepha", -1),
+        FigureSite("synalepha", 11), FigureSite("synalepha", 99),
+        FigureSite("dieresis", True)], ids=str)
+    @pytest.mark.parametrize("target", [11, 20])
+    def test_a_position_off_the_line_is_rejected(self, lexicon, site, target):
+        # the line has syllables 0 to 10; the check comes ahead of the
+        # Unfittable that target 20 gives
+        words = phonological_parse(GARCILASO_LINE, lexicon)
+        sites = find_figure_sites(words)
+        message = re.escape(f"site {site!r}: position must be an integer "
+                            "from 0 to 10")
+        with pytest.raises(DataError, match=f"^{message}$"):
+            fit_to_target(words, sites + [site],
+                          ScanConfig(target_length=target))
+        # the line's first and last syllables are positions
+        for position in (0, 10):
+            fit_to_target(words, sites + [FigureSite("dieresis", position)])
 
     def test_final_atonic_word_still_yields_a_stress(self, lexicon, config):
         # final-accent rule: the line-final word counts as tonic, so this
@@ -501,6 +539,11 @@ class TestPatternOf:
         assert check_pattern("+-+", 3) == "+-+"
         with pytest.raises(LengthMismatch):
             check_pattern("+-+")
+        for symbols in (None, 5, b"+--+---+-+-", list("+--+---+-+-"),
+                        tuple("+--+---+-+-")):
+            with pytest.raises(DataError) as exc:
+                check_pattern(symbols)
+            assert str(exc.value) == f"pattern {symbols!r} is not a string"
 
     @pytest.mark.parametrize("symbols,reason", [
         ("+-+", "has 3 positions, wanted 11"),
